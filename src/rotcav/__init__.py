@@ -33,6 +33,7 @@ from .dynamics import (
     TraceDriftError,
     build_liouvillian,
     evolve,
+    jump_map_steady_state,
     steady_state,
     unvectorize,
     vectorize,
@@ -90,6 +91,7 @@ __all__ = [
     "TraceDriftError",
     "build_liouvillian",
     "evolve",
+    "jump_map_steady_state",
     "steady_state",
     "vectorize",
     "unvectorize",

@@ -23,12 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .dynamics import HERMITICITY_TOL
 from .fock import FockBasis, ModeOperator, annihilator_a, annihilator_b
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 HBAR = 1.054_571_817e-34  # J s
-
-HERMITICITY_TOL = 1e-10
 
 
 class DriveDirection(enum.Enum):

@@ -1,9 +1,9 @@
 """Parameter sweeps over the steady-state solver, with figure presets.
 
-A sweep evaluates the full pipeline (basis -> Hamiltonian ->
-Liouvillian -> steady state -> statistics) on a 1D or 2D grid of model
-parameters and collects one row per grid point, in row-major order
-(axis1 outer, axis2 inner) regardless of how the points are evaluated.
+A sweep evaluates the full pipeline (basis -> Hamiltonian -> steady
+state -> statistics) on a 1D or 2D grid of model parameters and
+collects one row per grid point, in row-major order (axis1 outer,
+axis2 inner) regardless of how the points are evaluated.
 Rows carry a status flag: 'ok', 'vacuum-undefined' when a requested g2
 hits the empty-mode guard (so heatmaps can tell "blocked" from
 "empty"), or 'solver-failure' (the row is kept, outputs empty).
@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__ as _version
 from .fock import build_basis, annihilator_a, annihilator_b
 from .hamiltonian import DriveDirection, SystemParams, build_h_eff
-from .dynamics import SteadyStateError, build_liouvillian, steady_state
+from .dynamics import SteadyStateError, jump_map_steady_state
 from .observables import PhotonStatistics, photon_statistics
 from .amplitudes import optimal_g
 
@@ -129,9 +129,8 @@ def run_point(p: SystemParams, cutoffs: tuple[int, int] = DEFAULT_CUTOFFS) -> Ph
     a = annihilator_a(basis)
     b = annihilator_b(basis)
     h = build_h_eff(p, basis)
-    lio = build_liouvillian(h, a, b, p.kappa1, p.kappa2)
     try:
-        rho = steady_state(lio)
+        rho = jump_map_steady_state(h, a, b, p.kappa1, p.kappa2)
     except SteadyStateError as exc:
         raise type(exc)(f"{exc} [at {_params_label(p)}]") from exc
     return photon_statistics(rho, a, b)

@@ -343,7 +343,7 @@ def test_11_truncation_invariants():
 
     # doubling the truncation leaves the weak-drive dip statistics
     # unchanged to 0.1% (single most-loaded point of the dip sweep;
-    # the doubled solve is a dense 8281 x 8281 factorization)
+    # the doubled solve has D = 91 and runs matrix-free)
     p = SystemParams(g=0.867, drive_strength=WEAK_DRIVE)
     coarse = run_point(p, (6, 3))
     fine = run_point(p, (12, 6))

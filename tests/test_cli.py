@@ -147,16 +147,16 @@ def test_figure_json_format(tmp_path):
 
 
 def test_solver_failure_exit_2_with_partial_output(monkeypatch, tmp_path, capsys):
-    real = sweep_mod.steady_state
+    real = sweep_mod.jump_map_steady_state
     calls = {"n": 0}
 
-    def flaky(lio):
+    def flaky(h_eff, a, b, kappa1, kappa2):
         calls["n"] += 1
         if calls["n"] == 2:
             raise SteadyStateError("synthetic failure")
-        return real(lio)
+        return real(h_eff, a, b, kappa1, kappa2)
 
-    monkeypatch.setattr(sweep_mod, "steady_state", flaky)
+    monkeypatch.setattr(sweep_mod, "jump_map_steady_state", flaky)
     out = tmp_path / "partial.csv"
     code = main(["sweep", "--axis1", "g:0.5:1.5:3", "--outputs", "n_a",
                  "--na-cut", "2", "--nb-cut", "1", "--out", str(out)])
@@ -167,10 +167,10 @@ def test_solver_failure_exit_2_with_partial_output(monkeypatch, tmp_path, capsys
 
 
 def test_point_solver_failure_exit_2(monkeypatch, capsys):
-    def boom(lio):
+    def boom(h_eff, a, b, kappa1, kappa2):
         raise SteadyStateError("synthetic failure")
 
-    monkeypatch.setattr(sweep_mod, "steady_state", boom)
+    monkeypatch.setattr(sweep_mod, "jump_map_steady_state", boom)
     code = main(["point", "--g", "1.0", "--na-cut", "2", "--nb-cut", "1"])
     assert code == 2
     assert "solver failure" in capsys.readouterr().err

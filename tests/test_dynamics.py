@@ -1,21 +1,34 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import rotcav.dynamics as dynamics_mod
 from conftest import kron_liouvillian, make_ops, solve_point
 from rotcav import (
     DensityMatrix,
     Liouvillian,
     NonUniqueSteadyStateError,
+    SteadyStateError,
     SystemParams,
     TraceDriftError,
     build_basis,
     build_h_eff,
     build_liouvillian,
     evolve,
+    jump_map_steady_state,
+    photon_statistics,
+    run_point,
     steady_state,
     unvectorize,
     vectorize,
 )
+
+EXCEPTIONAL_G = 1.0 / (4.0 * math.sqrt(2.0))
+ROUNDOFF = 1e-14
 
 
 def _liouvillian(params: SystemParams, na=6, nb=3) -> Liouvillian:
@@ -69,15 +82,17 @@ def test_zero_hamiltonian_zero_rates_gives_zero():
 
 def test_dimension_mismatch_rejected():
     basis, a, b = make_ops(2, 1)
-    with pytest.raises(ValueError):
-        build_liouvillian(np.zeros((3, 3), dtype=complex), a, b, 1.0, 1.0)
+    for build in (build_liouvillian, jump_map_steady_state):
+        with pytest.raises(ValueError):
+            build(np.zeros((3, 3), dtype=complex), a, b, 1.0, 1.0)
 
 
 def test_negative_rates_rejected():
     basis, a, b = make_ops(2, 1)
     h = np.zeros((basis.dim,) * 2, dtype=complex)
-    with pytest.raises(ValueError):
-        build_liouvillian(h, a, b, -1.0, 1.0)
+    for build in (build_liouvillian, jump_map_steady_state):
+        with pytest.raises(ValueError):
+            build(h, a, b, -1.0, 1.0)
 
 
 def test_trace_preservation_row():
@@ -166,6 +181,133 @@ def test_non_uniqueness_detected():
     lio = build_liouvillian(np.zeros((basis.dim,) * 2, dtype=complex), a, b, 0.0, 0.0)
     with pytest.raises(NonUniqueSteadyStateError):
         steady_state(lio)
+
+
+# ------------------------------------------- jump-map solver against the oracle
+
+
+def _refined_steady_state(lio: Liouvillian) -> DensityMatrix:
+    """The dense LU steady state after two steps of iterative refinement.
+
+    Plain LU loses relative accuracy in small populations (see
+    test_jump_map_matches_extended_precision).  Each refinement step
+    corrects the state by the LU solve of its residual L vec(rho), whose
+    entries are formed from neighbouring entries of similar size.
+    """
+    d = lio.dim
+    trace_row = np.zeros(d * d, dtype=complex)
+    trace_row[:: d + 1] = 1.0
+    system = lio.matrix.copy()
+    system[0] = trace_row
+    lu = scipy.linalg.lu_factor(system)
+    vec = vectorize(steady_state(lio).matrix)
+    for _ in range(2):
+        residual = lio.matrix @ vec
+        residual[0] = trace_row @ vec - 1.0
+        vec = vec - scipy.linalg.lu_solve(lu, residual)
+    return DensityMatrix(unvectorize(vec, d), lio.basis)
+
+
+def _assert_matches_oracle(
+    p: SystemParams, cutoffs, oracle=steady_state, min_occupation=0.0
+) -> None:
+    """run_point agrees with the dense oracle to relative 1e-9; its state is certified.
+
+    An occupation that vanishes in exact arithmetic (n_b at g = 0) comes
+    back from both solvers as roundoff of either sign, so occupations
+    also pass within ROUNDOFF absolute.  A g2 is compared only where the
+    oracle's occupation of that mode is at least min_occupation.
+    """
+    basis, a, b = make_ops(*cutoffs)
+    h = build_h_eff(p, basis)
+    lio = build_liouvillian(h, a, b, p.kappa1, p.kappa2)
+    expected = photon_statistics(oracle(lio), a, b)
+    stats = run_point(p, cutoffs)
+    for name, occupation in (("g2_aa", "n_a"), ("g2_bb", "n_b"), ("n_a", None), ("n_b", None)):
+        got, want = getattr(stats, name), getattr(expected, name)
+        if occupation is not None and getattr(expected, occupation) < min_occupation:
+            continue
+        if want is None or got is None:
+            assert got is want, name
+        else:
+            floor = ROUNDOFF if occupation is None else 0.0
+            assert got == pytest.approx(want, rel=1e-9, abs=floor), name
+    rho = jump_map_steady_state(h, a, b, p.kappa1, p.kappa2)
+    assert np.max(np.abs(lio.matrix @ vectorize(rho.matrix))) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        SystemParams(g=EXCEPTIONAL_G, drive_strength=0.05),
+        SystemParams(g=1.0, drive_strength=0.0),
+        SystemParams(g=1.0, kappa2=0.1, drive_strength=0.05),
+        SystemParams(delta=6.0, g=10.0, drive_strength=0.05),
+        SystemParams(delta=-6.0, g=10.0, drive_strength=0.05),
+        SystemParams(g=0.867, drive_strength=3.0),
+    ],
+    ids=["exceptional-point", "undriven", "kappa2-0.1", "g10-delta+6", "g10-delta-6", "F3"],
+)
+def test_jump_map_matches_dense_oracle_at_hard_points(params):
+    _assert_matches_oracle(params, (6, 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    delta=st.floats(-6.0, 6.0),
+    g=st.floats(0.0, 10.0),
+    kappa2=st.floats(0.1, 3.0),
+    drive=st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+)
+@example(delta=0.0, g=EXCEPTIONAL_G, kappa2=1.0, drive=0.05)
+@example(delta=0.0, g=1.0, kappa2=1.0, drive=0.0)
+@example(delta=4.098, g=0.34, kappa2=0.391, drive=0.506)
+def test_jump_map_matches_refined_dense_oracle_random(delta, g, kappa2, drive):
+    # Within two decades of the 1e-12 vacuum guard even the refined oracle
+    # misses 1e-9 in g2: at n_b = 1.7e-12 (delta=5.813, g=0.082,
+    # kappa2=0.1088, F=0.0797) it is 9.5e-10 off a 40-digit solve.
+    p = SystemParams(delta=delta, g=g, kappa2=kappa2, drive_strength=drive)
+    _assert_matches_oracle(p, (3, 2), oracle=_refined_steady_state, min_occupation=1e-10)
+
+
+@pytest.mark.parametrize(
+    "params, expected",
+    [
+        (
+            SystemParams(delta=4.098, g=0.34, kappa2=0.391, drive_strength=0.506),
+            dict(g2_aa=1.006549119033813, g2_bb=31.24361716058249,
+                 n_a=0.015025438187563635, n_b=3.954021002013671e-07),
+        ),
+        (
+            SystemParams(delta=5.813, g=0.082, kappa2=0.1088, drive_strength=0.0797),
+            dict(g2_aa=1.0001974368795112, g2_bb=3.8469425064068212,
+                 n_a=0.00018660134111054896, n_b=1.7325542447832737e-12),
+        ),
+    ],
+    ids=["plain-lu-1e-4-off", "near-vacuum-guard"],
+)
+def test_jump_map_matches_extended_precision(params, expected):
+    # Expected values: mpmath LU at 40 digits of the trace-row system
+    # built from build_liouvillian at cutoffs (3, 2).  Plain dense LU misses
+    # g2_bb by 1.2e-4 and 1.2e4 relative at these points.
+    stats = run_point(params, (3, 2))
+    for name, value in expected.items():
+        assert getattr(stats, name) == pytest.approx(value, rel=1e-9), name
+
+
+def test_undriven_jump_map_returns_vacuum():
+    basis, a, b = make_ops(4, 2)
+    h = build_h_eff(SystemParams(g=2.0, drive_strength=0.0), basis)
+    rho = jump_map_steady_state(h, a, b, 1.0, 1.0)
+    np.testing.assert_array_equal(rho.matrix, _vacuum(basis).matrix)
+
+
+def test_jump_map_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", 3)
+    basis, a, b = make_ops(6, 3)
+    h = build_h_eff(SystemParams(g=0.867, drive_strength=3.0), basis)
+    with pytest.raises(SteadyStateError, match=r"did not converge in 3 iterations.*residual"):
+        jump_map_steady_state(h, a, b, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------- evolution

@@ -1,4 +1,6 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,12 +57,44 @@ def test_run_point_blockade_at_resonance():
 
 
 def test_run_point_attaches_context_to_failures(monkeypatch):
-    def boom(lio):
+    def boom(h_eff, a, b, kappa1, kappa2):
         raise SteadyStateError("numerical breakdown")
 
-    monkeypatch.setattr(sweep_mod, "steady_state", boom)
+    monkeypatch.setattr(sweep_mod, "jump_map_steady_state", boom)
     with pytest.raises(SteadyStateError, match="delta="):
         run_point(SystemParams(g=1.0, drive_strength=0.05), (2, 1))
+
+
+def test_run_point_never_allocates_a_superoperator():
+    # A D^2 x D^2 complex array at cutoffs (10, 5) (D = 66) is 16 D^4 bytes.
+    d = 11 * 6
+    tracemalloc.start()
+    try:
+        run_point(SystemParams(g=5.0, drive_strength=0.05), (10, 5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * d**4
+
+
+@pytest.mark.parametrize("delta, delta_f", [(0.3, 0.7), (-1.2, -0.9), (2.5, -2.5), (-0.4, 1.9)])
+@pytest.mark.parametrize("drive", [0.05, 1.0])
+def test_run_point_depends_on_delta_plus_delta_f_only(delta, delta_f, drive):
+    shifted = run_point(SystemParams(delta=delta, g=1.3, drive_strength=drive, delta_f=delta_f))
+    summed = run_point(SystemParams(delta=delta + delta_f, g=1.3, drive_strength=drive))
+    assert shifted == summed
+
+
+@pytest.mark.parametrize("delta", [0.4, 1.3, 6.0])
+@pytest.mark.parametrize(
+    "g, drive", [(1.0 / (4.0 * math.sqrt(2.0)), 0.05), (0.867, 0.05), (10.0, 0.05), (0.867, 1.0)]
+)
+def test_run_point_even_in_delta_without_fizeau_shift(delta, g, drive):
+    # parity a -> -a, b -> -b with complex conjugation maps H(-delta) to -H(delta)
+    plus = run_point(SystemParams(delta=delta, g=g, drive_strength=drive))
+    minus = run_point(SystemParams(delta=-delta, g=g, drive_strength=drive))
+    for name in ("g2_aa", "g2_bb", "n_a", "n_b"):
+        assert getattr(minus, name) == pytest.approx(getattr(plus, name), rel=1e-10), name
 
 
 # ------------------------------------------------------------------- axes
@@ -129,15 +163,15 @@ def test_vacuum_rows_flagged():
 
 def test_solver_failure_rows_kept(monkeypatch):
     calls = {"n": 0}
-    real = sweep_mod.steady_state
+    real = sweep_mod.jump_map_steady_state
 
-    def flaky(lio):
+    def flaky(h_eff, a, b, kappa1, kappa2):
         calls["n"] += 1
         if calls["n"] == 2:
             raise SteadyStateError("synthetic failure")
-        return real(lio)
+        return real(h_eff, a, b, kappa1, kappa2)
 
-    monkeypatch.setattr(sweep_mod, "steady_state", flaky)
+    monkeypatch.setattr(sweep_mod, "jump_map_steady_state", flaky)
     result = run_sweep(_small_spec())
     statuses = [row.status for row in result.rows]
     assert statuses == [STATUS_OK, STATUS_FAILURE, STATUS_OK]
