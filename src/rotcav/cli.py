@@ -33,17 +33,24 @@ from .dynamics import SteadyStateError
 from .amplitudes import optimal_g
 from .sweep import (
     DEFAULT_CUTOFFS,
-    DEFAULT_DRIVE,
+    DEFAULT_FIXED,
+    OUTPUT_NAMES,
     PRESET_NAMES,
+    STATUS_OK,
+    STATUS_VACUUM,
+    SWEEPABLE,
     SweepAxis,
     SweepSpec,
     emit,
     figure_preset,
+    max_rel_change,
+    params_to_dict,
     render_csv,
     render_json,
     run_point,
     run_sweep,
     spec_from_dict,
+    with_params,
 )
 
 
@@ -89,18 +96,19 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["csv", "json"], default="csv")
 
 
-def _params_from_args(args) -> SystemParams:
-    direction = DriveDirection(args.direction) if args.direction else None
-    return SystemParams(
-        delta=args.delta if args.delta is not None else 0.0,
-        g=args.g if args.g is not None else 0.0,
-        kappa2=args.kappa2 if args.kappa2 is not None else 1.0,
-        drive_strength=(
-            args.drive_strength if args.drive_strength is not None else DEFAULT_DRIVE
-        ),
-        delta_f=args.delta_f if args.delta_f is not None else 0.0,
-        drive_direction=direction,
-    )
+def _params_from_args(args, base: SystemParams = DEFAULT_FIXED) -> SystemParams:
+    """`base` with every parameter flag the user set.
+
+    The parameter flags are the sweepable fields plus --direction; each
+    subcommand defines a subset of them.
+    """
+    changes = {
+        name: getattr(args, name)
+        for name in SWEEPABLE
+        if getattr(args, name, None) is not None
+    }
+    direction = getattr(args, "direction", None)
+    return with_params(base, changes, DriveDirection(direction) if direction else None)
 
 
 def _cutoffs_from_args(args, default=DEFAULT_CUTOFFS) -> tuple[int, int]:
@@ -121,6 +129,10 @@ def _fmt(value) -> str:
     return "undefined" if value is None else f"{value:.12g}"
 
 
+def _fmt_change(value) -> str:
+    return "undefined" if value is None else f"{value:.3e}"
+
+
 def _cmd_point(args) -> int:
     params = _params_from_args(args)
     cutoffs = _cutoffs_from_args(args)
@@ -129,41 +141,21 @@ def _cmd_point(args) -> int:
     except SteadyStateError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    status = "vacuum-undefined" if stats.vacuum_undefined else "ok"
-    print(f"n_a    = {_fmt(stats.n_a)}")
-    print(f"n_b    = {_fmt(stats.n_b)}")
-    print(f"g2_aa  = {_fmt(stats.g2_aa)}")
-    print(f"g2_bb  = {_fmt(stats.g2_bb)}")
+    status = STATUS_VACUUM if stats.vacuum_undefined else STATUS_OK
+    outputs = {name: getattr(stats, name) for name in ("n_a", "n_b", "g2_aa", "g2_bb")}
+    for name, value in outputs.items():
+        print(f"{name:<6} = {_fmt(value)}")
     print(f"status = {status}")
     if args.convergence_check:
-        doubled = (2 * cutoffs[0], 2 * cutoffs[1])
-        fine = run_point(params, doubled)
-        for name in ("g2_aa", "g2_bb", "n_a", "n_b"):
-            x, y = getattr(stats, name), getattr(fine, name)
-            change = (
-                "undefined"
-                if x is None or y is None
-                else f"{abs(x - y) / max(abs(y), 1e-300):.3e}"
-            )
-            print(f"convergence {name}: rel change {change}")
+        fine = run_point(params, (2 * cutoffs[0], 2 * cutoffs[1]))
+        for name in OUTPUT_NAMES:
+            change = max_rel_change([(outputs[name], getattr(fine, name))])
+            print(f"convergence {name}: rel change {_fmt_change(change)}")
     if args.out:
         payload = {
-            "params": {
-                "delta": params.delta,
-                "g": params.g,
-                "kappa1": params.kappa1,
-                "kappa2": params.kappa2,
-                "drive_strength": params.drive_strength,
-                "delta_f": params.delta_f,
-                "direction": params.drive_direction.value,
-            },
+            "params": params_to_dict(params),
             "cutoffs": list(cutoffs),
-            "outputs": {
-                "n_a": stats.n_a,
-                "n_b": stats.n_b,
-                "g2_aa": stats.g2_aa,
-                "g2_bb": stats.g2_bb,
-            },
+            "outputs": outputs,
             "status": status,
         }
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -180,7 +172,7 @@ def _emit_result(result, args) -> int:
         sys.stdout.write(text)
     if result.convergence is not None:
         for name, change in result.convergence.items():
-            print(f"convergence {name}: max rel change {change:.3e}", file=sys.stderr)
+            print(f"convergence {name}: max rel change {_fmt_change(change)}", file=sys.stderr)
     return 2 if result.any_failure else 0
 
 
@@ -194,44 +186,14 @@ def _cmd_sweep(args) -> int:
         raise ValueError("sweep needs --axis1 or --config")
 
     # flags override config fields
-    axis1 = _parse_axis(args.axis1) if args.axis1 else spec.axis1
-    axis2 = _parse_axis(args.axis2) if args.axis2 else spec.axis2
-    fixed = spec.fixed
-    overrides = {}
-    for field in ("delta", "g", "kappa2", "delta_f"):
-        value = getattr(args, field)
-        if value is not None:
-            overrides[field] = value
-    if args.drive_strength is not None:
-        overrides["drive_strength"] = args.drive_strength
-    if overrides or args.direction:
-        direction = (
-            DriveDirection(args.direction)
-            if args.direction
-            else (None if "delta_f" in overrides else fixed.drive_direction)
-        )
-        fixed = SystemParams(
-            delta=overrides.get("delta", fixed.delta),
-            g=overrides.get("g", fixed.g),
-            kappa1=fixed.kappa1,
-            kappa2=overrides.get("kappa2", fixed.kappa2),
-            drive_strength=overrides.get("drive_strength", fixed.drive_strength),
-            delta_f=overrides.get("delta_f", fixed.delta_f),
-            drive_direction=direction,
-        )
-    outputs = tuple(args.outputs.split(",")) if args.outputs else spec.outputs
-    spec = SweepSpec(
-        axis1=axis1,
-        axis2=axis2,
-        fixed=fixed,
-        outputs=outputs,
+    spec = dataclasses.replace(
+        spec,
+        axis1=_parse_axis(args.axis1) if args.axis1 else spec.axis1,
+        axis2=_parse_axis(args.axis2) if args.axis2 else spec.axis2,
+        fixed=_params_from_args(args, spec.fixed),
+        outputs=tuple(args.outputs.split(",")) if args.outputs else spec.outputs,
         cutoffs=_cutoffs_from_args(args, spec.cutoffs),
-        convergence_check=(
-            args.convergence_check
-            if args.convergence_check is not None
-            else spec.convergence_check
-        ),
-        include_optimal_g=spec.include_optimal_g,
+        convergence_check=args.convergence_check or spec.convergence_check,
     )
     return _emit_result(run_sweep(spec), args)
 
@@ -248,21 +210,15 @@ def _cmd_figure(args) -> int:
 
 def _cmd_eigen(args) -> int:
     basis = build_basis(*_cutoffs_from_args(args))
-    params = SystemParams(
-        g=args.g if args.g is not None else 0.0,
-        delta_f=args.delta_f if args.delta_f is not None else 0.0,
-        drive_direction=DriveDirection(args.direction) if args.direction else None,
-    )
-    levels = eigenlevels(build_h_lab(args.omega1, params, basis), args.k)
+    levels = eigenlevels(build_h_lab(args.omega1, _params_from_args(args), basis), args.k)
     for energy in levels.energies:
         print(f"{energy:.12g}")
     return 0
 
 
 def _cmd_optimal_g(args) -> int:
-    kappa2 = args.kappa2 if args.kappa2 is not None else 1.0
-    drive = args.drive_strength if args.drive_strength is not None else DEFAULT_DRIVE
-    print(f"{optimal_g(1.0, kappa2, drive):.12g}")
+    p = _params_from_args(args)
+    print(f"{optimal_g(p.kappa1, p.kappa2, p.drive_strength):.12g}")
     return 0
 
 

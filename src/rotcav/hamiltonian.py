@@ -58,6 +58,9 @@ class SystemParams:
     drive_direction: DriveDirection | None = None
 
     def __post_init__(self):
+        for name in ("delta", "g", "kappa1", "kappa2", "drive_strength", "delta_f"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kappa1 <= 0 or self.kappa2 <= 0:
             raise ValueError("loss rates kappa1, kappa2 must be positive")
         if self.drive_strength < 0:

@@ -50,6 +50,68 @@ STATUS_FAILURE = "solver-failure"
 
 PRESET_NAMES = ("fig4a", "fig4b", "fig5", "fig6", "fig7a", "fig7b", "fig8a", "fig8b")
 
+# Fixed parameters of a sweep or a CLI point when nothing overrides them.
+DEFAULT_FIXED = SystemParams(drive_strength=DEFAULT_DRIVE)
+
+
+def with_params(
+    base: SystemParams, changes: dict[str, float], direction: DriveDirection | None = None
+) -> SystemParams:
+    """`base` with `changes` applied and, if given, the drive port set.
+
+    A changed Fizeau shift implies its drive port, so without an explicit
+    `direction` the port is re-inferred whenever `changes` holds delta_f
+    (keeping the old port would trip the sign check).
+    """
+    if direction is None and "delta_f" not in changes:
+        direction = base.drive_direction
+    return dataclasses.replace(base, drive_direction=direction, **changes)
+
+
+def params_to_dict(p: SystemParams) -> dict:
+    """JSON form of a parameter record; the drive port goes by name."""
+    data = dataclasses.asdict(p)
+    data["direction"] = data.pop("drive_direction").value
+    return data
+
+
+_PARAM_KEYS = tuple(params_to_dict(DEFAULT_FIXED))
+
+
+def _reject_unknown(data: dict, known: tuple[str, ...], where: str) -> None:
+    unknown = [key for key in data if key not in known]
+    if unknown:
+        names = ", ".join(map(repr, unknown))
+        raise ValueError(f"unknown {where} key(s) {names}; choose from {known}")
+
+
+def params_from_dict(data: dict) -> SystemParams:
+    """Inverse of :func:`params_to_dict`.
+
+    Absent keys keep the values of DEFAULT_FIXED, an absent direction is
+    inferred from delta_f, and unknown keys are rejected.
+    """
+    _reject_unknown(data, _PARAM_KEYS, "parameter")
+    changes = {key: float(value) for key, value in data.items() if key != "direction"}
+    direction = data.get("direction")
+    return with_params(
+        DEFAULT_FIXED, changes, None if direction is None else DriveDirection(direction)
+    )
+
+
+def max_rel_change(pairs) -> float | None:
+    """Worst |coarse - fine| / |fine| over (coarse, fine) value pairs.
+
+    Pairs with an undefined (None) side are skipped; None if no pair is
+    defined on both sides.
+    """
+    changes = [
+        abs(x - y) / max(abs(y), 1e-300)
+        for x, y in pairs
+        if x is not None and y is not None
+    ]
+    return max(changes) if changes else None
+
 
 @dataclass(frozen=True)
 class SweepAxis:
@@ -74,7 +136,7 @@ class SweepAxis:
 class SweepSpec:
     axis1: SweepAxis
     axis2: SweepAxis | None = None
-    fixed: SystemParams = SystemParams(drive_strength=DEFAULT_DRIVE)
+    fixed: SystemParams = DEFAULT_FIXED
     outputs: tuple[str, ...] = OUTPUT_NAMES
     cutoffs: tuple[int, int] = DEFAULT_CUTOFFS
     convergence_check: bool = False
@@ -101,6 +163,10 @@ class SweepSpec:
         return self.axis_names + self.outputs + extra + ("status",)
 
 
+_AXIS_KEYS = tuple(field.name for field in dataclasses.fields(SweepAxis))
+_SPEC_KEYS = tuple(field.name for field in dataclasses.fields(SweepSpec))
+
+
 @dataclass(frozen=True)
 class SweepRow:
     axis_values: tuple[float, ...]
@@ -112,7 +178,7 @@ class SweepRow:
 class SweepResult:
     spec: SweepSpec
     rows: list[SweepRow]
-    convergence: dict[str, float] | None = None
+    convergence: dict[str, float | None] | None = None
 
     @property
     def any_failure(self) -> bool:
@@ -143,22 +209,6 @@ def _params_label(p: SystemParams) -> str:
     )
 
 
-def _point_params(spec: SweepSpec, assignments: dict[str, float]) -> SystemParams:
-    fixed = spec.fixed
-    kwargs = {
-        "delta": fixed.delta,
-        "g": fixed.g,
-        "kappa1": fixed.kappa1,
-        "kappa2": fixed.kappa2,
-        "drive_strength": fixed.drive_strength,
-        "delta_f": fixed.delta_f,
-    }
-    kwargs.update(assignments)
-    # A swept Fizeau shift implies the drive port; let it re-infer.
-    direction = None if "delta_f" in assignments else fixed.drive_direction
-    return SystemParams(drive_direction=direction, **kwargs)
-
-
 def _grid(spec: SweepSpec):
     if spec.axis2 is None:
         for v1 in spec.axis1.values():
@@ -175,7 +225,7 @@ def _grid(spec: SweepSpec):
 def _evaluate_grid(spec: SweepSpec, cutoffs: tuple[int, int]) -> list[SweepRow]:
     rows = []
     for axis_values, assignments in _grid(spec):
-        params = _point_params(spec, assignments)
+        params = with_params(spec.fixed, assignments)
         try:
             stats = run_point(params, cutoffs)
         except SteadyStateError:
@@ -197,22 +247,21 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     With convergence_check the whole grid is re-run at doubled cutoffs
     (considerably more expensive) and the worst relative change of each
-    output is reported alongside the rows.
+    output is reported alongside the rows (None for an output that no
+    point defines at both cutoffs).
     """
     rows = _evaluate_grid(spec, spec.cutoffs)
     convergence = None
     if spec.convergence_check:
         doubled = (2 * spec.cutoffs[0], 2 * spec.cutoffs[1])
         rows_fine = _evaluate_grid(spec, doubled)
-        convergence = {}
-        for name in spec.outputs:
-            worst = 0.0
-            for coarse, fine in zip(rows, rows_fine):
-                x, y = coarse.outputs[name], fine.outputs[name]
-                if x is None or y is None:
-                    continue
-                worst = max(worst, abs(x - y) / max(abs(y), 1e-300))
-            convergence[name] = worst
+        convergence = {
+            name: max_rel_change(
+                (coarse.outputs[name], fine.outputs[name])
+                for coarse, fine in zip(rows, rows_fine)
+            )
+            for name in spec.outputs
+        }
     return SweepResult(spec, rows, convergence)
 
 
@@ -241,20 +290,17 @@ def figure_preset(
         return SweepSpec(
             axis1=ax("delta", -6.0, 6.0, 101, count1),
             axis2=ax("g", 0.0, 10.0, 101, count2),
-            fixed=SystemParams(drive_strength=weak),
             outputs=("g2_aa",) if name == "fig4a" else ("g2_bb",),
         )
     if name == "fig5":
         return SweepSpec(
             axis1=ax("g", 0.1, 3.0, 200, count1),
-            fixed=SystemParams(drive_strength=weak),
             outputs=("g2_bb",),
         )
     if name == "fig6":
         return SweepSpec(
             axis1=ax("kappa2", 0.1, 3.0, 101, count1),
             axis2=ax("g", 0.1, 3.0, 101, count2),
-            fixed=SystemParams(drive_strength=weak),
             outputs=("g2_bb",),
             include_optimal_g=True,
         )
@@ -311,19 +357,10 @@ def spec_to_dict(spec: SweepSpec) -> dict:
     def axis_dict(axis: SweepAxis | None):
         return None if axis is None else dataclasses.asdict(axis)
 
-    fixed = spec.fixed
     return {
         "axis1": axis_dict(spec.axis1),
         "axis2": axis_dict(spec.axis2),
-        "fixed": {
-            "delta": fixed.delta,
-            "g": fixed.g,
-            "kappa1": fixed.kappa1,
-            "kappa2": fixed.kappa2,
-            "drive_strength": fixed.drive_strength,
-            "delta_f": fixed.delta_f,
-            "direction": fixed.drive_direction.value,
-        },
+        "fixed": params_to_dict(spec.fixed),
         "outputs": list(spec.outputs),
         "cutoffs": list(spec.cutoffs),
         "convergence_check": spec.convergence_check,
@@ -331,12 +368,23 @@ def spec_to_dict(spec: SweepSpec) -> dict:
     }
 
 
+def _flag(data: dict, key: str) -> bool:
+    value = data.get(key, False)
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be a JSON boolean (true or false), got {value!r}")
+    return value
+
+
 def spec_from_dict(data: dict) -> SweepSpec:
-    """Build a sweep specification from a config-file dictionary."""
+    """Build a sweep specification from a config-file dictionary.
+
+    The keys are those of :func:`spec_to_dict`; unknown keys are rejected.
+    """
 
     def axis(entry):
         if entry is None:
             return None
+        _reject_unknown(entry, _AXIS_KEYS, "axis")
         return SweepAxis(
             str(entry["name"]),
             float(entry["start"]),
@@ -347,28 +395,16 @@ def spec_from_dict(data: dict) -> SweepSpec:
     if "axis1" not in data:
         raise ValueError("config must define axis1")
     try:
-        fixed_in = dict(data.get("fixed", {}))
-        direction = fixed_in.pop("direction", None)
-        if direction is not None:
-            direction = DriveDirection(direction)
-        fixed = SystemParams(
-            delta=float(fixed_in.get("delta", 0.0)),
-            g=float(fixed_in.get("g", 0.0)),
-            kappa1=float(fixed_in.get("kappa1", 1.0)),
-            kappa2=float(fixed_in.get("kappa2", 1.0)),
-            drive_strength=float(fixed_in.get("drive_strength", DEFAULT_DRIVE)),
-            delta_f=float(fixed_in.get("delta_f", 0.0)),
-            drive_direction=direction,
-        )
+        _reject_unknown(data, _SPEC_KEYS, "config")
         cutoffs = data.get("cutoffs", DEFAULT_CUTOFFS)
         return SweepSpec(
             axis1=axis(data["axis1"]),
             axis2=axis(data.get("axis2")),
-            fixed=fixed,
+            fixed=params_from_dict(data.get("fixed", {})),
             outputs=tuple(data.get("outputs", OUTPUT_NAMES)),
             cutoffs=(int(cutoffs[0]), int(cutoffs[1])),
-            convergence_check=bool(data.get("convergence_check", False)),
-            include_optimal_g=bool(data.get("include_optimal_g", False)),
+            convergence_check=_flag(data, "convergence_check"),
+            include_optimal_g=_flag(data, "include_optimal_g"),
         )
     except (KeyError, TypeError, IndexError) as exc:
         raise ValueError(f"malformed sweep config: {exc!r}") from exc

@@ -1,10 +1,12 @@
 import json
+import warnings
 
 import pytest
 
 import rotcav.sweep as sweep_mod
-from rotcav import SteadyStateError
+from rotcav import SteadyStateError, SweepAxis, SweepSpec, SystemParams
 from rotcav.cli import main
+from rotcav.sweep import spec_to_dict
 
 
 def test_invalid_subcommand_exits_1(capsys):
@@ -174,3 +176,125 @@ def test_point_solver_failure_exit_2(monkeypatch, capsys):
     code = main(["point", "--g", "1.0", "--na-cut", "2", "--nb-cut", "1"])
     assert code == 2
     assert "solver failure" in capsys.readouterr().err
+
+
+# ------------------------------------------------- parameters and config
+
+
+def _config_with_left_shift(tmp_path):
+    config = {
+        "axis1": {"name": "delta", "start": -1.0, "stop": 1.0, "count": 2},
+        "fixed": {"g": 0.8, "delta_f": 0.3, "direction": "left"},
+        "outputs": ["n_a"],
+        "cutoffs": [2, 1],
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return cfg
+
+
+@pytest.mark.parametrize("port_flags", [[], ["--direction", "right"]])
+def test_sweep_delta_f_override_reinfers_port(tmp_path, capsys, port_flags):
+    cfg = _config_with_left_shift(tmp_path)
+    code = main(["sweep", "--config", str(cfg), "--delta-f", "-0.3", *port_flags,
+                 "--format", "json"])
+    assert code == 0
+    fixed = json.loads(capsys.readouterr().out)["metadata"]["spec"]["fixed"]
+    assert fixed["delta_f"] == -0.3
+    assert fixed["direction"] == "right"
+    assert fixed["g"] == 0.8
+
+
+def test_sweep_override_with_contradicting_port_is_error(tmp_path, capsys):
+    cfg = _config_with_left_shift(tmp_path)
+    code = main(["sweep", "--config", str(cfg), "--delta-f", "-0.3",
+                 "--direction", "left"])
+    assert code == 1
+    assert "delta_f < 0 requires right drive" in capsys.readouterr().err
+
+
+def test_sweep_flags_keep_config_port_when_delta_f_untouched(tmp_path, capsys):
+    cfg = _config_with_left_shift(tmp_path)
+    assert main(["sweep", "--config", str(cfg), "--g", "1.1", "--format", "json"]) == 0
+    fixed = json.loads(capsys.readouterr().out)["metadata"]["spec"]["fixed"]
+    assert (fixed["g"], fixed["delta_f"], fixed["direction"]) == (1.1, 0.3, "left")
+
+
+def test_point_params_match_sweep_fixed_record(tmp_path, capsys):
+    out_file = tmp_path / "point.json"
+    flags = ["--delta", "-0.5", "--g", "0.867", "--kappa2", "1.2", "--delta-f", "0.3"]
+    assert main(["point", *flags, "--na-cut", "2", "--nb-cut", "1",
+                 "--out", str(out_file)]) == 0
+    params = json.loads(out_file.read_text())["params"]
+    spec = SweepSpec(
+        axis1=SweepAxis("g", 0.5, 1.0, 2),
+        fixed=SystemParams(delta=-0.5, g=0.867, kappa2=1.2, drive_strength=0.05,
+                           delta_f=0.3),
+    )
+    expected = spec_to_dict(spec)["fixed"]
+    assert list(params) == list(expected)
+    assert params == expected
+    # the same flags on a sweep echo the same record
+    capsys.readouterr()
+    assert main(["sweep", "--axis1", "g:0.5:1:2", *flags, "--na-cut", "2",
+                 "--nb-cut", "1", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["metadata"]["spec"]["fixed"] == params
+
+
+@pytest.mark.parametrize(
+    "entry, key",
+    [({"fixed": {"kapa2": 3}}, "kapa2"), ({"cutof": [2, 1]}, "cutof")],
+)
+def test_sweep_config_unknown_key_is_error(tmp_path, capsys, entry, key):
+    config = {"axis1": {"name": "g", "start": 0.5, "stop": 1.0, "count": 2},
+              "cutoffs": [2, 1], **entry}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_sweep_config_string_boolean_is_error(tmp_path, capsys):
+    config = {"axis1": {"name": "g", "start": 0.5, "stop": 1.0, "count": 2},
+              "cutoffs": [2, 1], "convergence_check": "false"}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "convergence_check must be a JSON boolean" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_convergence_undefined_without_defined_pairs(tmp_path, capsys):
+    out = tmp_path / "undef.json"
+    code = main(["sweep", "--axis1", "delta:0:1:2", "--drive-strength", "0",
+                 "--outputs", "g2_bb,n_a", "--convergence-check",
+                 "--na-cut", "2", "--nb-cut", "1", "--format", "json", "--out", str(out)])
+    assert code == 0
+    err = capsys.readouterr().err
+    assert "convergence g2_bb: max rel change undefined" in err
+    assert "convergence n_a: max rel change 0.000e+00" in err  # defined: 0 vs 0
+    change = json.loads(out.read_text())["metadata"]["convergence_max_rel_change"]
+    assert change == {"g2_bb": None, "n_a": 0.0}
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["point", "--g", "nan"], "g"),
+        (["point", "--kappa2", "inf"], "kappa2"),
+        (["point", "--delta-f=-inf"], "delta_f"),
+        (["sweep", "--axis1", "g:0.5:1:2", "--delta", "nan"], "delta"),
+        (["optimal-g", "--drive-strength", "inf"], "drive_strength"),
+    ],
+)
+def test_non_finite_parameter_is_error(argv, name, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert f"{name} must be finite" in capsys.readouterr().err
+
+
+def test_optimal_g_rejects_negative_drive(capsys):
+    assert main(["optimal-g", "--drive-strength", "-0.1"]) == 1
+    assert "drive_strength must be >= 0" in capsys.readouterr().err

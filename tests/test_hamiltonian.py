@@ -262,6 +262,15 @@ def test_system_params_validation():
         SystemParams(g=-2.0)
 
 
+@pytest.mark.parametrize(
+    "name", ["delta", "g", "kappa1", "kappa2", "drive_strength", "delta_f"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_system_params_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        SystemParams(**{name: value})
+
+
 def test_direction_inferred_from_shift_sign():
     assert SystemParams(delta_f=0.5).drive_direction is DriveDirection.LEFT
     assert SystemParams(delta_f=-0.5).drive_direction is DriveDirection.RIGHT

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -20,13 +21,18 @@ from rotcav import (
     run_sweep,
 )
 from rotcav.sweep import (
+    DEFAULT_FIXED,
     STATUS_FAILURE,
     STATUS_OK,
     STATUS_VACUUM,
     render_csv,
+    max_rel_change,
+    params_from_dict,
+    params_to_dict,
     render_json,
     spec_from_dict,
     spec_to_dict,
+    with_params,
 )
 
 
@@ -411,6 +417,82 @@ def test_spec_from_dict_rejects_malformed_entries():
             {"axis1": {"name": "g", "start": 0.1, "stop": 1.0, "count": 3},
              "cutoffs": [4]}
         )
+
+
+_AXIS = {"name": "g", "start": 0.5, "stop": 1.5, "count": 4}
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"axis1": _AXIS, "fixed": {"kapa2": 3}}, "kapa2"),
+        ({"axis1": _AXIS, "fixed": {"drive_direction": "left"}}, "drive_direction"),
+        ({"axis1": _AXIS, "output": ["n_a"]}, "output"),
+        ({"axis1": {**_AXIS, "cout": 7}}, "cout"),
+    ],
+)
+def test_spec_from_dict_rejects_unknown_keys(config, key):
+    with pytest.raises(ValueError, match=repr(key)):
+        spec_from_dict(config)
+
+
+@pytest.mark.parametrize("flag", ["convergence_check", "include_optimal_g"])
+@pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+def test_spec_from_dict_requires_json_booleans(flag, value):
+    with pytest.raises(ValueError, match=f"{flag} must be a JSON boolean"):
+        spec_from_dict({"axis1": _AXIS, flag: value})
+
+
+# ------------------------------------------------------ parameter codec
+
+
+def test_with_params_keeps_port_unless_delta_f_changes():
+    left = SystemParams(g=1.0, delta_f=0.5)
+    assert with_params(left, {"g": 2.0}) == SystemParams(g=2.0, delta_f=0.5)
+    moved = with_params(left, {"delta_f": -0.5})
+    assert moved.drive_direction is DriveDirection.RIGHT
+    # a plain replace keeps the old port and trips the sign check
+    with pytest.raises(ValueError):
+        dataclasses.replace(left, delta_f=-0.5)
+    # an unchanged zero shift keeps whichever port was chosen
+    right = SystemParams(drive_direction=DriveDirection.RIGHT)
+    assert with_params(right, {"g": 1.0}).drive_direction is DriveDirection.RIGHT
+    assert with_params(left, {}, DriveDirection.LEFT) == left
+    with pytest.raises(ValueError):
+        with_params(left, {}, DriveDirection.RIGHT)
+
+
+def test_params_dict_round_trip_and_key_order():
+    p = SystemParams(delta=-0.5, g=0.8, kappa2=1.5, drive_strength=0.1, delta_f=-0.2)
+    data = params_to_dict(p)
+    assert list(data) == [
+        "delta", "g", "kappa1", "kappa2", "drive_strength", "delta_f", "direction"
+    ]
+    assert data["direction"] == "right"
+    assert params_from_dict(json.loads(json.dumps(data))) == p
+    assert params_from_dict({}) == DEFAULT_FIXED
+    assert params_from_dict({"kappa2": 2}).kappa2 == 2.0
+
+
+def test_max_rel_change():
+    assert max_rel_change([(1.0, 2.0), (None, 1.0), (3.0, 3.0)]) == 0.5
+    assert max_rel_change([(0.0, 0.0)]) == 0.0
+    assert max_rel_change([(None, 1.0), (1.0, None)]) is None
+    assert max_rel_change([]) is None
+
+
+def test_convergence_undefined_when_no_pair_is_defined():
+    spec = _small_spec(
+        axis1=SweepAxis("delta", 0.0, 1.0, 2),
+        fixed=SystemParams(drive_strength=0.0),
+        outputs=("g2_bb", "n_b"),
+        cutoffs=(2, 1),
+        convergence_check=True,
+    )
+    result = run_sweep(spec)
+    assert result.convergence == {"g2_bb": None, "n_b": 0.0}
+    metadata = json.loads(render_json(result))["metadata"]
+    assert metadata["convergence_max_rel_change"] == {"g2_bb": None, "n_b": 0.0}
 
 
 def test_antibunching_optimal_at_zero_detuning():
