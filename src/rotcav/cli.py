@@ -223,7 +223,12 @@ def _cmd_optimal_g(args) -> int:
 
 
 def _cmd_fizeau(args) -> int:
-    omega1 = args.omega1 if args.omega1 else 2 * math.pi * SPEED_OF_LIGHT / args.wavelength
+    kappa1_si = args.kappa1_si
+    if kappa1_si is not None and not (math.isfinite(kappa1_si) and kappa1_si > 0):
+        raise ValueError(f"--kappa1-si must be finite and positive, got {kappa1_si}")
+    omega1 = args.omega1
+    if omega1 is None:
+        omega1 = 2 * math.pi * SPEED_OF_LIGHT / args.wavelength
     fp = FizeauParams(
         n=args.n,
         r=args.radius,
@@ -235,8 +240,8 @@ def _cmd_fizeau(args) -> int:
     direction = DriveDirection(args.direction) if args.direction else DriveDirection.LEFT
     shift = fizeau_shift(fp, direction)
     print(f"fizeau_shift_rad_s = {shift:.12g}")
-    if args.kappa1_si:
-        print(f"fizeau_shift_kappa1 = {shift / args.kappa1_si:.12g}")
+    if kappa1_si is not None:
+        print(f"fizeau_shift_kappa1 = {shift / kappa1_si:.12g}")
     return 0
 
 

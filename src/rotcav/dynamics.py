@@ -39,8 +39,9 @@ the Fock basis, so that vec(A rho B) = (B^T kron A) vec(rho) and
 
 :func:`steady_state` solves L vec(rho) = 0 with the trace condition
 imposed by replacing the first row of L (a diagonal-entry row, made
-redundant by trace preservation) with vec(I)^dag, and LU-factoring the
-resulting square system.  It stores and factors D^2 x D^2 matrices
+redundant by trace preservation) with vec(I)^dag, LU-factoring the
+resulting square system, and refining the solution twice with the same
+factors.  It stores and factors D^2 x D^2 matrices
 (16 D^4 bytes, O(D^6) time), so it serves as the reference oracle the
 tests compare the production solver against, not as a production path.
 Both routes certify their state the same way: residual max |L(rho)| at
@@ -86,9 +87,13 @@ JUMP_MAP_MAX_ITERATIONS = 1000
 # entering g2_bb can be 1e-24 while the vacuum holds almost all the
 # weight, so max |update| reaches roundoff long before they settle.
 # Updates can grow between early iterations at strong drive, hence the
-# threshold on the stall.
+# threshold on the stall.  The floor is observables.VACUUM_OCCUPATION_EPS
+# squared: an entry held there still settles to 1e-34, a ~1e-10 change in
+# any g2 the guard lets through.  A lower floor scales the roundoff of
+# nearly empty states up to the threshold (at 1e-30 the scaled update
+# hovered at 1e-10 to 4e-10 at some fig4 points, stopping only by luck).
 JUMP_MAP_STALL_TOL = 1e-10
-JUMP_MAP_POPULATION_FLOOR = 1e-30
+JUMP_MAP_POPULATION_FLOOR = 1e-24
 
 
 class SteadyStateError(RuntimeError):
@@ -225,20 +230,26 @@ def _trace_row(d: int) -> np.ndarray:
 def steady_state(lio: Liouvillian) -> DensityMatrix:
     """Solve L vec(rho) = 0 with Tr rho = 1 by trace-row replacement.
 
-    Raises :class:`NonUniqueSteadyStateError` when the nullspace of L is
-    more than one-dimensional, and :class:`SteadyStateError` when the
-    augmented system is singular or the residual exceeds tolerance.
+    Two steps of iterative refinement with the same LU factors restore
+    the relative accuracy of small populations (unrefined, g2_bb can be
+    2e-4 off at n_b = 4e-7).  Raises :class:`NonUniqueSteadyStateError`
+    when the nullspace of L is more than one-dimensional, and
+    :class:`SteadyStateError` when the augmented system is singular or
+    the residual exceeds tolerance.
     """
     d = lio.dim
-    mod = lio.matrix.copy()
-    mod[0, :] = _trace_row(d)
-    rhs = np.zeros(d * d, dtype=complex)
-    rhs[0] = 1.0
-    try:
-        vec = scipy.linalg.solve(mod, rhs, overwrite_a=True, check_finite=False)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+    trace_row = _trace_row(d)
+    mod = lio.matrix.copy(order="F")  # zgetrf then factors it in place
+    mod[0, :] = trace_row
+    lu, piv, info = scipy.linalg.lapack.zgetrf(mod, overwrite_a=True)
+    if info != 0:
         _diagnose_singular(lio)
-        raise SteadyStateError(f"augmented steady-state system is singular: {exc}")
+        raise SteadyStateError(f"augmented steady-state system is singular (info {info})")
+    vec = np.zeros(d * d, dtype=complex)
+    for _ in range(3):  # the solve, then two refinement steps
+        correction = lio.matrix @ vec
+        correction[0] = trace_row @ vec - 1.0
+        vec = vec - scipy.linalg.lu_solve((lu, piv), correction, check_finite=False)
 
     if not np.all(np.isfinite(vec)):
         _diagnose_singular(lio)
@@ -306,7 +317,7 @@ def jump_map_steady_state(
     # Mixed fundamental, empty second harmonic: the drive reaches b only
     # through g, so every second-harmonic entry starts at its own scale.
     rho = np.zeros((basis.dim, basis.dim), dtype=complex)
-    empty_b = np.arange(0, basis.dim, basis.nb_cut + 1)
+    empty_b = np.flatnonzero(basis.occ_b == 0)
     rho[empty_b, empty_b] = 1.0 / empty_b.size
     previous = math.inf
     for iteration in range(1, JUMP_MAP_MAX_ITERATIONS + 1):

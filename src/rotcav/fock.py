@@ -24,18 +24,28 @@ import numpy as np
 
 @dataclass(frozen=True)
 class FockBasis:
-    """Two-mode number basis truncated at (na_cut, nb_cut)."""
+    """Two-mode number basis truncated at (na_cut, nb_cut); occ_a[i] and
+    occ_b[i] are the occupations of state i, the one place the layout is
+    derived (left out of eq and hash)."""
 
     na_cut: int
     nb_cut: int
     dim: int = field(init=False)
+    occ_a: np.ndarray = field(init=False, repr=False, compare=False)
+    occ_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.na_cut < 1 or self.nb_cut < 1:
             raise ValueError(
                 f"cutoffs must be >= 1, got ({self.na_cut}, {self.nb_cut})"
             )
-        object.__setattr__(self, "dim", (self.na_cut + 1) * (self.nb_cut + 1))
+        dim = (self.na_cut + 1) * (self.nb_cut + 1)
+        occ_a, occ_b = divmod(np.arange(dim), self.nb_cut + 1)
+        occ_a.setflags(write=False)
+        occ_b.setflags(write=False)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "occ_a", occ_a)
+        object.__setattr__(self, "occ_b", occ_b)
 
     def index(self, n_a: int, n_b: int) -> int:
         """Flat index of |n_a, n_b>."""
@@ -47,11 +57,11 @@ class FockBasis:
         """Inverse of :meth:`index`."""
         if not 0 <= index < self.dim:
             raise ValueError(f"index {index} outside basis of dim {self.dim}")
-        return divmod(index, self.nb_cut + 1)
+        return int(self.occ_a[index]), int(self.occ_b[index])
 
     def occupations(self) -> list[tuple[int, int]]:
         """All (n_a, n_b) pairs in flat-index order."""
-        return [self.occupation(i) for i in range(self.dim)]
+        return list(zip(self.occ_a.tolist(), self.occ_b.tolist()))
 
     def state_vector(self, n_a: int, n_b: int) -> np.ndarray:
         """Unit vector for the number state |n_a, n_b>."""
@@ -84,19 +94,17 @@ def build_basis(na_cut: int, nb_cut: int) -> FockBasis:
     return FockBasis(na_cut, nb_cut)
 
 
+def _lowering(basis: FockBasis, occ: np.ndarray, step: int) -> ModeOperator:
+    """sqrt(n) from state i to state i - step, for the mode with occupations
+    `occ`; n = 0 wherever that step would leave the mode's block."""
+    return ModeOperator(np.diag(np.sqrt(occ[step:]), k=step).astype(complex), basis)
+
+
 def annihilator_a(basis: FockBasis) -> ModeOperator:
     """Annihilator of the fundamental mode: a|n_a,n_b> = sqrt(n_a)|n_a-1,n_b>."""
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for n_a, n_b in basis.occupations():
-        if n_a >= 1:
-            mat[basis.index(n_a - 1, n_b), basis.index(n_a, n_b)] = np.sqrt(n_a)
-    return ModeOperator(mat, basis)
+    return _lowering(basis, basis.occ_a, basis.nb_cut + 1)
 
 
 def annihilator_b(basis: FockBasis) -> ModeOperator:
     """Annihilator of the second-harmonic mode: b|n_a,n_b> = sqrt(n_b)|n_a,n_b-1>."""
-    mat = np.zeros((basis.dim, basis.dim), dtype=complex)
-    for n_a, n_b in basis.occupations():
-        if n_b >= 1:
-            mat[basis.index(n_a, n_b - 1), basis.index(n_a, n_b)] = np.sqrt(n_b)
-    return ModeOperator(mat, basis)
+    return _lowering(basis, basis.occ_b, 1)

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import HERMITICITY_TOL
-from .fock import FockBasis, ModeOperator, annihilator_a, annihilator_b
+from .fock import FockBasis, annihilator_a, annihilator_b
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 HBAR = 1.054_571_817e-34  # J s
@@ -35,6 +35,13 @@ class DriveDirection(enum.Enum):
 
     LEFT = "left"
     RIGHT = "right"
+
+
+def _require_finite(record, names: tuple[str, ...]) -> None:
+    for name in names:
+        value = getattr(record, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -58,9 +65,9 @@ class SystemParams:
     drive_direction: DriveDirection | None = None
 
     def __post_init__(self):
-        for name in ("delta", "g", "kappa1", "kappa2", "drive_strength", "delta_f"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _require_finite(
+            self, ("delta", "g", "kappa1", "kappa2", "drive_strength", "delta_f")
+        )
         if self.kappa1 <= 0 or self.kappa2 <= 0:
             raise ValueError("loss rates kappa1, kappa2 must be positive")
         if self.drive_strength < 0:
@@ -95,6 +102,9 @@ class FizeauParams:
     omega1: float = 2 * math.pi * SPEED_OF_LIGHT / 1550e-9  # rad/s
 
     def __post_init__(self):
+        _require_finite(
+            self, ("n", "r", "omega_rot", "wavelength", "dn_dlambda", "omega1")
+        )
         if self.n <= 1:
             raise ValueError("refractive index must exceed 1")
         if self.r <= 0 or self.wavelength <= 0 or self.omega1 <= 0:
@@ -138,11 +148,18 @@ def drive_strength_from_power(kappa1: float, power: float, omega_l: float) -> fl
     return math.sqrt(2.0 * kappa1 * power / (HBAR * omega_l))
 
 
-def _three_wave(g: float, a: ModeOperator, b: ModeOperator) -> np.ndarray:
-    """g (b a^dag^2 + b^dag a^2)."""
+def _hamiltonian(
+    basis: FockBasis, detuning: float, g: float, drive: float
+) -> np.ndarray:
+    """detuning (a^dag a + 2 b^dag b) + g (b a^dag^2 + b^dag a^2) + drive (a + a^dag)."""
+    a = annihilator_a(basis)
+    b = annihilator_b(basis)
     ad = a.dag()
+    h = detuning * (ad @ a.matrix) + 2.0 * detuning * (b.dag() @ b.matrix)
     half = b.matrix @ ad @ ad
-    return g * (half + half.conj().T)
+    h += g * (half + half.conj().T)
+    h += drive * (a.matrix + ad)
+    return h
 
 
 def build_h_eff(p: SystemParams, basis: FockBasis) -> np.ndarray:
@@ -151,23 +168,12 @@ def build_h_eff(p: SystemParams, basis: FockBasis) -> np.ndarray:
     Only the sum delta + delta_f enters; the second harmonic carries
     twice that shift because omega_b = 2 omega_a is hard-wired.
     """
-    a = annihilator_a(basis)
-    b = annihilator_b(basis)
-    dp = p.delta + p.delta_f
-    h = dp * (a.dag() @ a.matrix) + 2.0 * dp * (b.dag() @ b.matrix)
-    h += _three_wave(p.g, a, b)
-    h += p.drive_strength * (a.matrix + a.dag())
-    return h
+    return _hamiltonian(basis, p.delta + p.delta_f, p.g, p.drive_strength)
 
 
 def build_h_lab(omega1: float, p: SystemParams, basis: FockBasis) -> np.ndarray:
     """Undriven lab-frame Hamiltonian with omega_b = 2 omega_a enforced."""
-    a = annihilator_a(basis)
-    b = annihilator_b(basis)
-    h = (omega1 + p.delta_f) * (a.dag() @ a.matrix)
-    h += 2.0 * (omega1 + p.delta_f) * (b.dag() @ b.matrix)
-    h += _three_wave(p.g, a, b)
-    return h
+    return _hamiltonian(basis, omega1 + p.delta_f, p.g, 0.0)
 
 
 def eigenlevels(h: np.ndarray, k: int) -> EigenLevels:

@@ -42,7 +42,6 @@ class PhotonStatistics:
     g2_bb: float | None
     n_a: float
     n_b: float
-    populations: dict[tuple[int, int], float]
 
     @property
     def vacuum_undefined(self) -> bool:
@@ -79,17 +78,15 @@ def g2_bb(rho: DensityMatrix, b: ModeOperator) -> float:
 
 def mean_photon(rho: DensityMatrix, mode: Mode) -> float:
     """Mean occupation Tr{c^dag c rho} of the requested mode."""
-    basis = rho.basis
-    occ = np.array(basis.occupations())
+    occ = rho.basis.occ_a if mode is Mode.A else rho.basis.occ_b
     diag = np.real(np.diag(rho.matrix))
-    column = 0 if mode is Mode.A else 1
-    return float(np.sum(diag * occ[:, column]))
+    return float(np.sum(diag * occ))
 
 
 def populations(rho: DensityMatrix) -> dict[tuple[int, int], float]:
     """Joint Fock-state probabilities p(n_a, n_b) from the diagonal."""
     diag = np.real(np.diag(rho.matrix))
-    return {occ: float(p) for occ, p in zip(rho.basis.occupations(), diag)}
+    return dict(zip(rho.basis.occupations(), diag.tolist()))
 
 
 def photon_statistics(
@@ -109,5 +106,4 @@ def photon_statistics(
         g2_bb=val_bb,
         n_a=mean_photon(rho, Mode.A),
         n_b=mean_photon(rho, Mode.B),
-        populations=populations(rho),
     )

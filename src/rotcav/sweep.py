@@ -284,7 +284,7 @@ def figure_preset(
     weak = DEFAULT_DRIVE
 
     def ax(pname: str, start: float, stop: float, count: int, override: int | None):
-        return SweepAxis(pname, start, stop, override if override else count)
+        return SweepAxis(pname, start, stop, count if override is None else override)
 
     if name in ("fig4a", "fig4b"):
         return SweepSpec(
@@ -368,6 +368,13 @@ def spec_to_dict(spec: SweepSpec) -> dict:
     }
 
 
+def _integer(value, key: str) -> int:
+    whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _flag(data: dict, key: str) -> bool:
     value = data.get(key, False)
     if not isinstance(value, bool):
@@ -389,7 +396,7 @@ def spec_from_dict(data: dict) -> SweepSpec:
             str(entry["name"]),
             float(entry["start"]),
             float(entry["stop"]),
-            int(entry["count"]),
+            _integer(entry["count"], "count"),
         )
 
     if "axis1" not in data:
@@ -402,7 +409,7 @@ def spec_from_dict(data: dict) -> SweepSpec:
             axis2=axis(data.get("axis2")),
             fixed=params_from_dict(data.get("fixed", {})),
             outputs=tuple(data.get("outputs", OUTPUT_NAMES)),
-            cutoffs=(int(cutoffs[0]), int(cutoffs[1])),
+            cutoffs=(_integer(cutoffs[0], "cutoffs"), _integer(cutoffs[1], "cutoffs")),
             convergence_check=_flag(data, "convergence_check"),
             include_optimal_g=_flag(data, "include_optimal_g"),
         )

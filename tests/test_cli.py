@@ -298,3 +298,40 @@ def test_non_finite_parameter_is_error(argv, name, capsys):
 def test_optimal_g_rejects_negative_drive(capsys):
     assert main(["optimal-g", "--drive-strength", "-0.1"]) == 1
     assert "drive_strength must be >= 0" in capsys.readouterr().err
+
+
+def test_sweep_config_fractional_cutoffs_is_error(tmp_path, capsys):
+    config = {"axis1": {"name": "g", "start": 0.5, "stop": 1.0, "count": 3.9},
+              "cutoffs": [2.7, 1.9]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "must be an integer" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--count1", "--count2"])
+def test_figure_zero_count_is_error(flag, capsys):
+    assert main(["figure", "--name", "fig4a", flag, "0"]) == 1
+    captured = capsys.readouterr()
+    assert "needs count >= 2, got 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--omega1", "0"], "omega1 must be positive"),
+        (["--kappa1-si", "0"], "--kappa1-si must be finite and positive"),
+        (["--kappa1-si=-6.28e6"], "--kappa1-si must be finite and positive"),
+        (["--kappa1-si", "inf"], "--kappa1-si must be finite and positive"),
+        (["--n", "nan"], "n must be finite"),
+        (["--radius", "inf"], "r must be finite"),
+    ],
+)
+def test_fizeau_rejects_bad_numbers(argv, message, capsys):
+    assert main(["fizeau", *argv]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""

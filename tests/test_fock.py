@@ -56,6 +56,32 @@ def test_annihilator_b_matrix_elements():
     assert np.all(b @ basis.state_vector(0, 0) == 0)
 
 
+@pytest.mark.parametrize("na,nb", [(1, 1), (4, 2), (6, 3), (3, 5)])
+def test_ladder_operators_match_their_definition(na, nb):
+    # element by element from c|n> = sqrt(n)|n-1>, exactly
+    basis = build_basis(na, nb)
+    for build, mode in ((annihilator_a, 0), (annihilator_b, 1)):
+        expected = np.zeros((basis.dim, basis.dim), dtype=complex)
+        for n_a in range(na + 1):
+            for n_b in range(nb + 1):
+                n = (n_a, n_b)[mode]
+                if n:
+                    lowered = (n_a - 1, n_b) if mode == 0 else (n_a, n_b - 1)
+                    expected[basis.index(*lowered), basis.index(n_a, n_b)] = np.sqrt(n)
+        np.testing.assert_array_equal(build(basis).matrix, expected)
+
+
+def test_occupation_vectors_follow_the_index():
+    basis = build_basis(4, 2)
+    for n_a in range(5):
+        for n_b in range(3):
+            i = basis.index(n_a, n_b)
+            assert (basis.occ_a[i], basis.occ_b[i]) == (n_a, n_b)
+    with pytest.raises(ValueError):
+        basis.occ_a[0] = 1
+    assert basis == build_basis(4, 2) and hash(basis) == hash(build_basis(4, 2))
+
+
 def test_annihilator_only_lowers_its_own_mode():
     basis = build_basis(3, 2)
     a = annihilator_a(basis).matrix

@@ -271,6 +271,15 @@ def test_system_params_rejects_non_finite(name, value):
         SystemParams(**{name: value})
 
 
+@pytest.mark.parametrize(
+    "name", ["n", "r", "omega_rot", "wavelength", "dn_dlambda", "omega1"]
+)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_fizeau_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        FizeauParams(**{name: value})
+
+
 def test_direction_inferred_from_shift_sign():
     assert SystemParams(delta_f=0.5).drive_direction is DriveDirection.LEFT
     assert SystemParams(delta_f=-0.5).drive_direction is DriveDirection.RIGHT

@@ -147,7 +147,6 @@ def test_photon_statistics_assembly():
     assert stats.g2_aa == pytest.approx(g2_aa(rho, a), rel=1e-14)
     assert stats.g2_bb == pytest.approx(g2_bb(rho, b), rel=1e-14)
     assert not stats.vacuum_undefined
-    assert sum(stats.populations.values()) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_photon_statistics_flags_empty_modes():

@@ -22,6 +22,7 @@ from rotcav import (
 )
 from rotcav.sweep import (
     DEFAULT_FIXED,
+    PRESET_NAMES,
     STATUS_FAILURE,
     STATUS_OK,
     STATUS_VACUUM,
@@ -270,6 +271,13 @@ def test_unknown_preset_rejected():
         figure_preset("fig9")
 
 
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_presets_solve_every_point_on_a_coarse_grid(name):
+    spec = figure_preset(name, count1=11, count2=11)
+    statuses = {row.status for row in run_sweep(spec).rows}
+    assert STATUS_FAILURE not in statuses
+
+
 def test_preset_count_override():
     spec = figure_preset("fig5", count1=11)
     assert spec.axis1.count == 11
@@ -441,6 +449,28 @@ def test_spec_from_dict_rejects_unknown_keys(config, key):
 def test_spec_from_dict_requires_json_booleans(flag, value):
     with pytest.raises(ValueError, match=f"{flag} must be a JSON boolean"):
         spec_from_dict({"axis1": _AXIS, flag: value})
+
+
+@pytest.mark.parametrize(
+    "config, key",
+    [
+        ({"axis1": _AXIS, "cutoffs": [2.7, 1.9]}, "cutoffs"),
+        ({"axis1": _AXIS, "cutoffs": [2, 1.5]}, "cutoffs"),
+        ({"axis1": _AXIS, "cutoffs": [True, 1]}, "cutoffs"),
+        ({"axis1": _AXIS, "cutoffs": ["2", 1]}, "cutoffs"),
+        ({"axis1": {**_AXIS, "count": 3.9}}, "count"),
+        ({"axis1": {**_AXIS, "count": True}}, "count"),
+        ({"axis1": _AXIS, "axis2": {**_AXIS, "name": "delta", "count": 2.5}}, "count"),
+    ],
+)
+def test_spec_from_dict_rejects_non_integers(config, key):
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        spec_from_dict(config)
+
+
+def test_spec_from_dict_accepts_whole_floats():
+    spec = spec_from_dict({"axis1": {**_AXIS, "count": 4.0}, "cutoffs": [3.0, 2]})
+    assert spec.axis1.count == 4 and spec.cutoffs == (3, 2)
 
 
 # ------------------------------------------------------ parameter codec
