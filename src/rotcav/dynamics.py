@@ -13,20 +13,32 @@ superoperator.  With the non-Hermitian Hamiltonian
 H' = H - (i/2)(kappa1 a^dag a + kappa2 b^dag b) the generator splits
 into the no-jump part S(rho) = -i (H' rho - rho H'^dag) and the jumps
 J(rho) = kappa1 a rho a^dag + kappa2 b rho b^dag (the quantum-jump
-picture; Plenio & Knight, Rev. Mod. Phys. 70, 101 (1998)).  S is
-inverted by one complex Schur factorization H' = U T U^dag per point
-and a triangular Sylvester solve per application, T Z - Z T^dag =
-i U^dag R U (LAPACK ztrsyl), which costs O(D^3); Schur rather than an
-eigenbasis because H' is defective at the exceptional point of the
-|2,0>/|0,1> pair.  The state is iterated in residual-update form,
-rho <- rho - S^-1(L(rho)), with L(rho) formed in the Fock basis, then
-Hermitized and renormalized, starting from a maximally mixed fundamental
-with an empty second harmonic.  In exact arithmetic this is the
-trace-preserving renewal map rho <- -S^-1(J(rho)), but applying that
-map directly lets the Sylvester solve's roundoff accumulate in the
-state (4e-10 to 5e-9 relative in g2_bb at the fig5 and fig7a points
-checked), whereas each residual update only corrects the roundoff of
-the previous iterate.  Without drive S is
+picture; Plenio & Knight, Rev. Mod. Phys. 70, 101 (1998)).  The state
+is iterated in residual-update form, rho <- rho - S^-1(L(rho)), with
+L(rho) formed in the Fock basis, then Hermitized and renormalized,
+starting from a maximally mixed fundamental with an empty second
+harmonic.  In exact arithmetic this is the trace-preserving renewal
+map rho <- -S^-1(J(rho)), but applying that map directly lets the
+roundoff of S^-1 accumulate in the state (4e-10 to 5e-9 relative in
+g2_bb at the fig5 and fig7a points checked), whereas each residual
+update only corrects the roundoff of the previous iterate.  For the
+same reason the fixed point L(rho) = 0 does not depend on how
+accurately S^-1 is applied: an inaccurate S^-1 only slows the
+contraction.
+
+S^-1 is applied in two bases.  Every point starts with one complex
+Schur factorization H' = U T U^dag and a triangular Sylvester solve per
+iteration, T Z - Z T^dag = i U^dag R U (LAPACK ztrsyl), which is
+backward stable even where H' is defective (the exceptional point of
+the |2,0>/|0,1> pair).  Weak-drive points, every point of the figure
+presets, converge within that Schur prefix, so their bits are those of
+the Schur solver alone.  A point still far from converged after the
+prefix is slow (strong drive, large cutoffs) and finishes in the
+eigenbasis H' = V diag(lam) V^-1, where S^-1 is four D x D products
+with no Sylvester solve and no change of basis, about a fifth of the
+Schur-basis cost at D = 45.  An ill-conditioned V costs accuracy in S^-1
+only, which the residual update tolerates; a V too close to singular
+to invert keeps the point in the Schur basis.  Without drive S is
 singular (H'|0,0> = 0) and the vacuum, which is then stationary, is
 returned directly.
 
@@ -67,6 +79,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -94,6 +107,31 @@ JUMP_MAP_MAX_ITERATIONS = 1000
 # hovered at 1e-10 to 4e-10 at some fig4 points, stopping only by luck).
 JUMP_MAP_STALL_TOL = 1e-10
 JUMP_MAP_POPULATION_FLOOR = 1e-24
+# A point whose scaled update is still above JUMP_MAP_SLOW_STEP after
+# JUMP_MAP_SCHUR_ITERATIONS Schur-basis iterations finishes in H''s
+# eigenbasis.  At iteration 15 the scaled update is at most 5.5e-9 over
+# the figure presets at (6,3) (fig4a, fig4b and fig6 at 21 x 21, the
+# rest at default resolution) and 4.2e-8 on the fig7a pair at (10,5), so
+# none of those points switches; the strong-drive points (F = 0.5 to 2
+# at (8,4)) sit at 7e-4 to 0.11 there.
+JUMP_MAP_SCHUR_ITERATIONS = 15
+JUMP_MAP_SLOW_STEP = 1e-6
+# Past 1/sqrt(eps) the eigenvectors of H' are numerically dependent (H'
+# is exactly defective) and the point stays in the Schur basis.  The
+# 1-norm condition number of V was at most 264 at 302 random switched
+# points (F <= 3, cutoffs (6,3) and (8,4)) and 1900 at the exceptional
+# point g = 1/(4 sqrt 2) at F = 3, cutoffs (12,6).
+JUMP_MAP_MAX_EIGENBASIS_CONDITION = 1.0 / math.sqrt(np.finfo(float).eps)
+# The iteration also stops, and certifies, once its scaled update has set
+# no new minimum for JUMP_MAP_STALL_ITERATIONS iterations and that minimum
+# is at most JUMP_MAP_SLOW_STEP.  At strong drive, nearly empty states
+# just above the floor keep the scaled update above JUMP_MAP_STALL_TOL
+# from roundoff alone: on the grid delta in [-6, 6] (13 points) x F in
+# {0.2, 0.5, 1, 2} at g = 0.867 the budget ran out at 12 of 52 points at
+# (8,4) and 22 of 52 at (12,6).  At the 18 (8,4) points that stall, the
+# minimum is 6e-11 to 1.1e-9 and is set by iteration 89; the residual at
+# delta = -5, F = 0.5 is 1e-16.
+JUMP_MAP_STALL_ITERATIONS = 20
 
 
 class SteadyStateError(RuntimeError):
@@ -285,10 +323,12 @@ def jump_map_steady_state(
     kappa1: float,
     kappa2: float,
 ) -> DensityMatrix:
-    """Steady state by the Schur-factored jump-map iteration; no superoperator.
+    """Steady state by the jump-map iteration; no superoperator.
 
-    Iterates rho <- rho - S^-1(L(rho)) (see the module docstring) until
-    the update, relative to the populations, reaches roundoff; then
+    Iterates rho <- rho - S^-1(L(rho)) (see the module docstring), with
+    S^-1 in H''s Schur basis and, for a point still slow after
+    JUMP_MAP_SCHUR_ITERATIONS, in its eigenbasis, until the update,
+    relative to the populations, reaches roundoff or stalls there; then
     certifies the state like :func:`steady_state`: residual max |L(rho)|
     against the full generator and :meth:`DensityMatrix.validate`.  Time and memory
     are O(D^3) and O(D^2) per iteration.  Raises
@@ -314,20 +354,26 @@ def jump_map_steady_state(
 
     t, u = scipy.linalg.schur(h_prime, output="complex")
     u_dag = u.conj().T
+
+    def schur_inverse(r: np.ndarray) -> np.ndarray:
+        """S^-1(r) by one triangular Sylvester solve in the Schur basis."""
+        z, scale, info = scipy.linalg.lapack.ztrsyl(
+            t, t, 1j * (u_dag @ r @ u), trana="N", tranb="C", isgn=-1
+        )
+        if info < 0:
+            raise SteadyStateError(f"ztrsyl rejected argument {-info}")
+        return (u @ z @ u_dag) / scale
+
+    inverse = schur_inverse
     # Mixed fundamental, empty second harmonic: the drive reaches b only
     # through g, so every second-harmonic entry starts at its own scale.
     rho = np.zeros((basis.dim, basis.dim), dtype=complex)
     empty_b = np.flatnonzero(basis.occ_b == 0)
     rho[empty_b, empty_b] = 1.0 / empty_b.size
-    previous = math.inf
+    previous = best = math.inf
+    best_at = 0
     for iteration in range(1, JUMP_MAP_MAX_ITERATIONS + 1):
-        rhs = 1j * (u_dag @ generator(rho) @ u)
-        z, scale, info = scipy.linalg.lapack.ztrsyl(
-            t, t, rhs, trana="N", tranb="C", isgn=-1
-        )
-        if info < 0:
-            raise SteadyStateError(f"ztrsyl rejected argument {-info}")
-        update = (u @ z @ u_dag) / scale
+        update = inverse(generator(rho))
         if not np.all(np.isfinite(update)):
             raise SteadyStateError(
                 f"jump-map iteration produced non-finite entries at iteration {iteration}"
@@ -337,14 +383,44 @@ def jump_map_steady_state(
         rho /= np.trace(rho).real
         weight = np.sqrt(np.maximum(rho.diagonal().real, JUMP_MAP_POPULATION_FLOOR))
         step = float(np.max(np.abs(update) / np.outer(weight, weight)))
-        if step <= JUMP_MAP_STALL_TOL and step >= previous:
+        if step < best:
+            best, best_at = step, iteration
+        stalled = best <= JUMP_MAP_SLOW_STEP and iteration - best_at >= JUMP_MAP_STALL_ITERATIONS
+        if (step <= JUMP_MAP_STALL_TOL and step >= previous) or stalled:
             return _certified(rho, basis, float(np.max(np.abs(generator(rho)))))
         previous = step
+        if iteration == JUMP_MAP_SCHUR_ITERATIONS and step > JUMP_MAP_SLOW_STEP:
+            inverse = _eigenbasis_inverse(h_prime) or inverse
     residual = float(np.max(np.abs(generator(rho))))
     raise SteadyStateError(
         f"jump-map iteration did not converge in {JUMP_MAP_MAX_ITERATIONS} "
         f"iterations (last scaled update {step:.3e}, residual {residual:.3e})"
     )
+
+
+def _eigenbasis_inverse(h_prime: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
+    """S^-1 in the eigenbasis H' = V diag(lam) V^-1, or None if V is near-singular.
+
+    With rho = V X V^dag, S(rho) = V [-i (lam_i - conj(lam_j)) X_ij] V^dag,
+    so S^-1 costs four D x D products and no Sylvester solve.
+    """
+    lam, v = scipy.linalg.eig(h_prime)
+    try:
+        v_inv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:  # exactly singular
+        return None
+    # The 1-norm condition number needs no SVD, whose LAPACK code would
+    # add ~1 MB to the peak resident memory.
+    condition = np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1)
+    if not condition <= JUMP_MAP_MAX_EIGENBASIS_CONDITION:
+        return None
+    v_dag, v_inv_dag = v.conj().T, v_inv.conj().T
+    denominator = -1j * (lam[:, None] - lam.conj()[None, :])
+
+    def eigenbasis_inverse(r: np.ndarray) -> np.ndarray:
+        return v @ ((v_inv @ r @ v_inv_dag) / denominator) @ v_dag
+
+    return eigenbasis_inverse
 
 
 def _certified(rho: np.ndarray, basis: FockBasis, residual: float) -> DensityMatrix:

@@ -21,6 +21,7 @@ from rotcav import (
     evolve,
     figure_preset,
     jump_map_steady_state,
+    optimal_g,
     photon_statistics,
     run_point,
     steady_state,
@@ -293,6 +294,24 @@ FIG4_STALL_POINTS = [
 ]
 
 
+def _count_solver_calls(monkeypatch, p: SystemParams, cutoffs) -> tuple[int, int]:
+    """(ztrsyl calls, eigendecompositions) of one run_point; patches undone after."""
+    counts = {"ztrsyl": 0, "eig": 0}
+    for module, name in ((scipy.linalg.lapack, "ztrsyl"), (scipy.linalg, "eig")):
+        monkeypatch.setattr(module, name, _counted(getattr(module, name), counts, name))
+    run_point(p, cutoffs)
+    monkeypatch.undo()
+    return counts["ztrsyl"], counts["eig"]
+
+
+def _counted(fn, counts: dict, name: str):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 @pytest.mark.parametrize("delta, g", FIG4_STALL_POINTS)
 def test_jump_map_converges_at_fig4_stall_points(delta, g, monkeypatch):
     # The exact grid values, e.g. 2.2799999999999994 rather than 2.28
@@ -301,18 +320,94 @@ def test_jump_map_converges_at_fig4_stall_points(delta, g, monkeypatch):
     delta = float(deltas[np.argmin(np.abs(deltas - delta))])
     g = float(gs[np.argmin(np.abs(gs - g))])
     p = SystemParams(delta=delta, g=g, drive_strength=0.05)
-    ztrsyl = scipy.linalg.lapack.ztrsyl
+    # Without a switch to the eigenbasis, ztrsyl calls count iterations.
+    iterations, eigendecompositions = _count_solver_calls(monkeypatch, p, (6, 3))
+    assert eigendecompositions == 0
+    assert iterations <= 50
+    _assert_matches_oracle(p, (6, 3))
+
+
+@pytest.mark.parametrize(
+    "params, cutoffs",
+    [
+        (SystemParams(g=EXCEPTIONAL_G, drive_strength=0.05), (6, 3)),
+        (SystemParams(g=1.0, kappa2=0.1, drive_strength=0.05), (6, 3)),
+        (SystemParams(delta=6.0, g=10.0, drive_strength=0.05), (6, 3)),
+        (SystemParams(delta=-6.0, g=10.0, drive_strength=0.05), (6, 3)),
+        # tests/data/golden/point.json
+        (SystemParams(delta=-0.5, g=0.867, kappa2=1.2, drive_strength=0.05, delta_f=0.3), (4, 2)),
+    ],
+    ids=["exceptional-point", "kappa2-0.1", "g10-delta+6", "g10-delta-6", "golden-point"],
+)
+def test_weak_drive_never_diagonalizes(params, cutoffs, monkeypatch):
+    assert _count_solver_calls(monkeypatch, params, cutoffs)[1] == 0
+
+
+# Points at cutoffs (8, 4) where roundoff in nearly empty states keeps the
+# scaled update above JUMP_MAP_STALL_TOL; without the stall exit the
+# budget ran out at each.
+ROUNDOFF_STALL_POINTS = [
+    SystemParams(delta=-5.0, g=0.867, drive_strength=0.5),
+    SystemParams(delta=-4.83, g=0.867, kappa2=0.273, drive_strength=0.856),
+    SystemParams(delta=4.15, g=0.867, kappa2=0.933, drive_strength=0.426),
+]
+
+
+@pytest.mark.parametrize("params", ROUNDOFF_STALL_POINTS, ids=["F0.5", "F0.856", "F0.426"])
+def test_jump_map_stops_at_roundoff_stall(params):
+    _assert_matches_oracle(params, (8, 4))
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        SystemParams(g=EXCEPTIONAL_G, drive_strength=2.0),
+        SystemParams(g=optimal_g(1.0, 1.0, 0.05), drive_strength=2.0),
+        SystemParams(g=1.0, kappa2=0.1, drive_strength=2.0),
+    ],
+    ids=["exceptional-point", "g-star", "kappa2-0.1"],
+)
+def test_slow_points_switch_to_eigenbasis_and_match_oracle(params, monkeypatch):
+    assert _count_solver_calls(monkeypatch, params, (8, 4)) == (
+        dynamics_mod.JUMP_MAP_SCHUR_ITERATIONS,
+        1,
+    )
+    _assert_matches_oracle(params, (8, 4))
+
+
+def _schur_only(monkeypatch) -> None:
+    monkeypatch.setattr(dynamics_mod, "_eigenbasis_inverse", lambda h_prime: None)
+
+
+def test_eigenbasis_matches_schur_only_path(monkeypatch):
+    p = SystemParams(g=0.867, drive_strength=3.0)
+    switched = run_point(p, (12, 6))
+    _schur_only(monkeypatch)
+    schur = run_point(p, (12, 6))
+    for name in ("g2_aa", "g2_bb", "n_a", "n_b"):
+        assert getattr(switched, name) == pytest.approx(getattr(schur, name), rel=1e-10), name
+
+
+# A repeated column leaves V invertible in floating point at a condition
+# number near 1e17; a zero column makes the inversion raise.
+@pytest.mark.parametrize("zero", [False, True], ids=["repeated-column", "zero-column"])
+def test_near_singular_eigenvectors_keep_schur_path(zero, monkeypatch):
+    basis, a, b = make_ops(6, 3)
+    h = build_h_eff(SystemParams(g=0.867, drive_strength=3.0), basis)
+    eig = scipy.linalg.eig
     calls = []
 
-    def counted(*args, **kwargs):
+    def rank_deficient(matrix):
         calls.append(None)
-        return ztrsyl(*args, **kwargs)
+        lam, v = eig(matrix)
+        v[:, 1] = 0.0 if zero else v[:, 0]
+        return lam, v
 
-    monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", counted)
-    run_point(p, (6, 3))
-    assert len(calls) <= 50
-    monkeypatch.undo()
-    _assert_matches_oracle(p, (6, 3))
+    monkeypatch.setattr(scipy.linalg, "eig", rank_deficient)
+    rho = jump_map_steady_state(h, a, b, 1.0, 1.0)
+    assert len(calls) == 1
+    _schur_only(monkeypatch)
+    np.testing.assert_array_equal(rho.matrix, jump_map_steady_state(h, a, b, 1.0, 1.0).matrix)
 
 
 def test_undriven_jump_map_returns_vacuum():
@@ -328,6 +423,17 @@ def test_jump_map_budget_exhaustion_raises(monkeypatch):
     h = build_h_eff(SystemParams(g=0.867, drive_strength=3.0), basis)
     with pytest.raises(SteadyStateError, match=r"did not converge in 3 iterations.*residual"):
         jump_map_steady_state(h, a, b, 1.0, 1.0)
+
+
+def test_jump_map_budget_exhaustion_after_switch_raises(monkeypatch):
+    monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", 20)
+    counts = {"eig": 0}
+    monkeypatch.setattr(scipy.linalg, "eig", _counted(scipy.linalg.eig, counts, "eig"))
+    basis, a, b = make_ops(6, 3)
+    h = build_h_eff(SystemParams(g=0.867, drive_strength=3.0), basis)
+    with pytest.raises(SteadyStateError, match=r"did not converge in 20 iterations.*residual"):
+        jump_map_steady_state(h, a, b, 1.0, 1.0)
+    assert counts["eig"] == 1
 
 
 # ---------------------------------------------------------------- evolution

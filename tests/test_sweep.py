@@ -278,6 +278,20 @@ def test_presets_solve_every_point_on_a_coarse_grid(name):
     assert STATUS_FAILURE not in statuses
 
 
+@pytest.mark.parametrize("g", [0.867, 1.0 / (4.0 * math.sqrt(2.0))], ids=["g0.867", "exceptional"])
+def test_strong_drive_grid_solves_every_point(g):
+    # Near |delta| = 6 the scaled update of nearly empty states stalls at
+    # roundoff above the stop threshold; such points must still certify.
+    spec = SweepSpec(
+        axis1=SweepAxis("delta", -6.0, 6.0, 7),
+        axis2=SweepAxis("drive_strength", 0.5, 2.0, 4),
+        fixed=SystemParams(g=g),
+        cutoffs=(8, 4),
+    )
+    statuses = [row.status for row in run_sweep(spec).rows]
+    assert STATUS_FAILURE not in statuses
+
+
 def test_preset_count_override():
     spec = figure_preset("fig5", count1=11)
     assert spec.axis1.count == 11
