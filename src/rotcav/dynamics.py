@@ -34,8 +34,8 @@ the |2,0>/|0,1> pair).  Weak-drive points, every point of the figure
 presets, converge within that Schur prefix, so their bits are those of
 the Schur solver alone.  A point still far from converged after the
 prefix is slow (strong drive, large cutoffs) and finishes in the
-eigenbasis H' = V diag(lam) V^-1, where S^-1 is four D x D products
-with no Sylvester solve and no change of basis, about a fifth of the
+eigenbasis H' = V diag(lam) V^-1, V = U W with W the eigenvectors of the
+triangular T, where S^-1 is four D x D products, a fifth of the
 Schur-basis cost at D = 45.  An ill-conditioned V costs accuracy in S^-1
 only, which the residual update tolerates; a V too close to singular
 to invert keeps the point in the Schur basis.  Without drive S is
@@ -84,7 +84,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg
 
-from .fock import FockBasis, ModeOperator
+from .fock import FockBasis, ModeOperator, annihilator_a, annihilator_b, ladder
 
 STEADY_RESIDUAL_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
@@ -118,9 +118,9 @@ JUMP_MAP_SCHUR_ITERATIONS = 15
 JUMP_MAP_SLOW_STEP = 1e-6
 # Past 1/sqrt(eps) the eigenvectors of H' are numerically dependent (H'
 # is exactly defective) and the point stays in the Schur basis.  The
-# 1-norm condition number of V was at most 264 at 302 random switched
-# points (F <= 3, cutoffs (6,3) and (8,4)) and 1900 at the exceptional
-# point g = 1/(4 sqrt 2) at F = 3, cutoffs (12,6).
+# 1-norm condition number of V = U W was at most 949 at 302 random switched
+# points (F <= 3, g <= 3, cutoffs (6,3) and (8,4)) and 1897 at the exceptional
+# point g = 1/(4 sqrt 2) at F = 3, cutoffs (12,6), as for V from eig(H').
 JUMP_MAP_MAX_EIGENBASIS_CONDITION = 1.0 / math.sqrt(np.finfo(float).eps)
 # The iteration also stops, and certifies, once its scaled update has set
 # no new minimum for JUMP_MAP_STALL_ITERATIONS iterations and that minimum
@@ -225,12 +225,15 @@ def _add_sandwich(
 def _check_operands(
     h_eff: np.ndarray, a: ModeOperator, b: ModeOperator, kappa1: float, kappa2: float
 ) -> FockBasis:
-    """The basis shared by H and both ladder operators; rejects bad input."""
+    """The basis of H, a and b, which must be its annihilators; rejects bad input."""
     if kappa1 < 0 or kappa2 < 0:
         raise ValueError("loss rates must be non-negative")
     d = a.basis.dim
     if h_eff.shape != (d, d) or b.matrix.shape != (d, d):
         raise ValueError("Hamiltonian/operator dimensions do not match the basis")
+    for op, annihilator in ((a, annihilator_a), (b, annihilator_b)):
+        if not np.array_equal(op.matrix, annihilator(a.basis).matrix):
+            raise ValueError("a and b must be the annihilators of their basis")
     return a.basis
 
 
@@ -337,14 +340,20 @@ def jump_map_steady_state(
     residual above tolerance.
     """
     basis = _check_operands(h_eff, a, b, kappa1, kappa2)
-    a_mat, b_mat, a_dag, b_dag = a.matrix, b.matrix, a.dag(), b.dag()
-    h_prime = h_eff - 0.5j * (kappa1 * (a_dag @ a_mat) + kappa2 * (b_dag @ b_mat))
+    h_prime = h_eff - 0.5j * (kappa1 * (a.dag() @ a.matrix) + kappa2 * (b.dag() @ b.matrix))
+    jumps = [(kappa, *ladder(basis, mode)) for kappa, mode in ((kappa1, "a"), (kappa2, "b"))]
+    terms = [np.empty((basis.dim - step,) * 2, dtype=complex) for _, step, _ in jumps]
 
     def generator(rho: np.ndarray) -> np.ndarray:
         """L(rho) for Hermitian rho, where rho H'^dag = (H' rho)^dag."""
-        no_jump = h_prime @ rho
-        no_jump = -1j * (no_jump - no_jump.conj().T)
-        return no_jump + kappa1 * (a_mat @ rho @ a_dag) + kappa2 * (b_mat @ rho @ b_dag)
+        out = h_prime @ rho
+        out -= out.conj().T
+        out *= -1j
+        for (kappa, step, sqrt_n), term in zip(jumps, terms):
+            _jump_block(rho, step, sqrt_n, term)
+            term *= kappa
+            out[:-step, :-step] += term
+        return out
 
     vacuum = np.zeros((basis.dim, basis.dim), dtype=complex)
     vacuum[0, 0] = 1.0
@@ -357,12 +366,14 @@ def jump_map_steady_state(
 
     def schur_inverse(r: np.ndarray) -> np.ndarray:
         """S^-1(r) by one triangular Sylvester solve in the Schur basis."""
-        z, scale, info = scipy.linalg.lapack.ztrsyl(
-            t, t, 1j * (u_dag @ r @ u), trana="N", tranb="C", isgn=-1
-        )
+        c = u_dag @ r @ u
+        c *= 1j
+        z, scale, info = scipy.linalg.lapack.ztrsyl(t, t, c, trana="N", tranb="C", isgn=-1)
         if info < 0:
             raise SteadyStateError(f"ztrsyl rejected argument {-info}")
-        return (u @ z @ u_dag) / scale
+        z = u @ z @ u_dag
+        z /= scale
+        return z
 
     inverse = schur_inverse
     # Mixed fundamental, empty second harmonic: the drive reaches b only
@@ -374,15 +385,18 @@ def jump_map_steady_state(
     best_at = 0
     for iteration in range(1, JUMP_MAP_MAX_ITERATIONS + 1):
         update = inverse(generator(rho))
-        if not np.all(np.isfinite(update)):
+        rho -= update
+        rho += rho.conj().T
+        rho *= 0.5
+        rho /= np.trace(rho).real
+        weight = np.sqrt(np.maximum(rho.diagonal().real, JUMP_MAP_POPULATION_FLOOR))
+        scaled = np.abs(update)
+        scaled /= np.outer(weight, weight)
+        step = float(np.max(scaled))
+        if not math.isfinite(step):
             raise SteadyStateError(
                 f"jump-map iteration produced non-finite entries at iteration {iteration}"
             )
-        rho = rho - update
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.trace(rho).real
-        weight = np.sqrt(np.maximum(rho.diagonal().real, JUMP_MAP_POPULATION_FLOOR))
-        step = float(np.max(np.abs(update) / np.outer(weight, weight)))
         if step < best:
             best, best_at = step, iteration
         stalled = best <= JUMP_MAP_SLOW_STEP and iteration - best_at >= JUMP_MAP_STALL_ITERATIONS
@@ -390,7 +404,7 @@ def jump_map_steady_state(
             return _certified(rho, basis, float(np.max(np.abs(generator(rho)))))
         previous = step
         if iteration == JUMP_MAP_SCHUR_ITERATIONS and step > JUMP_MAP_SLOW_STEP:
-            inverse = _eigenbasis_inverse(h_prime) or inverse
+            inverse = _eigenbasis_inverse(t, u) or inverse
     residual = float(np.max(np.abs(generator(rho))))
     raise SteadyStateError(
         f"jump-map iteration did not converge in {JUMP_MAP_MAX_ITERATIONS} "
@@ -398,13 +412,21 @@ def jump_map_steady_state(
     )
 
 
-def _eigenbasis_inverse(h_prime: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
+def _jump_block(rho: np.ndarray, step: int, sqrt_n: np.ndarray, out: np.ndarray) -> None:
+    """(c rho c^dag)[:-step, :-step], its only nonzero block, into out for the
+    annihilator c of this stride and sqrt(n) (fock.ladder); bit for bit c @ rho @ c^dag."""
+    np.multiply(sqrt_n[:, None], rho[step:, step:], out=out)
+    out *= sqrt_n
+
+
+def _eigenbasis_inverse(t: np.ndarray, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
     """S^-1 in the eigenbasis H' = V diag(lam) V^-1, or None if V is near-singular.
 
-    With rho = V X V^dag, S(rho) = V [-i (lam_i - conj(lam_j)) X_ij] V^dag,
-    so S^-1 costs four D x D products and no Sylvester solve.
+    V = U W from H' = U T U^dag and the eigenvectors W of T.  With rho = V X V^dag,
+    S(rho) = V [-i (lam_i - conj(lam_j)) X_ij] V^dag: four D x D products for S^-1.
     """
-    lam, v = scipy.linalg.eig(h_prime)
+    lam, w = scipy.linalg.eig(t)
+    v = u @ w
     try:
         v_inv = np.linalg.inv(v)
     except np.linalg.LinAlgError:  # exactly singular
@@ -418,7 +440,9 @@ def _eigenbasis_inverse(h_prime: np.ndarray) -> Callable[[np.ndarray], np.ndarra
     denominator = -1j * (lam[:, None] - lam.conj()[None, :])
 
     def eigenbasis_inverse(r: np.ndarray) -> np.ndarray:
-        return v @ ((v_inv @ r @ v_inv_dag) / denominator) @ v_dag
+        x = v_inv @ r @ v_inv_dag
+        x /= denominator
+        return v @ x @ v_dag
 
     return eigenbasis_inverse
 

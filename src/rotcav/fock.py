@@ -94,17 +94,23 @@ def build_basis(na_cut: int, nb_cut: int) -> FockBasis:
     return FockBasis(na_cut, nb_cut)
 
 
-def _lowering(basis: FockBasis, occ: np.ndarray, step: int) -> ModeOperator:
-    """sqrt(n) from state i to state i - step, for the mode with occupations
-    `occ`; n = 0 wherever that step would leave the mode's block."""
-    return ModeOperator(np.diag(np.sqrt(occ[step:]), k=step).astype(complex), basis)
+def ladder(basis: FockBasis, mode: str) -> tuple[int, np.ndarray]:
+    """Stride s and sqrt(n) of mode "a" or "b": its annihilator takes state i + s
+    to state i with amplitude sqrt(n)[i], 0 where that leaves the mode's block."""
+    step, occ = (basis.nb_cut + 1, basis.occ_a) if mode == "a" else (1, basis.occ_b)
+    return step, np.sqrt(occ[step:])
+
+
+def _lowering(basis: FockBasis, mode: str) -> ModeOperator:
+    step, sqrt_n = ladder(basis, mode)
+    return ModeOperator(np.diag(sqrt_n, k=step).astype(complex), basis)
 
 
 def annihilator_a(basis: FockBasis) -> ModeOperator:
     """Annihilator of the fundamental mode: a|n_a,n_b> = sqrt(n_a)|n_a-1,n_b>."""
-    return _lowering(basis, basis.occ_a, basis.nb_cut + 1)
+    return _lowering(basis, "a")
 
 
 def annihilator_b(basis: FockBasis) -> ModeOperator:
     """Annihilator of the second-harmonic mode: b|n_a,n_b> = sqrt(n_b)|n_a,n_b-1>."""
-    return _lowering(basis, basis.occ_b, 1)
+    return _lowering(basis, "b")

@@ -7,14 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rotcav.dynamics as dynamics_mod
+from rotcav.fock import ladder
 from conftest import kron_liouvillian, make_ops, solve_point
 from rotcav import (
     DensityMatrix,
     Liouvillian,
+    ModeOperator,
     NonUniqueSteadyStateError,
     SteadyStateError,
     SystemParams,
     TraceDriftError,
+    annihilator_b,
     build_basis,
     build_h_eff,
     build_liouvillian,
@@ -95,6 +98,37 @@ def test_negative_rates_rejected():
     for build in (build_liouvillian, jump_map_steady_state):
         with pytest.raises(ValueError):
             build(h, a, b, -1.0, 1.0)
+
+
+def test_operators_other_than_the_annihilators_rejected():
+    # The jump map applies c rho c^dag by slicing at the annihilator's stride.
+    basis, a, b = make_ops(3, 2)
+    h = np.zeros((basis.dim,) * 2, dtype=complex)
+    other = build_basis(2, 3)  # same dimension, other layout
+    cases = {
+        "swapped": (b, a),
+        "scaled": (ModeOperator(2.0 * a.matrix, basis), b),
+        "creation": (ModeOperator(a.dag(), basis), b),
+        "other-basis": (a, annihilator_b(other)),
+    }
+    for build in (build_liouvillian, jump_map_steady_state):
+        for op_a, op_b in cases.values():
+            with pytest.raises(ValueError, match="annihilators"):
+                build(h, op_a, op_b, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("cutoffs", [(1, 1), (4, 2), (6, 3), (10, 5)])
+def test_sliced_jump_term_is_the_dense_product(cutoffs):
+    basis, a, b = make_ops(*cutoffs)
+    rng = np.random.default_rng(sum(cutoffs))
+    for _ in range(3):
+        x = rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
+        rho = x + x.conj().T
+        for op, mode in ((a, "a"), (b, "b")):
+            step, sqrt_n = ladder(basis, mode)
+            sliced = np.zeros_like(rho)
+            dynamics_mod._jump_block(rho, step, sqrt_n, sliced[:-step, :-step])
+            np.testing.assert_array_equal(sliced, op.matrix @ rho @ op.dag())
 
 
 def test_trace_preservation_row():
@@ -375,8 +409,20 @@ def test_slow_points_switch_to_eigenbasis_and_match_oracle(params, monkeypatch):
     _assert_matches_oracle(params, (8, 4))
 
 
+# The slowest contraction of the grid delta in [-6, 6] (13 points) x
+# F in {0.2, 0.5, 1, 2, 3} at g = 0.867, cutoffs (8, 4): the stop rule
+# certifies a state 1.6e-10 relative off the dense oracle in g2_aa, the
+# largest error of the grid, with the eigenvectors from the Schur factor
+# as with those of H'.
+@pytest.mark.parametrize("delta", [-1.0, 1.0])
+def test_slow_contraction_points_match_oracle(delta, monkeypatch):
+    p = SystemParams(delta=delta, g=0.867, drive_strength=2.0)
+    assert _count_solver_calls(monkeypatch, p, (8, 4))[1] == 1
+    _assert_matches_oracle(p, (8, 4))
+
+
 def _schur_only(monkeypatch) -> None:
-    monkeypatch.setattr(dynamics_mod, "_eigenbasis_inverse", lambda h_prime: None)
+    monkeypatch.setattr(dynamics_mod, "_eigenbasis_inverse", lambda t, u: None)
 
 
 def test_eigenbasis_matches_schur_only_path(monkeypatch):
@@ -422,6 +468,26 @@ def test_jump_map_budget_exhaustion_raises(monkeypatch):
     basis, a, b = make_ops(6, 3)
     h = build_h_eff(SystemParams(g=0.867, drive_strength=3.0), basis)
     with pytest.raises(SteadyStateError, match=r"did not converge in 3 iterations.*residual"):
+        jump_map_steady_state(h, a, b, 1.0, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_update_raises_at_its_iteration(bad, monkeypatch):
+    ztrsyl = scipy.linalg.lapack.ztrsyl
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(None)
+        z, scale, info = ztrsyl(*args, **kwargs)
+        if len(calls) == 3:
+            z[1, 2] = bad
+        return z, scale, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", poisoned)
+    basis, a, b = make_ops(6, 3)
+    h = build_h_eff(SystemParams(g=0.867, drive_strength=0.05), basis)
+    with pytest.raises(SteadyStateError, match=r"non-finite entries at iteration 3$"):
         jump_map_steady_state(h, a, b, 1.0, 1.0)
 
 
