@@ -10,6 +10,16 @@ evolving under the non-Hermitian decay Hamiltonian
 
     H' = H_eff - i (kappa1/2) a^dag a - i (kappa2/2) b^dag b.
 
+The model owns no copy of that physics.  Its 9 x 9 matrix is the
+Fock-space H' (:func:`~rotcav.dynamics.decay_hamiltonian` of
+:func:`~rotcav.hamiltonian.build_h_eff`) on the box n_a <= 4, n_b <= 2,
+restricted to the ansatz states, and its g2 values are those of
+:func:`~rotcav.observables.photon_statistics` for |psi><psi| on that
+box.  The box is the smallest that holds the ansatz, and the restriction
+is exact: the product b a^dag^2 taking one ansatz state to another
+passes only through states of the box, so no truncation edge clips an
+element.
+
 Setting the time derivatives to zero and pinning c00 = 1 (the
 perturbative hierarchy keeps |c00| ~ 1 >> |c10| >> the rest) turns the
 equations of motion into a 9 x 9 linear system for the steady
@@ -36,13 +46,16 @@ sense, not to a fixed relative tolerance.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import SystemParams
-from .observables import VACUUM_OCCUPATION_EPS
+from .dynamics import DensityMatrix, decay_hamiltonian
+from .fock import FockBasis, annihilator_a, annihilator_b
+from .hamiltonian import SystemParams, build_h_eff
+from .observables import photon_statistics
 
 # Ansatz members in fixed order; index map used by the linear system.
 ANSATZ_STATES: tuple[tuple[int, int], ...] = (
@@ -67,6 +80,12 @@ _SUBLEADING = (
     ((1, 1), (2, 1)),
 )
 
+# Smallest Fock box holding the ansatz, its annihilators, and the ansatz
+# states' places in it.
+_BASIS = FockBasis(4, 2)
+_A, _B = annihilator_a(_BASIS), annihilator_b(_BASIS)
+_FOCK_INDEX = np.array([_BASIS.index(*state) for state in ANSATZ_STATES])
+
 
 @dataclass(frozen=True)
 class AmplitudeModelOptions:
@@ -77,7 +96,7 @@ class AmplitudeModelOptions:
 
 @dataclass(frozen=True)
 class AmplitudeState:
-    """Steady amplitudes of the nine ansatz components."""
+    """Steady amplitudes of the nine ansatz components, in ANSATZ_STATES order."""
 
     c00: complex
     c10: complex
@@ -90,58 +109,7 @@ class AmplitudeState:
     c02: complex
 
     def as_array(self) -> np.ndarray:
-        return np.array(
-            [
-                self.c00,
-                self.c10,
-                self.c20,
-                self.c30,
-                self.c40,
-                self.c01,
-                self.c11,
-                self.c21,
-                self.c02,
-            ],
-            dtype=complex,
-        )
-
-
-def _decay_hamiltonian(p: SystemParams, keep_subleading: bool) -> np.ndarray:
-    """H' restricted to the nine ansatz states."""
-    n = len(ANSATZ_STATES)
-    mat = np.zeros((n, n), dtype=complex)
-    dp = p.delta + p.delta_f
-    for (ja, jb), i in _INDEX.items():
-        mat[i, i] = dp * (ja + 2 * jb) - 0.5j * (ja * p.kappa1 + jb * p.kappa2)
-
-    def couple(row: tuple[int, int], col: tuple[int, int], value: complex) -> None:
-        if row in _INDEX and col in _INDEX:
-            mat[_INDEX[row], _INDEX[col]] += value
-
-    for ja, jb in ANSATZ_STATES:
-        # pump F (a + a^dag): row <- neighbouring a-occupations
-        couple((ja, jb), (ja + 1, jb), p.drive_strength * math.sqrt(ja + 1))
-        if ja >= 1:
-            couple((ja, jb), (ja - 1, jb), p.drive_strength * math.sqrt(ja))
-        # g b a^dag^2: row <- (ja-2, jb+1)
-        if ja >= 2:
-            couple(
-                (ja, jb),
-                (ja - 2, jb + 1),
-                p.g * math.sqrt(jb + 1) * math.sqrt(ja * (ja - 1)),
-            )
-        # g b^dag a^2: row <- (ja+2, jb-1)
-        if jb >= 1:
-            couple(
-                (ja, jb),
-                (ja + 2, jb - 1),
-                p.g * math.sqrt(jb) * math.sqrt((ja + 1) * (ja + 2)),
-            )
-
-    if not keep_subleading:
-        for row, col in _SUBLEADING:
-            mat[_INDEX[row], _INDEX[col]] = 0.0
-    return mat
+        return np.array(dataclasses.astuple(self), dtype=complex)
 
 
 def amplitude_system(
@@ -152,7 +120,11 @@ def amplitude_system(
     Row 0 is the normalization c00 = 1; the remaining rows are the
     equations of motion with time derivatives set to zero.
     """
-    mat = _decay_hamiltonian(p, opts.keep_subleading)
+    h_prime = decay_hamiltonian(build_h_eff(p, _BASIS), _A, _B, p.kappa1, p.kappa2)
+    mat = h_prime[np.ix_(_FOCK_INDEX, _FOCK_INDEX)]
+    if not opts.keep_subleading:
+        for row, col in _SUBLEADING:
+            mat[_INDEX[row], _INDEX[col]] = 0.0
     mat[0, :] = 0.0
     mat[0, 0] = 1.0
     rhs = np.zeros(len(ANSATZ_STATES), dtype=complex)
@@ -190,26 +162,18 @@ def optimal_g(kappa1: float, kappa2: float, f: float) -> float:
 def g2_from_amplitudes(s: AmplitudeState) -> tuple[float | None, float | None]:
     """Zero-delay correlations of the normalized truncated state.
 
-    Returns (g2_aa, g2_bb); a mode whose normalized occupation falls
-    below the vacuum guard yields None, mirroring the density-matrix
-    observables.  The a-mode value is exact on the ansatz but the
-    ansatz itself truncates at n_a = 4, so it degrades sooner than the
-    b-mode value as g grows.
+    Returns (g2_aa, g2_bb) of |psi><psi| from
+    :func:`~rotcav.observables.photon_statistics`; a mode whose normalized
+    occupation is at most the vacuum guard yields None.  The a-mode value
+    is exact on the ansatz but the ansatz itself truncates at n_a = 4, so
+    it degrades sooner than the b-mode value as g grows.
     """
     amps = s.as_array()
     norm_sq = float(np.sum(np.abs(amps) ** 2))
     if norm_sq == 0.0:
         raise ValueError("amplitude state is identically zero")
-    probs = np.abs(amps) ** 2 / norm_sq
-
-    occ_a = np.array([ja for ja, _ in ANSATZ_STATES], dtype=float)
-    occ_b = np.array([jb for _, jb in ANSATZ_STATES], dtype=float)
-
-    mean_a = float(np.sum(probs * occ_a))
-    mean_b = float(np.sum(probs * occ_b))
-    pair_a = float(np.sum(probs * occ_a * (occ_a - 1.0)))
-    pair_b = float(np.sum(probs * occ_b * (occ_b - 1.0)))
-
-    val_aa = pair_a / mean_a**2 if mean_a > VACUUM_OCCUPATION_EPS else None
-    val_bb = pair_b / mean_b**2 if mean_b > VACUUM_OCCUPATION_EPS else None
-    return val_aa, val_bb
+    psi = np.zeros(_BASIS.dim, dtype=complex)
+    psi[_FOCK_INDEX] = amps / math.sqrt(norm_sq)
+    rho = DensityMatrix(np.outer(psi, psi.conj()), _BASIS)
+    stats = photon_statistics(rho, _A, _B)
+    return stats.g2_aa, stats.g2_bb

@@ -299,13 +299,7 @@ def steady_state(lio: Liouvillian) -> DensityMatrix:
     residual = float(np.max(np.abs(lio.matrix @ vec)))
     if residual > STEADY_RESIDUAL_TOL:
         _diagnose_singular(lio)
-        raise SteadyStateError(
-            f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.0e}"
-        )
-
-    rho = DensityMatrix(unvectorize(vec, d), lio.basis)
-    rho.validate()
-    return rho
+    return _certified(unvectorize(vec, d), lio.basis, residual)
 
 
 def _diagnose_singular(lio: Liouvillian) -> None:
@@ -317,6 +311,18 @@ def _diagnose_singular(lio: Liouvillian) -> None:
         raise NonUniqueSteadyStateError(
             f"Liouvillian nullspace dimension {nullity}; steady state is not unique"
         )
+
+
+def decay_hamiltonian(
+    h_eff: np.ndarray,
+    a: ModeOperator,
+    b: ModeOperator,
+    kappa1: float,
+    kappa2: float,
+) -> np.ndarray:
+    """Non-Hermitian H' = H - (i/2)(kappa1 a^dag a + kappa2 b^dag b) of the
+    no-jump evolution, shared by the jump-map solver and the amplitude model."""
+    return h_eff - 0.5j * (kappa1 * (a.dag() @ a.matrix) + kappa2 * (b.dag() @ b.matrix))
 
 
 def jump_map_steady_state(
@@ -340,7 +346,7 @@ def jump_map_steady_state(
     residual above tolerance.
     """
     basis = _check_operands(h_eff, a, b, kappa1, kappa2)
-    h_prime = h_eff - 0.5j * (kappa1 * (a.dag() @ a.matrix) + kappa2 * (b.dag() @ b.matrix))
+    h_prime = decay_hamiltonian(h_eff, a, b, kappa1, kappa2)
     jumps = [(kappa, *ladder(basis, mode)) for kappa, mode in ((kappa1, "a"), (kappa2, "b"))]
     terms = [np.empty((basis.dim - step,) * 2, dtype=complex) for _, step, _ in jumps]
 

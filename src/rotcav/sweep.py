@@ -27,14 +27,13 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__ as _version
 from .fock import build_basis, annihilator_a, annihilator_b
-from .hamiltonian import DriveDirection, SystemParams, build_h_eff
+from .hamiltonian import DriveDirection, SystemParams, build_h_eff, resonance_angular_condition
 from .dynamics import SteadyStateError, jump_map_steady_state
 from .observables import PhotonStatistics, photon_statistics
 from .amplitudes import optimal_g
@@ -310,7 +309,7 @@ def figure_preset(
     # two-photon-resonance value sqrt(2) g / 4 for either drive port.
     strong = name in ("fig7a", "fig8a")
     g_val = 5.0 if strong else optimal_g(1.0, 1.0, weak)
-    shift = math.sqrt(2.0) / 4.0 * g_val
+    shift = resonance_angular_condition(g_val)
     outputs = {
         "fig7a": ("g2_aa",),
         "fig7b": ("g2_bb",),

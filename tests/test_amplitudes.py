@@ -83,6 +83,65 @@ def test_detuning_enters_diagonal():
         assert mat[i, i] == pytest.approx(expected, rel=1e-14)
 
 
+# amplitude_system at delta = 0.4, delta_f = 0.1, g = 1.3, kappa2 = 1.7,
+# F = 0.07 (keep_subleading=True; the default drops _SUBLEADING) and
+# g2_from_amplitudes of the steady amplitudes under each option, frozen
+# from the hand-written coupling table that preceded the Fock-space
+# restriction.
+FROZEN_POINT = dict(delta=0.4, delta_f=0.1, g=1.3, kappa2=1.7, f=0.07)
+FROZEN_ENTRIES = {
+    (0, 0): 1 + 0j,
+    (1, 0): 0.07 + 0j,
+    (1, 1): 0.5 - 0.5j,
+    (1, 2): 0.09899494936611666 + 0j,
+    (2, 1): 0.09899494936611666 + 0j,
+    (2, 2): 1 - 1j,
+    (2, 3): 0.12124355652982141 + 0j,
+    (2, 5): 1.8384776310850237 + 0j,
+    (3, 2): 0.12124355652982141 + 0j,
+    (3, 3): 1.5 - 1.5j,
+    (3, 4): 0.14 + 0j,
+    (3, 6): 3.1843366656181313 + 0j,
+    (4, 3): 0.14 + 0j,
+    (4, 4): 2 - 2j,
+    (4, 7): 4.50333209967908 + 0j,
+    (5, 2): 1.8384776310850237 + 0j,
+    (5, 5): 1 - 0.85j,
+    (5, 6): 0.07 + 0j,
+    (6, 3): 3.1843366656181313 + 0j,
+    (6, 5): 0.07 + 0j,
+    (6, 6): 1.5 - 1.35j,
+    (6, 7): 0.09899494936611666 + 0j,
+    (7, 4): 4.50333209967908 + 0j,
+    (7, 6): 0.09899494936611666 + 0j,
+    (7, 7): 2 - 1.85j,
+    (7, 8): 2.6000000000000005 + 0j,
+    (8, 7): 2.6000000000000005 + 0j,
+    (8, 8): 2 - 1.7j,
+}
+FROZEN_SUBLEADING = {(1, 2), (2, 3), (3, 4), (6, 7)}
+FROZEN_G2 = {
+    True: (0.25378124523072026, 0.0719393415218805),
+    False: (0.2515510284871525, 0.07129392638633257),
+}
+
+
+@pytest.mark.parametrize("keep", [True, False])
+def test_amplitude_model_matches_frozen_table(keep):
+    p = _params(**FROZEN_POINT)
+    opts = AmplitudeModelOptions(keep_subleading=keep)
+    expected = np.zeros((len(ANSATZ_STATES),) * 2, dtype=complex)
+    for (i, j), value in FROZEN_ENTRIES.items():
+        if keep or (i, j) not in FROZEN_SUBLEADING:
+            expected[i, j] = value
+    mat, _ = amplitude_system(p, opts)
+    np.testing.assert_array_equal(mat != 0, expected != 0)
+    np.testing.assert_allclose(mat, expected, rtol=1e-14, atol=0)
+    val_aa, val_bb = g2_from_amplitudes(steady_amplitudes(p, opts))
+    assert val_aa == pytest.approx(FROZEN_G2[keep][0], rel=1e-12, abs=0)
+    assert val_bb == pytest.approx(FROZEN_G2[keep][1], rel=1e-12, abs=0)
+
+
 def test_singular_system_rejected(monkeypatch):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("singular")

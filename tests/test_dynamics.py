@@ -502,6 +502,19 @@ def test_jump_map_budget_exhaustion_after_switch_raises(monkeypatch):
     assert counts["eig"] == 1
 
 
+def test_residual_above_tolerance_raises_from_both_solvers(monkeypatch):
+    # No state is certified past its residual: with the tolerance at 0 the
+    # roundoff of a driven point fails both the oracle and the jump map.
+    monkeypatch.setattr(dynamics_mod, "STEADY_RESIDUAL_TOL", 0.0)
+    p = SystemParams(g=0.867, drive_strength=0.3)
+    basis, a, b = make_ops(2, 1)
+    h = build_h_eff(p, basis)
+    with pytest.raises(SteadyStateError, match=r"residual .* exceeds"):
+        steady_state(build_liouvillian(h, a, b, p.kappa1, p.kappa2))
+    with pytest.raises(SteadyStateError, match=r"residual .* exceeds"):
+        jump_map_steady_state(h, a, b, p.kappa1, p.kappa2)
+
+
 # ---------------------------------------------------------------- evolution
 
 
