@@ -26,19 +26,19 @@ same reason the fixed point L(rho) = 0 does not depend on how
 accurately S^-1 is applied: an inaccurate S^-1 only slows the
 contraction.
 
-S^-1 is applied in two bases.  Every point starts with one complex
-Schur factorization H' = U T U^dag and a triangular Sylvester solve per
-iteration, T Z - Z T^dag = i U^dag R U (LAPACK ztrsyl), which is
-backward stable even where H' is defective (the exceptional point of
-the |2,0>/|0,1> pair).  Weak-drive points, every point of the figure
-presets, converge within that Schur prefix, so their bits are those of
-the Schur solver alone.  A point still far from converged after the
-prefix is slow (strong drive, large cutoffs) and finishes in the
-eigenbasis H' = V diag(lam) V^-1, V = U W with W the eigenvectors of the
-triangular T, where S^-1 is four D x D products, a fifth of the
-Schur-basis cost at D = 45.  An ill-conditioned V costs accuracy in S^-1
-only, which the residual update tolerates; a V too close to singular
-to invert keeps the point in the Schur basis.  Without drive S is
+S^-1 is applied in H''s eigenbasis H' = V diag(lam) V^-1, with V = U W
+from one complex Schur factorization H' = U T U^dag and W the
+eigenvectors of the triangular T.  There S^-1 is four D x D products
+per iteration, a fifth of the cost of a triangular Sylvester solve at
+D = 45.  An ill-conditioned V costs accuracy in S^-1 only, which the
+residual update tolerates.  Where V is singular or its condition number
+exceeds 1/sqrt(eps), as can happen at the exceptional point of the
+|2,0>/|0,1> pair at vanishing drive, S^-1 is applied in the Schur basis: one
+triangular Sylvester solve per iteration, T Z - Z T^dag = i U^dag R U
+(LAPACK ztrsyl), which is backward stable even where H' is defective.
+The iteration stops once the geometric tail of its remaining updates,
+estimated from the ratio of successive updates, is below roundoff, or
+once the updates sit on a roundoff plateau.  Without drive S is
 singular (H'|0,0> = 0) and the vacuum, which is then stationary, is
 returned directly.
 
@@ -93,35 +93,30 @@ POSITIVITY_TOL = -1e-8
 TRACE_DRIFT_TOL = 1e-8
 
 JUMP_MAP_MAX_ITERATIONS = 1000
-# The jump-map iteration stops once its update, scaled entrywise by
-# sqrt(p_i p_j) with p the populations floored at JUMP_MAP_POPULATION_FLOOR,
-# is below JUMP_MAP_STALL_TOL and no longer shrinking.  Scaling makes
-# small populations converge in relative terms: second-harmonic pairs
-# entering g2_bb can be 1e-24 while the vacuum holds almost all the
-# weight, so max |update| reaches roundoff long before they settle.
-# Updates can grow between early iterations at strong drive, hence the
-# threshold on the stall.  The floor is observables.VACUUM_OCCUPATION_EPS
+# The jump-map iteration measures its update entrywise relative to
+# sqrt(p_i p_j), with p the populations floored at
+# JUMP_MAP_POPULATION_FLOOR.  Scaling makes small populations converge in
+# relative terms: second-harmonic pairs entering g2_bb can be 1e-24 while
+# the vacuum holds almost all the weight, so max |update| reaches roundoff
+# long before they settle.  The floor is observables.VACUUM_OCCUPATION_EPS
 # squared: an entry held there still settles to 1e-34, a ~1e-10 change in
 # any g2 the guard lets through.  A lower floor scales the roundoff of
-# nearly empty states up to the threshold (at 1e-30 the scaled update
-# hovered at 1e-10 to 4e-10 at some fig4 points, stopping only by luck).
-JUMP_MAP_STALL_TOL = 1e-10
+# nearly empty states up to the stop thresholds (at 1e-30 the scaled
+# update hovered at 1e-10 to 4e-10 at some fig4 points).
 JUMP_MAP_POPULATION_FLOOR = 1e-24
-# A point whose scaled update is still above JUMP_MAP_SLOW_STEP after
-# JUMP_MAP_SCHUR_ITERATIONS Schur-basis iterations finishes in H''s
-# eigenbasis.  At iteration 15 the scaled update is at most 5.5e-9 over
-# the figure presets at (6,3) (fig4a, fig4b and fig6 at 21 x 21, the
-# rest at default resolution) and 4.2e-8 on the fig7a pair at (10,5), so
-# none of those points switches; the strong-drive points (F = 0.5 to 2
-# at (8,4)) sit at 7e-4 to 0.11 there.
-JUMP_MAP_SCHUR_ITERATIONS = 15
-JUMP_MAP_SLOW_STEP = 1e-6
-# Past 1/sqrt(eps) the eigenvectors of H' are numerically dependent (H'
-# is exactly defective) and the point stays in the Schur basis.  The
-# 1-norm condition number of V = U W was at most 949 at 302 random switched
-# points (F <= 3, g <= 3, cutoffs (6,3) and (8,4)) and 1897 at the exceptional
-# point g = 1/(4 sqrt 2) at F = 3, cutoffs (12,6), as for V from eig(H').
-JUMP_MAP_MAX_EIGENBASIS_CONDITION = 1.0 / math.sqrt(np.finfo(float).eps)
+# It stops once the geometric tail of the remaining updates,
+# step q / (1 - q) with q = step / previous step, is at most
+# JUMP_MAP_TAIL_TOL.  Unlike "small and no longer shrinking", this does
+# not fire on an oscillating contraction: at delta = -1, F = 2, g = 0.867,
+# cutoffs (8,4) the scaled update is 8.5e-11 at two successive iterations,
+# where that rule stopped with n_a 1.6e-10 off.
+JUMP_MAP_TAIL_TOL = 1e-13
+# It also stops once the scaled update is at most JUMP_MAP_STALL_TOL and
+# has set no new minimum for JUMP_MAP_PLATEAU_ITERATIONS iterations: a
+# roundoff plateau, as at 10 of the 441 fig4b cells at 21 x 21, where n_b
+# is just above the 1e-12 vacuum guard.
+JUMP_MAP_STALL_TOL = 1e-10
+JUMP_MAP_PLATEAU_ITERATIONS = 3
 # The iteration also stops, and certifies, once its scaled update has set
 # no new minimum for JUMP_MAP_STALL_ITERATIONS iterations and that minimum
 # is at most JUMP_MAP_SLOW_STEP.  At strong drive, nearly empty states
@@ -131,7 +126,17 @@ JUMP_MAP_MAX_EIGENBASIS_CONDITION = 1.0 / math.sqrt(np.finfo(float).eps)
 # (8,4) and 22 of 52 at (12,6).  At the 18 (8,4) points that stall, the
 # minimum is 6e-11 to 1.1e-9 and is set by iteration 89; the residual at
 # delta = -5, F = 0.5 is 1e-16.
+JUMP_MAP_SLOW_STEP = 1e-6
 JUMP_MAP_STALL_ITERATIONS = 20
+# Past 1/sqrt(eps) the eigenvectors of H' are numerically dependent (H'
+# is exactly defective) and S^-1 is applied in the Schur basis instead.
+# At the exceptional point g = 1/(4 sqrt 2) the 1-norm condition number of
+# V = U W grows as ~0.7/F at weak drive (7e2 at F = 1e-3, 7e5 at 1e-6) and
+# levels off at 2e7 to 9e7, around the cut, from F = 1e-9 down: at
+# cutoffs (10,5) and F = 1e-13 it is 8.7e7 and the Schur basis takes over.
+# It was at most 949 at 302 random points (F <= 3, g <= 3, cutoffs (6,3)
+# and (8,4)) and 1897 at the exceptional point at F = 3, cutoffs (12,6).
+JUMP_MAP_MAX_EIGENBASIS_CONDITION = 1.0 / math.sqrt(np.finfo(float).eps)
 
 
 class SteadyStateError(RuntimeError):
@@ -187,14 +192,20 @@ class Liouvillian:
     basis: FockBasis
     kappa1: float
     kappa2: float
-    h_norm: float  # spectral norm of the Hamiltonian used in the build
+    hamiltonian: np.ndarray  # the H of the build, read by the oracle's refinement
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
+        self.hamiltonian.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return self.basis.dim
+
+    @property
+    def h_norm(self) -> float:
+        """Spectral norm of the Hamiltonian."""
+        return float(np.max(np.abs(scipy.linalg.eigvalsh(self.hamiltonian))))
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -258,8 +269,7 @@ def build_liouvillian(
         _add_sandwich(out4, kappa, c, op.dag())  # kappa * c rho c^dag
         _add_sandwich(out4, -kappa / 2.0, n_op, eye)
         _add_sandwich(out4, -kappa / 2.0, eye, n_op)
-    h_norm = float(np.max(np.abs(scipy.linalg.eigvalsh(h_eff))))
-    return Liouvillian(lio, basis, kappa1, kappa2, h_norm)
+    return Liouvillian(lio, basis, kappa1, kappa2, np.array(h_eff, dtype=complex))
 
 
 def _trace_row(d: int) -> np.ndarray:
@@ -271,27 +281,37 @@ def _trace_row(d: int) -> np.ndarray:
 def steady_state(lio: Liouvillian) -> DensityMatrix:
     """Solve L vec(rho) = 0 with Tr rho = 1 by trace-row replacement.
 
-    Two steps of iterative refinement with the same LU factors restore
-    the relative accuracy of small populations (unrefined, g2_bb can be
-    2e-4 off at n_b = 4e-7).  Raises :class:`NonUniqueSteadyStateError`
-    when the nullspace of L is more than one-dimensional, and
-    :class:`SteadyStateError` when the augmented system is singular or
-    the residual exceeds tolerance.
+    One complex128 LU of the augmented system, then two steps of
+    mixed-precision iterative refinement with the same factors: each
+    residual is formed in np.clongdouble by :func:`_extended_residual`
+    and the solution is accumulated in np.clongdouble, then cast to
+    complex128 for the certificate.  Residuals in working precision
+    stalled the refinement 1e-9 to 1e-8 relative off in g2_bb near the
+    1e-12 vacuum guard; in extended precision it comes within 1e-13 of a
+    40-digit solve of the same operator problem (Moler, J. ACM 14, 1967;
+    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 12).  Where np.longdouble is plain double (MSVC, Apple silicon)
+    this is ordinary refinement in working precision.  Raises :class:`NonUniqueSteadyStateError` when the nullspace of L is
+    more than one-dimensional, and :class:`SteadyStateError` when the
+    augmented system is singular or the residual exceeds tolerance.
     """
     d = lio.dim
-    trace_row = _trace_row(d)
     mod = lio.matrix.copy(order="F")  # zgetrf then factors it in place
-    mod[0, :] = trace_row
+    mod[0, :] = _trace_row(d)
     lu, piv, info = scipy.linalg.lapack.zgetrf(mod, overwrite_a=True)
     if info != 0:
         _diagnose_singular(lio)
         raise SteadyStateError(f"augmented steady-state system is singular (info {info})")
-    vec = np.zeros(d * d, dtype=complex)
+    residual_of = _extended_residual(lio)
+    rho = np.zeros((d, d), dtype=np.clongdouble)
     for _ in range(3):  # the solve, then two refinement steps
-        correction = lio.matrix @ vec
-        correction[0] = trace_row @ vec - 1.0
-        vec = vec - scipy.linalg.lu_solve((lu, piv), correction, check_finite=False)
+        correction = vectorize(residual_of(rho)).astype(complex)
+        correction[0] = complex(np.trace(rho) - 1)
+        rho -= unvectorize(
+            scipy.linalg.lu_solve((lu, piv), correction, check_finite=False), d
+        )
 
+    vec = vectorize(rho).astype(complex)
     if not np.all(np.isfinite(vec)):
         _diagnose_singular(lio)
         raise SteadyStateError("steady-state solve produced non-finite entries")
@@ -300,6 +320,31 @@ def steady_state(lio: Liouvillian) -> DensityMatrix:
     if residual > STEADY_RESIDUAL_TOL:
         _diagnose_singular(lio)
     return _certified(unvectorize(vec, d), lio.basis, residual)
+
+
+def _extended_residual(lio: Liouvillian) -> Callable[[np.ndarray], np.ndarray]:
+    """L(rho) in np.clongdouble from D x D products of H', a and b.
+
+    -i (H' rho - rho H'^dag) + sum_c kappa_c c rho c^dag, written out from
+    the operators rather than from lio.matrix or the jump-map generator,
+    so that the oracle's refinement is an independent third form of L.
+    The long-double D x D products cost ~3 ms at D = 66, next to seconds
+    for the D^2 x D^2 LU; a long-double lio.matrix would take 32 D^4 bytes.
+    """
+    a, b = annihilator_a(lio.basis), annihilator_b(lio.basis)
+    h_prime = decay_hamiltonian(lio.hamiltonian, a, b, lio.kappa1, lio.kappa2)
+    h_prime = h_prime.astype(np.clongdouble)
+    h_prime_dag = h_prime.conj().T
+    ops = [(lio.kappa1, a.matrix), (lio.kappa2, b.matrix)]
+    ops = [(kappa, c.astype(np.clongdouble)) for kappa, c in ops]
+
+    def residual(rho: np.ndarray) -> np.ndarray:
+        out = -1j * (h_prime @ rho - rho @ h_prime_dag)
+        for kappa, c in ops:
+            out += kappa * (c @ rho @ c.conj().T)
+        return out
+
+    return residual
 
 
 def _diagnose_singular(lio: Liouvillian) -> None:
@@ -335,9 +380,9 @@ def jump_map_steady_state(
     """Steady state by the jump-map iteration; no superoperator.
 
     Iterates rho <- rho - S^-1(L(rho)) (see the module docstring), with
-    S^-1 in H''s Schur basis and, for a point still slow after
-    JUMP_MAP_SCHUR_ITERATIONS, in its eigenbasis, until the update,
-    relative to the populations, reaches roundoff or stalls there; then
+    S^-1 in H''s eigenbasis, or in its Schur basis where the eigenvectors
+    are too close to dependent, until the remaining updates, relative to
+    the populations, are estimated below roundoff or stall there; then
     certifies the state like :func:`steady_state`: residual max |L(rho)|
     against the full generator and :meth:`DensityMatrix.validate`.  Time and memory
     are O(D^3) and O(D^2) per iteration.  Raises
@@ -381,7 +426,7 @@ def jump_map_steady_state(
         z /= scale
         return z
 
-    inverse = schur_inverse
+    inverse = _eigenbasis_inverse(t, u) or schur_inverse
     # Mixed fundamental, empty second harmonic: the drive reaches b only
     # through g, so every second-harmonic entry starts at its own scale.
     rho = np.zeros((basis.dim, basis.dim), dtype=complex)
@@ -405,12 +450,15 @@ def jump_map_steady_state(
             )
         if step < best:
             best, best_at = step, iteration
-        stalled = best <= JUMP_MAP_SLOW_STEP and iteration - best_at >= JUMP_MAP_STALL_ITERATIONS
-        if (step <= JUMP_MAP_STALL_TOL and step >= previous) or stalled:
+        # step q / (1 - q) <= tol with q = step / previous, free of division
+        tail = step * step <= JUMP_MAP_TAIL_TOL * (previous - step)
+        converged = iteration > 1 and step < previous and tail
+        since_best = iteration - best_at
+        plateau = step <= JUMP_MAP_STALL_TOL and since_best >= JUMP_MAP_PLATEAU_ITERATIONS
+        stalled = best <= JUMP_MAP_SLOW_STEP and since_best >= JUMP_MAP_STALL_ITERATIONS
+        if converged or plateau or stalled:
             return _certified(rho, basis, float(np.max(np.abs(generator(rho)))))
         previous = step
-        if iteration == JUMP_MAP_SCHUR_ITERATIONS and step > JUMP_MAP_SLOW_STEP:
-            inverse = _eigenbasis_inverse(t, u) or inverse
     residual = float(np.max(np.abs(generator(rho))))
     raise SteadyStateError(
         f"jump-map iteration did not converge in {JUMP_MAP_MAX_ITERATIONS} "

@@ -222,8 +222,10 @@ def test_non_uniqueness_detected():
 # ------------------------------------------- jump-map solver against the oracle
 
 
-def _assert_matches_oracle(p: SystemParams, cutoffs, min_occupation=0.0) -> None:
+def _assert_matches_oracle(p: SystemParams, cutoffs, min_occupation=0.0):
     """run_point agrees with the dense oracle to relative 1e-9; its state is certified.
+
+    Returns the statistics of run_point and of the oracle.
 
     An occupation that vanishes in exact arithmetic (n_b at g = 0) comes
     back from both solvers as roundoff of either sign, so occupations
@@ -246,6 +248,7 @@ def _assert_matches_oracle(p: SystemParams, cutoffs, min_occupation=0.0) -> None
             assert got == pytest.approx(want, rel=1e-9, abs=floor), name
     rho = jump_map_steady_state(h, a, b, p.kappa1, p.kappa2)
     assert np.max(np.abs(lio.matrix @ vectorize(rho.matrix))) <= 1e-10
+    return stats, expected
 
 
 @pytest.mark.parametrize(
@@ -275,36 +278,44 @@ def test_jump_map_matches_dense_oracle_at_hard_points(params):
 @example(delta=0.0, g=1.0, kappa2=1.0, drive=0.0)
 @example(delta=4.098, g=0.34, kappa2=0.391, drive=0.506)
 def test_jump_map_matches_refined_dense_oracle_random(delta, g, kappa2, drive):
-    # Within two decades of the 1e-12 vacuum guard even the refined oracle
-    # misses 1e-9 in g2: at n_b = 1.7e-12 (delta=5.813, g=0.082,
-    # kappa2=0.1088, F=0.0797) it is 7.3e-9 off a 40-digit solve.
+    # Within two decades of the 1e-12 vacuum guard the oracle refined in
+    # working precision missed 1e-9 in g2: at n_b = 1.7e-12 (delta=5.813,
+    # g=0.082, kappa2=0.1088, F=0.0797) it was 7.3e-9 off a 40-digit solve
+    # (see test_jump_map_matches_extended_precision for the refinement now).
     p = SystemParams(delta=delta, g=g, kappa2=kappa2, drive_strength=drive)
     _assert_matches_oracle(p, (3, 2), min_occupation=1e-10)
 
 
 @pytest.mark.parametrize(
-    "params, expected, dense_g2_bb_rel",
+    "params, expected, dense_g2_bb_rel, operator_g2_bb",
     [
         (
             SystemParams(delta=4.098, g=0.34, kappa2=0.391, drive_strength=0.506),
             dict(g2_aa=1.006549119033813, g2_bb=31.24361716058249,
                  n_a=0.015025438187563635, n_b=3.954021002013671e-07),
             1e-9,
+            31.243617160580683561,
         ),
         (
             SystemParams(delta=5.813, g=0.082, kappa2=0.1088, drive_strength=0.0797),
             dict(g2_aa=1.0001974368795112, g2_bb=3.8469425064068212,
                  n_a=0.00018660134111054896, n_b=1.7325542447832737e-12),
-            1e-8,
+            2e-12,
+            3.8469425064013370311,
         ),
     ],
     ids=["plain-lu-1e-4-off", "near-vacuum-guard"],
 )
-def test_jump_map_matches_extended_precision(params, expected, dense_g2_bb_rel):
+def test_jump_map_matches_extended_precision(params, expected, dense_g2_bb_rel, operator_g2_bb):
     # Expected values: mpmath LU at 40 digits of the trace-row system
     # built from build_liouvillian at cutoffs (3, 2).  Unrefined, the dense
-    # LU misses g2_bb by 2e-4 and 2e6 relative at these points; its two
-    # refinement steps bring that to 7e-14 and 7.3e-9.
+    # LU misses g2_bb by 2e-4 and 2e6 relative at these points; refined in
+    # working precision, by 7e-14 and 7.3e-9.  operator_g2_bb is the same
+    # 40-digit solve of L built from the operators with exact sqrt(n), the
+    # problem the oracle's long-double refinement residual poses: near the
+    # vacuum guard the roundoff in the entries of build_liouvillian moves
+    # the 40-digit g2_bb by 1.4e-12, which bounds dense_g2_bb_rel there.
+    assert np.finfo(np.longdouble).eps < 1e-18  # else the refinement is not extended
     basis, a, b = make_ops(3, 2)
     lio = build_liouvillian(build_h_eff(params, basis), a, b, params.kappa1, params.kappa2)
     solvers = {
@@ -315,12 +326,13 @@ def test_jump_map_matches_extended_precision(params, expected, dense_g2_bb_rel):
         for name, value in expected.items():
             rel = g2_bb_rel if name == "g2_bb" else 1e-9
             assert getattr(stats, name) == pytest.approx(value, rel=rel), (solver, name)
+    assert solvers["dense"][0].g2_bb == pytest.approx(operator_g2_bb, rel=1e-13)
 
 
 # Grid points (delta, g) of the fig4 heatmaps at F = 0.05.  With the
 # populations floored at 1e-30 the scaled update stalled between 1e-10 and
 # 4e-10 at the first sixteen, a solver failure, and the last two took 458
-# iterations.
+# Schur-basis iterations.
 FIG4_STALL_POINTS = [
     (-6.0, 0.1), (-5.52, 3.2), (-4.08, 0.2), (-3.96, 0.6), (-3.0, 0.3), (-2.52, 0.2),
     (-2.4, 0.2), (2.28, 0.2), (2.4, 0.2), (2.76, 0.3), (2.88, 0.3), (3.0, 0.3),
@@ -328,14 +340,16 @@ FIG4_STALL_POINTS = [
 ]
 
 
-def _count_solver_calls(monkeypatch, p: SystemParams, cutoffs) -> tuple[int, int]:
-    """(ztrsyl calls, eigendecompositions) of one run_point; patches undone after."""
-    counts = {"ztrsyl": 0, "eig": 0}
+def _count_solver_calls(monkeypatch, p: SystemParams, cutoffs) -> dict:
+    """Calls of the eigenbasis S^-1 ("inverse", one per iteration), of ztrsyl and
+    of eig in one run_point; patches undone after."""
+    counts = {"inverse": 0, "ztrsyl": 0, "eig": 0}
     for module, name in ((scipy.linalg.lapack, "ztrsyl"), (scipy.linalg, "eig")):
         monkeypatch.setattr(module, name, _counted(getattr(module, name), counts, name))
+    _wrap_eigenbasis_inverse(monkeypatch, lambda inverse: _counted(inverse, counts, "inverse"))
     run_point(p, cutoffs)
     monkeypatch.undo()
-    return counts["ztrsyl"], counts["eig"]
+    return counts
 
 
 def _counted(fn, counts: dict, name: str):
@@ -346,6 +360,17 @@ def _counted(fn, counts: dict, name: str):
     return wrapper
 
 
+def _wrap_eigenbasis_inverse(monkeypatch, wrap) -> None:
+    """Route every eigenbasis S^-1 the solver builds through wrap(inverse)."""
+    build = dynamics_mod._eigenbasis_inverse
+
+    def wrapped(t, u):
+        inverse = build(t, u)
+        return None if inverse is None else wrap(inverse)
+
+    monkeypatch.setattr(dynamics_mod, "_eigenbasis_inverse", wrapped)
+
+
 @pytest.mark.parametrize("delta, g", FIG4_STALL_POINTS)
 def test_jump_map_converges_at_fig4_stall_points(delta, g, monkeypatch):
     # The exact grid values, e.g. 2.2799999999999994 rather than 2.28
@@ -354,10 +379,7 @@ def test_jump_map_converges_at_fig4_stall_points(delta, g, monkeypatch):
     delta = float(deltas[np.argmin(np.abs(deltas - delta))])
     g = float(gs[np.argmin(np.abs(gs - g))])
     p = SystemParams(delta=delta, g=g, drive_strength=0.05)
-    # Without a switch to the eigenbasis, ztrsyl calls count iterations.
-    iterations, eigendecompositions = _count_solver_calls(monkeypatch, p, (6, 3))
-    assert eigendecompositions == 0
-    assert iterations <= 50
+    assert 0 < _count_solver_calls(monkeypatch, p, (6, 3))["inverse"] <= 50
     _assert_matches_oracle(p, (6, 3))
 
 
@@ -373,8 +395,12 @@ def test_jump_map_converges_at_fig4_stall_points(delta, g, monkeypatch):
     ],
     ids=["exceptional-point", "kappa2-0.1", "g10-delta+6", "g10-delta-6", "golden-point"],
 )
-def test_weak_drive_never_diagonalizes(params, cutoffs, monkeypatch):
-    assert _count_solver_calls(monkeypatch, params, cutoffs)[1] == 0
+def test_weak_drive_hard_points_match_schur_only_path(params, cutoffs, monkeypatch):
+    eigenbasis, _ = _assert_matches_oracle(params, cutoffs)
+    _schur_only(monkeypatch)
+    schur = run_point(params, cutoffs)
+    for name in ("g2_aa", "g2_bb", "n_a", "n_b"):
+        assert getattr(eigenbasis, name) == pytest.approx(getattr(schur, name), rel=1e-12), name
 
 
 # Points at cutoffs (8, 4) where roundoff in nearly empty states keeps the
@@ -402,23 +428,23 @@ def test_jump_map_stops_at_roundoff_stall(params):
     ids=["exceptional-point", "g-star", "kappa2-0.1"],
 )
 def test_slow_points_switch_to_eigenbasis_and_match_oracle(params, monkeypatch):
-    assert _count_solver_calls(monkeypatch, params, (8, 4)) == (
-        dynamics_mod.JUMP_MAP_SCHUR_ITERATIONS,
-        1,
-    )
+    counts = _count_solver_calls(monkeypatch, params, (8, 4))
+    assert (counts["eig"], counts["ztrsyl"]) == (1, 0)
     _assert_matches_oracle(params, (8, 4))
 
 
 # The slowest contraction of the grid delta in [-6, 6] (13 points) x
-# F in {0.2, 0.5, 1, 2, 3} at g = 0.867, cutoffs (8, 4): the stop rule
-# certifies a state 1.6e-10 relative off the dense oracle in g2_aa, the
-# largest error of the grid, with the eigenvectors from the Schur factor
-# as with those of H'.
+# F in {0.2, 0.5, 1, 2, 3} at g = 0.867, cutoffs (8, 4).  The scaled update
+# repeats 8.5e-11 at two successive iterations there, and a rule stopping
+# once it is small and no longer shrinking certified n_a 1.6e-10 relative
+# off the long-double oracle.
 @pytest.mark.parametrize("delta", [-1.0, 1.0])
 def test_slow_contraction_points_match_oracle(delta, monkeypatch):
     p = SystemParams(delta=delta, g=0.867, drive_strength=2.0)
-    assert _count_solver_calls(monkeypatch, p, (8, 4))[1] == 1
-    _assert_matches_oracle(p, (8, 4))
+    assert _count_solver_calls(monkeypatch, p, (8, 4))["eig"] == 1
+    stats, expected = _assert_matches_oracle(p, (8, 4))
+    for name in ("g2_aa", "n_a"):
+        assert getattr(stats, name) == pytest.approx(getattr(expected, name), rel=1e-13), name
 
 
 def _schur_only(monkeypatch) -> None:
@@ -471,27 +497,44 @@ def test_jump_map_budget_exhaustion_raises(monkeypatch):
         jump_map_steady_state(h, a, b, 1.0, 1.0)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_non_finite_update_raises_at_its_iteration(bad, monkeypatch):
-    ztrsyl = scipy.linalg.lapack.ztrsyl
+def _poisoned_at_call(fn, bad, call: int = 3):
+    """fn with entry [1, 2] of its result's first element set to bad at one call."""
     calls = []
 
     def poisoned(*args, **kwargs):
         calls.append(None)
-        z, scale, info = ztrsyl(*args, **kwargs)
-        if len(calls) == 3:
-            z[1, 2] = bad
-        return z, scale, info
+        out = fn(*args, **kwargs)
+        if len(calls) == call:
+            (out[0] if isinstance(out, tuple) else out)[1, 2] = bad
+        return out
 
-    monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", poisoned)
+    return poisoned
+
+
+def _weak_drive_jump_map():
     basis, a, b = make_ops(6, 3)
     h = build_h_eff(SystemParams(g=0.867, drive_strength=0.05), basis)
+    return jump_map_steady_state(h, a, b, 1.0, 1.0)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_update_raises_at_its_iteration(bad, monkeypatch):
+    _wrap_eigenbasis_inverse(monkeypatch, lambda inverse: _poisoned_at_call(inverse, bad))
     with pytest.raises(SteadyStateError, match=r"non-finite entries at iteration 3$"):
-        jump_map_steady_state(h, a, b, 1.0, 1.0)
+        _weak_drive_jump_map()
 
 
-def test_jump_map_budget_exhaustion_after_switch_raises(monkeypatch):
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_schur_fallback_update_raises_at_its_iteration(monkeypatch):
+    _schur_only(monkeypatch)
+    poisoned = _poisoned_at_call(scipy.linalg.lapack.ztrsyl, np.nan)
+    monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", poisoned)
+    with pytest.raises(SteadyStateError, match=r"non-finite entries at iteration 3$"):
+        _weak_drive_jump_map()
+
+
+def test_jump_map_budget_exhaustion_in_eigenbasis_raises(monkeypatch):
     monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", 20)
     counts = {"eig": 0}
     monkeypatch.setattr(scipy.linalg, "eig", _counted(scipy.linalg.eig, counts, "eig"))
@@ -570,7 +613,7 @@ def test_trace_drift_rejected_for_corrupt_generator():
     lio = _liouvillian(SystemParams(g=1.0, drive_strength=0.05), 2, 1)
     corrupt = lio.matrix.copy()
     corrupt[0, 0] += 0.01  # breaks vec(I)^dag L = 0
-    bad = Liouvillian(corrupt, lio.basis, lio.kappa1, lio.kappa2, lio.h_norm)
+    bad = Liouvillian(corrupt, lio.basis, lio.kappa1, lio.kappa2, lio.hamiltonian)
     dt = 0.01 / max(bad.kappa1, bad.kappa2, bad.h_norm)
     with pytest.raises(TraceDriftError):
         evolve(_vacuum(bad.basis), bad, 10.0, dt)
