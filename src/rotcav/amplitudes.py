@@ -120,7 +120,7 @@ def amplitude_system(
     Row 0 is the normalization c00 = 1; the remaining rows are the
     equations of motion with time derivatives set to zero.
     """
-    h_prime = decay_hamiltonian(build_h_eff(p, _BASIS), _A, _B, p.kappa1, p.kappa2)
+    h_prime = decay_hamiltonian(build_h_eff(p, _BASIS), _BASIS, p.kappa1, p.kappa2)
     mat = h_prime[np.ix_(_FOCK_INDEX, _FOCK_INDEX)]
     if not opts.keep_subleading:
         for row, col in _SUBLEADING:

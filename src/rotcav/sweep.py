@@ -191,21 +191,13 @@ def run_point(p: SystemParams, cutoffs: tuple[int, int] = DEFAULT_CUTOFFS) -> Ph
     propagate as :class:`SteadyStateError` with the point attached.
     """
     basis = build_basis(*cutoffs)
-    a = annihilator_a(basis)
-    b = annihilator_b(basis)
     h = build_h_eff(p, basis)
     try:
-        rho = jump_map_steady_state(h, a, b, p.kappa1, p.kappa2)
+        rho = jump_map_steady_state(h, basis, p.kappa1, p.kappa2)
     except SteadyStateError as exc:
-        raise type(exc)(f"{exc} [at {_params_label(p)}]") from exc
-    return photon_statistics(rho, a, b)
-
-
-def _params_label(p: SystemParams) -> str:
-    return (
-        f"delta={p.delta:g}, g={p.g:g}, kappa2={p.kappa2:g}, "
-        f"F={p.drive_strength:g}, delta_f={p.delta_f:g}"
-    )
+        label = ", ".join(f"{key}={value}" for key, value in params_to_dict(p).items())
+        raise type(exc)(f"{exc} [at {label}]") from exc
+    return photon_statistics(rho, annihilator_a(basis), annihilator_b(basis))
 
 
 def _grid(spec: SweepSpec):
@@ -403,6 +395,8 @@ def spec_from_dict(data: dict) -> SweepSpec:
     try:
         _reject_unknown(data, _SPEC_KEYS, "config")
         cutoffs = data.get("cutoffs", DEFAULT_CUTOFFS)
+        if len(cutoffs) != 2:
+            raise ValueError(f"malformed sweep config: cutoffs {cutoffs!r} are not a pair")
         return SweepSpec(
             axis1=axis(data["axis1"]),
             axis2=axis(data.get("axis2")),
@@ -455,7 +449,8 @@ def emit(result: SweepResult, format: str, path) -> str:
 def refine_extremum(
     xs: np.ndarray, ys: np.ndarray, kind: str = "min"
 ) -> tuple[float, float]:
-    """Grid extremum location with 3-point parabolic refinement.
+    """Grid minimum (kind "min") or maximum ("max") location with 3-point
+    parabolic refinement.
 
     Returns (refined x, grid extremum y).  Exact ties are broken toward
     the smaller x; a boundary extremum is returned unrefined.
@@ -464,6 +459,8 @@ def refine_extremum(
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1 or len(xs) < 2:
         raise ValueError("xs and ys must be equal-length 1D arrays, len >= 2")
+    if kind not in ("min", "max"):
+        raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
     target = np.min(ys) if kind == "min" else np.max(ys)
     candidates = np.flatnonzero(ys == target)
     i = int(candidates[np.argmin(xs[candidates])])

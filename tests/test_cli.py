@@ -152,11 +152,11 @@ def test_solver_failure_exit_2_with_partial_output(monkeypatch, tmp_path, capsys
     real = sweep_mod.jump_map_steady_state
     calls = {"n": 0}
 
-    def flaky(h_eff, a, b, kappa1, kappa2):
+    def flaky(h_eff, basis, kappa1, kappa2):
         calls["n"] += 1
         if calls["n"] == 2:
             raise SteadyStateError("synthetic failure")
-        return real(h_eff, a, b, kappa1, kappa2)
+        return real(h_eff, basis, kappa1, kappa2)
 
     monkeypatch.setattr(sweep_mod, "jump_map_steady_state", flaky)
     out = tmp_path / "partial.csv"
@@ -169,7 +169,7 @@ def test_solver_failure_exit_2_with_partial_output(monkeypatch, tmp_path, capsys
 
 
 def test_point_solver_failure_exit_2(monkeypatch, capsys):
-    def boom(h_eff, a, b, kappa1, kappa2):
+    def boom(h_eff, basis, kappa1, kappa2):
         raise SteadyStateError("synthetic failure")
 
     monkeypatch.setattr(sweep_mod, "jump_map_steady_state", boom)
@@ -308,6 +308,17 @@ def test_sweep_config_fractional_cutoffs_is_error(tmp_path, capsys):
     assert main(["sweep", "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert "must be an integer" in captured.err
+    assert captured.out == ""
+
+
+def test_sweep_config_cutoffs_must_be_a_pair(tmp_path, capsys):
+    config = {"axis1": {"name": "g", "start": 0.5, "stop": 1.0, "count": 3},
+              "cutoffs": [6, 3, 9]}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "malformed sweep config" in captured.err
     assert captured.out == ""
 
 

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rotcav.dynamics as dynamics_mod
+from rotcav.dynamics import decay_hamiltonian
 from rotcav.fock import ladder
 from conftest import kron_liouvillian, make_ops, solve_point
 from rotcav import (
@@ -87,21 +88,24 @@ def test_zero_hamiltonian_zero_rates_gives_zero():
 
 def test_dimension_mismatch_rejected():
     basis, a, b = make_ops(2, 1)
-    for build in (build_liouvillian, jump_map_steady_state):
-        with pytest.raises(ValueError):
-            build(np.zeros((3, 3), dtype=complex), a, b, 1.0, 1.0)
+    h = np.zeros((3, 3), dtype=complex)
+    with pytest.raises(ValueError):
+        build_liouvillian(h, a, b, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        jump_map_steady_state(h, basis, 1.0, 1.0)
 
 
 def test_negative_rates_rejected():
     basis, a, b = make_ops(2, 1)
     h = np.zeros((basis.dim,) * 2, dtype=complex)
-    for build in (build_liouvillian, jump_map_steady_state):
-        with pytest.raises(ValueError):
-            build(h, a, b, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        build_liouvillian(h, a, b, -1.0, 1.0)
+    with pytest.raises(ValueError):
+        jump_map_steady_state(h, basis, -1.0, 1.0)
 
 
 def test_operators_other_than_the_annihilators_rejected():
-    # The jump map applies c rho c^dag by slicing at the annihilator's stride.
+    # The oracle's refinement rebuilds a and b from the basis.
     basis, a, b = make_ops(3, 2)
     h = np.zeros((basis.dim,) * 2, dtype=complex)
     other = build_basis(2, 3)  # same dimension, other layout
@@ -111,10 +115,27 @@ def test_operators_other_than_the_annihilators_rejected():
         "creation": (ModeOperator(a.dag(), basis), b),
         "other-basis": (a, annihilator_b(other)),
     }
-    for build in (build_liouvillian, jump_map_steady_state):
-        for op_a, op_b in cases.values():
-            with pytest.raises(ValueError, match="annihilators"):
-                build(h, op_a, op_b, 1.0, 1.0)
+    for op_a, op_b in cases.values():
+        with pytest.raises(ValueError, match="annihilators"):
+            build_liouvillian(h, op_a, op_b, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("cutoffs", [(1, 1), (4, 2), (6, 3), (10, 5), (12, 6)])
+def test_decay_hamiltonian_is_the_dense_form(cutoffs):
+    basis, a, b = make_ops(*cutoffs)
+    rng = np.random.default_rng(sum(cutoffs))
+    for _ in range(5):
+        p = SystemParams(
+            delta=rng.uniform(-6, 6),
+            g=rng.uniform(0, 10),
+            kappa1=rng.uniform(0.1, 3),
+            kappa2=rng.uniform(0.1, 3),
+            drive_strength=rng.uniform(0, 3),
+            delta_f=rng.uniform(-1, 1),
+        )
+        h = build_h_eff(p, basis)
+        dense = h - 0.5j * (p.kappa1 * (a.dag() @ a.matrix) + p.kappa2 * (b.dag() @ b.matrix))
+        assert np.array_equal(decay_hamiltonian(h, basis, p.kappa1, p.kappa2), dense)
 
 
 @pytest.mark.parametrize("cutoffs", [(1, 1), (4, 2), (6, 3), (10, 5)])
@@ -246,7 +267,7 @@ def _assert_matches_oracle(p: SystemParams, cutoffs, min_occupation=0.0):
         else:
             floor = ROUNDOFF if occupation is None else 0.0
             assert got == pytest.approx(want, rel=1e-9, abs=floor), name
-    rho = jump_map_steady_state(h, a, b, p.kappa1, p.kappa2)
+    rho = jump_map_steady_state(h, basis, p.kappa1, p.kappa2)
     assert np.max(np.abs(lio.matrix @ vectorize(rho.matrix))) <= 1e-10
     return stats, expected
 
@@ -464,7 +485,7 @@ def test_eigenbasis_matches_schur_only_path(monkeypatch):
 # number near 1e17; a zero column makes the inversion raise.
 @pytest.mark.parametrize("zero", [False, True], ids=["repeated-column", "zero-column"])
 def test_near_singular_eigenvectors_keep_schur_path(zero, monkeypatch):
-    basis, a, b = make_ops(6, 3)
+    basis = build_basis(6, 3)
     h = build_h_eff(SystemParams(g=0.867, drive_strength=3.0), basis)
     eig = scipy.linalg.eig
     calls = []
@@ -476,25 +497,25 @@ def test_near_singular_eigenvectors_keep_schur_path(zero, monkeypatch):
         return lam, v
 
     monkeypatch.setattr(scipy.linalg, "eig", rank_deficient)
-    rho = jump_map_steady_state(h, a, b, 1.0, 1.0)
+    rho = jump_map_steady_state(h, basis, 1.0, 1.0)
     assert len(calls) == 1
     _schur_only(monkeypatch)
-    np.testing.assert_array_equal(rho.matrix, jump_map_steady_state(h, a, b, 1.0, 1.0).matrix)
+    np.testing.assert_array_equal(rho.matrix, jump_map_steady_state(h, basis, 1.0, 1.0).matrix)
 
 
 def test_undriven_jump_map_returns_vacuum():
-    basis, a, b = make_ops(4, 2)
+    basis = build_basis(4, 2)
     h = build_h_eff(SystemParams(g=2.0, drive_strength=0.0), basis)
-    rho = jump_map_steady_state(h, a, b, 1.0, 1.0)
+    rho = jump_map_steady_state(h, basis, 1.0, 1.0)
     np.testing.assert_array_equal(rho.matrix, _vacuum(basis).matrix)
 
 
 def test_jump_map_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", 3)
-    basis, a, b = make_ops(6, 3)
+    basis = build_basis(6, 3)
     h = build_h_eff(SystemParams(g=0.867, drive_strength=3.0), basis)
     with pytest.raises(SteadyStateError, match=r"did not converge in 3 iterations.*residual"):
-        jump_map_steady_state(h, a, b, 1.0, 1.0)
+        jump_map_steady_state(h, basis, 1.0, 1.0)
 
 
 def _poisoned_at_call(fn, bad, call: int = 3):
@@ -512,9 +533,9 @@ def _poisoned_at_call(fn, bad, call: int = 3):
 
 
 def _weak_drive_jump_map():
-    basis, a, b = make_ops(6, 3)
+    basis = build_basis(6, 3)
     h = build_h_eff(SystemParams(g=0.867, drive_strength=0.05), basis)
-    return jump_map_steady_state(h, a, b, 1.0, 1.0)
+    return jump_map_steady_state(h, basis, 1.0, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -538,10 +559,10 @@ def test_jump_map_budget_exhaustion_in_eigenbasis_raises(monkeypatch):
     monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", 20)
     counts = {"eig": 0}
     monkeypatch.setattr(scipy.linalg, "eig", _counted(scipy.linalg.eig, counts, "eig"))
-    basis, a, b = make_ops(6, 3)
+    basis = build_basis(6, 3)
     h = build_h_eff(SystemParams(g=0.867, drive_strength=3.0), basis)
     with pytest.raises(SteadyStateError, match=r"did not converge in 20 iterations.*residual"):
-        jump_map_steady_state(h, a, b, 1.0, 1.0)
+        jump_map_steady_state(h, basis, 1.0, 1.0)
     assert counts["eig"] == 1
 
 
@@ -555,7 +576,7 @@ def test_residual_above_tolerance_raises_from_both_solvers(monkeypatch):
     with pytest.raises(SteadyStateError, match=r"residual .* exceeds"):
         steady_state(build_liouvillian(h, a, b, p.kappa1, p.kappa2))
     with pytest.raises(SteadyStateError, match=r"residual .* exceeds"):
-        jump_map_steady_state(h, a, b, p.kappa1, p.kappa2)
+        jump_map_steady_state(h, basis, p.kappa1, p.kappa2)
 
 
 # ---------------------------------------------------------------- evolution

@@ -64,12 +64,16 @@ def test_run_point_blockade_at_resonance():
 
 
 def test_run_point_attaches_context_to_failures(monkeypatch):
-    def boom(h_eff, a, b, kappa1, kappa2):
+    def boom(h_eff, basis, kappa1, kappa2):
         raise SteadyStateError("numerical breakdown")
 
     monkeypatch.setattr(sweep_mod, "jump_map_steady_state", boom)
-    with pytest.raises(SteadyStateError, match="delta="):
-        run_point(SystemParams(g=1.0, drive_strength=0.05), (2, 1))
+    p = SystemParams(g=1.0, kappa1=0.7, drive_strength=0.05, delta_f=-0.3)
+    with pytest.raises(SteadyStateError, match="delta=") as info:
+        run_point(p, (2, 1))
+    label = str(info.value)
+    for key, value in params_to_dict(p).items():
+        assert f"{key}={value}" in label, key
 
 
 def test_run_point_never_allocates_a_superoperator():
@@ -172,11 +176,11 @@ def test_solver_failure_rows_kept(monkeypatch):
     calls = {"n": 0}
     real = sweep_mod.jump_map_steady_state
 
-    def flaky(h_eff, a, b, kappa1, kappa2):
+    def flaky(h_eff, basis, kappa1, kappa2):
         calls["n"] += 1
         if calls["n"] == 2:
             raise SteadyStateError("synthetic failure")
-        return real(h_eff, a, b, kappa1, kappa2)
+        return real(h_eff, basis, kappa1, kappa2)
 
     monkeypatch.setattr(sweep_mod, "jump_map_steady_state", flaky)
     result = run_sweep(_small_spec())
@@ -593,3 +597,5 @@ def test_refine_extremum_tie_breaks_small_x():
     ys = np.array([5.0, 1.0, 1.0, 5.0])
     x_ref, _ = refine_extremum(xs, ys, "min")
     assert x_ref <= 1.5  # refined from the first (smaller-x) tie
+    with pytest.raises(ValueError, match="kind"):
+        refine_extremum(xs, np.array([3.0, 1.0, 2.0, 5.0]), "minimum")
