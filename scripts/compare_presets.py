@@ -1,28 +1,45 @@
 #!/usr/bin/env python3
-"""Compare two output directories of preset_parity.sh, CSV by CSV.
+"""Compare two output directories of preset_parity.sh, file by file.
 
     python3 scripts/compare_presets.py OLD NEW
 
-For each CSV in OLD it prints the number of rows, the number of cells
-whose text differs in NEW, and the worst relative change among them
-(|new - old| / |old|, the absolute change where old is 0).  It exits 1
-when the two directories do not hold the same CSV names, or a CSV
-differs in its header, its row count, a row's status, or which cells
-are empty (an undefined g2); otherwise it exits 0, however far the
-values moved.
+For each CSV or JSON output in OLD it prints the number of rows, the
+number of cells whose text differs in NEW, and the worst relative change
+among them (|new - old| / |old|, the absolute change where old is 0).
+A JSON output is read as a table of its rows, plus one row of its
+convergence_max_rel_change with the status "convergence"; its metadata
+must otherwise match, except created_utc.  It exits 1 when the two
+directories do not hold the same file names, or an output differs in
+its header, its row count, a row's status, or which cells are empty (an
+undefined g2); otherwise it exits 0, however far the values moved.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from pathlib import Path
 
+OUTPUTS = ("*.csv", "*.json")
+
 
 def _rows(path: Path) -> list[list[str]]:
-    with path.open(newline="") as f:
-        return list(csv.reader(f))
+    """The header and the rows of an output, every cell as text."""
+    if path.suffix == ".csv":
+        with path.open(newline="") as f:
+            return list(csv.reader(f))
+    data = json.loads(path.read_text())
+    metadata, rows = data["metadata"], data["rows"]
+    header = list(rows[0]) if rows else []
+    convergence = metadata.pop("convergence_max_rel_change", None)
+    if convergence is not None:
+        rows = rows + [dict.fromkeys(header) | convergence | {"status": "convergence"}]
+    del metadata["created_utc"]  # differs between runs by design
+    cells = [["" if row[key] is None else json.dumps(row[key]) for key in header] for row in rows]
+    # The rest of the metadata joins the header, so a change to it is a header change.
+    return [header + [json.dumps(metadata, sort_keys=True)]] + [row + [""] for row in cells]
 
 
 def _relative_change(old: str, new: str) -> float:
@@ -63,11 +80,11 @@ def main(argv=None) -> int:
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
     args = parser.parse_args(argv)
-    names = sorted(p.name for p in args.old.glob("*.csv"))
-    new_names = sorted(p.name for p in args.new.glob("*.csv"))
+    names = sorted(p.name for pattern in OUTPUTS for p in args.old.glob(pattern))
+    new_names = sorted(p.name for pattern in OUTPUTS for p in args.new.glob(pattern))
     mismatches = []
     if names != new_names:
-        mismatches.append(f"CSV names differ: OLD {names}, NEW {new_names}")
+        mismatches.append(f"output names differ: OLD {names}, NEW {new_names}")
     for name in sorted(set(names) & set(new_names)):
         summary, found = compare(args.old / name, args.new / name)
         print(summary)

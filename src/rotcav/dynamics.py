@@ -8,8 +8,9 @@ The master equation
 
 is solved for its steady state L(rho) = 0, Tr rho = 1, by two routes.
 
-The production solver, :func:`jump_map_steady_state`, never forms a
-superoperator.  With the non-Hermitian Hamiltonian
+The production solver, :func:`jump_map_steady_states` (one chunk of
+points on stacked arrays; :func:`jump_map_steady_state` is its chunk of
+one), never forms a superoperator.  With the non-Hermitian Hamiltonian
 H' = H - (i/2)(kappa1 a^dag a + kappa2 b^dag b) the generator splits
 into the no-jump part S(rho) = -i (H' rho - rho H'^dag) and the jumps
 J(rho) = kappa1 a rho a^dag + kappa2 b rho b^dag (the quantum-jump
@@ -77,9 +78,10 @@ renormalizing along the way is forbidden.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -377,126 +379,286 @@ def jump_map_steady_state(
 ) -> DensityMatrix:
     """Steady state by the jump-map iteration; no superoperator.
 
-    Iterates rho <- rho - S^-1(L(rho)) (see the module docstring), with
-    S^-1 in H''s eigenbasis, or in its Schur basis where the eigenvectors
-    are too close to dependent, until the remaining updates, relative to
-    the populations, are estimated below roundoff or stall there; then
-    certifies the state like :func:`steady_state`: residual max |L(rho)|
-    against the full generator and :meth:`DensityMatrix.validate`.  Time and memory
-    are O(D^3) and O(D^2) per iteration.  Raises
-    :class:`SteadyStateError` when the iteration does not converge within
-    JUMP_MAP_MAX_ITERATIONS, produces non-finite entries, or leaves a
-    residual above tolerance.
+    A chunk of one point of :func:`jump_map_steady_states`; raises the
+    :class:`SteadyStateError` that stopped the point.
     """
-    _check_input(h_eff, basis, kappa1, kappa2)
-    h_prime = decay_hamiltonian(h_eff, basis, kappa1, kappa2)
-    jumps = [(kappa, *ladder(basis, mode)) for kappa, mode in ((kappa1, "a"), (kappa2, "b"))]
-    terms = [np.empty((basis.dim - step,) * 2, dtype=complex) for _, step, _ in jumps]
+    (state,) = jump_map_steady_states([h_eff], basis, [(kappa1, kappa2)])
+    if isinstance(state, SteadyStateError):
+        raise state
+    return state
 
-    def generator(rho: np.ndarray) -> np.ndarray:
-        """L(rho) for Hermitian rho, where rho H'^dag = (H' rho)^dag."""
-        out = h_prime @ rho
-        out -= out.conj().T
-        out *= -1j
-        for (kappa, step, sqrt_n), term in zip(jumps, terms):
-            _jump_block(rho, step, sqrt_n, term)
-            term *= kappa
-            out[:-step, :-step] += term
-        return out
 
-    vacuum = np.zeros((basis.dim, basis.dim), dtype=complex)
+def jump_map_steady_states(
+    h_effs: Iterable[np.ndarray], basis: FockBasis, rates: Sequence[tuple[float, float]]
+) -> list[DensityMatrix | SteadyStateError]:
+    """Steady states of a chunk of points on one basis by the jump-map iteration.
+
+    h_effs are the K Hamiltonians of the chunk and rates their K
+    (kappa1, kappa2) pairs.  Iterates rho <- rho - S^-1(L(rho)) (see the
+    module docstring) on (K, D, D) stacks, with S^-1 in each H''s
+    eigenbasis, or in its Schur basis where the eigenvectors are too close
+    to dependent, until the remaining updates of a point, relative to its
+    populations, are estimated below roundoff or stall there.  That point
+    then leaves the stack and is certified like :func:`steady_state`:
+    residual max |L(rho)| against the full generator and
+    :meth:`DensityMatrix.validate`.  Time and memory are O(K D^3) and
+    O(K D^2) per iteration.
+
+    Returns one entry per point: its certified state, or the
+    :class:`SteadyStateError` that stopped it (no convergence within
+    JUMP_MAP_MAX_ITERATIONS, non-finite entries, or a failed certificate).
+    A point's bits depend neither on its chunk nor on its position in it:
+    every stacked operation acts on each point's slice by the same BLAS
+    call or elementwise loop as on a single point.
+    """
+    k, d = len(rates), basis.dim
+    h_prime = np.empty((k, d, d), dtype=complex)
+    for i, (h_eff, (kappa1, kappa2)) in enumerate(zip(h_effs, rates, strict=True)):
+        _check_input(h_eff, basis, kappa1, kappa2)
+        h_prime[i] = decay_hamiltonian(h_eff, basis, kappa1, kappa2)
+    rates = np.array(rates, dtype=float).reshape(k, 2)
+    work = np.empty((3, k, d, d), dtype=complex)  # rho, L(rho) and a scratch stack
+    vacuum = np.zeros((d, d), dtype=complex)
     vacuum[0, 0] = 1.0
-    if not np.any(generator(vacuum)):
-        # Undriven: H'|0,0> = 0 makes S singular, and the vacuum is stationary.
-        return _certified(vacuum, basis, 0.0)
+    work[0] = vacuum
+    driven = _generator(h_prime, _jumps(basis, rates, work[2]), *work).any(axis=(1, 2))
+    # Undriven: H'|0,0> = 0 makes S singular, and the vacuum is stationary.
+    results = {i: _outcome(vacuum.copy(), basis, 0.0) for i in np.flatnonzero(~driven)}
 
-    t, u = scipy.linalg.schur(h_prime, output="complex")
-    u_dag = u.conj().T
+    eigenbasis = np.empty((5, k, d, d), dtype=complex)  # see _eigenbasis_factors
+    schur = np.empty(k, dtype=object)  # (T, U) of each point left to the Schur basis
+    eigen_points, schur_points = [], []
+    for i in np.flatnonzero(driven):
+        t, u = scipy.linalg.schur(h_prime[i], output="complex")
+        if _eigenbasis_factors(t, u, eigenbasis[:, len(eigen_points)]):
+            eigen_points.append(i)
+        else:
+            schur[len(schur_points)] = (t, u)
+            schur_points.append(i)
 
-    def schur_inverse(r: np.ndarray) -> np.ndarray:
-        """S^-1(r) by one triangular Sylvester solve in the Schur basis."""
-        c = u_dag @ r @ u
+    # Each path iterates its points from the front of the stacks.
+    order = eigen_points + schur_points
+    h_prime[: len(order)], rates[: len(order)] = h_prime[order], rates[order]
+    start = 0
+    for points, inverse, factors in (
+        (eigen_points, _eigenbasis_inverse, eigenbasis),
+        (schur_points, _schur_inverse, schur[None]),
+    ):
+        n, stop = len(points), start + len(points)
+        if n:
+            states = _iterate(
+                h_prime[start:stop], rates[start:stop], basis,
+                inverse, list(factors[:, :n]), list(work[:, :n]),
+            )
+            results.update(zip(points, states))
+        start = stop
+    return [results[i] for i in range(k)]
+
+
+def _iterate(
+    h_prime: np.ndarray,
+    rates: np.ndarray,
+    basis: FockBasis,
+    inverse: Callable[..., np.ndarray],
+    factors: list[np.ndarray],
+    work: list[np.ndarray],
+) -> list[DensityMatrix | SteadyStateError]:
+    """The jump-map iteration of a stack of driven points, one result per point.
+
+    inverse(factors, r, x) overwrites the stacked residuals r with S^-1(r)
+    and returns it, with x as scratch.  Every argument array holds one slice
+    per point along its first axis; a point that converges or fails leaves
+    the active set, and the others move to the front in place.  The stacks
+    of work (rho, L(rho), x) are the only arrays of the loop.
+    """
+    rho, r, x = work
+    # Mixed fundamental, empty second harmonic: the drive reaches b only
+    # through g, so every second-harmonic entry starts at its own scale.
+    rho[...] = 0.0
+    empty_b = np.flatnonzero(basis.occ_b == 0)
+    rho[:, empty_b, empty_b] = 1.0 / empty_b.size
+    tracks = [_Track(i) for i in range(len(rho))]
+    results: list = [None] * len(tracks)
+    finished: list[int] = []  # positions in the stack, certified from the next L(rho)
+    failed: list[int] = []
+    jumps = _jumps(basis, rates, x)
+    # x's bytes also hold the scaled update and the weights, once x is free.
+    scaled, outer = x.reshape(-1).view(float).reshape(2, *x.shape)
+    for iteration in itertools.count(1):
+        _generator(h_prime, jumps, rho, r, x)
+        for j in finished:
+            residual = float(np.max(np.abs(r[j])))
+            results[tracks[j].index] = _outcome(rho[j].copy(), basis, residual)
+        if iteration > JUMP_MAP_MAX_ITERATIONS:
+            for j, track in enumerate(tracks):
+                if j not in finished and j not in failed:
+                    residual = float(np.max(np.abs(r[j])))
+                    results[track.index] = SteadyStateError(
+                        f"jump-map iteration did not converge in {JUMP_MAP_MAX_ITERATIONS} "
+                        f"iterations (last scaled update {track.step:.3e}, "
+                        f"residual {residual:.3e})"
+                    )
+            return results
+        if finished or failed:
+            keep = np.ones(len(tracks), dtype=bool)
+            keep[finished + failed] = False
+            if not keep.any():
+                return results
+            tracks = [track for track, kept in zip(tracks, keep) if kept]
+            h_prime, rates, rho, r, x, *factors = _keep(keep, h_prime, rates, rho, r, x, *factors)
+            jumps = _jumps(basis, rates, x)
+            scaled, outer = x.reshape(-1).view(float).reshape(2, *x.shape)
+        update = inverse(factors, r, x)
+        rho -= update
+        np.conjugate(rho, out=x)
+        rho += x.transpose(0, 2, 1)
+        rho *= 0.5
+        rho /= rho.trace(axis1=1, axis2=2).real[:, None, None]
+        populations = rho.diagonal(axis1=1, axis2=2).real
+        weight = np.sqrt(np.maximum(populations, JUMP_MAP_POPULATION_FLOOR))
+        np.abs(update, out=scaled)
+        np.multiply(weight[:, :, None], weight[:, None, :], out=outer)
+        scaled /= outer
+        finished, failed = [], []
+        for j, (track, step) in enumerate(zip(tracks, scaled.max(axis=(1, 2)).tolist())):
+            if not math.isfinite(step):
+                results[track.index] = SteadyStateError(
+                    f"jump-map iteration produced non-finite entries at iteration {iteration}"
+                )
+                rho[j] = 0.0  # stationary, so L(rho) stays finite until it leaves
+                failed.append(j)
+            elif track.stops(step, iteration):
+                finished.append(j)
+
+
+@dataclass
+class _Track:
+    """Stop-rule state of one point of a stacked jump-map iteration."""
+
+    index: int  # position in the chunk
+    previous: float = math.inf
+    best: float = math.inf
+    best_at: int = 0
+    step: float = math.inf
+
+    def stops(self, step: float, iteration: int) -> bool:
+        """Record this iteration's scaled update; whether the iteration stops."""
+        if step < self.best:
+            self.best, self.best_at = step, iteration
+        # step q / (1 - q) <= tol with q = step / previous, free of division
+        tail = step * step <= JUMP_MAP_TAIL_TOL * (self.previous - step)
+        converged = iteration > 1 and step < self.previous and tail
+        since_best = iteration - self.best_at
+        plateau = step <= JUMP_MAP_STALL_TOL and since_best >= JUMP_MAP_PLATEAU_ITERATIONS
+        stalled = self.best <= JUMP_MAP_SLOW_STEP and since_best >= JUMP_MAP_STALL_ITERATIONS
+        self.previous = self.step = step
+        return converged or plateau or stalled
+
+
+def _keep(keep: np.ndarray, *stacks: np.ndarray) -> list[np.ndarray]:
+    """The kept points of each stack moved to its front in place, as views."""
+    m = int(np.count_nonzero(keep))
+    for stack in stacks:
+        stack[:m] = stack[keep]
+    return [stack[:m] for stack in stacks]
+
+
+def _jumps(basis: FockBasis, rates: np.ndarray, scratch: np.ndarray) -> list[tuple]:
+    """Per jump operator c of a and b: its stride and sqrt(n) (fock.ladder), each
+    point's rate as an (n, 1, 1) stack, and a buffer for the stacked c rho c^dag
+    block in scratch, contiguous because that halves the cost of the products."""
+    n, d = scratch.shape[:2]
+    flat = scratch.reshape(-1)
+    return [
+        (step, sqrt_n, kappa[:, None, None], flat[: n * (d - step) ** 2].reshape(n, d - step, d - step))
+        for (step, sqrt_n), kappa in zip((ladder(basis, "a"), ladder(basis, "b")), rates.T)
+    ]
+
+
+def _generator(
+    h_prime: np.ndarray, jumps: list[tuple], rho: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    """L(rho) into out for a stack of Hermitian rho, where rho H'^dag = (H' rho)^dag;
+    jumps from :func:`_jumps` on scratch, a stack of rho's shape."""
+    np.matmul(h_prime, rho, out=out)
+    np.conjugate(out, out=scratch)
+    out -= scratch.transpose(0, 2, 1)
+    out *= -1j
+    for step, sqrt_n, kappa, term in jumps:
+        _jump_block(rho, step, sqrt_n, term)
+        term *= kappa
+        out[:, :-step, :-step] += term
+    return out
+
+
+def _jump_block(rho: np.ndarray, step: int, sqrt_n: np.ndarray, out: np.ndarray) -> None:
+    """(c rho c^dag)[:-step, :-step], its only nonzero block, into out for the
+    annihilator c of this stride and sqrt(n) (fock.ladder), for one rho or a
+    stack; bit for bit c @ rho @ c^dag."""
+    np.multiply(sqrt_n[:, None], rho[..., step:, step:], out=out)
+    out *= sqrt_n
+
+
+def _eigenbasis_factors(t: np.ndarray, u: np.ndarray, out: np.ndarray) -> bool:
+    """Write V, V^-1, their conjugates and the denominator of S in the eigenbasis
+    H' = V diag(lam) V^-1 into out[0] to out[4]; False, with out unusable, if V
+    is near-singular.
+
+    V = U W from H' = U T U^dag and the eigenvectors W of T.  With rho = V X V^dag,
+    S(rho) = V [-i (lam_i - conj(lam_j)) X_ij] V^dag.
+    """
+    lam, w = scipy.linalg.eig(t)
+    v = np.matmul(u, w, out=out[0])
+    try:
+        v_inv = out[1] = np.linalg.inv(v)
+    except np.linalg.LinAlgError:  # exactly singular
+        return False
+    # The 1-norm condition number needs no SVD, whose LAPACK code would
+    # add ~1 MB to the peak resident memory.
+    condition = np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1)
+    if not condition <= JUMP_MAP_MAX_EIGENBASIS_CONDITION:
+        return False
+    np.conjugate(v, out=out[2])
+    np.conjugate(v_inv, out=out[3])
+    np.subtract(lam[:, None], lam.conj()[None, :], out=out[4])
+    out[4] *= -1j
+    return True
+
+
+def _eigenbasis_inverse(factors: list[np.ndarray], r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S^-1(r) into r for a stack of points in their eigenbases, with the stacked
+    factors of _eigenbasis_factors: four D x D products per point."""
+    v, v_inv, v_conj, v_inv_conj, denominator = factors
+    np.matmul(v_inv, r, out=x)
+    np.matmul(x, v_inv_conj.transpose(0, 2, 1), out=r)
+    r /= denominator
+    np.matmul(v, r, out=x)
+    return np.matmul(x, v_conj.transpose(0, 2, 1), out=r)
+
+
+def _schur_inverse(factors: list[np.ndarray], r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S^-1(r) into r, point by point, by one triangular Sylvester solve in the
+    Schur basis, T Z - Z T^dag = i U^dag R U; factors holds each point's (T, U)."""
+    (schur,) = factors
+    for (t, u), r_point in zip(schur, r):
+        u_dag = u.conj().T
+        c = u_dag @ r_point @ u
         c *= 1j
         z, scale, info = scipy.linalg.lapack.ztrsyl(t, t, c, trana="N", tranb="C", isgn=-1)
         if info < 0:
             raise SteadyStateError(f"ztrsyl rejected argument {-info}")
         z = u @ z @ u_dag
         z /= scale
-        return z
-
-    inverse = _eigenbasis_inverse(t, u) or schur_inverse
-    # Mixed fundamental, empty second harmonic: the drive reaches b only
-    # through g, so every second-harmonic entry starts at its own scale.
-    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
-    empty_b = np.flatnonzero(basis.occ_b == 0)
-    rho[empty_b, empty_b] = 1.0 / empty_b.size
-    previous = best = math.inf
-    best_at = 0
-    for iteration in range(1, JUMP_MAP_MAX_ITERATIONS + 1):
-        update = inverse(generator(rho))
-        rho -= update
-        rho += rho.conj().T
-        rho *= 0.5
-        rho /= np.trace(rho).real
-        weight = np.sqrt(np.maximum(rho.diagonal().real, JUMP_MAP_POPULATION_FLOOR))
-        scaled = np.abs(update)
-        scaled /= np.outer(weight, weight)
-        step = float(np.max(scaled))
-        if not math.isfinite(step):
-            raise SteadyStateError(
-                f"jump-map iteration produced non-finite entries at iteration {iteration}"
-            )
-        if step < best:
-            best, best_at = step, iteration
-        # step q / (1 - q) <= tol with q = step / previous, free of division
-        tail = step * step <= JUMP_MAP_TAIL_TOL * (previous - step)
-        converged = iteration > 1 and step < previous and tail
-        since_best = iteration - best_at
-        plateau = step <= JUMP_MAP_STALL_TOL and since_best >= JUMP_MAP_PLATEAU_ITERATIONS
-        stalled = best <= JUMP_MAP_SLOW_STEP and since_best >= JUMP_MAP_STALL_ITERATIONS
-        if converged or plateau or stalled:
-            return _certified(rho, basis, float(np.max(np.abs(generator(rho)))))
-        previous = step
-    residual = float(np.max(np.abs(generator(rho))))
-    raise SteadyStateError(
-        f"jump-map iteration did not converge in {JUMP_MAP_MAX_ITERATIONS} "
-        f"iterations (last scaled update {step:.3e}, residual {residual:.3e})"
-    )
+        r_point[...] = z
+    return r
 
 
-def _jump_block(rho: np.ndarray, step: int, sqrt_n: np.ndarray, out: np.ndarray) -> None:
-    """(c rho c^dag)[:-step, :-step], its only nonzero block, into out for the
-    annihilator c of this stride and sqrt(n) (fock.ladder); bit for bit c @ rho @ c^dag."""
-    np.multiply(sqrt_n[:, None], rho[step:, step:], out=out)
-    out *= sqrt_n
-
-
-def _eigenbasis_inverse(t: np.ndarray, u: np.ndarray) -> Callable[[np.ndarray], np.ndarray] | None:
-    """S^-1 in the eigenbasis H' = V diag(lam) V^-1, or None if V is near-singular.
-
-    V = U W from H' = U T U^dag and the eigenvectors W of T.  With rho = V X V^dag,
-    S(rho) = V [-i (lam_i - conj(lam_j)) X_ij] V^dag: four D x D products for S^-1.
-    """
-    lam, w = scipy.linalg.eig(t)
-    v = u @ w
+def _outcome(rho: np.ndarray, basis: FockBasis, residual: float) -> DensityMatrix | SteadyStateError:
+    """The certified state, or the SteadyStateError of its failed certificate."""
     try:
-        v_inv = np.linalg.inv(v)
-    except np.linalg.LinAlgError:  # exactly singular
-        return None
-    # The 1-norm condition number needs no SVD, whose LAPACK code would
-    # add ~1 MB to the peak resident memory.
-    condition = np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1)
-    if not condition <= JUMP_MAP_MAX_EIGENBASIS_CONDITION:
-        return None
-    v_dag, v_inv_dag = v.conj().T, v_inv.conj().T
-    denominator = -1j * (lam[:, None] - lam.conj()[None, :])
-
-    def eigenbasis_inverse(r: np.ndarray) -> np.ndarray:
-        x = v_inv @ r @ v_inv_dag
-        x /= denominator
-        return v @ x @ v_dag
-
-    return eigenbasis_inverse
+        return _certified(rho, basis, residual)
+    except SteadyStateError as exc:
+        return exc
 
 
 def _certified(rho: np.ndarray, basis: FockBasis, residual: float) -> DensityMatrix:
@@ -506,7 +668,10 @@ def _certified(rho: np.ndarray, basis: FockBasis, residual: float) -> DensityMat
             f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.0e}"
         )
     state = DensityMatrix(rho, basis)
-    state.validate()
+    try:
+        state.validate()
+    except ValueError as exc:
+        raise SteadyStateError(f"certificate failed: {exc}") from exc
     return state
 
 

@@ -37,9 +37,8 @@ class DriveDirection(enum.Enum):
     RIGHT = "right"
 
 
-def _require_finite(record, names: tuple[str, ...]) -> None:
-    for name in names:
-        value = getattr(record, name)
+def _require_finite(values: dict[str, float]) -> None:
+    for name, value in values.items():
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
@@ -65,9 +64,8 @@ class SystemParams:
     drive_direction: DriveDirection | None = None
 
     def __post_init__(self):
-        _require_finite(
-            self, ("delta", "g", "kappa1", "kappa2", "drive_strength", "delta_f")
-        )
+        names = ("delta", "g", "kappa1", "kappa2", "drive_strength", "delta_f")
+        _require_finite({name: getattr(self, name) for name in names})
         if self.kappa1 <= 0 or self.kappa2 <= 0:
             raise ValueError("loss rates kappa1, kappa2 must be positive")
         if self.drive_strength < 0:
@@ -102,9 +100,8 @@ class FizeauParams:
     omega1: float = 2 * math.pi * SPEED_OF_LIGHT / 1550e-9  # rad/s
 
     def __post_init__(self):
-        _require_finite(
-            self, ("n", "r", "omega_rot", "wavelength", "dn_dlambda", "omega1")
-        )
+        names = ("n", "r", "omega_rot", "wavelength", "dn_dlambda", "omega1")
+        _require_finite({name: getattr(self, name) for name in names})
         if self.n <= 1:
             raise ValueError("refractive index must exceed 1")
         if self.r <= 0 or self.wavelength <= 0 or self.omega1 <= 0:
@@ -173,6 +170,7 @@ def build_h_eff(p: SystemParams, basis: FockBasis) -> np.ndarray:
 
 def build_h_lab(omega1: float, p: SystemParams, basis: FockBasis) -> np.ndarray:
     """Undriven lab-frame Hamiltonian with omega_b = 2 omega_a enforced."""
+    _require_finite({"omega1": omega1})
     return _hamiltonian(basis, omega1 + p.delta_f, p.g, 0.0)
 
 
@@ -180,9 +178,11 @@ def eigenlevels(h: np.ndarray, k: int) -> EigenLevels:
     """k lowest eigenpairs of a Hermitian matrix, ascending.
 
     Dense Hermitian decomposition; exact to machine precision at the
-    dimensions used here.  Rejects matrices with max |H - H^dag| above
-    1e-10.
+    dimensions used here.  Rejects matrices with non-finite entries or
+    with max |H - H^dag| above 1e-10.
     """
+    if not np.all(np.isfinite(h)):
+        raise ValueError("matrix has non-finite entries")
     defect = np.max(np.abs(h - h.conj().T))
     if defect > HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max |H - H^dag| = {defect:.3e})")

@@ -39,3 +39,23 @@ def kron_liouvillian(h, a_mat, b_mat, kappa1, kappa2):
             2.0 * np.kron(c.conj(), c) - np.kron(eye, n_op) - np.kron(n_op.T, eye)
         )
     return lio
+
+
+def fail_at_points(monkeypatch, *numbers: int) -> None:
+    """Make the sweep's chunk solver report a SteadyStateError at the given
+    points, counted from 1 across chunks in the order they are solved."""
+    import rotcav.sweep as sweep_mod
+    from rotcav import SteadyStateError
+
+    real = sweep_mod.jump_map_steady_states
+    seen = [0]
+
+    def flaky(h_effs, basis, rates):
+        states = real(h_effs, basis, rates)
+        for i in range(len(states)):
+            seen[0] += 1
+            if seen[0] in numbers:
+                states[i] = SteadyStateError("synthetic failure")
+        return states
+
+    monkeypatch.setattr(sweep_mod, "jump_map_steady_states", flaky)

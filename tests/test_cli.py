@@ -3,8 +3,9 @@ import warnings
 
 import pytest
 
-import rotcav.sweep as sweep_mod
-from rotcav import SteadyStateError, SweepAxis, SweepSpec, SystemParams
+import rotcav.dynamics as dynamics_mod
+from conftest import fail_at_points
+from rotcav import SweepAxis, SweepSpec, SystemParams
 from rotcav.cli import main
 from rotcav.sweep import spec_to_dict
 
@@ -71,6 +72,14 @@ def test_fizeau_output(capsys):
     out = capsys.readouterr().out
     assert "fizeau_shift_rad_s = 126796672.505" in out
     assert "fizeau_shift_kappa1" in out
+
+
+@pytest.mark.parametrize("omega1", ["nan", "inf"])
+def test_eigen_non_finite_omega1_exits_1(omega1, capsys):
+    assert main(["eigen", "--omega1", omega1, "--na-cut", "2", "--nb-cut", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "omega1 must be finite" in captured.err
 
 
 def test_eigen_output(capsys):
@@ -149,16 +158,7 @@ def test_figure_json_format(tmp_path):
 
 
 def test_solver_failure_exit_2_with_partial_output(monkeypatch, tmp_path, capsys):
-    real = sweep_mod.jump_map_steady_state
-    calls = {"n": 0}
-
-    def flaky(h_eff, basis, kappa1, kappa2):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise SteadyStateError("synthetic failure")
-        return real(h_eff, basis, kappa1, kappa2)
-
-    monkeypatch.setattr(sweep_mod, "jump_map_steady_state", flaky)
+    fail_at_points(monkeypatch, 2)
     out = tmp_path / "partial.csv"
     code = main(["sweep", "--axis1", "g:0.5:1.5:3", "--outputs", "n_a",
                  "--na-cut", "2", "--nb-cut", "1", "--out", str(out)])
@@ -168,11 +168,34 @@ def test_solver_failure_exit_2_with_partial_output(monkeypatch, tmp_path, capsys
     assert lines[2].endswith("solver-failure")
 
 
-def test_point_solver_failure_exit_2(monkeypatch, capsys):
-    def boom(h_eff, basis, kappa1, kappa2):
-        raise SteadyStateError("synthetic failure")
+def test_certificate_failure_exit_2_with_partial_output(monkeypatch, tmp_path, capsys):
+    # No state passes a positivity tolerance of 1: every row is a solver failure.
+    monkeypatch.setattr(dynamics_mod, "POSITIVITY_TOL", 1.0)
+    out = tmp_path / "failed.csv"
+    code = main(["sweep", "--axis1", "g:0.5:1.5:3", "--outputs", "n_a",
+                 "--na-cut", "2", "--nb-cut", "1", "--out", str(out)])
+    assert code == 2
+    lines = out.read_text().splitlines()
+    assert lines[0] == "g,n_a,status"
+    assert [line.split(",")[-1] for line in lines[1:]] == ["solver-failure"] * 3
 
-    monkeypatch.setattr(sweep_mod, "jump_map_steady_state", boom)
+
+def test_point_certificate_failure_exit_2(monkeypatch, capsys):
+    monkeypatch.setattr(dynamics_mod, "POSITIVITY_TOL", 1.0)
+    assert main(["point", "--g", "1.0", "--na-cut", "2", "--nb-cut", "1"]) == 2
+    assert "solver failure: certificate failed: state not positive" in capsys.readouterr().err
+
+
+def test_sweep_duplicate_output_exits_1(tmp_path, capsys):
+    out = tmp_path / "dup.csv"
+    code = main(["sweep", "--axis1", "g:0:1:3", "--outputs", "g2_aa,g2_aa", "--out", str(out)])
+    assert code == 1
+    assert "output 'g2_aa' is requested more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_point_solver_failure_exit_2(monkeypatch, capsys):
+    fail_at_points(monkeypatch, 1)
     code = main(["point", "--g", "1.0", "--na-cut", "2", "--nb-cut", "1"])
     assert code == 2
     assert "solver failure" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -51,3 +52,32 @@ def test_missing_csv_exits_1(tmp_path):
     old = _write(_write(tmp_path / "old", ROWS), ROWS, name="fig6.csv")
     new = _write(tmp_path / "new", ROWS)
     assert compare_presets.main([str(old), str(new)]) == 1
+
+
+def _write_json(directory: Path, created: str, convergence: float, cutoffs=(6, 3)) -> Path:
+    directory.mkdir(exist_ok=True)
+    metadata = {
+        "spec": {"cutoffs": list(cutoffs)},
+        "created_utc": created,
+        "convergence_max_rel_change": {"g2_bb": convergence},
+    }
+    rows = [{"g": 0.1, "g2_bb": 0.25, "status": "ok"}, {"g": 0.2, "g2_bb": None, "status": "vacuum-undefined"}]
+    (directory / "fig5_convergence.json").write_text(json.dumps({"metadata": metadata, "rows": rows}))
+    return directory
+
+
+def test_json_outputs_compare_rows_and_convergence_but_not_timestamps(tmp_path, capsys):
+    old = _write_json(tmp_path / "old", "2026-01-01T00:00:00", 4.5e-08)
+    same = _write_json(tmp_path / "same", "2026-01-02T00:00:00", 4.5e-08)
+    moved = _write_json(tmp_path / "moved", "2026-01-02T00:00:00", 4.5000001e-08)
+    assert compare_presets.main([str(old), str(same)]) == 0
+    assert capsys.readouterr().out == "fig5_convergence.json: 3 rows, 0 cells moved\n"
+    assert compare_presets.main([str(old), str(moved)]) == 0
+    assert "3 rows, 1 cells moved, worst relative change 2.2e-08" in capsys.readouterr().out
+
+
+def test_json_metadata_change_exits_1(tmp_path, capsys):
+    old = _write_json(tmp_path / "old", "2026-01-01T00:00:00", 4.5e-08)
+    new = _write_json(tmp_path / "new", "2026-01-01T00:00:00", 4.5e-08, cutoffs=(8, 4))
+    assert compare_presets.main([str(old), str(new)]) == 1
+    assert "MISMATCH fig5_convergence.json: header differs" in capsys.readouterr().err

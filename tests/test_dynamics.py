@@ -382,14 +382,10 @@ def _counted(fn, counts: dict, name: str):
 
 
 def _wrap_eigenbasis_inverse(monkeypatch, wrap) -> None:
-    """Route every eigenbasis S^-1 the solver builds through wrap(inverse)."""
-    build = dynamics_mod._eigenbasis_inverse
-
-    def wrapped(t, u):
-        inverse = build(t, u)
-        return None if inverse is None else wrap(inverse)
-
-    monkeypatch.setattr(dynamics_mod, "_eigenbasis_inverse", wrapped)
+    """Route every stacked eigenbasis S^-1 the solver applies through wrap(inverse)."""
+    monkeypatch.setattr(
+        dynamics_mod, "_eigenbasis_inverse", wrap(dynamics_mod._eigenbasis_inverse)
+    )
 
 
 @pytest.mark.parametrize("delta, g", FIG4_STALL_POINTS)
@@ -469,7 +465,7 @@ def test_slow_contraction_points_match_oracle(delta, monkeypatch):
 
 
 def _schur_only(monkeypatch) -> None:
-    monkeypatch.setattr(dynamics_mod, "_eigenbasis_inverse", lambda t, u: None)
+    monkeypatch.setattr(dynamics_mod, "_eigenbasis_factors", lambda t, u, out: False)
 
 
 def test_eigenbasis_matches_schur_only_path(monkeypatch):
@@ -518,15 +514,17 @@ def test_jump_map_budget_exhaustion_raises(monkeypatch):
         jump_map_steady_state(h, basis, 1.0, 1.0)
 
 
-def _poisoned_at_call(fn, bad, call: int = 3):
-    """fn with entry [1, 2] of its result's first element set to bad at one call."""
+def _poisoned_at_call(fn, bad, call: int = 3, point: int | None = None):
+    """fn with entry [1, 2] of its result's first element set to bad at one call,
+    in every stacked point or in the one given."""
     calls = []
+    entry = (..., 1, 2) if point is None else (point, 1, 2)
 
     def poisoned(*args, **kwargs):
         calls.append(None)
         out = fn(*args, **kwargs)
         if len(calls) == call:
-            (out[0] if isinstance(out, tuple) else out)[1, 2] = bad
+            (out[0] if isinstance(out, tuple) else out)[entry] = bad
         return out
 
     return poisoned
@@ -577,6 +575,109 @@ def test_residual_above_tolerance_raises_from_both_solvers(monkeypatch):
         steady_state(build_liouvillian(h, a, b, p.kappa1, p.kappa2))
     with pytest.raises(SteadyStateError, match=r"residual .* exceeds"):
         jump_map_steady_state(h, basis, p.kappa1, p.kappa2)
+
+
+# ------------------------------------------------------------- chunked solves
+
+# Drive strengths at g = 0.867, cutoffs (4, 2), that each take their own
+# number of iterations alone: 10, 41, 73, 67 and 79.
+CHUNK_DRIVES = (0.05, 0.7875, 1.525, 2.2625, 3.0)
+CHUNK_ITERATIONS = (10, 41, 73, 67, 79)
+
+
+def _chunk_inputs():
+    basis = build_basis(4, 2)
+    h_effs = [build_h_eff(SystemParams(g=0.867, drive_strength=f), basis) for f in CHUNK_DRIVES]
+    return h_effs, basis, [(1.0, 1.0)] * len(h_effs)
+
+
+def _solve_chunk():
+    return dynamics_mod.jump_map_steady_states(*_chunk_inputs())
+
+
+def _solve_alone():
+    h_effs, basis, rates = _chunk_inputs()
+    return [jump_map_steady_state(h, basis, *pair) for h, pair in zip(h_effs, rates)]
+
+
+def _failed(states) -> list[bool]:
+    return [isinstance(state, SteadyStateError) for state in states]
+
+
+def test_chunk_states_are_bitwise_the_single_point_states():
+    for chunked, alone in zip(_solve_chunk(), _solve_alone()):
+        np.testing.assert_array_equal(chunked.matrix, alone.matrix)
+
+
+def test_converged_points_leave_the_active_set(monkeypatch):
+    sizes = []
+
+    def recorded(inverse):
+        def wrapper(factors, r, x):
+            sizes.append(len(r))
+            return inverse(factors, r, x)
+
+        return wrapper
+
+    _wrap_eigenbasis_inverse(monkeypatch, recorded)
+    assert not any(_failed(_solve_chunk()))
+    # The stack shrinks as points finish: each point is iterated exactly as
+    # often as alone, and the last point alone runs to its own count.
+    assert sizes == sorted(sizes, reverse=True)
+    assert sizes[0] == len(CHUNK_DRIVES) and sizes[-1] == 1
+    assert len(sizes) == max(CHUNK_ITERATIONS)
+    assert sum(sizes) == sum(CHUNK_ITERATIONS)
+
+
+def test_schur_fallback_point_in_a_chunk_matches_its_chunk_of_one(monkeypatch):
+    # The third point's eigenvectors are declared near-singular; it leaves the
+    # chunk for the Schur basis, and the others stay in the eigenbasis.
+    build = dynamics_mod._eigenbasis_factors
+    calls = []
+
+    def third_singular(t, u, out):
+        calls.append(None)
+        return len(calls) != 3 and build(t, u, out)
+
+    eigenbasis = _solve_alone()
+    _schur_only(monkeypatch)
+    schur = _solve_alone()
+    monkeypatch.setattr(dynamics_mod, "_eigenbasis_factors", third_singular)
+    chunked = _solve_chunk()
+    for i, state in enumerate(chunked):
+        expected = schur[i] if i == 2 else eigenbasis[i]
+        np.testing.assert_array_equal(state.matrix, expected.matrix)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_update_fails_only_its_point(monkeypatch):
+    _wrap_eigenbasis_inverse(monkeypatch, lambda inverse: _poisoned_at_call(inverse, np.nan, point=1))
+    states = _solve_chunk()
+    assert _failed(states) == [False, True, False, False, False]
+    assert str(states[1]) == "jump-map iteration produced non-finite entries at iteration 3"
+    for state, alone in zip(states[::2], _solve_alone()[::2]):
+        np.testing.assert_array_equal(state.matrix, alone.matrix)
+
+
+def test_budget_exhaustion_fails_only_its_point(monkeypatch):
+    monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", 75)
+    states = _solve_chunk()
+    assert _failed(states) == [False, False, False, False, True]
+    assert str(states[4]).startswith("jump-map iteration did not converge in 75 iterations")
+
+
+def test_certificate_failure_fails_only_its_point(monkeypatch):
+    validate = DensityMatrix.validate
+
+    def picky(state):
+        if 0.3 < state.matrix[0, 0].real < 0.4:  # the second point only
+            raise ValueError("state not positive: synthetic")
+        validate(state)
+
+    monkeypatch.setattr(DensityMatrix, "validate", picky)
+    states = _solve_chunk()
+    assert _failed(states) == [False, True, False, False, False]
+    assert str(states[1]) == "certificate failed: state not positive: synthetic"
 
 
 # ---------------------------------------------------------------- evolution

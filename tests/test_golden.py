@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import rotcav.sweep as sweep_mod
 from rotcav.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -32,3 +33,13 @@ def test_cli_output_matches_golden(name, tmp_path):
     assert main([*CASES[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
+
+
+@pytest.mark.parametrize("points", [1, 7, 32])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_does_not_depend_on_the_chunk_size(name, points, tmp_path, monkeypatch):
+    # Every golden case runs at cutoffs (4, 2), D = 15.
+    monkeypatch.setattr(sweep_mod, "CHUNK_ENTRIES", points * 15**2)
+    out = tmp_path / name
+    assert main([*CASES[name], "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()

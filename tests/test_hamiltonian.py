@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -209,6 +211,21 @@ def test_h_eff_undriven_spectrum_structure():
     eigs = np.linalg.eigvalsh(h)
     for target in (0.0, dp, 2 * dp - np.sqrt(2) * g, 2 * dp + np.sqrt(2) * g):
         assert np.min(np.abs(eigs - target)) < 1e-10
+
+
+@pytest.mark.parametrize("omega1", [math.nan, math.inf, -math.inf])
+def test_lab_hamiltonian_rejects_non_finite_frequency(omega1):
+    with pytest.raises(ValueError, match="omega1 must be finite"):
+        build_h_lab(omega1, SystemParams(g=5.0), build_basis(2, 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eigenlevels_rejects_non_finite_entries(bad):
+    # NaN makes max |H - H^dag| NaN, which passes a "> tol" check.
+    h = np.eye(3, dtype=complex)
+    h[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        eigenlevels(h, 2)
 
 
 def test_eigenlevels_rejects_non_hermitian():

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import rotcav.sweep as sweep_mod
+from conftest import fail_at_points
 from rotcav import (
+    DensityMatrix,
     DriveDirection,
     SteadyStateError,
     SweepAxis,
@@ -64,10 +66,7 @@ def test_run_point_blockade_at_resonance():
 
 
 def test_run_point_attaches_context_to_failures(monkeypatch):
-    def boom(h_eff, basis, kappa1, kappa2):
-        raise SteadyStateError("numerical breakdown")
-
-    monkeypatch.setattr(sweep_mod, "jump_map_steady_state", boom)
+    fail_at_points(monkeypatch, 1)
     p = SystemParams(g=1.0, kappa1=0.7, drive_strength=0.05, delta_f=-0.3)
     with pytest.raises(SteadyStateError, match="delta=") as info:
         run_point(p, (2, 1))
@@ -129,6 +128,12 @@ def test_spec_validation():
         _small_spec(axis2=SweepAxis("g", 0.0, 1.0, 3))  # duplicate name
 
 
+def test_spec_rejects_duplicate_outputs():
+    # A CSV would carry two g2_aa columns, and its JSON only one.
+    with pytest.raises(ValueError, match="output 'g2_aa' is requested more than once"):
+        _small_spec(outputs=("g2_aa", "n_a", "g2_aa"))
+
+
 # ------------------------------------------------------------------ sweeps
 
 
@@ -173,16 +178,7 @@ def test_vacuum_rows_flagged():
 
 
 def test_solver_failure_rows_kept(monkeypatch):
-    calls = {"n": 0}
-    real = sweep_mod.jump_map_steady_state
-
-    def flaky(h_eff, basis, kappa1, kappa2):
-        calls["n"] += 1
-        if calls["n"] == 2:
-            raise SteadyStateError("synthetic failure")
-        return real(h_eff, basis, kappa1, kappa2)
-
-    monkeypatch.setattr(sweep_mod, "jump_map_steady_state", flaky)
+    fail_at_points(monkeypatch, 2)
     result = run_sweep(_small_spec())
     statuses = [row.status for row in result.rows]
     assert statuses == [STATUS_OK, STATUS_FAILURE, STATUS_OK]
@@ -191,6 +187,25 @@ def test_solver_failure_rows_kept(monkeypatch):
     line = render_csv(result).splitlines()[2]
     assert line.endswith(STATUS_FAILURE)
     assert ",," in line
+
+
+def test_certificate_failure_rows_kept(monkeypatch):
+    # The certificate's ValueError becomes a SteadyStateError, whose rows
+    # are flagged, instead of ending the sweep.
+    validate = DensityMatrix.validate
+
+    def picky(state):
+        if state.matrix[0, 0].real < 0.9:  # the strongly driven points
+            raise ValueError("state not positive: synthetic")
+        validate(state)
+
+    monkeypatch.setattr(DensityMatrix, "validate", picky)
+    spec = _small_spec(
+        axis1=SweepAxis("drive_strength", 0.05, 3.0, 3), fixed=SystemParams(g=0.867)
+    )
+    result = run_sweep(spec)
+    assert [row.status for row in result.rows] == [STATUS_OK, STATUS_FAILURE, STATUS_FAILURE]
+    assert [row.outputs["n_a"] is None for row in result.rows] == [False, True, True]
 
 
 def test_swept_delta_f_reinfers_direction():
@@ -214,6 +229,41 @@ def test_convergence_check_reports_outputs():
     result = run_sweep(spec)
     assert set(result.convergence) == {"g2_bb", "n_a"}
     assert all(v >= 0 for v in result.convergence.values())
+
+
+# ------------------------------------------------------------ chunked solves
+
+
+def _chunk_points(monkeypatch, points: int, cutoffs) -> None:
+    """Make solve_points put `points` points in each chunk at these cutoffs."""
+    d = (cutoffs[0] + 1) * (cutoffs[1] + 1)
+    monkeypatch.setattr(sweep_mod, "CHUNK_ENTRIES", points * d**2)
+
+
+def test_fig4b_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
+    # Every point sits at another position of another chunk at each size.
+    spec = figure_preset("fig4b", count1=21, count2=21)
+    csv = {}
+    for points in (1, 7, 32):
+        _chunk_points(monkeypatch, points, spec.cutoffs)
+        csv[points] = render_csv(run_sweep(spec))
+    assert csv[7] == csv[1]
+    assert csv[32] == csv[1]
+
+
+def test_chunk_sizes_follow_the_entry_budget(monkeypatch):
+    sizes = []
+    real = sweep_mod.jump_map_steady_states
+
+    def recorded(h_effs, basis, rates):
+        sizes.append((basis.dim, len(rates)))
+        return real(h_effs, basis, rates)
+
+    monkeypatch.setattr(sweep_mod, "jump_map_steady_states", recorded)
+    points = [SystemParams(g=g, drive_strength=0.05) for g in np.linspace(0.5, 1.5, 9)]
+    for cutoffs in ((6, 3), (8, 4), (10, 5)):
+        sweep_mod.solve_points(points, cutoffs)
+    assert sizes == [(28, 8), (28, 1), (45, 3), (45, 3), (45, 3)] + [(66, 1)] * 9
 
 
 # ----------------------------------------------------------------- presets
