@@ -1,9 +1,14 @@
 #!/bin/sh
 # Write the CSV of every figure preset, as computed by this checkout, into
-# OUTDIR, with two more outputs: the drive sweep F = 0.5..2 at g = 0.867 and
-# cutoffs (8,4) (D = 45) as strong_drive.csv, and fig5 at 21 points with
-# --convergence-check (doubled cutoffs) as fig5_convergence.json.  Run it on
-# two checkouts and compare them:
+# OUTDIR, with four more outputs: the drive sweep F = 0.5..2 at g = 0.867 and
+# cutoffs (8,4) (D = 45) as strong_drive.csv; fig5 at 21 points with
+# --convergence-check (doubled cutoffs) as fig5_convergence.json; a drive
+# sweep from F = 0, whose first point is undriven (the vacuum is returned
+# without iterating), as undriven.csv; and two points at F ~ 1e-13 on the
+# exceptional point g = 1/(4 sqrt 2) at cutoffs (10,5), where the
+# eigenvectors of H' are too close to dependent and the solver iterates in
+# the Schur basis, as schur_fallback.csv.  No preset reaches either of the
+# last two paths.  Run it on two checkouts and compare them:
 #
 #   /path/to/old/scripts/preset_parity.sh /tmp/old
 #   /path/to/new/scripts/preset_parity.sh /tmp/new
@@ -39,4 +44,6 @@ for name in fig5 fig7a fig7b fig8a fig8b; do
 done
 run strong_drive.csv sweep --axis1 drive_strength:0.5:2:8 --g 0.867 --na-cut 8 --nb-cut 4
 run fig5_convergence.json figure --name fig5 --count1 21 --convergence-check --format json
+run undriven.csv sweep --axis1 drive_strength:0:0.1:3 --g 0.867
+run schur_fallback.csv sweep --axis1 drive_strength:1e-13:2e-13:2 --g 0.17677669529663687 --na-cut 10 --nb-cut 5
 exit $status

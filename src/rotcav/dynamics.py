@@ -39,9 +39,9 @@ triangular Sylvester solve per iteration, T Z - Z T^dag = i U^dag R U
 (LAPACK ztrsyl), which is backward stable even where H' is defective.
 The iteration stops once the geometric tail of its remaining updates,
 estimated from the ratio of successive updates, is below roundoff, or
-once the updates sit on a roundoff plateau.  Without drive S is
-singular (H'|0,0> = 0) and the vacuum, which is then stationary, is
-returned directly.
+once the updates sit on a roundoff plateau.  Without drive the vacuum
+|0,0> is an eigenvector of H' with a real eigenvalue, so S is singular;
+the vacuum is then stationary and is returned directly.
 
 The dense route vectorizes by column stacking: vec(rho) stacks the
 columns of rho (numpy order='F'), in the same n_a-major index order as
@@ -111,7 +111,11 @@ JUMP_MAP_POPULATION_FLOOR = 1e-24
 # JUMP_MAP_TAIL_TOL.  Unlike "small and no longer shrinking", this does
 # not fire on an oscillating contraction: at delta = -1, F = 2, g = 0.867,
 # cutoffs (8,4) the scaled update is 8.5e-11 at two successive iterations,
-# where that rule stopped with n_a 1.6e-10 off.
+# where that rule stopped with n_a 1.6e-10 off.  The tail counts only once
+# the step is at most JUMP_MAP_SLOW_STEP (below): two huge steps say
+# nothing about the contraction rate.  At F = 1e-10, g = 0.867, cutoffs
+# (6,3) the scaled steps are 1.4e23 and then 3.0e4, a tail of 6e-15, and
+# the point stopped at iteration 2 with n_a 3.4 relative off.
 JUMP_MAP_TAIL_TOL = 1e-13
 # It also stops once the scaled update is at most JUMP_MAP_STALL_TOL and
 # has set no new minimum for JUMP_MAP_PLATEAU_ITERATIONS iterations: a
@@ -374,6 +378,19 @@ def decay_hamiltonian(
     return h_eff - 0.5j * np.diag(decay)
 
 
+# Callers solve their points in chunks of CHUNK_ENTRIES // D**2 points (at
+# least one), a budget of stacked D x D entries.  The chunk solver holds 10
+# D x D arrays per point, 1.0 MB at this budget: H', the five factors of
+# S^-1 (V, V^-1, their conjugates and the denominator of S), the state,
+# L(rho) and a scratch array, all complex, plus the real scaled update and
+# its weights.  Memory bounds the chunk, not speed: at D = 28 (cutoffs
+# (6,3)) chunks of 8 solved the fig5 sweep 1.5x faster than chunks of one,
+# and chunks of 16 only 2% faster than 8 at 1.1 MB more peak memory; at
+# D = 45 chunks of 3 ran 7% faster than chunks of one and chunks of 8 3%
+# faster than 3 at 1.8 MB more.  D = 66 and up solves one point at a time.
+CHUNK_ENTRIES = 8 * 28**2
+
+
 def jump_map_steady_state(
     h_eff: np.ndarray, basis: FockBasis, kappa1: float, kappa2: float
 ) -> DensityMatrix:
@@ -404,6 +421,12 @@ def jump_map_steady_states(
     :meth:`DensityMatrix.validate`.  Time and memory are O(K D^3) and
     O(K D^2) per iteration.
 
+    This function owns the stacks of H', the rates and the factors of S^-1
+    (:func:`_eigenbasis_factors`, or T and U of the Schur basis), one slice
+    per driven point; :func:`_keep` moves the undriven points out of them
+    and splits the rest into eigenbasis and Schur points, and
+    :func:`_iterate` owns the rest of each path's arrays.
+
     Returns one entry per point: its certified state, or the
     :class:`SteadyStateError` that stopped it (no convergence within
     JUMP_MAP_MAX_ITERATIONS, non-finite entries, or a failed certificate).
@@ -417,42 +440,32 @@ def jump_map_steady_states(
         _check_input(h_eff, basis, kappa1, kappa2)
         h_prime[i] = decay_hamiltonian(h_eff, basis, kappa1, kappa2)
     rates = np.array(rates, dtype=float).reshape(k, 2)
-    work = np.empty((3, k, d, d), dtype=complex)  # rho, L(rho) and a scratch stack
-    vacuum = np.zeros((d, d), dtype=complex)
-    vacuum[0, 0] = 1.0
-    work[0] = vacuum
-    driven = _generator(h_prime, _jumps(basis, rates, work[2]), *work).any(axis=(1, 2))
-    # Undriven: H'|0,0> = 0 makes S singular, and the vacuum is stationary.
-    results = {i: _outcome(vacuum.copy(), basis, 0.0) for i in np.flatnonzero(~driven)}
+    results: list = [None] * k
+    # The jumps empty the vacuum, so L(|0,0><0,0|) = -i (H' |0,0><0,0| - h.c.)
+    # vanishes exactly when H'[1:, 0] = 0 and H'_00 is real.  Then S is
+    # singular (H'|0,0> = H'_00 |0,0>) and the vacuum is the steady state.
+    driven = h_prime[:, 1:, 0].any(axis=1) | (h_prime[:, 0, 0].imag != 0)
+    for i in np.flatnonzero(~driven):
+        vacuum = np.zeros((d, d), dtype=complex)
+        vacuum[0, 0] = 1.0
+        results[i] = _outcome(vacuum, basis, 0.0)
+    (h_prime, rates, points), _ = _keep(driven, h_prime, rates, np.arange(k))
 
-    eigenbasis = np.empty((5, k, d, d), dtype=complex)  # see _eigenbasis_factors
-    schur = np.empty(k, dtype=object)  # (T, U) of each point left to the Schur basis
-    eigen_points, schur_points = [], []
-    for i in np.flatnonzero(driven):
-        t, u = scipy.linalg.schur(h_prime[i], output="complex")
-        if _eigenbasis_factors(t, u, eigenbasis[:, len(eigen_points)]):
-            eigen_points.append(i)
-        else:
-            schur[len(schur_points)] = (t, u)
-            schur_points.append(i)
-
-    # Each path iterates its points from the front of the stacks.
-    order = eigen_points + schur_points
-    h_prime[: len(order)], rates[: len(order)] = h_prime[order], rates[order]
-    start = 0
-    for points, inverse, factors in (
-        (eigen_points, _eigenbasis_inverse, eigenbasis),
-        (schur_points, _schur_inverse, schur[None]),
-    ):
-        n, stop = len(points), start + len(points)
-        if n:
-            states = _iterate(
-                h_prime[start:stop], rates[start:stop], basis,
-                inverse, list(factors[:, :n]), list(work[:, :n]),
-            )
-            results.update(zip(points, states))
-        start = stop
-    return [results[i] for i in range(k)]
+    factors = np.empty((5, len(points), d, d), dtype=complex)
+    in_eigenbasis = np.empty(len(points), dtype=bool)
+    for j, h in enumerate(h_prime):
+        t, u = scipy.linalg.schur(h, output="complex")
+        in_eigenbasis[j] = _eigenbasis_factors(t, u, factors[:, j])
+        if not in_eigenbasis[j]:
+            factors[0, j], factors[1, j] = t, u
+    paths = _keep(in_eigenbasis, h_prime, rates, points, *factors)
+    inverses = (_eigenbasis_inverse, _schur_inverse)
+    for (h_prime, rates, points, *factors), inverse in zip(paths, inverses):
+        if len(points):
+            states = _iterate(h_prime, rates, basis, inverse, factors)
+            for i, state in zip(points.tolist(), states):
+                results[i] = state
+    return results
 
 
 def _iterate(
@@ -461,31 +474,31 @@ def _iterate(
     basis: FockBasis,
     inverse: Callable[..., np.ndarray],
     factors: list[np.ndarray],
-    work: list[np.ndarray],
 ) -> list[DensityMatrix | SteadyStateError]:
     """The jump-map iteration of a stack of driven points, one result per point.
 
     inverse(factors, r, x) overwrites the stacked residuals r with S^-1(r)
-    and returns it, with x as scratch.  Every argument array holds one slice
-    per point along its first axis; a point that converges or fails leaves
-    the active set, and the others move to the front in place.  The stacks
-    of work (rho, L(rho), x) are the only arrays of the loop.
+    and returns it, with x as scratch.  The caller's arrays hold one slice
+    per point along their first axis; the state rho, L(rho), the scratch x
+    and the scaled update with its weights are allocated here once.  A
+    point that converges or fails leaves the active set: :func:`_keep` moves
+    the others to the front in place, and every stack is sliced to them.
     """
-    rho, r, x = work
+    n, d = len(h_prime), basis.dim
+    rho, r, x = np.empty((3, n, d, d), dtype=complex)
+    scaled, outer = np.empty((2, n, d, d))
+    ladders = (ladder(basis, "a"), ladder(basis, "b"))
     # Mixed fundamental, empty second harmonic: the drive reaches b only
     # through g, so every second-harmonic entry starts at its own scale.
     rho[...] = 0.0
     empty_b = np.flatnonzero(basis.occ_b == 0)
     rho[:, empty_b, empty_b] = 1.0 / empty_b.size
-    tracks = [_Track(i) for i in range(len(rho))]
-    results: list = [None] * len(tracks)
+    tracks = [_Track(i) for i in range(n)]
+    results: list = [None] * n
     finished: list[int] = []  # positions in the stack, certified from the next L(rho)
     failed: list[int] = []
-    jumps = _jumps(basis, rates, x)
-    # x's bytes also hold the scaled update and the weights, once x is free.
-    scaled, outer = x.reshape(-1).view(float).reshape(2, *x.shape)
     for iteration in itertools.count(1):
-        _generator(h_prime, jumps, rho, r, x)
+        _generator(h_prime, rates, ladders, rho, r, x)
         for j in finished:
             residual = float(np.max(np.abs(r[j])))
             results[tracks[j].index] = _outcome(rho[j].copy(), basis, residual)
@@ -505,9 +518,8 @@ def _iterate(
             if not keep.any():
                 return results
             tracks = [track for track, kept in zip(tracks, keep) if kept]
-            h_prime, rates, rho, r, x, *factors = _keep(keep, h_prime, rates, rho, r, x, *factors)
-            jumps = _jumps(basis, rates, x)
-            scaled, outer = x.reshape(-1).view(float).reshape(2, *x.shape)
+            (h_prime, rates, rho, r, *factors), _ = _keep(keep, h_prime, rates, rho, r, *factors)
+            x, scaled, outer = x[: len(tracks)], scaled[: len(tracks)], outer[: len(tracks)]
         update = inverse(factors, r, x)
         rho -= update
         np.conjugate(rho, out=x)
@@ -535,7 +547,7 @@ def _iterate(
 class _Track:
     """Stop-rule state of one point of a stacked jump-map iteration."""
 
-    index: int  # position in the chunk
+    index: int  # position in the stacks given to _iterate
     previous: float = math.inf
     best: float = math.inf
     best_at: int = 0
@@ -547,7 +559,7 @@ class _Track:
             self.best, self.best_at = step, iteration
         # step q / (1 - q) <= tol with q = step / previous, free of division
         tail = step * step <= JUMP_MAP_TAIL_TOL * (self.previous - step)
-        converged = iteration > 1 and step < self.previous and tail
+        converged = iteration > 1 and step <= JUMP_MAP_SLOW_STEP and step < self.previous and tail
         since_best = iteration - self.best_at
         plateau = step <= JUMP_MAP_STALL_TOL and since_best >= JUMP_MAP_PLATEAU_ITERATIONS
         stalled = self.best <= JUMP_MAP_SLOW_STEP and since_best >= JUMP_MAP_STALL_ITERATIONS
@@ -555,38 +567,37 @@ class _Track:
         return converged or plateau or stalled
 
 
-def _keep(keep: np.ndarray, *stacks: np.ndarray) -> list[np.ndarray]:
-    """The kept points of each stack moved to its front in place, as views."""
+def _keep(keep: np.ndarray, *stacks: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Move the kept points of each stack to its front and the others behind
+    them, in place and each in their order; views of the two parts."""
     m = int(np.count_nonzero(keep))
+    order = np.argsort(~keep, kind="stable")
     for stack in stacks:
-        stack[:m] = stack[keep]
-    return [stack[:m] for stack in stacks]
-
-
-def _jumps(basis: FockBasis, rates: np.ndarray, scratch: np.ndarray) -> list[tuple]:
-    """Per jump operator c of a and b: its stride and sqrt(n) (fock.ladder), each
-    point's rate as an (n, 1, 1) stack, and a buffer for the stacked c rho c^dag
-    block in scratch, contiguous because that halves the cost of the products."""
-    n, d = scratch.shape[:2]
-    flat = scratch.reshape(-1)
-    return [
-        (step, sqrt_n, kappa[:, None, None], flat[: n * (d - step) ** 2].reshape(n, d - step, d - step))
-        for (step, sqrt_n), kappa in zip((ladder(basis, "a"), ladder(basis, "b")), rates.T)
-    ]
+        stack[...] = stack[order]
+    return [stack[:m] for stack in stacks], [stack[m:] for stack in stacks]
 
 
 def _generator(
-    h_prime: np.ndarray, jumps: list[tuple], rho: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    h_prime: np.ndarray,
+    rates: np.ndarray,
+    ladders: Sequence[tuple[int, np.ndarray]],
+    rho: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
 ) -> np.ndarray:
-    """L(rho) into out for a stack of Hermitian rho, where rho H'^dag = (H' rho)^dag;
-    jumps from :func:`_jumps` on scratch, a stack of rho's shape."""
+    """L(rho) into out for a stack of Hermitian rho, where rho H'^dag = (H' rho)^dag,
+    with the (kappa1, kappa2) of each point in rates and the fock.ladder of a and b
+    in ladders; scratch is a contiguous stack of rho's shape."""
     np.matmul(h_prime, rho, out=out)
     np.conjugate(out, out=scratch)
     out -= scratch.transpose(0, 2, 1)
     out *= -1j
-    for step, sqrt_n, kappa, term in jumps:
+    n, d = rho.shape[:2]
+    for (step, sqrt_n), kappa in zip(ladders, rates.T):
+        # c rho c^dag is formed in a contiguous block: that halves the cost of the products.
+        term = scratch.reshape(-1)[: n * (d - step) ** 2].reshape(n, d - step, d - step)
         _jump_block(rho, step, sqrt_n, term)
-        term *= kappa
+        term *= kappa[:, None, None]
         out[:, :-step, :-step] += term
     return out
 
@@ -638,9 +649,9 @@ def _eigenbasis_inverse(factors: list[np.ndarray], r: np.ndarray, x: np.ndarray)
 
 def _schur_inverse(factors: list[np.ndarray], r: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S^-1(r) into r, point by point, by one triangular Sylvester solve in the
-    Schur basis, T Z - Z T^dag = i U^dag R U; factors holds each point's (T, U)."""
-    (schur,) = factors
-    for (t, u), r_point in zip(schur, r):
+    Schur basis, T Z - Z T^dag = i U^dag R U; factors[0] and factors[1] stack
+    each point's T and U."""
+    for t, u, r_point in zip(factors[0], factors[1], r):
         u_dag = u.conj().T
         c = u_dag @ r_point @ u
         c *= 1j

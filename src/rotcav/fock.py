@@ -35,6 +35,11 @@ class FockBasis:
     occ_b: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for cut in (self.na_cut, self.nb_cut):
+            if isinstance(cut, bool) or not isinstance(cut, (int, np.integer)):
+                raise ValueError(
+                    f"cutoffs must be integers, got ({self.na_cut!r}, {self.nb_cut!r})"
+                )
         if self.na_cut < 1 or self.nb_cut < 1:
             raise ValueError(
                 f"cutoffs must be >= 1, got ({self.na_cut}, {self.nb_cut})"
@@ -90,7 +95,7 @@ class ModeOperator:
 
 
 def build_basis(na_cut: int, nb_cut: int) -> FockBasis:
-    """Construct the truncated basis; rejects cutoffs < 1."""
+    """Construct the truncated basis; rejects non-integer cutoffs and cutoffs < 1."""
     return FockBasis(na_cut, nb_cut)
 
 

@@ -138,6 +138,7 @@ def drive_strength_from_power(kappa1: float, power: float, omega_l: float) -> fl
     kappa1 and omega_l are in rad/s, power in watts.  power = 0 is
     allowed and gives F = 0.
     """
+    _require_finite({"kappa1": kappa1, "power": power, "omega_l": omega_l})
     if kappa1 <= 0 or omega_l <= 0:
         raise ValueError("kappa1 and omega_l must be positive")
     if power < 0:

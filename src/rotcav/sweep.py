@@ -35,6 +35,7 @@ import numpy as np
 from . import __version__ as _version
 from .fock import build_basis, annihilator_a, annihilator_b
 from .hamiltonian import DriveDirection, SystemParams, build_h_eff, resonance_angular_condition
+from . import dynamics
 from .dynamics import SteadyStateError, jump_map_steady_states
 from .observables import PhotonStatistics, photon_statistics
 from .amplitudes import optimal_g
@@ -187,18 +188,6 @@ class SweepResult:
         return any(row.status == STATUS_FAILURE for row in self.rows)
 
 
-# The points solved together form chunks of CHUNK_ENTRIES // D**2 points
-# (at least one), a budget of stacked D x D entries.  The solver holds 9
-# complex D x D arrays per point (H', V, V^-1, their conjugates, the
-# denominator of S, the state, L(rho) and a scratch array), 0.9 MB at this
-# budget.  Memory bounds the chunk, not speed: at D = 28 (cutoffs (6,3))
-# chunks of 8 solved the fig5 sweep 1.5x faster than chunks of one, and
-# chunks of 16 only 2% faster than 8 at 1.1 MB more peak memory; at D = 45
-# chunks of 3 ran 7% faster than chunks of one and chunks of 8 3% faster
-# than 3 at 1.8 MB more.  D = 66 and up solves one point at a time.
-CHUNK_ENTRIES = 8 * 28**2
-
-
 def solve_points(
     params: Sequence[SystemParams], cutoffs: tuple[int, int] = DEFAULT_CUTOFFS
 ) -> list[PhotonStatistics | SteadyStateError]:
@@ -207,11 +196,11 @@ def solve_points(
     Returns one entry per point: its statistics, or the
     :class:`SteadyStateError` that stopped it, with the point attached.
     A point's result depends neither on the other points nor on the
-    chunk size, CHUNK_ENTRIES // D**2 points.
+    chunk size, dynamics.CHUNK_ENTRIES // D**2 points.
     """
     basis = build_basis(*cutoffs)
     a, b = annihilator_a(basis), annihilator_b(basis)
-    size = max(1, CHUNK_ENTRIES // basis.dim**2)
+    size = max(1, dynamics.CHUNK_ENTRIES // basis.dim**2)
     results: list[PhotonStatistics | SteadyStateError] = []
     for start in range(0, len(params), size):
         chunk = params[start : start + size]
@@ -427,6 +416,8 @@ def spec_from_dict(data: dict) -> SweepSpec:
             _integer(entry["count"], "count"),
         )
 
+    if not isinstance(data, dict):
+        raise ValueError(f"malformed sweep config: expected a JSON object, got {data!r}")
     if "axis1" not in data:
         raise ValueError("config must define axis1")
     try:
@@ -496,6 +487,8 @@ def refine_extremum(
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1 or len(xs) < 2:
         raise ValueError("xs and ys must be equal-length 1D arrays, len >= 2")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("xs and ys must be finite; got a NaN or infinite entry")
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
     target = np.min(ys) if kind == "min" else np.max(ys)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -169,6 +171,14 @@ def test_optimal_g_values(kappa1, kappa2, f, expected):
 def test_optimal_g_rejects_bad_rates():
     with pytest.raises(ValueError):
         optimal_g(0.0, 1.0, 0.05)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["kappa1", "kappa2", "f"])
+def test_optimal_g_rejects_non_finite_inputs(name, bad):
+    args = {"kappa1": 1.0, "kappa2": 1.0, "f": 0.05} | {name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        optimal_g(**args)
 
 
 def test_two_photon_amplitude_vanishes_at_optimum():

@@ -345,6 +345,17 @@ def test_sweep_config_cutoffs_must_be_a_pair(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("text", ["5", "null"])
+def test_sweep_config_not_an_object_is_error(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "malformed sweep config" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("flag", ["--count1", "--count2"])
 def test_figure_zero_count_is_error(flag, capsys):
     assert main(["figure", "--name", "fig4a", flag, "0"]) == 1

@@ -464,6 +464,21 @@ def test_slow_contraction_points_match_oracle(delta, monkeypatch):
         assert getattr(stats, name) == pytest.approx(getattr(expected, name), rel=1e-13), name
 
 
+# At F = 1e-10 the first two scaled steps are 1.4e23 and 3.0e4, a geometric
+# tail of 6e-15, and a tail counted on them stopped at iteration 2 with n_a
+# 3.4 relative off (10 at cutoffs (8, 4)), while the residual passed the
+# absolute certificate.  n_b is below the population floor and converges
+# only in absolute terms, so it is not compared here.
+@pytest.mark.parametrize("cutoffs", [(6, 3), (8, 4)])
+@pytest.mark.parametrize("g", [0.867, 0.3, EXCEPTIONAL_G, 2.0])
+def test_weak_drive_does_not_stop_on_its_first_steps(g, cutoffs):
+    p = SystemParams(g=g, drive_strength=1e-10)
+    basis, a, b = make_ops(*cutoffs)
+    lio = build_liouvillian(build_h_eff(p, basis), a, b, p.kappa1, p.kappa2)
+    expected = photon_statistics(steady_state(lio), a, b)
+    assert run_point(p, cutoffs).n_a == pytest.approx(expected.n_a, rel=1e-9, abs=0.0)
+
+
 def _schur_only(monkeypatch) -> None:
     monkeypatch.setattr(dynamics_mod, "_eigenbasis_factors", lambda t, u, out: False)
 
@@ -647,6 +662,35 @@ def test_schur_fallback_point_in_a_chunk_matches_its_chunk_of_one(monkeypatch):
     for i, state in enumerate(chunked):
         expected = schur[i] if i == 2 else eigenbasis[i]
         np.testing.assert_array_equal(state.matrix, expected.matrix)
+
+
+def test_chunk_partition_gives_each_point_its_chunk_of_one_state(monkeypatch):
+    # Undriven points (F = 0, and F = 0 with a real energy offset, whose
+    # H'[0, 0] is not 0) leave the chunk with the vacuum; a driven point
+    # forced to the Schur basis sits between eigenbasis points.
+    basis = build_basis(4, 2)
+    driven = [
+        build_h_eff(SystemParams(g=0.867, drive_strength=f), basis) for f in (0.05, 1.525, 3.0, 0.7875)
+    ]
+    undriven = build_h_eff(SystemParams(g=0.867), basis)
+    h_effs = [driven[0], undriven, driven[1], undriven + 0.7 * np.eye(basis.dim), *driven[2:]]
+    build = dynamics_mod._eigenbasis_factors
+    calls = []
+
+    def third_singular(t, u, out):
+        calls.append(None)
+        return len(calls) != 3 and build(t, u, out)
+
+    expected = [jump_map_steady_state(h, basis, 1.0, 1.0).matrix for h in h_effs]
+    _schur_only(monkeypatch)
+    expected[4] = jump_map_steady_state(h_effs[4], basis, 1.0, 1.0).matrix
+    monkeypatch.setattr(dynamics_mod, "_eigenbasis_factors", third_singular)
+    states = dynamics_mod.jump_map_steady_states(h_effs, basis, [(1.0, 1.0)] * len(h_effs))
+    assert len(calls) == len(driven)
+    for state, want in zip(states, expected):
+        np.testing.assert_array_equal(state.matrix, want)
+    for i in (1, 3):
+        np.testing.assert_array_equal(states[i].matrix, _vacuum(basis).matrix)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -15,6 +15,16 @@ def test_bad_cutoffs_rejected(na, nb):
         build_basis(na, nb)
 
 
+@pytest.mark.parametrize("na,nb", [(2.5, 1), (2.0, 1), (True, True), (3, "2")])
+def test_non_integer_cutoffs_rejected(na, nb):
+    with pytest.raises(ValueError, match="integers"):
+        build_basis(na, nb)
+
+
+def test_numpy_integer_cutoffs_accepted():
+    assert build_basis(np.int64(4), np.int32(2)) == build_basis(4, 2)
+
+
 def test_index_is_a_bijection():
     basis = build_basis(4, 2)
     seen = set()

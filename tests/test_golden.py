@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-import rotcav.sweep as sweep_mod
+import rotcav.dynamics as dynamics_mod
 from rotcav.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -39,7 +39,7 @@ def test_cli_output_matches_golden(name, tmp_path):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_does_not_depend_on_the_chunk_size(name, points, tmp_path, monkeypatch):
     # Every golden case runs at cutoffs (4, 2), D = 15.
-    monkeypatch.setattr(sweep_mod, "CHUNK_ENTRIES", points * 15**2)
+    monkeypatch.setattr(dynamics_mod, "CHUNK_ENTRIES", points * 15**2)
     out = tmp_path / name
     assert main([*CASES[name], "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()

@@ -84,6 +84,14 @@ def test_drive_strength_reference_value():
     assert f == pytest.approx(DRIVE_REFERENCE, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["kappa1", "power", "omega_l"])
+def test_drive_strength_rejects_non_finite_inputs(name, bad):
+    args = {"kappa1": 1e6, "power": 1e-15, "omega_l": 1e15} | {name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        drive_strength_from_power(**args)
+
+
 def test_drive_strength_rejects_bad_inputs():
     with pytest.raises(ValueError):
         drive_strength_from_power(0.0, 1e-15, 1e15)

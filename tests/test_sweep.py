@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rotcav.dynamics as dynamics_mod
 import rotcav.sweep as sweep_mod
 from conftest import fail_at_points
 from rotcav import (
@@ -237,7 +238,7 @@ def test_convergence_check_reports_outputs():
 def _chunk_points(monkeypatch, points: int, cutoffs) -> None:
     """Make solve_points put `points` points in each chunk at these cutoffs."""
     d = (cutoffs[0] + 1) * (cutoffs[1] + 1)
-    monkeypatch.setattr(sweep_mod, "CHUNK_ENTRIES", points * d**2)
+    monkeypatch.setattr(dynamics_mod, "CHUNK_ENTRIES", points * d**2)
 
 
 def test_fig4b_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
@@ -640,6 +641,16 @@ def test_refine_extremum_boundary_unrefined():
     ys = xs.copy()
     assert refine_extremum(xs, ys, "min") == (0.0, 0.0)
     assert refine_extremum(xs, ys, "max") == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("where", ["xs", "ys"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_refine_extremum_rejects_non_finite_input(where, bad):
+    xs = np.linspace(0.0, 2.0, 5)
+    ys = (xs - 0.7) ** 2
+    (xs if where == "xs" else ys)[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        refine_extremum(xs, ys, "min")
 
 
 def test_refine_extremum_tie_breaks_small_x():
