@@ -7,11 +7,13 @@ For each CSV or JSON output in OLD it prints the number of rows, the
 number of cells whose text differs in NEW, and the worst relative change
 among them (|new - old| / |old|, the absolute change where old is 0).
 A JSON output is read as a table of its rows, plus one row of its
-convergence_max_rel_change with the status "convergence"; its metadata
-must otherwise match, except created_utc.  It exits 1 when the two
-directories do not hold the same file names, or an output differs in
-its header, its row count, a row's status, or which cells are empty (an
-undefined g2); otherwise it exits 0, however far the values moved.
+convergence_max_rel_change with the status "convergence"; every other
+metadata key that differs, except created_utc, is printed by its dotted
+name (spec.fixed.delta_f), and the rows are still compared.  It exits 1
+when the two directories do not hold the same file names, or an output
+differs in its header, its metadata, its row count, a row's status, or
+which cells are empty (an undefined g2); otherwise it exits 0, however
+far the values moved.
 """
 
 from __future__ import annotations
@@ -25,11 +27,26 @@ from pathlib import Path
 OUTPUTS = ("*.csv", "*.json")
 
 
-def _rows(path: Path) -> list[list[str]]:
-    """The header and the rows of an output, every cell as text."""
+def _leaves(value, prefix: str = "") -> dict:
+    """The leaves of nested JSON objects, by dotted key."""
+    if not isinstance(value, dict) or not value:
+        return {prefix: value}
+    leaves = {}
+    for key, item in value.items():
+        leaves |= _leaves(item, f"{prefix}.{key}" if prefix else key)
+    return leaves
+
+
+def _shown(leaves: dict, key: str) -> str:
+    return json.dumps(leaves[key]) if key in leaves else "absent"
+
+
+def _table(path: Path) -> tuple[list[list[str]], dict]:
+    """The header and the rows of an output, every cell as text, and the
+    leaves of its metadata."""
     if path.suffix == ".csv":
         with path.open(newline="") as f:
-            return list(csv.reader(f))
+            return list(csv.reader(f)), {}
     data = json.loads(path.read_text())
     metadata, rows = data["metadata"], data["rows"]
     header = list(rows[0]) if rows else []
@@ -38,8 +55,7 @@ def _rows(path: Path) -> list[list[str]]:
         rows = rows + [dict.fromkeys(header) | convergence | {"status": "convergence"}]
     del metadata["created_utc"]  # differs between runs by design
     cells = [["" if row[key] is None else json.dumps(row[key]) for key in header] for row in rows]
-    # The rest of the metadata joins the header, so a change to it is a header change.
-    return [header + [json.dumps(metadata, sort_keys=True)]] + [row + [""] for row in cells]
+    return [header] + cells, _leaves(metadata)
 
 
 def _relative_change(old: str, new: str) -> float:
@@ -49,15 +65,20 @@ def _relative_change(old: str, new: str) -> float:
 
 def compare(old: Path, new: Path) -> tuple[str, list[str]]:
     """A summary line for one CSV pair and the mismatches that fail it."""
-    old_rows, new_rows = _rows(old), _rows(new)
+    (old_rows, old_meta), (new_rows, new_meta) = _table(old), _table(new)
     if old_rows[:1] != new_rows[:1]:
         return f"{old.name}: header differs", [f"{old.name}: header differs"]
+    mismatches = [
+        f"{old.name}: metadata {key} {_shown(old_meta, key)} -> {_shown(new_meta, key)}"
+        for key in sorted(old_meta.keys() | new_meta.keys())
+        if _shown(old_meta, key) != _shown(new_meta, key)
+    ]
     header, old_rows, new_rows = old_rows[0], old_rows[1:], new_rows[1:]
     if len(old_rows) != len(new_rows):
         problem = f"{old.name}: {len(old_rows)} rows in OLD, {len(new_rows)} in NEW"
-        return problem, [problem]
+        return problem, mismatches + [problem]
     status = header.index("status")
-    mismatches, moved, worst = [], 0, 0.0
+    moved, worst = 0, 0.0
     for n, (row_old, row_new) in enumerate(zip(old_rows, new_rows), start=1):
         if row_old[status] != row_new[status]:
             mismatches.append(f"{old.name} row {n}: status {row_old[status]} -> {row_new[status]}")

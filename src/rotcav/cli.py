@@ -44,13 +44,11 @@ from .sweep import (
     emit,
     figure_preset,
     max_rel_change,
-    params_to_dict,
     render_csv,
     render_json,
     run_point,
     run_sweep,
     spec_from_dict,
-    with_params,
 )
 
 
@@ -70,13 +68,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
         "--drive-strength", type=float, default=None, help="pump amplitude F"
     )
     parser.add_argument(
-        "--delta-f", type=float, default=None, help="signed Fizeau shift of mode a"
-    )
-    parser.add_argument(
-        "--direction",
-        choices=["left", "right"],
-        default=None,
-        help="drive port (defaults to the sign of --delta-f)",
+        "--delta-f", type=float, default=None, help="signed Fizeau shift (< 0: right port)"
     )
 
 
@@ -99,16 +91,15 @@ def _add_output_flags(parser: argparse.ArgumentParser) -> None:
 def _params_from_args(args, base: SystemParams = DEFAULT_FIXED) -> SystemParams:
     """`base` with every parameter flag the user set.
 
-    The parameter flags are the sweepable fields plus --direction; each
-    subcommand defines a subset of them.
+    The parameter flags are the sweepable fields; each subcommand
+    defines a subset of them.
     """
     changes = {
         name: getattr(args, name)
         for name in SWEEPABLE
         if getattr(args, name, None) is not None
     }
-    direction = getattr(args, "direction", None)
-    return with_params(base, changes, DriveDirection(direction) if direction else None)
+    return dataclasses.replace(base, **changes)
 
 
 def _cutoffs_from_args(args, default=DEFAULT_CUTOFFS) -> tuple[int, int]:
@@ -153,7 +144,7 @@ def _cmd_point(args) -> int:
             print(f"convergence {name}: rel change {_fmt_change(change)}")
     if args.out:
         payload = {
-            "params": params_to_dict(params),
+            "params": dataclasses.asdict(params),
             "cutoffs": list(cutoffs),
             "outputs": outputs,
             "status": status,
@@ -281,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig.add_argument("--k", type=int, default=4, help="number of levels")
     p_eig.add_argument("--g", type=float, default=None)
     p_eig.add_argument("--delta-f", type=float, default=None)
-    p_eig.add_argument("--direction", choices=["left", "right"], default=None)
     p_eig.add_argument("--na-cut", type=int, default=None)
     p_eig.add_argument("--nb-cut", type=int, default=None)
     p_eig.set_defaults(func=_cmd_eigen)

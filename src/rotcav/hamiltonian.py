@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,10 +49,10 @@ class SystemParams:
 
     delta is the pump detuning omega_a - omega_L, g the mode hopping
     interaction, drive_strength the pump amplitude F, and delta_f the
-    signed Fizeau shift of the fundamental mode.  Driving from the left
-    port means the pump runs against the rotation (delta_f >= 0);
-    driving from the right means delta_f <= 0.  When no direction is
-    given it is inferred from the sign of delta_f.
+    signed Fizeau shift of the fundamental mode.  The sign of delta_f is
+    the drive port: delta_f >= 0 drives from the left (the pump runs
+    against the rotation), delta_f < 0 from the right.  At delta_f = 0
+    the two ports are the same physics.
     """
 
     delta: float = 0.0
@@ -61,7 +61,6 @@ class SystemParams:
     kappa2: float = 1.0
     drive_strength: float = 0.0
     delta_f: float = 0.0
-    drive_direction: DriveDirection | None = None
 
     def __post_init__(self):
         names = ("delta", "g", "kappa1", "kappa2", "drive_strength", "delta_f")
@@ -72,15 +71,6 @@ class SystemParams:
             raise ValueError("drive_strength must be >= 0")
         if self.g < 0:
             raise ValueError("g must be >= 0")
-        if self.drive_direction is None:
-            inferred = (
-                DriveDirection.LEFT if self.delta_f >= 0 else DriveDirection.RIGHT
-            )
-            object.__setattr__(self, "drive_direction", inferred)
-        elif self.delta_f > 0 and self.drive_direction is not DriveDirection.LEFT:
-            raise ValueError("delta_f > 0 requires left drive")
-        elif self.delta_f < 0 and self.drive_direction is not DriveDirection.RIGHT:
-            raise ValueError("delta_f < 0 requires right drive")
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .fock import build_basis, annihilator_a, annihilator_b
-from .hamiltonian import DriveDirection, SystemParams, build_h_eff, resonance_angular_condition
+from .hamiltonian import SystemParams, build_h_eff, resonance_angular_condition
 from . import dynamics
 from .dynamics import SteadyStateError, jump_map_steady_states
 from .observables import PhotonStatistics, photon_statistics
@@ -55,28 +55,7 @@ PRESET_NAMES = ("fig4a", "fig4b", "fig5", "fig6", "fig7a", "fig7b", "fig8a", "fi
 DEFAULT_FIXED = SystemParams(drive_strength=DEFAULT_DRIVE)
 
 
-def with_params(
-    base: SystemParams, changes: dict[str, float], direction: DriveDirection | None = None
-) -> SystemParams:
-    """`base` with `changes` applied and, if given, the drive port set.
-
-    A changed Fizeau shift implies its drive port, so without an explicit
-    `direction` the port is re-inferred whenever `changes` holds delta_f
-    (keeping the old port would trip the sign check).
-    """
-    if direction is None and "delta_f" not in changes:
-        direction = base.drive_direction
-    return dataclasses.replace(base, drive_direction=direction, **changes)
-
-
-def params_to_dict(p: SystemParams) -> dict:
-    """JSON form of a parameter record; the drive port goes by name."""
-    data = dataclasses.asdict(p)
-    data["direction"] = data.pop("drive_direction").value
-    return data
-
-
-_PARAM_KEYS = tuple(params_to_dict(DEFAULT_FIXED))
+_PARAM_KEYS = tuple(field.name for field in dataclasses.fields(SystemParams))
 
 
 def _reject_unknown(data: dict, known: tuple[str, ...], where: str) -> None:
@@ -86,18 +65,21 @@ def _reject_unknown(data: dict, known: tuple[str, ...], where: str) -> None:
         raise ValueError(f"unknown {where} key(s) {names}; choose from {known}")
 
 
-def params_from_dict(data: dict) -> SystemParams:
-    """Inverse of :func:`params_to_dict`.
+def _number(value, key: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a JSON number, got {value!r}")
+    return float(value)
 
-    Absent keys keep the values of DEFAULT_FIXED, an absent direction is
-    inferred from delta_f, and unknown keys are rejected.
+
+def params_from_dict(data: dict) -> SystemParams:
+    """Inverse of :func:`dataclasses.asdict` on a parameter record.
+
+    Absent keys keep the values of DEFAULT_FIXED; unknown keys and
+    values that are not JSON numbers are rejected.
     """
     _reject_unknown(data, _PARAM_KEYS, "parameter")
-    changes = {key: float(value) for key, value in data.items() if key != "direction"}
-    direction = data.get("direction")
-    return with_params(
-        DEFAULT_FIXED, changes, None if direction is None else DriveDirection(direction)
-    )
+    changes = {key: _number(value, key) for key, value in data.items()}
+    return dataclasses.replace(DEFAULT_FIXED, **changes)
 
 
 def max_rel_change(pairs) -> float | None:
@@ -208,7 +190,7 @@ def solve_points(
         states = jump_map_steady_states(h_effs, basis, [(p.kappa1, p.kappa2) for p in chunk])
         for p, state in zip(chunk, states):
             if isinstance(state, SteadyStateError):
-                label = ", ".join(f"{key}={value}" for key, value in params_to_dict(p).items())
+                label = ", ".join(f"{key}={value}" for key, value in dataclasses.asdict(p).items())
                 error = type(state)(f"{state} [at {label}]")
                 error.__cause__ = state
                 results.append(error)
@@ -244,7 +226,7 @@ def _grid(spec: SweepSpec):
 
 def _evaluate_grid(spec: SweepSpec, cutoffs: tuple[int, int]) -> list[SweepRow]:
     grid = list(_grid(spec))
-    params = [with_params(spec.fixed, assignments) for _, assignments in grid]
+    params = [dataclasses.replace(spec.fixed, **assignments) for _, assignments in grid]
     rows = []
     for (axis_values, _), p, stats in zip(grid, params, solve_points(params, cutoffs)):
         if isinstance(stats, SteadyStateError):
@@ -377,7 +359,7 @@ def spec_to_dict(spec: SweepSpec) -> dict:
     return {
         "axis1": axis_dict(spec.axis1),
         "axis2": axis_dict(spec.axis2),
-        "fixed": params_to_dict(spec.fixed),
+        "fixed": dataclasses.asdict(spec.fixed),
         "outputs": list(spec.outputs),
         "cutoffs": list(spec.cutoffs),
         "convergence_check": spec.convergence_check,
@@ -392,6 +374,14 @@ def _integer(value, key: str) -> int:
     return int(value)
 
 
+def _json(value, kind: type, key: str):
+    """`value` if it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "array"
+        raise ValueError(f"{key} must be a JSON {name}, got {value!r}")
+    return value
+
+
 def _flag(data: dict, key: str) -> bool:
     value = data.get(key, False)
     if not isinstance(value, bool):
@@ -402,34 +392,36 @@ def _flag(data: dict, key: str) -> bool:
 def spec_from_dict(data: dict) -> SweepSpec:
     """Build a sweep specification from a config-file dictionary.
 
-    The keys are those of :func:`spec_to_dict`; unknown keys are rejected.
+    The keys are those of :func:`spec_to_dict`; unknown keys and values
+    of the wrong JSON type are rejected.
     """
 
-    def axis(entry):
+    def axis(key):
+        entry = data.get(key)
         if entry is None:
             return None
-        _reject_unknown(entry, _AXIS_KEYS, "axis")
+        _reject_unknown(_json(entry, dict, key), _AXIS_KEYS, "axis")
         return SweepAxis(
             str(entry["name"]),
-            float(entry["start"]),
-            float(entry["stop"]),
+            _number(entry["start"], "start"),
+            _number(entry["stop"], "stop"),
             _integer(entry["count"], "count"),
         )
 
     if not isinstance(data, dict):
         raise ValueError(f"malformed sweep config: expected a JSON object, got {data!r}")
-    if "axis1" not in data:
+    if data.get("axis1") is None:
         raise ValueError("config must define axis1")
     try:
         _reject_unknown(data, _SPEC_KEYS, "config")
-        cutoffs = data.get("cutoffs", DEFAULT_CUTOFFS)
+        cutoffs = _json(data.get("cutoffs", list(DEFAULT_CUTOFFS)), list, "cutoffs")
         if len(cutoffs) != 2:
             raise ValueError(f"malformed sweep config: cutoffs {cutoffs!r} are not a pair")
         return SweepSpec(
-            axis1=axis(data["axis1"]),
-            axis2=axis(data.get("axis2")),
-            fixed=params_from_dict(data.get("fixed", {})),
-            outputs=tuple(data.get("outputs", OUTPUT_NAMES)),
+            axis1=axis("axis1"),
+            axis2=axis("axis2"),
+            fixed=params_from_dict(_json(data.get("fixed", {}), dict, "fixed")),
+            outputs=tuple(_json(data.get("outputs", list(OUTPUT_NAMES)), list, "outputs")),
             cutoffs=(_integer(cutoffs[0], "cutoffs"), _integer(cutoffs[1], "cutoffs")),
             convergence_check=_flag(data, "convergence_check"),
             include_optimal_g=_flag(data, "include_optimal_g"),

@@ -30,11 +30,6 @@ def test_sweep_requires_axis_or_config():
     assert main(["sweep"]) == 1
 
 
-def test_inconsistent_direction_is_error(capsys):
-    assert main(["point", "--delta-f", "0.5", "--direction", "right"]) == 1
-    assert "delta_f" in capsys.readouterr().err
-
-
 def test_point_prints_statistics(capsys):
     code = main(["point", "--g", "0.867", "--na-cut", "4", "--nb-cut", "2"])
     out = capsys.readouterr().out
@@ -207,7 +202,7 @@ def test_point_solver_failure_exit_2(monkeypatch, capsys):
 def _config_with_left_shift(tmp_path):
     config = {
         "axis1": {"name": "delta", "start": -1.0, "stop": 1.0, "count": 2},
-        "fixed": {"g": 0.8, "delta_f": 0.3, "direction": "left"},
+        "fixed": {"g": 0.8, "delta_f": 0.3},
         "outputs": ["n_a"],
         "cutoffs": [2, 1],
     }
@@ -216,31 +211,32 @@ def _config_with_left_shift(tmp_path):
     return cfg
 
 
-@pytest.mark.parametrize("port_flags", [[], ["--direction", "right"]])
-def test_sweep_delta_f_override_reinfers_port(tmp_path, capsys, port_flags):
+def test_sweep_delta_f_override_flips_port(tmp_path, capsys):
     cfg = _config_with_left_shift(tmp_path)
-    code = main(["sweep", "--config", str(cfg), "--delta-f", "-0.3", *port_flags,
-                 "--format", "json"])
+    code = main(["sweep", "--config", str(cfg), "--delta-f", "-0.3", "--format", "json"])
     assert code == 0
     fixed = json.loads(capsys.readouterr().out)["metadata"]["spec"]["fixed"]
     assert fixed["delta_f"] == -0.3
-    assert fixed["direction"] == "right"
     assert fixed["g"] == 0.8
+    assert "direction" not in fixed
 
 
-def test_sweep_override_with_contradicting_port_is_error(tmp_path, capsys):
-    cfg = _config_with_left_shift(tmp_path)
-    code = main(["sweep", "--config", str(cfg), "--delta-f", "-0.3",
-                 "--direction", "left"])
-    assert code == 1
-    assert "delta_f < 0 requires right drive" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv", [["point"], ["sweep", "--axis1", "g:0:1:2"], ["eigen", "--omega1", "1"]]
+)
+def test_direction_flag_is_gone(argv, capsys):
+    # the sign of --delta-f is the drive port
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--direction", "right"])
+    assert info.value.code == 1
+    assert "unrecognized arguments: --direction right" in capsys.readouterr().err
 
 
 def test_sweep_flags_keep_config_port_when_delta_f_untouched(tmp_path, capsys):
     cfg = _config_with_left_shift(tmp_path)
     assert main(["sweep", "--config", str(cfg), "--g", "1.1", "--format", "json"]) == 0
     fixed = json.loads(capsys.readouterr().out)["metadata"]["spec"]["fixed"]
-    assert (fixed["g"], fixed["delta_f"], fixed["direction"]) == (1.1, 0.3, "left")
+    assert (fixed["g"], fixed["delta_f"]) == (1.1, 0.3)
 
 
 def test_point_params_match_sweep_fixed_record(tmp_path, capsys):
@@ -266,7 +262,11 @@ def test_point_params_match_sweep_fixed_record(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "entry, key",
-    [({"fixed": {"kapa2": 3}}, "kapa2"), ({"cutof": [2, 1]}, "cutof")],
+    [
+        ({"fixed": {"kapa2": 3}}, "kapa2"),
+        ({"cutof": [2, 1]}, "cutof"),
+        ({"fixed": {"direction": "left"}}, "direction"),
+    ],
 )
 def test_sweep_config_unknown_key_is_error(tmp_path, capsys, entry, key):
     config = {"axis1": {"name": "g", "start": 0.5, "stop": 1.0, "count": 2},
@@ -275,6 +275,34 @@ def test_sweep_config_unknown_key_is_error(tmp_path, capsys, entry, key):
     cfg.write_text(json.dumps(config))
     assert main(["sweep", "--config", str(cfg)]) == 1
     assert repr(key) in capsys.readouterr().err
+
+
+_G_AXIS = {"name": "g", "start": 0.5, "stop": 1.0, "count": 2}
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"fixed": []}, "fixed must be a JSON object"),
+        ({"outputs": "g2_bb"}, "outputs must be a JSON array"),
+        ({"axis1": "g"}, "axis1 must be a JSON object"),
+        ({"axis1": None}, "config must define axis1"),
+        ({"fixed": {"drive_strength": True}}, "drive_strength must be a JSON number"),
+        ({"axis1": {**_G_AXIS, "start": True}}, "start must be a JSON number"),
+        ({"axis1": {**_G_AXIS, "stop": False}}, "stop must be a JSON number"),
+    ],
+    ids=[
+        "fixed-list", "outputs-string", "axis-string", "axis-null", "fixed-bool", "start-bool",
+        "stop-bool",
+    ],
+)
+def test_sweep_config_wrong_json_type_is_error(tmp_path, capsys, entry, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"axis1": _G_AXIS, "cutoffs": [2, 1], **entry}))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_sweep_config_string_boolean_is_error(tmp_path, capsys):

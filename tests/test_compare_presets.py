@@ -54,10 +54,12 @@ def test_missing_csv_exits_1(tmp_path):
     assert compare_presets.main([str(old), str(new)]) == 1
 
 
-def _write_json(directory: Path, created: str, convergence: float, cutoffs=(6, 3)) -> Path:
+def _write_json(
+    directory: Path, created: str, convergence: float, cutoffs=(6, 3), fixed=None
+) -> Path:
     directory.mkdir(exist_ok=True)
     metadata = {
-        "spec": {"cutoffs": list(cutoffs)},
+        "spec": {"cutoffs": list(cutoffs), "fixed": fixed or {"g": 0.8, "delta_f": 0.0}},
         "created_utc": created,
         "convergence_max_rel_change": {"g2_bb": convergence},
     }
@@ -80,4 +82,18 @@ def test_json_metadata_change_exits_1(tmp_path, capsys):
     old = _write_json(tmp_path / "old", "2026-01-01T00:00:00", 4.5e-08)
     new = _write_json(tmp_path / "new", "2026-01-01T00:00:00", 4.5e-08, cutoffs=(8, 4))
     assert compare_presets.main([str(old), str(new)]) == 1
-    assert "MISMATCH fig5_convergence.json: header differs" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "fig5_convergence.json: 3 rows, 0 cells moved\n"
+    assert captured.err == "MISMATCH fig5_convergence.json: metadata spec.cutoffs [6, 3] -> [8, 4]\n"
+
+
+def test_json_metadata_change_still_compares_cells(tmp_path, capsys):
+    fixed = {"g": 0.8, "delta_f": 0.0, "direction": "left"}
+    old = _write_json(tmp_path / "old", "2026-01-01T00:00:00", 4.5e-08, fixed=fixed)
+    new = _write_json(tmp_path / "new", "2026-01-02T00:00:00", 4.5000001e-08)
+    assert compare_presets.main([str(old), str(new)]) == 1
+    captured = capsys.readouterr()
+    assert "3 rows, 1 cells moved, worst relative change 2.2e-08" in captured.out
+    assert captured.err == (
+        'MISMATCH fig5_convergence.json: metadata spec.fixed.direction "left" -> absent\n'
+    )

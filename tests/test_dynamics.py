@@ -34,7 +34,7 @@ from rotcav import (
 )
 
 EXCEPTIONAL_G = 1.0 / (4.0 * math.sqrt(2.0))
-ROUNDOFF = 1e-14
+ROUNDOFF = 1e-30
 
 
 def _liouvillian(params: SystemParams, na=6, nb=3) -> Liouvillian:
@@ -512,6 +512,25 @@ def test_near_singular_eigenvectors_keep_schur_path(zero, monkeypatch):
     assert len(calls) == 1
     _schur_only(monkeypatch)
     np.testing.assert_array_equal(rho.matrix, jump_map_steady_state(h, basis, 1.0, 1.0).matrix)
+
+
+# Exceptional points g = (kappa1 - kappa2 / 2) / (2 sqrt 2) of the |2,0>/|0,1>
+# pair at drives so weak that cond_1(V) of H' exceeds 1/sqrt(eps) (7.8e7 at
+# kappa2 = 0.1, cutoffs (10, 5)), so the Schur basis takes over.  There
+# n_a = 4 F^2 to roundoff; iterating in the eigenbasis anyway stopped with
+# n_a 1.5e-9 and 8.2e-12 relative off.
+@pytest.mark.parametrize(
+    "params, cutoffs",
+    [
+        (SystemParams(g=0.95 / (2 * math.sqrt(2)), kappa2=0.1, drive_strength=1e-11), (10, 5)),
+        (SystemParams(g=0.75 / (2 * math.sqrt(2)), kappa2=0.5, drive_strength=1e-13), (6, 3)),
+    ],
+    ids=["kappa2-0.1", "kappa2-0.5"],
+)
+def test_ill_conditioned_eigenbasis_falls_back_to_schur(params, cutoffs, monkeypatch):
+    assert _count_solver_calls(monkeypatch, params, cutoffs)["ztrsyl"] > 0
+    n_a = run_point(params, cutoffs).n_a
+    assert n_a == pytest.approx(4 * params.drive_strength**2, rel=1e-12, abs=0)
 
 
 def test_undriven_jump_map_returns_vacuum():

@@ -145,8 +145,7 @@ def test_h_eff_depends_only_on_detuning_sum():
         delta, delta_f, s = rng.uniform(-2, 2, size=3)
         h1 = build_h_eff(SystemParams(delta=delta, delta_f=abs(delta_f)), basis)
         h2 = build_h_eff(
-            SystemParams(delta=delta + s, delta_f=abs(delta_f) - s,
-                         drive_direction=None), basis
+            SystemParams(delta=delta + s, delta_f=abs(delta_f) - s), basis
         )
         np.testing.assert_allclose(h1, h2, atol=1e-12)
 
@@ -305,16 +304,3 @@ def test_fizeau_params_reject_non_finite(name, value):
         FizeauParams(**{name: value})
 
 
-def test_direction_inferred_from_shift_sign():
-    assert SystemParams(delta_f=0.5).drive_direction is DriveDirection.LEFT
-    assert SystemParams(delta_f=-0.5).drive_direction is DriveDirection.RIGHT
-    assert SystemParams(delta_f=0.0).drive_direction is DriveDirection.LEFT
-
-
-def test_direction_shift_consistency_enforced():
-    with pytest.raises(ValueError):
-        SystemParams(delta_f=0.5, drive_direction=DriveDirection.RIGHT)
-    with pytest.raises(ValueError):
-        SystemParams(delta_f=-0.5, drive_direction=DriveDirection.LEFT)
-    # delta_f = 0 is compatible with either port
-    SystemParams(delta_f=0.0, drive_direction=DriveDirection.RIGHT)

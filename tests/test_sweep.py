@@ -11,7 +11,6 @@ import rotcav.sweep as sweep_mod
 from conftest import fail_at_points
 from rotcav import (
     DensityMatrix,
-    DriveDirection,
     SteadyStateError,
     SweepAxis,
     SweepSpec,
@@ -32,11 +31,9 @@ from rotcav.sweep import (
     render_csv,
     max_rel_change,
     params_from_dict,
-    params_to_dict,
     render_json,
     spec_from_dict,
     spec_to_dict,
-    with_params,
 )
 
 
@@ -72,7 +69,7 @@ def test_run_point_attaches_context_to_failures(monkeypatch):
     with pytest.raises(SteadyStateError, match="delta=") as info:
         run_point(p, (2, 1))
     label = str(info.value)
-    for key, value in params_to_dict(p).items():
+    for key, value in dataclasses.asdict(p).items():
         assert f"{key}={value}" in label, key
 
 
@@ -216,7 +213,7 @@ def test_swept_delta_f_reinfers_direction():
         outputs=("n_a",),
         cutoffs=(2, 1),
     )
-    result = run_sweep(spec)  # must not trip the direction consistency check
+    result = run_sweep(spec)  # the sign of delta_f alone sets the drive port
     assert len(result.rows) == 2
 
 
@@ -477,8 +474,7 @@ def test_spec_from_dict_defaults():
     spec = spec_from_dict({"axis1": {"name": "g", "start": 0.5, "stop": 1.5, "count": 4}})
     assert spec.outputs == ("g2_aa", "g2_bb", "n_a", "n_b")
     assert spec.cutoffs == (6, 3)
-    assert spec.fixed.drive_strength == 0.05
-    assert spec.fixed.drive_direction is DriveDirection.LEFT
+    assert spec.fixed == SystemParams(drive_strength=0.05)
 
 
 def test_spec_from_dict_requires_axis1():
@@ -545,29 +541,10 @@ def test_spec_from_dict_accepts_whole_floats():
 # ------------------------------------------------------ parameter codec
 
 
-def test_with_params_keeps_port_unless_delta_f_changes():
-    left = SystemParams(g=1.0, delta_f=0.5)
-    assert with_params(left, {"g": 2.0}) == SystemParams(g=2.0, delta_f=0.5)
-    moved = with_params(left, {"delta_f": -0.5})
-    assert moved.drive_direction is DriveDirection.RIGHT
-    # a plain replace keeps the old port and trips the sign check
-    with pytest.raises(ValueError):
-        dataclasses.replace(left, delta_f=-0.5)
-    # an unchanged zero shift keeps whichever port was chosen
-    right = SystemParams(drive_direction=DriveDirection.RIGHT)
-    assert with_params(right, {"g": 1.0}).drive_direction is DriveDirection.RIGHT
-    assert with_params(left, {}, DriveDirection.LEFT) == left
-    with pytest.raises(ValueError):
-        with_params(left, {}, DriveDirection.RIGHT)
-
-
 def test_params_dict_round_trip_and_key_order():
     p = SystemParams(delta=-0.5, g=0.8, kappa2=1.5, drive_strength=0.1, delta_f=-0.2)
-    data = params_to_dict(p)
-    assert list(data) == [
-        "delta", "g", "kappa1", "kappa2", "drive_strength", "delta_f", "direction"
-    ]
-    assert data["direction"] == "right"
+    data = dataclasses.asdict(p)
+    assert list(data) == ["delta", "g", "kappa1", "kappa2", "drive_strength", "delta_f"]
     assert params_from_dict(json.loads(json.dumps(data))) == p
     assert params_from_dict({}) == DEFAULT_FIXED
     assert params_from_dict({"kappa2": 2}).kappa2 == 2.0
