@@ -33,7 +33,6 @@ from .dynamics import (
     TraceDriftError,
     build_liouvillian,
     evolve,
-    jump_map_steady_state,
     steady_state,
     unvectorize,
     vectorize,
@@ -91,7 +90,6 @@ __all__ = [
     "TraceDriftError",
     "build_liouvillian",
     "evolve",
-    "jump_map_steady_state",
     "steady_state",
     "vectorize",
     "unvectorize",

@@ -20,7 +20,6 @@ import math
 import sys
 
 from .hamiltonian import (
-    SPEED_OF_LIGHT,
     DriveDirection,
     FizeauParams,
     SystemParams,
@@ -60,21 +59,39 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_param_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--delta", type=float, default=None, help="pump detuning")
-    parser.add_argument("--g", type=float, default=None, help="mode hopping interaction")
-    parser.add_argument("--kappa2", type=float, default=None, help="second-harmonic loss rate")
-    parser.add_argument(
-        "--drive-strength", type=float, default=None, help="pump amplitude F"
-    )
-    parser.add_argument(
-        "--delta-f", type=float, default=None, help="signed Fizeau shift (< 0: right port)"
-    )
+_PARAM_HELP = {
+    "delta": "pump detuning",
+    "g": "mode hopping interaction",
+    "kappa2": "second-harmonic loss rate",
+    "drive_strength": "pump amplitude F",
+    "delta_f": "signed Fizeau shift (< 0: right port)",
+}
+
+
+# fizeau's flags: flag, FizeauParams field (whose default the flag takes), help.
+_FIZEAU_FLAGS = (
+    ("--n", "n", "refractive index"),
+    ("--radius", "r", "cavity radius, m"),
+    ("--omega-rot", "omega_rot", "rotation rate, rad/s"),
+    ("--wavelength", "wavelength", "pump wavelength, m"),
+    ("--dn-dlambda", "dn_dlambda", "dispersion, 1/m"),
+    ("--omega1", "omega1", "mode frequency (default 2 pi c / wavelength)"),
+)
+
+
+def _add_param_flags(parser: argparse.ArgumentParser, names=SWEEPABLE) -> None:
+    for name in names:
+        flag = "--" + name.replace("_", "-")
+        parser.add_argument(flag, type=float, default=None, help=_PARAM_HELP[name])
+
+
+def _add_cutoff_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--na-cut", type=int, default=None, help="fundamental-mode cutoff")
+    parser.add_argument("--nb-cut", type=int, default=None, help="second-harmonic cutoff")
 
 
 def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--na-cut", type=int, default=None, help="fundamental-mode cutoff")
-    parser.add_argument("--nb-cut", type=int, default=None, help="second-harmonic cutoff")
+    _add_cutoff_flags(parser)
     parser.add_argument(
         "--convergence-check",
         action="store_true",
@@ -137,11 +154,7 @@ def _cmd_point(args) -> int:
     for name, value in outputs.items():
         print(f"{name:<6} = {_fmt(value)}")
     print(f"status = {status}")
-    if args.convergence_check:
-        fine = run_point(params, (2 * cutoffs[0], 2 * cutoffs[1]))
-        for name in OUTPUT_NAMES:
-            change = max_rel_change([(outputs[name], getattr(fine, name))])
-            print(f"convergence {name}: rel change {_fmt_change(change)}")
+    # Written before the doubled-cutoff solve, whose failure keeps the result.
     if args.out:
         payload = {
             "params": dataclasses.asdict(params),
@@ -152,6 +165,11 @@ def _cmd_point(args) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
+    if args.convergence_check:
+        fine = run_point(params, (2 * cutoffs[0], 2 * cutoffs[1]))
+        for name in OUTPUT_NAMES:
+            change = max_rel_change([(outputs[name], getattr(fine, name))])
+            print(f"convergence {name}: rel change {_fmt_change(change)}")
     return 0
 
 
@@ -164,7 +182,10 @@ def _emit_result(result, args) -> int:
     if result.convergence is not None:
         for name, change in result.convergence.items():
             print(f"convergence {name}: max rel change {_fmt_change(change)}", file=sys.stderr)
-    return 2 if result.any_failure else 0
+    if result.convergence_failures:
+        count = result.convergence_failures
+        print(f"solver failure at {count} point(s) at doubled cutoffs", file=sys.stderr)
+    return 2 if result.any_failure or result.convergence_failures else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -217,17 +238,7 @@ def _cmd_fizeau(args) -> int:
     kappa1_si = args.kappa1_si
     if kappa1_si is not None and not (math.isfinite(kappa1_si) and kappa1_si > 0):
         raise ValueError(f"--kappa1-si must be finite and positive, got {kappa1_si}")
-    omega1 = args.omega1
-    if omega1 is None:
-        omega1 = 2 * math.pi * SPEED_OF_LIGHT / args.wavelength
-    fp = FizeauParams(
-        n=args.n,
-        r=args.radius,
-        omega_rot=args.omega_rot,
-        wavelength=args.wavelength,
-        dn_dlambda=args.dn_dlambda,
-        omega1=omega1,
-    )
+    fp = FizeauParams(**{field: getattr(args, field) for _, field, _ in _FIZEAU_FLAGS})
     direction = DriveDirection(args.direction) if args.direction else DriveDirection.LEFT
     shift = fizeau_shift(fp, direction)
     print(f"fizeau_shift_rad_s = {shift:.12g}")
@@ -270,28 +281,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_eig = sub.add_parser("eigen", help="lowest lab-frame eigenvalues")
     p_eig.add_argument("--omega1", type=float, required=True, help="fundamental frequency")
     p_eig.add_argument("--k", type=int, default=4, help="number of levels")
-    p_eig.add_argument("--g", type=float, default=None)
-    p_eig.add_argument("--delta-f", type=float, default=None)
-    p_eig.add_argument("--na-cut", type=int, default=None)
-    p_eig.add_argument("--nb-cut", type=int, default=None)
+    _add_param_flags(p_eig, ("g", "delta_f"))
+    _add_cutoff_flags(p_eig)
     p_eig.set_defaults(func=_cmd_eigen)
 
     p_opt = sub.add_parser("optimal-g", help="closed-form interference-optimal hopping")
-    p_opt.add_argument("--kappa2", type=float, default=None)
-    p_opt.add_argument("--drive-strength", type=float, default=None)
+    _add_param_flags(p_opt, ("kappa2", "drive_strength"))
     p_opt.set_defaults(func=_cmd_optimal_g)
 
     p_fiz = sub.add_parser("fizeau", help="SI Fizeau shift of the fundamental mode")
-    p_fiz.add_argument("--n", type=float, default=1.4, help="refractive index")
-    p_fiz.add_argument("--radius", type=float, default=1.1e-3, help="cavity radius, m")
-    p_fiz.add_argument(
-        "--omega-rot", type=float, default=2 * math.pi * 6.6e3, help="rotation rate, rad/s"
-    )
-    p_fiz.add_argument("--wavelength", type=float, default=1550e-9, help="pump wavelength, m")
-    p_fiz.add_argument("--dn-dlambda", type=float, default=0.0, help="dispersion, 1/m")
-    p_fiz.add_argument(
-        "--omega1", type=float, default=None, help="mode frequency (default 2 pi c / wavelength)"
-    )
+    for flag, field, text in _FIZEAU_FLAGS:
+        default = getattr(FizeauParams, field)
+        p_fiz.add_argument(flag, dest=field, type=float, default=default, help=text)
     p_fiz.add_argument("--direction", choices=["left", "right"], default=None)
     p_fiz.add_argument(
         "--kappa1-si", type=float, default=None, help="kappa1 in rad/s, to express the shift in kappa1 units"

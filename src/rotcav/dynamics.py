@@ -8,9 +8,9 @@ The master equation
 
 is solved for its steady state L(rho) = 0, Tr rho = 1, by two routes.
 
-The production solver, :func:`jump_map_steady_states` (one chunk of
-points on stacked arrays; :func:`jump_map_steady_state` is its chunk of
-one), never forms a superoperator.  With the non-Hermitian Hamiltonian
+The production solver, :func:`jump_map_steady_states`, streams its points
+in chunks of CHUNK_ENTRIES // D**2 on stacked arrays and never forms a
+superoperator.  With the non-Hermitian Hamiltonian
 H' = H - (i/2)(kappa1 a^dag a + kappa2 b^dag b) the generator splits
 into the no-jump part S(rho) = -i (H' rho - rho H'^dag) and the jumps
 J(rho) = kappa1 a rho a^dag + kappa2 b rho b^dag (the quantum-jump
@@ -81,7 +81,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -378,68 +378,69 @@ def decay_hamiltonian(
     return h_eff - 0.5j * np.diag(decay)
 
 
-# Callers solve their points in chunks of CHUNK_ENTRIES // D**2 points (at
-# least one), a budget of stacked D x D entries.  The chunk solver holds 10
-# D x D arrays per point, 1.0 MB at this budget: H', the five factors of
-# S^-1 (V, V^-1, their conjugates and the denominator of S), the state,
-# L(rho) and a scratch array, all complex, plus the real scaled update and
-# its weights.  Memory bounds the chunk, not speed: at D = 28 (cutoffs
-# (6,3)) chunks of 8 solved the fig5 sweep 1.5x faster than chunks of one,
-# and chunks of 16 only 2% faster than 8 at 1.1 MB more peak memory; at
-# D = 45 chunks of 3 ran 7% faster than chunks of one and chunks of 8 3%
+# jump_map_steady_states applies this budget of stacked D x D entries: it
+# solves CHUNK_ENTRIES // D**2 points (at least one) at a time.  The chunk
+# solver holds 10 D x D arrays per point, 1.0 MB at this budget: H', the
+# five factors of S^-1 (V, V^-1, their conjugates and the denominator of S),
+# the state, L(rho) and a scratch array, all complex, plus the real scaled
+# update and its weights.  Memory bounds the chunk, not speed: at D = 28
+# (cutoffs (6,3)) chunks of 8 solved the fig5 sweep 1.5x faster than chunks
+# of one, and chunks of 16 only 2% faster than 8 at 1.1 MB more peak memory;
+# at D = 45 chunks of 3 ran 7% faster than chunks of one and chunks of 8 3%
 # faster than 3 at 1.8 MB more.  D = 66 and up solves one point at a time.
 CHUNK_ENTRIES = 8 * 28**2
 
 
-def jump_map_steady_state(
-    h_eff: np.ndarray, basis: FockBasis, kappa1: float, kappa2: float
-) -> DensityMatrix:
-    """Steady state by the jump-map iteration; no superoperator.
-
-    A chunk of one point of :func:`jump_map_steady_states`; raises the
-    :class:`SteadyStateError` that stopped the point.
-    """
-    (state,) = jump_map_steady_states([h_eff], basis, [(kappa1, kappa2)])
-    if isinstance(state, SteadyStateError):
-        raise state
-    return state
-
-
 def jump_map_steady_states(
-    h_effs: Iterable[np.ndarray], basis: FockBasis, rates: Sequence[tuple[float, float]]
-) -> list[DensityMatrix | SteadyStateError]:
-    """Steady states of a chunk of points on one basis by the jump-map iteration.
+    points: Iterable[tuple[np.ndarray, float, float]], basis: FockBasis
+) -> Iterator[DensityMatrix | SteadyStateError]:
+    """Steady states of points on one basis by the jump-map iteration.
 
-    h_effs are the K Hamiltonians of the chunk and rates their K
-    (kappa1, kappa2) pairs.  Iterates rho <- rho - S^-1(L(rho)) (see the
-    module docstring) on (K, D, D) stacks, with S^-1 in each H''s
-    eigenbasis, or in its Schur basis where the eigenvectors are too close
-    to dependent, until the remaining updates of a point, relative to its
-    populations, are estimated below roundoff or stall there.  That point
-    then leaves the stack and is certified like :func:`steady_state`:
-    residual max |L(rho)| against the full generator and
-    :meth:`DensityMatrix.validate`.  Time and memory are O(K D^3) and
-    O(K D^2) per iteration.
+    points yields each point's (h_eff, kappa1, kappa2).  They are pulled
+    CHUNK_ENTRIES // D**2 at a time (at least one), and each chunk is
+    solved by :func:`_solve_chunk` before the next is pulled, so at most
+    one chunk of inputs and results is alive at once.
+
+    Yields one entry per point, in input order: its certified state, or
+    the :class:`SteadyStateError` that stopped it (no convergence within
+    JUMP_MAP_MAX_ITERATIONS, non-finite entries, or a failed certificate).
+    A point's bits depend neither on its chunk nor on its position in it:
+    every stacked operation acts on each point's slice by the same BLAS
+    call or elementwise loop as on a single point.
+    """
+    size = max(1, CHUNK_ENTRIES // basis.dim**2)
+    points = iter(points)
+    while chunk := list(itertools.islice(points, size)):
+        yield from _solve_chunk(chunk, basis)
+        del chunk  # before the next chunk is pulled
+
+
+def _solve_chunk(
+    chunk: Sequence[tuple[np.ndarray, float, float]], basis: FockBasis
+) -> list[DensityMatrix | SteadyStateError]:
+    """Steady states of a chunk of K points, one per point, on (K, D, D) stacks.
+
+    Iterates rho <- rho - S^-1(L(rho)) (see the module docstring), with
+    S^-1 in each H''s eigenbasis, or in its Schur basis where the
+    eigenvectors are too close to dependent, until the remaining updates
+    of a point, relative to its populations, are estimated below roundoff
+    or stall there.  That point then leaves the stack and is certified
+    like :func:`steady_state`: residual max |L(rho)| against the full
+    generator and :meth:`DensityMatrix.validate`.  Time and memory are
+    O(K D^3) and O(K D^2) per iteration.
 
     This function owns the stacks of H', the rates and the factors of S^-1
     (:func:`_eigenbasis_factors`, or T and U of the Schur basis), one slice
     per driven point; :func:`_keep` moves the undriven points out of them
     and splits the rest into eigenbasis and Schur points, and
     :func:`_iterate` owns the rest of each path's arrays.
-
-    Returns one entry per point: its certified state, or the
-    :class:`SteadyStateError` that stopped it (no convergence within
-    JUMP_MAP_MAX_ITERATIONS, non-finite entries, or a failed certificate).
-    A point's bits depend neither on its chunk nor on its position in it:
-    every stacked operation acts on each point's slice by the same BLAS
-    call or elementwise loop as on a single point.
     """
-    k, d = len(rates), basis.dim
+    k, d = len(chunk), basis.dim
     h_prime = np.empty((k, d, d), dtype=complex)
-    for i, (h_eff, (kappa1, kappa2)) in enumerate(zip(h_effs, rates, strict=True)):
+    for i, (h_eff, kappa1, kappa2) in enumerate(chunk):
         _check_input(h_eff, basis, kappa1, kappa2)
         h_prime[i] = decay_hamiltonian(h_eff, basis, kappa1, kappa2)
-    rates = np.array(rates, dtype=float).reshape(k, 2)
+    rates = np.array([point[1:] for point in chunk], dtype=float).reshape(k, 2)
     results: list = [None] * k
     # The jumps empty the vacuum, so L(|0,0><0,0|) = -i (H' |0,0><0,0| - h.c.)
     # vanishes exactly when H'[1:, 0] = 0 and H'_00 is real.  Then S is

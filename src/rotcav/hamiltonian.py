@@ -17,6 +17,7 @@ caller bridges to simulation units via an explicit kappa1-in-rad/s.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
 from dataclasses import dataclass
@@ -37,9 +38,10 @@ class DriveDirection(enum.Enum):
     RIGHT = "right"
 
 
-def _require_finite(values: dict[str, float]) -> None:
+def _require_finite(values: dict[str, float | None]) -> None:
+    """Reject a value that is set (not None) and not finite, by name."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -63,8 +65,7 @@ class SystemParams:
     delta_f: float = 0.0
 
     def __post_init__(self):
-        names = ("delta", "g", "kappa1", "kappa2", "drive_strength", "delta_f")
-        _require_finite({name: getattr(self, name) for name in names})
+        _require_finite({f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
         if self.kappa1 <= 0 or self.kappa2 <= 0:
             raise ValueError("loss rates kappa1, kappa2 must be positive")
         if self.drive_strength < 0:
@@ -79,7 +80,7 @@ class FizeauParams:
 
     Defaults describe a millimetre-scale silica toroid pumped at
     1550 nm; they are placeholders for order-of-magnitude estimates,
-    not measured device values.
+    not measured device values.  omega1 defaults to 2 pi c / wavelength.
     """
 
     n: float = 1.4  # refractive index
@@ -87,11 +88,12 @@ class FizeauParams:
     omega_rot: float = 2 * math.pi * 6.6e3  # angular velocity, rad/s
     wavelength: float = 1550e-9  # pump wavelength, m
     dn_dlambda: float = 0.0  # dispersion dn/dlambda, 1/m
-    omega1: float = 2 * math.pi * SPEED_OF_LIGHT / 1550e-9  # rad/s
+    omega1: float | None = None  # mode frequency, rad/s
 
     def __post_init__(self):
-        names = ("n", "r", "omega_rot", "wavelength", "dn_dlambda", "omega1")
-        _require_finite({name: getattr(self, name) for name in names})
+        if self.omega1 is None and self.wavelength > 0:
+            object.__setattr__(self, "omega1", 2 * math.pi * SPEED_OF_LIGHT / self.wavelength)
+        _require_finite({f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
         if self.n <= 1:
             raise ValueError("refractive index must exceed 1")
         if self.r <= 0 or self.wavelength <= 0 or self.omega1 <= 0:

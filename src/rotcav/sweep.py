@@ -35,7 +35,6 @@ import numpy as np
 from . import __version__ as _version
 from .fock import build_basis, annihilator_a, annihilator_b
 from .hamiltonian import SystemParams, build_h_eff, resonance_angular_condition
-from . import dynamics
 from .dynamics import SteadyStateError, jump_map_steady_states
 from .observables import PhotonStatistics, photon_statistics
 from .amplitudes import optimal_g
@@ -164,6 +163,7 @@ class SweepResult:
     spec: SweepSpec
     rows: list[SweepRow]
     convergence: dict[str, float | None] | None = None
+    convergence_failures: int = 0  # solver failures at doubled cutoffs
 
     @property
     def any_failure(self) -> bool:
@@ -173,29 +173,25 @@ class SweepResult:
 def solve_points(
     params: Sequence[SystemParams], cutoffs: tuple[int, int] = DEFAULT_CUTOFFS
 ) -> list[PhotonStatistics | SteadyStateError]:
-    """Steady-state statistics at each point, solved in chunks on one basis.
+    """Steady-state statistics at each point, all solved on one basis.
 
     Returns one entry per point: its statistics, or the
     :class:`SteadyStateError` that stopped it, with the point attached.
-    A point's result depends neither on the other points nor on the
-    chunk size, dynamics.CHUNK_ENTRIES // D**2 points.
+    A point's result depends neither on the other points nor on how the
+    solver chunks them.
     """
     basis = build_basis(*cutoffs)
     a, b = annihilator_a(basis), annihilator_b(basis)
-    size = max(1, dynamics.CHUNK_ENTRIES // basis.dim**2)
+    points = ((build_h_eff(p, basis), p.kappa1, p.kappa2) for p in params)
     results: list[PhotonStatistics | SteadyStateError] = []
-    for start in range(0, len(params), size):
-        chunk = params[start : start + size]
-        h_effs = (build_h_eff(p, basis) for p in chunk)
-        states = jump_map_steady_states(h_effs, basis, [(p.kappa1, p.kappa2) for p in chunk])
-        for p, state in zip(chunk, states):
-            if isinstance(state, SteadyStateError):
-                label = ", ".join(f"{key}={value}" for key, value in dataclasses.asdict(p).items())
-                error = type(state)(f"{state} [at {label}]")
-                error.__cause__ = state
-                results.append(error)
-            else:
-                results.append(photon_statistics(state, a, b))
+    for p, state in zip(params, jump_map_steady_states(points, basis), strict=True):
+        if isinstance(state, SteadyStateError):
+            label = ", ".join(f"{key}={value}" for key, value in dataclasses.asdict(p).items())
+            error = type(state)(f"{state} [at {label}]")
+            error.__cause__ = state
+            results.append(error)
+        else:
+            results.append(photon_statistics(state, a, b))
     return results
 
 
@@ -247,21 +243,22 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     With convergence_check the whole grid is re-run at doubled cutoffs
     (considerably more expensive) and the worst relative change of each
     output is reported alongside the rows (None for an output that no
-    point defines at both cutoffs).
+    point defines at both cutoffs), with the number of points whose
+    doubled-cutoff solve failed.
     """
     rows = _evaluate_grid(spec, spec.cutoffs)
-    convergence = None
-    if spec.convergence_check:
-        doubled = (2 * spec.cutoffs[0], 2 * spec.cutoffs[1])
-        rows_fine = _evaluate_grid(spec, doubled)
-        convergence = {
-            name: max_rel_change(
-                (coarse.outputs[name], fine.outputs[name])
-                for coarse, fine in zip(rows, rows_fine)
-            )
-            for name in spec.outputs
-        }
-    return SweepResult(spec, rows, convergence)
+    if not spec.convergence_check:
+        return SweepResult(spec, rows)
+    doubled = (2 * spec.cutoffs[0], 2 * spec.cutoffs[1])
+    rows_fine = _evaluate_grid(spec, doubled)
+    convergence = {
+        name: max_rel_change(
+            (coarse.outputs[name], fine.outputs[name]) for coarse, fine in zip(rows, rows_fine)
+        )
+        for name in spec.outputs
+    }
+    failures = sum(row.status == STATUS_FAILURE for row in rows_fine)
+    return SweepResult(spec, rows, convergence, failures)
 
 
 def figure_preset(

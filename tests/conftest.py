@@ -42,20 +42,17 @@ def kron_liouvillian(h, a_mat, b_mat, kappa1, kappa2):
 
 
 def fail_at_points(monkeypatch, *numbers: int) -> None:
-    """Make the sweep's chunk solver report a SteadyStateError at the given
-    points, counted from 1 across chunks in the order they are solved."""
+    """Make the sweep's streamed solver report a SteadyStateError at the given
+    points, counted from 1 in the order they are solved, across calls."""
     import rotcav.sweep as sweep_mod
     from rotcav import SteadyStateError
 
     real = sweep_mod.jump_map_steady_states
     seen = [0]
 
-    def flaky(h_effs, basis, rates):
-        states = real(h_effs, basis, rates)
-        for i in range(len(states)):
+    def flaky(points, basis):
+        for state in real(points, basis):
             seen[0] += 1
-            if seen[0] in numbers:
-                states[i] = SteadyStateError("synthetic failure")
-        return states
+            yield SteadyStateError("synthetic failure") if seen[0] in numbers else state
 
     monkeypatch.setattr(sweep_mod, "jump_map_steady_states", flaky)

@@ -5,7 +5,14 @@ import pytest
 
 import rotcav.dynamics as dynamics_mod
 from conftest import fail_at_points
-from rotcav import SweepAxis, SweepSpec, SystemParams
+from rotcav import (
+    DriveDirection,
+    FizeauParams,
+    SweepAxis,
+    SweepSpec,
+    SystemParams,
+    fizeau_shift,
+)
 from rotcav.cli import main
 from rotcav.sweep import spec_to_dict
 
@@ -57,6 +64,37 @@ def test_point_convergence_check(capsys):
     assert "convergence g2_bb" in out
 
 
+def test_point_out_survives_a_doubled_cutoff_failure(monkeypatch, tmp_path, capsys):
+    argv = ["point", "--g", "1.0", "--na-cut", "2", "--nb-cut", "1"]
+    plain = tmp_path / "plain.json"
+    assert main([*argv, "--out", str(plain)]) == 0
+    fail_at_points(monkeypatch, 2)  # the (4, 2) solve; the (2, 1) one is point 1
+    checked = tmp_path / "checked.json"
+    assert main([*argv, "--convergence-check", "--out", str(checked)]) == 2
+    assert "solver failure" in capsys.readouterr().err
+    assert checked.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--axis1", "g:0.5:1.5:3", "--outputs", "n_a"],
+        ["figure", "--name", "fig5", "--count1", "3"],
+    ],
+    ids=["sweep", "figure"],
+)
+def test_doubled_cutoff_failure_exits_2_with_rows_unchanged(argv, monkeypatch, tmp_path, capsys):
+    argv = [*argv, "--na-cut", "2", "--nb-cut", "1", "--convergence-check"]
+    plain = tmp_path / "plain.csv"
+    assert main([*argv, "--out", str(plain)]) == 0
+    assert "doubled cutoffs" not in capsys.readouterr().err
+    fail_at_points(monkeypatch, 5)  # the second point of the doubled-cutoff pass
+    failed = tmp_path / "failed.csv"
+    assert main([*argv, "--out", str(failed)]) == 2
+    assert "solver failure at 1 point(s) at doubled cutoffs" in capsys.readouterr().err
+    assert failed.read_bytes() == plain.read_bytes()
+
+
 def test_optimal_g_output(capsys):
     assert main(["optimal-g"]) == 0
     assert capsys.readouterr().out.strip() == "0.866746791168"
@@ -67,6 +105,26 @@ def test_fizeau_output(capsys):
     out = capsys.readouterr().out
     assert "fizeau_shift_rad_s = 126796672.505" in out
     assert "fizeau_shift_kappa1" in out
+
+
+def test_fizeau_cli_matches_library_at_another_wavelength(capsys):
+    shift = fizeau_shift(FizeauParams(wavelength=1064e-9), DriveDirection.LEFT)
+    assert shift == pytest.approx(1.847e8, rel=1e-3)
+    assert main(["fizeau", "--wavelength", "1064e-9"]) == 0
+    assert capsys.readouterr().out == f"fizeau_shift_rad_s = {shift:.12g}\n"
+
+
+def test_fizeau_omega1_passes_through(capsys):
+    shift = fizeau_shift(FizeauParams(omega1=1e15), DriveDirection.LEFT)
+    assert main(["fizeau", "--omega1", "1e15", "--wavelength", "1064e-9"]) == 0
+    assert capsys.readouterr().out == f"fizeau_shift_rad_s = {shift:.12g}\n"
+
+
+def test_fizeau_zero_wavelength_exits_1(capsys):
+    assert main(["fizeau", "--wavelength", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: r, wavelength, omega1 must be positive\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("omega1", ["nan", "inf"])

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rotcav.dynamics as dynamics_mod
-from rotcav.dynamics import decay_hamiltonian
+from rotcav.dynamics import decay_hamiltonian, jump_map_steady_states
 from rotcav.fock import ladder
 from conftest import kron_liouvillian, make_ops, solve_point
 from rotcav import (
@@ -24,7 +24,6 @@ from rotcav import (
     build_liouvillian,
     evolve,
     figure_preset,
-    jump_map_steady_state,
     optimal_g,
     photon_statistics,
     run_point,
@@ -41,6 +40,14 @@ def _liouvillian(params: SystemParams, na=6, nb=3) -> Liouvillian:
     basis, a, b = make_ops(na, nb)
     h = build_h_eff(params, basis)
     return build_liouvillian(h, a, b, params.kappa1, params.kappa2)
+
+
+def _solve_alone_point(h, basis, kappa1, kappa2) -> DensityMatrix:
+    """The jump-map state of one point solved on its own; raises its error."""
+    (state,) = jump_map_steady_states([(h, kappa1, kappa2)], basis)
+    if isinstance(state, SteadyStateError):
+        raise state
+    return state
 
 
 def _vacuum(basis) -> DensityMatrix:
@@ -92,7 +99,7 @@ def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         build_liouvillian(h, a, b, 1.0, 1.0)
     with pytest.raises(ValueError):
-        jump_map_steady_state(h, basis, 1.0, 1.0)
+        _solve_alone_point(h, basis, 1.0, 1.0)
 
 
 def test_negative_rates_rejected():
@@ -101,7 +108,7 @@ def test_negative_rates_rejected():
     with pytest.raises(ValueError):
         build_liouvillian(h, a, b, -1.0, 1.0)
     with pytest.raises(ValueError):
-        jump_map_steady_state(h, basis, -1.0, 1.0)
+        _solve_alone_point(h, basis, -1.0, 1.0)
 
 
 def test_operators_other_than_the_annihilators_rejected():
@@ -267,7 +274,7 @@ def _assert_matches_oracle(p: SystemParams, cutoffs, min_occupation=0.0):
         else:
             floor = ROUNDOFF if occupation is None else 0.0
             assert got == pytest.approx(want, rel=1e-9, abs=floor), name
-    rho = jump_map_steady_state(h, basis, p.kappa1, p.kappa2)
+    rho = _solve_alone_point(h, basis, p.kappa1, p.kappa2)
     assert np.max(np.abs(lio.matrix @ vectorize(rho.matrix))) <= 1e-10
     return stats, expected
 
@@ -508,10 +515,10 @@ def test_near_singular_eigenvectors_keep_schur_path(zero, monkeypatch):
         return lam, v
 
     monkeypatch.setattr(scipy.linalg, "eig", rank_deficient)
-    rho = jump_map_steady_state(h, basis, 1.0, 1.0)
+    rho = _solve_alone_point(h, basis, 1.0, 1.0)
     assert len(calls) == 1
     _schur_only(monkeypatch)
-    np.testing.assert_array_equal(rho.matrix, jump_map_steady_state(h, basis, 1.0, 1.0).matrix)
+    np.testing.assert_array_equal(rho.matrix, _solve_alone_point(h, basis, 1.0, 1.0).matrix)
 
 
 # Exceptional points g = (kappa1 - kappa2 / 2) / (2 sqrt 2) of the |2,0>/|0,1>
@@ -536,7 +543,7 @@ def test_ill_conditioned_eigenbasis_falls_back_to_schur(params, cutoffs, monkeyp
 def test_undriven_jump_map_returns_vacuum():
     basis = build_basis(4, 2)
     h = build_h_eff(SystemParams(g=2.0, drive_strength=0.0), basis)
-    rho = jump_map_steady_state(h, basis, 1.0, 1.0)
+    rho = _solve_alone_point(h, basis, 1.0, 1.0)
     np.testing.assert_array_equal(rho.matrix, _vacuum(basis).matrix)
 
 
@@ -545,7 +552,7 @@ def test_jump_map_budget_exhaustion_raises(monkeypatch):
     basis = build_basis(6, 3)
     h = build_h_eff(SystemParams(g=0.867, drive_strength=3.0), basis)
     with pytest.raises(SteadyStateError, match=r"did not converge in 3 iterations.*residual"):
-        jump_map_steady_state(h, basis, 1.0, 1.0)
+        _solve_alone_point(h, basis, 1.0, 1.0)
 
 
 def _poisoned_at_call(fn, bad, call: int = 3, point: int | None = None):
@@ -567,7 +574,7 @@ def _poisoned_at_call(fn, bad, call: int = 3, point: int | None = None):
 def _weak_drive_jump_map():
     basis = build_basis(6, 3)
     h = build_h_eff(SystemParams(g=0.867, drive_strength=0.05), basis)
-    return jump_map_steady_state(h, basis, 1.0, 1.0)
+    return _solve_alone_point(h, basis, 1.0, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -594,7 +601,7 @@ def test_jump_map_budget_exhaustion_in_eigenbasis_raises(monkeypatch):
     basis = build_basis(6, 3)
     h = build_h_eff(SystemParams(g=0.867, drive_strength=3.0), basis)
     with pytest.raises(SteadyStateError, match=r"did not converge in 20 iterations.*residual"):
-        jump_map_steady_state(h, basis, 1.0, 1.0)
+        _solve_alone_point(h, basis, 1.0, 1.0)
     assert counts["eig"] == 1
 
 
@@ -608,7 +615,7 @@ def test_residual_above_tolerance_raises_from_both_solvers(monkeypatch):
     with pytest.raises(SteadyStateError, match=r"residual .* exceeds"):
         steady_state(build_liouvillian(h, a, b, p.kappa1, p.kappa2))
     with pytest.raises(SteadyStateError, match=r"residual .* exceeds"):
-        jump_map_steady_state(h, basis, p.kappa1, p.kappa2)
+        _solve_alone_point(h, basis, p.kappa1, p.kappa2)
 
 
 # ------------------------------------------------------------- chunked solves
@@ -621,17 +628,21 @@ CHUNK_ITERATIONS = (10, 41, 73, 67, 79)
 
 def _chunk_inputs():
     basis = build_basis(4, 2)
-    h_effs = [build_h_eff(SystemParams(g=0.867, drive_strength=f), basis) for f in CHUNK_DRIVES]
-    return h_effs, basis, [(1.0, 1.0)] * len(h_effs)
+    points = [
+        (build_h_eff(SystemParams(g=0.867, drive_strength=f), basis), 1.0, 1.0)
+        for f in CHUNK_DRIVES
+    ]
+    return points, basis
 
 
 def _solve_chunk():
-    return dynamics_mod.jump_map_steady_states(*_chunk_inputs())
+    # One chunk: the budget holds 27 points at D = 15.
+    return list(jump_map_steady_states(*_chunk_inputs()))
 
 
 def _solve_alone():
-    h_effs, basis, rates = _chunk_inputs()
-    return [jump_map_steady_state(h, basis, *pair) for h, pair in zip(h_effs, rates)]
+    points, basis = _chunk_inputs()
+    return [_solve_alone_point(h, basis, kappa1, kappa2) for h, kappa1, kappa2 in points]
 
 
 def _failed(states) -> list[bool]:
@@ -700,16 +711,39 @@ def test_chunk_partition_gives_each_point_its_chunk_of_one_state(monkeypatch):
         calls.append(None)
         return len(calls) != 3 and build(t, u, out)
 
-    expected = [jump_map_steady_state(h, basis, 1.0, 1.0).matrix for h in h_effs]
+    expected = [_solve_alone_point(h, basis, 1.0, 1.0).matrix for h in h_effs]
     _schur_only(monkeypatch)
-    expected[4] = jump_map_steady_state(h_effs[4], basis, 1.0, 1.0).matrix
+    expected[4] = _solve_alone_point(h_effs[4], basis, 1.0, 1.0).matrix
     monkeypatch.setattr(dynamics_mod, "_eigenbasis_factors", third_singular)
-    states = dynamics_mod.jump_map_steady_states(h_effs, basis, [(1.0, 1.0)] * len(h_effs))
+    states = list(jump_map_steady_states([(h, 1.0, 1.0) for h in h_effs], basis))
     assert len(calls) == len(driven)
     for state, want in zip(states, expected):
         np.testing.assert_array_equal(state.matrix, want)
     for i in (1, 3):
         np.testing.assert_array_equal(states[i].matrix, _vacuum(basis).matrix)
+
+
+def test_solver_streams_its_input_one_chunk_at_a_time(monkeypatch):
+    basis = build_basis(4, 2)
+    monkeypatch.setattr(dynamics_mod, "CHUNK_ENTRIES", 3 * basis.dim**2)
+    h_effs = [
+        build_h_eff(SystemParams(g=0.867, drive_strength=f), basis) for f in np.linspace(0.05, 3.0, 7)
+    ]
+    pulled = []
+
+    def counted():
+        for h in h_effs:
+            pulled.append(None)
+            yield h, 1.0, 1.0
+
+    states = jump_map_steady_states(counted(), basis)
+    first = next(states)
+    assert len(pulled) <= 3
+    states = [first, *states]
+    assert len(pulled) == 7
+    alone = [_solve_alone_point(h, basis, 1.0, 1.0) for h in h_effs]
+    for state, want in zip(states, alone, strict=True):
+        np.testing.assert_array_equal(state.matrix, want.matrix)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -15,6 +15,7 @@ from rotcav import (
     fizeau_shift,
     resonance_angular_condition,
 )
+from rotcav.hamiltonian import SPEED_OF_LIGHT
 
 # Hand-evaluated oracle values (30-digit arithmetic on the defining
 # formulas), frozen here.
@@ -55,6 +56,13 @@ def test_fizeau_dispersion_term():
         base, DriveDirection.LEFT
     )
     assert ratio == pytest.approx(drag_disp / drag_base, rel=1e-12)
+
+
+def test_fizeau_omega1_defaults_to_the_wavelength():
+    for wavelength in (1550e-9, 1064e-9):
+        fp = FizeauParams(wavelength=wavelength)
+        assert fp.omega1 == 2 * math.pi * SPEED_OF_LIGHT / wavelength
+    assert FizeauParams(wavelength=1064e-9, omega1=3.0).omega1 == 3.0
 
 
 def test_fizeau_params_validation():

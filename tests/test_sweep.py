@@ -233,7 +233,7 @@ def test_convergence_check_reports_outputs():
 
 
 def _chunk_points(monkeypatch, points: int, cutoffs) -> None:
-    """Make solve_points put `points` points in each chunk at these cutoffs."""
+    """Make the solver put `points` points in each chunk at these cutoffs."""
     d = (cutoffs[0] + 1) * (cutoffs[1] + 1)
     monkeypatch.setattr(dynamics_mod, "CHUNK_ENTRIES", points * d**2)
 
@@ -251,13 +251,13 @@ def test_fig4b_bytes_do_not_depend_on_the_chunk_size(monkeypatch):
 
 def test_chunk_sizes_follow_the_entry_budget(monkeypatch):
     sizes = []
-    real = sweep_mod.jump_map_steady_states
+    real = dynamics_mod._solve_chunk
 
-    def recorded(h_effs, basis, rates):
-        sizes.append((basis.dim, len(rates)))
-        return real(h_effs, basis, rates)
+    def recorded(chunk, basis):
+        sizes.append((basis.dim, len(chunk)))
+        return real(chunk, basis)
 
-    monkeypatch.setattr(sweep_mod, "jump_map_steady_states", recorded)
+    monkeypatch.setattr(dynamics_mod, "_solve_chunk", recorded)
     points = [SystemParams(g=g, drive_strength=0.05) for g in np.linspace(0.5, 1.5, 9)]
     for cutoffs in ((6, 3), (8, 4), (10, 5)):
         sweep_mod.solve_points(points, cutoffs)
