@@ -45,6 +45,7 @@ from .observables import (
     g2_bb,
     mean_photon,
     photon_statistics,
+    population_statistics,
     populations,
 )
 from .amplitudes import (
@@ -100,6 +101,7 @@ __all__ = [
     "g2_bb",
     "mean_photon",
     "photon_statistics",
+    "population_statistics",
     "populations",
     "AmplitudeModelOptions",
     "AmplitudeState",

@@ -14,7 +14,7 @@ The model owns no copy of that physics.  Its 9 x 9 matrix is the
 Fock-space H' (:func:`~rotcav.dynamics.decay_hamiltonian` of
 :func:`~rotcav.hamiltonian.build_h_eff`) on the box n_a <= 4, n_b <= 2,
 restricted to the ansatz states, and its g2 values are those of
-:func:`~rotcav.observables.photon_statistics` for |psi><psi| on that
+:func:`~rotcav.observables.population_statistics` for |psi><psi| on that
 box.  The box is the smallest that holds the ansatz, and the restriction
 is exact: the product b a^dag^2 taking one ansatz state to another
 passes only through states of the box, so no truncation edge clips an
@@ -53,9 +53,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import DensityMatrix, decay_hamiltonian
-from .fock import FockBasis, annihilator_a, annihilator_b
+from .fock import FockBasis
 from .hamiltonian import SystemParams, _require_finite, build_h_eff
-from .observables import photon_statistics
+from .observables import population_statistics
 
 # Ansatz members in fixed order; index map used by the linear system.
 ANSATZ_STATES: tuple[tuple[int, int], ...] = (
@@ -80,10 +80,8 @@ _SUBLEADING = (
     ((1, 1), (2, 1)),
 )
 
-# Smallest Fock box holding the ansatz, its annihilators, and the ansatz
-# states' places in it.
+# Smallest Fock box holding the ansatz, and the ansatz states' places in it.
 _BASIS = FockBasis(4, 2)
-_A, _B = annihilator_a(_BASIS), annihilator_b(_BASIS)
 _FOCK_INDEX = np.array([_BASIS.index(*state) for state in ANSATZ_STATES])
 
 
@@ -164,7 +162,7 @@ def g2_from_amplitudes(s: AmplitudeState) -> tuple[float | None, float | None]:
     """Zero-delay correlations of the normalized truncated state.
 
     Returns (g2_aa, g2_bb) of |psi><psi| from
-    :func:`~rotcav.observables.photon_statistics`; a mode whose normalized
+    :func:`~rotcav.observables.population_statistics`; a mode whose normalized
     occupation is at most the vacuum guard yields None.  The a-mode value
     is exact on the ansatz but the ansatz itself truncates at n_a = 4, so
     it degrades sooner than the b-mode value as g grows.
@@ -176,5 +174,5 @@ def g2_from_amplitudes(s: AmplitudeState) -> tuple[float | None, float | None]:
     psi = np.zeros(_BASIS.dim, dtype=complex)
     psi[_FOCK_INDEX] = amps / math.sqrt(norm_sq)
     rho = DensityMatrix(np.outer(psi, psi.conj()), _BASIS)
-    stats = photon_statistics(rho, _A, _B)
+    stats = population_statistics(rho)
     return stats.g2_aa, stats.g2_bb

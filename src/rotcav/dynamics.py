@@ -17,31 +17,38 @@ J(rho) = kappa1 a rho a^dag + kappa2 b rho b^dag (the quantum-jump
 picture; Plenio & Knight, Rev. Mod. Phys. 70, 101 (1998)).  The state
 is iterated in residual-update form, rho <- rho - S^-1(L(rho)), with
 L(rho) formed in the Fock basis, then Hermitized and renormalized,
-starting from a maximally mixed fundamental with an empty second
-harmonic.  In exact arithmetic this is the trace-preserving renewal
-map rho <- -S^-1(J(rho)), but applying that map directly lets the
-roundoff of S^-1 accumulate in the state (4e-10 to 5e-9 relative in
-g2_bb at the fig5 and fig7a points checked), whereas each residual
-update only corrects the roundoff of the previous iterate.  For the
+starting one renewal from the vacuum, at |1,0><1,0|: there L = S + J
+with J(|1,0><1,0|) = kappa1 |0,0><0,0|, so the first update is exactly
+the normalized -kappa1 S^-1(|0,0><0,0|), the averaged no-jump evolution
+from the vacuum.  At weak drive nearly every jump lands in |0,0>, so
+this start is close to the steady state, where weight spread up the
+fundamental ladder would drain down it one photon per renewal (six
+iterations at the fig5 points).  In exact arithmetic the iteration is
+the trace-preserving renewal map rho <- -S^-1(J(rho)), but applying
+that map directly lets the roundoff of S^-1 accumulate in the state
+(4e-10 to 5e-9 relative in g2_bb at the fig5 and fig7a points checked),
+whereas each residual update only corrects the roundoff of the previous
+iterate.  For the
 same reason the fixed point L(rho) = 0 does not depend on how
 accurately S^-1 is applied: an inaccurate S^-1 only slows the
 contraction.
 
 S^-1 is applied in H''s eigenbasis H' = V diag(lam) V^-1, with V = U W
-from one complex Schur factorization H' = U T U^dag and W the
-eigenvectors of the triangular T.  There S^-1 is four D x D products
-per iteration, a fifth of the cost of a triangular Sylvester solve at
-D = 45.  An ill-conditioned V costs accuracy in S^-1 only, which the
-residual update tolerates.  Where V is singular or its condition number
-exceeds 1/sqrt(eps), as can happen at the exceptional point of the
-|2,0>/|0,1> pair at vanishing drive, S^-1 is applied in the Schur basis: one
-triangular Sylvester solve per iteration, T Z - Z T^dag = i U^dag R U
-(LAPACK ztrsyl), which is backward stable even where H' is defective.
-The iteration stops once the geometric tail of its remaining updates,
-estimated from the ratio of successive updates, is below roundoff, or
-once the updates sit on a roundoff plateau.  Without drive the vacuum
-|0,0> is an eigenvector of H' with a real eigenvalue, so S is singular;
-the vacuum is then stationary and is returned directly.
+from one complex Schur factorization H' = U T U^dag per point and W the
+eigenvectors of the triangular T, found for a chunk's stack of T at
+once.  There S^-1 is four D x D products per iteration, a fifth of the
+cost of a triangular Sylvester solve at D = 45.  An ill-conditioned V
+costs accuracy in S^-1 only, which the residual update tolerates.  Where
+V is singular or its condition number exceeds 1/sqrt(eps), as can happen
+at the exceptional point of the |2,0>/|0,1> pair at vanishing drive,
+S^-1 is applied in the Schur basis: one triangular Sylvester solve per
+iteration, T Z - Z T^dag = i U^dag R U (LAPACK ztrsyl), which is
+backward stable even where H' is defective.  The iteration stops once
+the geometric tail of its remaining updates, estimated from the ratio of
+successive updates, is below roundoff, or once the updates sit on a
+roundoff plateau.  Without drive the vacuum |0,0> is an eigenvector of
+H' with a real eigenvalue, so S is singular; the vacuum is then
+stationary and is returned directly.
 
 The dense route vectorizes by column stacking: vec(rho) stacks the
 columns of rho (numpy order='F'), in the same n_a-major index order as
@@ -383,7 +390,10 @@ def decay_hamiltonian(
 # solver holds 10 D x D arrays per point, 1.0 MB at this budget: H', the
 # five factors of S^-1 (V, V^-1, their conjugates and the denominator of S),
 # the state, L(rho) and a scratch array, all complex, plus the real scaled
-# update and its weights.  Memory bounds the chunk, not speed: at D = 28
+# update and its weights.  The stacked step after the Schur factorizations
+# holds no more before the iteration allocates its own: H', T, U, the
+# eigenvectors W of T, the five factors and V^-1 before it is stored.
+# Memory bounds the chunk, not speed: at D = 28
 # (cutoffs (6,3)) chunks of 8 solved the fig5 sweep 1.5x faster than chunks
 # of one, and chunks of 16 only 2% faster than 8 at 1.1 MB more peak memory;
 # at D = 45 chunks of 3 ran 7% faster than chunks of one and chunks of 8 3%
@@ -430,9 +440,10 @@ def _solve_chunk(
     O(K D^3) and O(K D^2) per iteration.
 
     This function owns the stacks of H', the rates and the factors of S^-1
-    (:func:`_eigenbasis_factors`, or T and U of the Schur basis), one slice
-    per driven point; :func:`_keep` moves the undriven points out of them
-    and splits the rest into eigenbasis and Schur points, and
+    (:func:`_eigenbasis_factors` of the stacked Schur factors, or T and U of
+    the Schur basis), one slice per driven point; :func:`_keep` moves the
+    undriven points out of them and splits the rest into eigenbasis and
+    Schur points, and
     :func:`_iterate` owns the rest of each path's arrays.
     """
     k, d = len(chunk), basis.dim
@@ -452,13 +463,14 @@ def _solve_chunk(
         results[i] = _outcome(vacuum, basis, 0.0)
     (h_prime, rates, points), _ = _keep(driven, h_prime, rates, np.arange(k))
 
-    factors = np.empty((5, len(points), d, d), dtype=complex)
-    in_eigenbasis = np.empty(len(points), dtype=bool)
+    t, u = np.empty((2, len(points), d, d), dtype=complex)
     for j, h in enumerate(h_prime):
-        t, u = scipy.linalg.schur(h, output="complex")
-        in_eigenbasis[j] = _eigenbasis_factors(t, u, factors[:, j])
-        if not in_eigenbasis[j]:
-            factors[0, j], factors[1, j] = t, u
+        t[j], u[j] = scipy.linalg.schur(h, output="complex")
+    factors = np.empty((5, len(points), d, d), dtype=complex)
+    in_eigenbasis = _eigenbasis_factors(t, u, factors)
+    schur = ~in_eigenbasis
+    factors[0, schur], factors[1, schur] = t[schur], u[schur]
+    del t, u
     paths = _keep(in_eigenbasis, h_prime, rates, points, *factors)
     inverses = (_eigenbasis_inverse, _schur_inverse)
     for (h_prime, rates, points, *factors), inverse in zip(paths, inverses):
@@ -488,18 +500,19 @@ def _iterate(
     n, d = len(h_prime), basis.dim
     rho, r, x = np.empty((3, n, d, d), dtype=complex)
     scaled, outer = np.empty((2, n, d, d))
-    ladders = (ladder(basis, "a"), ladder(basis, "b"))
-    # Mixed fundamental, empty second harmonic: the drive reaches b only
-    # through g, so every second-harmonic entry starts at its own scale.
+    jumps = _jump_views(basis, rates, rho, r, x)
+    # One renewal from the vacuum: the first update is the normalized
+    # -kappa1 S^-1(|0,0><0,0|), since J(|1,0><1,0|) = kappa1 |0,0><0,0| and
+    # S^-1 S(rho) = rho.  At weak drive nearly every jump lands in |0,0>.
     rho[...] = 0.0
-    empty_b = np.flatnonzero(basis.occ_b == 0)
-    rho[:, empty_b, empty_b] = 1.0 / empty_b.size
+    one = basis.index(1, 0)
+    rho[:, one, one] = 1.0
     tracks = [_Track(i) for i in range(n)]
     results: list = [None] * n
     finished: list[int] = []  # positions in the stack, certified from the next L(rho)
     failed: list[int] = []
     for iteration in itertools.count(1):
-        _generator(h_prime, rates, ladders, rho, r, x)
+        _generator(h_prime, rho, r, x, jumps)
         for j in finished:
             residual = float(np.max(np.abs(r[j])))
             results[tracks[j].index] = _outcome(rho[j].copy(), basis, residual)
@@ -526,7 +539,7 @@ def _iterate(
         np.conjugate(rho, out=x)
         rho += x.transpose(0, 2, 1)
         rho *= 0.5
-        rho /= rho.trace(axis1=1, axis2=2).real[:, None, None]
+        rho *= (1.0 / rho.trace(axis1=1, axis2=2).real)[:, None, None]
         populations = rho.diagonal(axis1=1, axis2=2).real
         weight = np.sqrt(np.maximum(populations, JUMP_MAP_POPULATION_FLOOR))
         np.abs(update, out=scaled)
@@ -578,63 +591,88 @@ def _keep(keep: np.ndarray, *stacks: np.ndarray) -> tuple[list[np.ndarray], list
     return [stack[:m] for stack in stacks], [stack[m:] for stack in stacks]
 
 
+def _jump_views(
+    basis: FockBasis, rates: np.ndarray, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray
+) -> list[tuple[np.ndarray, ...]]:
+    """Per jump term of :func:`_generator`, views of the full stacks that it
+    slices to the active points: sqrt(n) (fock.ladder), rho's block
+    rho[:, step:, step:], out's block out[:, :-step, :-step], a contiguous
+    block of scratch for the term, and the (n, 1, 1) loss rates of the mode.
+
+    The active points are always the first of each stack (:func:`_keep`), so
+    view[:n] of a full stack is the same view of its first n points."""
+    n, d = rho.shape[:2]
+    views = []
+    for mode, kappa in zip("ab", rates.T):
+        step, sqrt_n = ladder(basis, mode)
+        # c rho c^dag is formed in a contiguous block: that halves the cost of the products.
+        term = scratch.reshape(-1)[: n * (d - step) ** 2].reshape(n, d - step, d - step)
+        views.append((sqrt_n, rho[:, step:, step:], out[:, :-step, :-step], term, kappa[:, None, None]))
+    return views
+
+
 def _generator(
     h_prime: np.ndarray,
-    rates: np.ndarray,
-    ladders: Sequence[tuple[int, np.ndarray]],
     rho: np.ndarray,
     out: np.ndarray,
     scratch: np.ndarray,
+    jumps: Sequence[tuple[np.ndarray, ...]],
 ) -> np.ndarray:
-    """L(rho) into out for a stack of Hermitian rho, where rho H'^dag = (H' rho)^dag,
-    with the (kappa1, kappa2) of each point in rates and the fock.ladder of a and b
-    in ladders; scratch is a contiguous stack of rho's shape."""
+    """L(rho) into out for a stack of Hermitian rho, where rho H'^dag = (H' rho)^dag;
+    rho, out and scratch are the first len(rho) points of the stacks whose
+    :func:`_jump_views` are in jumps."""
     np.matmul(h_prime, rho, out=out)
     np.conjugate(out, out=scratch)
     out -= scratch.transpose(0, 2, 1)
     out *= -1j
-    n, d = rho.shape[:2]
-    for (step, sqrt_n), kappa in zip(ladders, rates.T):
-        # c rho c^dag is formed in a contiguous block: that halves the cost of the products.
-        term = scratch.reshape(-1)[: n * (d - step) ** 2].reshape(n, d - step, d - step)
-        _jump_block(rho, step, sqrt_n, term)
-        term *= kappa[:, None, None]
-        out[:, :-step, :-step] += term
+    n = len(rho)
+    for sqrt_n, rho_block, out_block, term, kappa in jumps:
+        term = term[:n]
+        _jump_block(rho_block[:n], sqrt_n, term)
+        term *= kappa[:n]
+        out_block[:n] += term
     return out
 
 
-def _jump_block(rho: np.ndarray, step: int, sqrt_n: np.ndarray, out: np.ndarray) -> None:
-    """(c rho c^dag)[:-step, :-step], its only nonzero block, into out for the
-    annihilator c of this stride and sqrt(n) (fock.ladder), for one rho or a
-    stack; bit for bit c @ rho @ c^dag."""
-    np.multiply(sqrt_n[:, None], rho[..., step:, step:], out=out)
+def _jump_block(block: np.ndarray, sqrt_n: np.ndarray, out: np.ndarray) -> None:
+    """(c rho c^dag)[:-step, :-step], its only nonzero block, into out from
+    block = rho[..., step:, step:], for the annihilator c of this stride and
+    sqrt(n) (fock.ladder), for one rho or a stack; bit for bit c @ rho @ c^dag."""
+    np.multiply(sqrt_n[:, None], block, out=out)
     out *= sqrt_n
 
 
-def _eigenbasis_factors(t: np.ndarray, u: np.ndarray, out: np.ndarray) -> bool:
-    """Write V, V^-1, their conjugates and the denominator of S in the eigenbasis
-    H' = V diag(lam) V^-1 into out[0] to out[4]; False, with out unusable, if V
-    is near-singular.
+def _eigenbasis_factors(t: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write each point's V, V^-1, their conjugates and the denominator of S in
+    its eigenbasis H' = V diag(lam) V^-1 into out[0] to out[4], for stacks of
+    Schur factors t and u; True where V is usable, False, with that point's
+    slices unusable, where V is near-singular.
 
     V = U W from H' = U T U^dag and the eigenvectors W of T.  With rho = V X V^dag,
-    S(rho) = V [-i (lam_i - conj(lam_j)) X_ij] V^dag.
+    S(rho) = V [-i (lam_i - conj(lam_j)) X_ij] V^dag.  Each stacked call acts on
+    each point by the same LAPACK or BLAS call as on a point alone.
     """
-    lam, w = scipy.linalg.eig(t)
+    lam, w = np.linalg.eig(t)
     v = np.matmul(u, w, out=out[0])
+    usable = np.ones(len(v), dtype=bool)
     try:
-        v_inv = out[1] = np.linalg.inv(v)
-    except np.linalg.LinAlgError:  # exactly singular
-        return False
+        out[1] = np.linalg.inv(v)
+    except np.linalg.LinAlgError:  # some V exactly singular: invert point by point
+        for j, v_point in enumerate(v):
+            try:
+                out[1, j] = np.linalg.inv(v_point)
+            except np.linalg.LinAlgError:
+                out[1, j], usable[j] = 0.0, False
+    v_inv = out[1]
     # The 1-norm condition number needs no SVD, whose LAPACK code would
     # add ~1 MB to the peak resident memory.
-    condition = np.linalg.norm(v, 1) * np.linalg.norm(v_inv, 1)
-    if not condition <= JUMP_MAP_MAX_EIGENBASIS_CONDITION:
-        return False
+    condition = np.linalg.norm(v, 1, axis=(1, 2)) * np.linalg.norm(v_inv, 1, axis=(1, 2))
+    usable &= condition <= JUMP_MAP_MAX_EIGENBASIS_CONDITION
     np.conjugate(v, out=out[2])
     np.conjugate(v_inv, out=out[3])
-    np.subtract(lam[:, None], lam.conj()[None, :], out=out[4])
+    np.subtract(lam[:, :, None], lam.conj()[:, None, :], out=out[4])
     out[4] *= -1j
-    return True
+    return usable
 
 
 def _eigenbasis_inverse(factors: list[np.ndarray], r: np.ndarray, x: np.ndarray) -> np.ndarray:

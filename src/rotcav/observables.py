@@ -92,7 +92,9 @@ def populations(rho: DensityMatrix) -> dict[tuple[int, int], float]:
 def photon_statistics(
     rho: DensityMatrix, a: ModeOperator, b: ModeOperator
 ) -> PhotonStatistics:
-    """All observables at once; vacuum-undefined g2 values become None."""
+    """All observables at once, from the operators; vacuum-undefined g2 values
+    become None.  :func:`population_statistics` gives the same numbers from
+    the populations alone."""
     try:
         val_aa = g2_aa(rho, a)
     except VacuumModeError:
@@ -107,3 +109,25 @@ def photon_statistics(
         n_a=mean_photon(rho, Mode.A),
         n_b=mean_photon(rho, Mode.B),
     )
+
+
+def population_statistics(rho: DensityMatrix) -> PhotonStatistics:
+    """:func:`photon_statistics` read off the diagonal of rho.
+
+    <c^dag c> = sum_n n p_n and <c^dag^2 c^2> = sum_n n (n - 1) p_n hold
+    exactly on the box, with n from FockBasis.occ_a / occ_b, so no
+    operator product is formed.  The sums run over the complex diagonal,
+    and each takes the same imaginary-residue check and vacuum guard as
+    in :func:`photon_statistics`.
+    """
+    diag = rho.matrix.diagonal()
+    moments = []
+    for label, occ in (("a", rho.basis.occ_a), ("b", rho.basis.occ_b)):
+        occupation = _real(diag @ occ, f"<{label}^dag {label}>")
+        g2 = None
+        if occupation > VACUUM_OCCUPATION_EPS:
+            pair = _real(diag @ (occ * (occ - 1)), f"<{label}^dag^2 {label}^2>")
+            g2 = pair / occupation**2
+        moments.append((g2, occupation))
+    (g2_a, n_a), (g2_b, n_b) = moments
+    return PhotonStatistics(g2_aa=g2_a, g2_bb=g2_b, n_a=n_a, n_b=n_b)

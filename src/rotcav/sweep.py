@@ -33,10 +33,10 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__ as _version
-from .fock import build_basis, annihilator_a, annihilator_b
+from .fock import build_basis
 from .hamiltonian import SystemParams, build_h_eff, resonance_angular_condition
 from .dynamics import SteadyStateError, jump_map_steady_states
-from .observables import PhotonStatistics, photon_statistics
+from .observables import PhotonStatistics, population_statistics
 from .amplitudes import optimal_g
 
 SWEEPABLE = ("delta", "g", "kappa2", "drive_strength", "delta_f")
@@ -181,7 +181,6 @@ def solve_points(
     solver chunks them.
     """
     basis = build_basis(*cutoffs)
-    a, b = annihilator_a(basis), annihilator_b(basis)
     points = ((build_h_eff(p, basis), p.kappa1, p.kappa2) for p in params)
     results: list[PhotonStatistics | SteadyStateError] = []
     for p, state in zip(params, jump_map_steady_states(points, basis), strict=True):
@@ -191,7 +190,7 @@ def solve_points(
             error.__cause__ = state
             results.append(error)
         else:
-            results.append(photon_statistics(state, a, b))
+            results.append(population_statistics(state))
     return results
 
 
@@ -437,6 +436,7 @@ def render_json(result: SweepResult) -> str:
         metadata["convergence_max_rel_change"] = {
             k: _round12(v) for k, v in result.convergence.items()
         }
+        metadata["convergence_failures"] = result.convergence_failures
     rows = []
     for row in result.rows:
         entry: dict = dict(zip(result.spec.axis_names, map(_round12, row.axis_values)))

@@ -383,8 +383,19 @@ def test_sweep_convergence_undefined_without_defined_pairs(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "convergence g2_bb: max rel change undefined" in err
     assert "convergence n_a: max rel change 0.000e+00" in err  # defined: 0 vs 0
-    change = json.loads(out.read_text())["metadata"]["convergence_max_rel_change"]
-    assert change == {"g2_bb": None, "n_a": 0.0}
+    metadata = json.loads(out.read_text())["metadata"]
+    assert metadata["convergence_max_rel_change"] == {"g2_bb": None, "n_a": 0.0}
+    assert metadata["convergence_failures"] == 0
+
+
+def test_sweep_json_records_doubled_cutoff_failures(tmp_path, capsys):
+    # Delta = -4 fails to converge at the doubled cutoffs (12, 6); Delta = -3 does not.
+    out = tmp_path / "failed.json"
+    code = main(["sweep", "--axis1", "delta:-4:-3:2", "--g", "2", "--drive-strength", "2",
+                 "--convergence-check", "--format", "json", "--out", str(out)])
+    assert code == 2
+    assert "solver failure at 1 point(s) at doubled cutoffs" in capsys.readouterr().err
+    assert json.loads(out.read_text())["metadata"]["convergence_failures"] == 1
 
 
 @pytest.mark.parametrize(

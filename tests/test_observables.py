@@ -13,6 +13,7 @@ from rotcav import (
     g2_bb,
     mean_photon,
     photon_statistics,
+    population_statistics,
     populations,
 )
 
@@ -155,3 +156,54 @@ def test_photon_statistics_flags_empty_modes():
     assert stats.g2_aa is None and stats.g2_bb is None
     assert stats.vacuum_undefined
     assert stats.n_a == 0.0 and stats.n_b == 0.0
+
+
+# ------------------------------------------------- statistics from populations
+
+
+def _random_state(basis, rng, decay: float) -> DensityMatrix:
+    """A random positive state whose weight falls by decay per photon."""
+    x = rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
+    x *= decay ** (basis.occ_a + basis.occ_b)[:, None]
+    rho = x @ x.conj().T
+    return DensityMatrix(rho / np.trace(rho).real, basis)
+
+
+@pytest.mark.parametrize("cutoffs", [(4, 2), (6, 3), (8, 4)])
+def test_population_statistics_match_the_operator_statistics(cutoffs):
+    basis, a, b = make_ops(*cutoffs)
+    rng = np.random.default_rng(sum(cutoffs))
+    for decay in (1.0, 0.1, 1e-3):
+        for _ in range(10):
+            rho = _random_state(basis, rng, decay)
+            got, want = population_statistics(rho), photon_statistics(rho, a, b)
+            for name in ("g2_aa", "g2_bb", "n_a", "n_b"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n_b", [0.0, 1e-13, 0.9e-12, 1.1e-12])
+def test_population_statistics_keep_the_vacuum_guard(n_b):
+    basis, a, b = make_ops(4, 2)
+    rho = _fock_projector(basis, 1, 0).matrix * (1.0 - n_b / 2)
+    rho[basis.index(0, 2), basis.index(0, 2)] = n_b / 2
+    state = DensityMatrix(rho, basis)
+    got, want = population_statistics(state), photon_statistics(state, a, b)
+    assert got.g2_aa == want.g2_aa == 0.0
+    assert got.n_b == pytest.approx(want.n_b, rel=1e-14, abs=0.0)
+    if n_b < 1e-12:
+        assert got.g2_bb is None and want.g2_bb is None
+    else:
+        assert got.g2_bb == pytest.approx(want.g2_bb, rel=1e-14)
+
+
+@pytest.mark.parametrize("mode, n_a, n_b", [("a", 1, 0), ("b", 0, 1)])
+def test_population_statistics_reject_an_imaginary_residue(mode, n_a, n_b):
+    # The residue sits on a state that only the given mode's sums weigh.
+    basis, a, b = make_ops(4, 2)
+    rho = _fock_projector(basis, 1, 1).matrix
+    rho[basis.index(n_a, n_b), basis.index(n_a, n_b)] = 1e-6j
+    state = DensityMatrix(rho, basis)
+    message = rf"<{mode}\^dag {mode}> has imaginary residue 1.000e-06"
+    for stats in (lambda: population_statistics(state), lambda: photon_statistics(state, a, b)):
+        with pytest.raises(ValueError, match=message):
+            stats()
