@@ -33,10 +33,18 @@ same reason the fixed point L(rho) = 0 does not depend on how
 accurately S^-1 is applied: an inaccurate S^-1 only slows the
 contraction.
 
+L(rho) is formed for a Hermitian rho as S(rho) = M + M^dag with
+M = (-i H') rho, one D x D product, plus each jump term kappa_c c rho c^dag:
+c shifts rho down a stride of the Fock layout, so the term is rho's block
+rho[step:, step:] times the real weights kappa_c sqrt(n_i) sqrt(n_j),
+added to the block L[:-step, :-step].  Both the weights and the blocks
+are taken as float arrays, so each term is one real multiply and one add.
+
 S^-1 is applied in H''s eigenbasis H' = V diag(lam) V^-1, with V = U W
 from one complex Schur factorization H' = U T U^dag per point and W the
 eigenvectors of the triangular T, found for a chunk's stack of T at
-once.  There S^-1 is four D x D products per iteration, a fifth of the
+once.  There S^-1 is four D x D products and one elementwise product with
+the stored reciprocal of its denominator per iteration, a fifth of the
 cost of a triangular Sylvester solve at D = 45.  An ill-conditioned V
 costs accuracy in S^-1 only, which the residual update tolerates.  Where
 V is singular or its condition number exceeds 1/sqrt(eps), as can happen
@@ -185,16 +193,29 @@ class DensityMatrix:
         return np.trace(op @ self.matrix)
 
     def validate(self) -> None:
-        """Enforce Hermiticity, unit trace, and positivity tolerances."""
+        """Enforce finite entries, Hermiticity, unit trace, and positivity tolerances.
+
+        Positivity is one Cholesky factorization of rho - POSITIVITY_TOL I,
+        which exists where the minimum eigenvalue exceeds POSITIVITY_TOL; the
+        eigenvalues are computed only where it fails, to decide within
+        roundoff of the tolerance and to word the error.  Non-finite entries
+        are rejected first: they fail none of the comparisons below, and
+        np.linalg.cholesky returns NaN for them without raising.
+        """
+        if not np.all(np.isfinite(self.matrix)):
+            raise ValueError("state has non-finite entries")
         herm = np.max(np.abs(self.matrix - self.matrix.conj().T))
         if herm > HERMITICITY_TOL:
             raise ValueError(f"state not Hermitian: max |rho - rho^dag| = {herm:.3e}")
         tr = abs(self.trace() - 1.0)
         if tr > TRACE_TOL:
             raise ValueError(f"state trace off unity by {tr:.3e}")
-        min_eig = float(np.min(scipy.linalg.eigvalsh(self.matrix)))
-        if min_eig < POSITIVITY_TOL:
-            raise ValueError(f"state not positive: min eigenvalue {min_eig:.3e}")
+        try:
+            np.linalg.cholesky(self.matrix - POSITIVITY_TOL * np.eye(self.basis.dim))
+        except np.linalg.LinAlgError:
+            min_eig = float(np.min(scipy.linalg.eigvalsh(self.matrix)))
+            if min_eig < POSITIVITY_TOL:
+                raise ValueError(f"state not positive: min eigenvalue {min_eig:.3e}") from None
 
 
 @dataclass(frozen=True)
@@ -387,12 +408,13 @@ def decay_hamiltonian(
 
 # jump_map_steady_states applies this budget of stacked D x D entries: it
 # solves CHUNK_ENTRIES // D**2 points (at least one) at a time.  The chunk
-# solver holds 10 D x D arrays per point, 1.0 MB at this budget: H', the
-# five factors of S^-1 (V, V^-1, their conjugates and the denominator of S),
-# the state, L(rho) and a scratch array, all complex, plus the real scaled
-# update and its weights.  The stacked step after the Schur factorizations
-# holds no more before the iteration allocates its own: H', T, U, the
-# eigenvectors W of T, the five factors and V^-1 before it is stored.
+# solver holds at most 184 D**2 bytes per point, 1.15 MB at this budget:
+# nine complex D x D arrays (-i H', the five factors of S^-1 (V, V^-1, their
+# conjugates and 1 / the denominator of S), the state, L(rho) and a scratch
+# array), the real scaled update, and the two real weight stacks of the jump
+# terms, each just under 2 D**2 floats.  The stacked step after the Schur
+# factorizations holds less before the iteration allocates its own: H', T,
+# U, the eigenvectors W of T, the five factors and V^-1 before it is stored.
 # Memory bounds the chunk, not speed: at D = 28
 # (cutoffs (6,3)) chunks of 8 solved the fig5 sweep 1.5x faster than chunks
 # of one, and chunks of 16 only 2% faster than 8 at 1.1 MB more peak memory;
@@ -492,15 +514,19 @@ def _iterate(
 
     inverse(factors, r, x) overwrites the stacked residuals r with S^-1(r)
     and returns it, with x as scratch.  The caller's arrays hold one slice
-    per point along their first axis; the state rho, L(rho), the scratch x
-    and the scaled update with its weights are allocated here once.  A
-    point that converges or fails leaves the active set: :func:`_keep` moves
-    the others to the front in place, and every stack is sliced to them.
+    per point along their first axis, and h_prime is overwritten with -i H'
+    for :func:`_generator`; the state rho, L(rho), the scratch x, the scaled
+    update and the jump weights built from the rates (:func:`_jump_views`)
+    are allocated here once.  A point that converges or fails leaves the
+    active set: :func:`_keep` moves the others to the front in place, and
+    every stack is sliced to them.
     """
     n, d = len(h_prime), basis.dim
     rho, r, x = np.empty((3, n, d, d), dtype=complex)
-    scaled, outer = np.empty((2, n, d, d))
+    scaled = np.empty((n, d, d))
+    h_prime *= -1j  # the generator's -i H', exactly
     jumps = _jump_views(basis, rates, rho, r, x)
+    weights = [jump[-1] for jump in jumps]
     # One renewal from the vacuum: the first update is the normalized
     # -kappa1 S^-1(|0,0><0,0|), since J(|1,0><1,0|) = kappa1 |0,0><0,0| and
     # S^-1 S(rho) = rho.  At weak drive nearly every jump lands in |0,0>.
@@ -532,19 +558,21 @@ def _iterate(
             if not keep.any():
                 return results
             tracks = [track for track, kept in zip(tracks, keep) if kept]
-            (h_prime, rates, rho, r, *factors), _ = _keep(keep, h_prime, rates, rho, r, *factors)
-            x, scaled, outer = x[: len(tracks)], scaled[: len(tracks)], outer[: len(tracks)]
+            (h_prime, rho, r, *stacks), _ = _keep(keep, h_prime, rho, r, *weights, *factors)
+            weights, factors = stacks[: len(weights)], stacks[len(weights) :]
+            x, scaled = x[: len(tracks)], scaled[: len(tracks)]
         update = inverse(factors, r, x)
         rho -= update
+        # Hermitize without the factor 1/2, which the normalization absorbs
+        # exactly: scaling by 2 commutes with rounding.
         np.conjugate(rho, out=x)
         rho += x.transpose(0, 2, 1)
-        rho *= 0.5
         rho *= (1.0 / rho.trace(axis1=1, axis2=2).real)[:, None, None]
         populations = rho.diagonal(axis1=1, axis2=2).real
-        weight = np.sqrt(np.maximum(populations, JUMP_MAP_POPULATION_FLOOR))
+        inv_weight = 1.0 / np.sqrt(np.maximum(populations, JUMP_MAP_POPULATION_FLOOR))
         np.abs(update, out=scaled)
-        np.multiply(weight[:, :, None], weight[:, None, :], out=outer)
-        scaled /= outer
+        scaled *= inv_weight[:, :, None]
+        scaled *= inv_weight[:, None, :]
         finished, failed = [], []
         for j, (track, step) in enumerate(zip(tracks, scaled.max(axis=(1, 2)).tolist())):
             if not math.isfinite(step):
@@ -594,56 +622,52 @@ def _keep(keep: np.ndarray, *stacks: np.ndarray) -> tuple[list[np.ndarray], list
 def _jump_views(
     basis: FockBasis, rates: np.ndarray, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray
 ) -> list[tuple[np.ndarray, ...]]:
-    """Per jump term of :func:`_generator`, views of the full stacks that it
-    slices to the active points: sqrt(n) (fock.ladder), rho's block
-    rho[:, step:, step:], out's block out[:, :-step, :-step], a contiguous
-    block of scratch for the term, and the (n, 1, 1) loss rates of the mode.
+    """Per jump term kappa_c c rho c^dag of :func:`_generator`, float views of
+    the full stacks that it slices to the active points: rho's block
+    rho[:, step:, step:], out's block out[:, :-step, :-step] and a contiguous
+    block of scratch for the term, with the mode's real weights
+    kappa_c sqrt(n_i) sqrt(n_j) (fock.ladder), one stack per point with each
+    weight repeated for the real and imaginary part of its entry.  The weight
+    stacks are allocated here; the caller moves them with its other stacks.
 
     The active points are always the first of each stack (:func:`_keep`), so
     view[:n] of a full stack is the same view of its first n points."""
     n, d = rho.shape[:2]
+    rho, out, scratch = rho.view(float), out.view(float), scratch.reshape(-1).view(float)
     views = []
     for mode, kappa in zip("ab", rates.T):
         step, sqrt_n = ladder(basis, mode)
+        m = d - step
+        weight = np.repeat(kappa[:, None, None] * np.outer(sqrt_n, sqrt_n), 2, axis=2)
         # c rho c^dag is formed in a contiguous block: that halves the cost of the products.
-        term = scratch.reshape(-1)[: n * (d - step) ** 2].reshape(n, d - step, d - step)
-        views.append((sqrt_n, rho[:, step:, step:], out[:, :-step, :-step], term, kappa[:, None, None]))
+        term = scratch[: n * m * 2 * m].reshape(n, m, 2 * m)
+        views.append((rho[:, step:, 2 * step :], out[:, :-step, : -2 * step], term, weight))
     return views
 
 
 def _generator(
-    h_prime: np.ndarray,
+    minus_i_h: np.ndarray,
     rho: np.ndarray,
     out: np.ndarray,
     scratch: np.ndarray,
     jumps: Sequence[tuple[np.ndarray, ...]],
 ) -> np.ndarray:
-    """L(rho) into out for a stack of Hermitian rho, where rho H'^dag = (H' rho)^dag;
-    rho, out and scratch are the first len(rho) points of the stacks whose
+    """L(rho) into out for a stack of Hermitian rho, given the stack of -i H':
+    S(rho) = M + M^dag with M = -i H' rho, since rho H'^dag = (H' rho)^dag, and
+    each jump term is one product of rho's block with its weights; rho, out and
+    scratch are the first len(rho) points of the stacks whose
     :func:`_jump_views` are in jumps."""
-    np.matmul(h_prime, rho, out=out)
+    np.matmul(minus_i_h, rho, out=out)
     np.conjugate(out, out=scratch)
-    out -= scratch.transpose(0, 2, 1)
-    out *= -1j
+    out += scratch.transpose(0, 2, 1)
     n = len(rho)
-    for sqrt_n, rho_block, out_block, term, kappa in jumps:
-        term = term[:n]
-        _jump_block(rho_block[:n], sqrt_n, term)
-        term *= kappa[:n]
-        out_block[:n] += term
+    for rho_block, out_block, term, weight in jumps:
+        out_block[:n] += np.multiply(rho_block[:n], weight[:n], out=term[:n])
     return out
 
 
-def _jump_block(block: np.ndarray, sqrt_n: np.ndarray, out: np.ndarray) -> None:
-    """(c rho c^dag)[:-step, :-step], its only nonzero block, into out from
-    block = rho[..., step:, step:], for the annihilator c of this stride and
-    sqrt(n) (fock.ladder), for one rho or a stack; bit for bit c @ rho @ c^dag."""
-    np.multiply(sqrt_n[:, None], block, out=out)
-    out *= sqrt_n
-
-
 def _eigenbasis_factors(t: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write each point's V, V^-1, their conjugates and the denominator of S in
+    """Write each point's V, V^-1, their conjugates and 1 / the denominator of S in
     its eigenbasis H' = V diag(lam) V^-1 into out[0] to out[4], for stacks of
     Schur factors t and u; True where V is usable, False, with that point's
     slices unusable, where V is near-singular.
@@ -672,16 +696,17 @@ def _eigenbasis_factors(t: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.nda
     np.conjugate(v_inv, out=out[3])
     np.subtract(lam[:, :, None], lam.conj()[:, None, :], out=out[4])
     out[4] *= -1j
+    np.divide(1.0, out[4], out=out[4])
     return usable
 
 
 def _eigenbasis_inverse(factors: list[np.ndarray], r: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S^-1(r) into r for a stack of points in their eigenbases, with the stacked
     factors of _eigenbasis_factors: four D x D products per point."""
-    v, v_inv, v_conj, v_inv_conj, denominator = factors
+    v, v_inv, v_conj, v_inv_conj, inv_denominator = factors
     np.matmul(v_inv, r, out=x)
     np.matmul(x, v_inv_conj.transpose(0, 2, 1), out=r)
-    r /= denominator
+    r *= inv_denominator
     np.matmul(v, r, out=x)
     return np.matmul(x, v_conj.transpose(0, 2, 1), out=r)
 
@@ -713,7 +738,7 @@ def _outcome(rho: np.ndarray, basis: FockBasis, residual: float) -> DensityMatri
 
 def _certified(rho: np.ndarray, basis: FockBasis, residual: float) -> DensityMatrix:
     """The state, once its residual and :meth:`DensityMatrix.validate` pass."""
-    if residual > STEADY_RESIDUAL_TOL:
+    if not residual <= STEADY_RESIDUAL_TOL:  # a NaN residual fails too
         raise SteadyStateError(
             f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.0e}"
         )

@@ -21,6 +21,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -138,18 +139,33 @@ def drive_strength_from_power(kappa1: float, power: float, omega_l: float) -> fl
     return math.sqrt(2.0 * kappa1 * power / (HBAR * omega_l))
 
 
-def _hamiltonian(
-    basis: FockBasis, detuning: float, g: float, drive: float
-) -> np.ndarray:
-    """detuning (a^dag a + 2 b^dag b) + g (b a^dag^2 + b^dag a^2) + drive (a + a^dag)."""
+def _hamiltonian(basis: FockBasis) -> Callable[[float, float, float], np.ndarray]:
+    """H(detuning, g, drive) = detuning (a^dag a + 2 b^dag b)
+    + g (b a^dag^2 + b^dag a^2) + drive (a + a^dag), with the operator
+    products formed once for the basis."""
     a = annihilator_a(basis)
     b = annihilator_b(basis)
     ad = a.dag()
-    h = detuning * (ad @ a.matrix) + 2.0 * detuning * (b.dag() @ b.matrix)
+    number_a = ad @ a.matrix
+    number_b = b.dag() @ b.matrix
     half = b.matrix @ ad @ ad
-    h += g * (half + half.conj().T)
-    h += drive * (a.matrix + ad)
+    hopping = half + half.conj().T
+    quadrature = a.matrix + ad
+
+    def h(detuning: float, g: float, drive: float) -> np.ndarray:
+        out = detuning * number_a + 2.0 * detuning * number_b
+        out += g * hopping
+        out += drive * quadrature
+        return out
+
     return h
+
+
+def h_eff_builder(basis: FockBasis) -> Callable[[SystemParams], np.ndarray]:
+    """:func:`build_h_eff` on one basis, for many points: the operator
+    products are formed once, and each point's H has the same bits."""
+    h = _hamiltonian(basis)
+    return lambda p: h(p.delta + p.delta_f, p.g, p.drive_strength)
 
 
 def build_h_eff(p: SystemParams, basis: FockBasis) -> np.ndarray:
@@ -158,13 +174,13 @@ def build_h_eff(p: SystemParams, basis: FockBasis) -> np.ndarray:
     Only the sum delta + delta_f enters; the second harmonic carries
     twice that shift because omega_b = 2 omega_a is hard-wired.
     """
-    return _hamiltonian(basis, p.delta + p.delta_f, p.g, p.drive_strength)
+    return h_eff_builder(basis)(p)
 
 
 def build_h_lab(omega1: float, p: SystemParams, basis: FockBasis) -> np.ndarray:
     """Undriven lab-frame Hamiltonian with omega_b = 2 omega_a enforced."""
     _require_finite({"omega1": omega1})
-    return _hamiltonian(basis, omega1 + p.delta_f, p.g, 0.0)
+    return _hamiltonian(basis)(omega1 + p.delta_f, p.g, 0.0)
 
 
 def eigenlevels(h: np.ndarray, k: int) -> EigenLevels:

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .fock import build_basis
-from .hamiltonian import SystemParams, build_h_eff, resonance_angular_condition
+from .hamiltonian import SystemParams, h_eff_builder, resonance_angular_condition
 from .dynamics import SteadyStateError, jump_map_steady_states
 from .observables import PhotonStatistics, population_statistics
 from .amplitudes import optimal_g
@@ -181,7 +181,8 @@ def solve_points(
     solver chunks them.
     """
     basis = build_basis(*cutoffs)
-    points = ((build_h_eff(p, basis), p.kappa1, p.kappa2) for p in params)
+    h_eff = h_eff_builder(basis)
+    points = ((h_eff(p), p.kappa1, p.kappa2) for p in params)
     results: list[PhotonStatistics | SteadyStateError] = []
     for p, state in zip(params, jump_map_steady_states(points, basis), strict=True):
         if isinstance(state, SteadyStateError):

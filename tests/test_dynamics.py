@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import rotcav.dynamics as dynamics_mod
 from rotcav.dynamics import decay_hamiltonian, jump_map_steady_states
-from rotcav.fock import ladder
 from conftest import kron_liouvillian, make_ops, solve_point
 from rotcav import (
     DensityMatrix,
@@ -146,17 +145,29 @@ def test_decay_hamiltonian_is_the_dense_form(cutoffs):
 
 
 @pytest.mark.parametrize("cutoffs", [(1, 1), (4, 2), (6, 3), (10, 5)])
-def test_sliced_jump_term_is_the_dense_product(cutoffs):
+def test_stacked_generator_is_the_dense_liouvillian(cutoffs):
+    # Random Hermitian states and Hamiltonians with per-point loss rates:
+    # the stacked generator with its jump weights against lio.matrix.
     basis, a, b = make_ops(*cutoffs)
     rng = np.random.default_rng(sum(cutoffs))
-    for _ in range(3):
-        x = rng.normal(size=(basis.dim,) * 2) + 1j * rng.normal(size=(basis.dim,) * 2)
-        rho = x + x.conj().T
-        for op, mode in ((a, "a"), (b, "b")):
-            step, sqrt_n = ladder(basis, mode)
-            sliced = np.zeros_like(rho)
-            dynamics_mod._jump_block(rho[step:, step:], sqrt_n, sliced[:-step, :-step])
-            np.testing.assert_array_equal(sliced, op.matrix @ rho @ op.dag())
+    k, d = 3, basis.dim
+    h, rho = rng.normal(size=(2, k, d, d)) + 1j * rng.normal(size=(2, k, d, d))
+    h += h.conj().transpose(0, 2, 1)
+    rho += rho.conj().transpose(0, 2, 1)
+    rates = rng.uniform(0.1, 3.0, size=(k, 2))
+    minus_i_h = np.array(
+        [-1j * decay_hamiltonian(h[j], basis, *rates[j]) for j in range(k)]
+    )
+    out, scratch = np.empty((2, k, d, d), dtype=complex)
+    jumps = dynamics_mod._jump_views(basis, rates, rho, out, scratch)
+    stacked = dynamics_mod._generator(minus_i_h, rho, out, scratch, jumps).copy()
+    for j in range(k):
+        dense = unvectorize(build_liouvillian(h[j], a, b, *rates[j]).matrix @ vectorize(rho[j]), d)
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(stacked[j] - dense)) <= 1e-13 * scale
+    # The first points of the stacks alone give the same bits.
+    first = dynamics_mod._generator(minus_i_h[:2], rho[:2], out[:2], scratch[:2], jumps)
+    np.testing.assert_array_equal(first, stacked[:2])
 
 
 def test_trace_preservation_row():
@@ -686,6 +697,33 @@ def test_chunk_states_are_bitwise_the_single_point_states():
         np.testing.assert_array_equal(chunked.matrix, alone.matrix)
 
 
+# Loss rates (kappa1, kappa2) of the CHUNK_DRIVES points, one pair each; alone
+# the points then take 7, 36, 97, 66 and 84 iterations.
+CHUNK_RATES = ((1.0, 0.5), (0.7, 1.3), (1.5, 0.2), (0.4, 2.0), (1.2, 0.9))
+
+
+def test_chunk_with_distinct_loss_rates_is_bitwise_its_chunks_of_one(monkeypatch):
+    # The jump weights carry each point's rates: as the points leave the stack,
+    # in an order other than their own, each must keep its weights.
+    basis = build_basis(4, 2)
+    points = [
+        (build_h_eff(SystemParams(g=0.867, kappa1=k1, kappa2=k2, drive_strength=f), basis), k1, k2)
+        for f, (k1, k2) in zip(CHUNK_DRIVES, CHUNK_RATES)
+    ]
+    iterations, alone = [], []
+    for h, kappa1, kappa2 in points:
+        calls = {"inverse": 0}
+        with monkeypatch.context() as patch:
+            _wrap_eigenbasis_inverse(patch, lambda inverse: _counted(inverse, calls, "inverse"))
+            alone.append(_solve_alone_point(h, basis, kappa1, kappa2))
+        iterations.append(calls["inverse"])
+    assert len(set(iterations)) == len(points)
+    chunked = list(jump_map_steady_states(points, basis))
+    assert not any(_failed(chunked))
+    for state, want in zip(chunked, alone, strict=True):
+        np.testing.assert_array_equal(state.matrix, want.matrix)
+
+
 def test_converged_points_leave_the_active_set(monkeypatch):
     sizes = []
 
@@ -913,3 +951,42 @@ def test_density_matrix_validation():
     negative[1, 1] = -0.5
     with pytest.raises(ValueError):
         DensityMatrix(negative, basis).validate()
+
+
+def _rotated(eigenvalues, seed: int) -> np.ndarray:
+    """A Hermitian matrix with these eigenvalues in a random eigenbasis."""
+    rng = np.random.default_rng(seed)
+    n = len(eigenvalues)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    rho = (q * np.asarray(eigenvalues)) @ q.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+def test_positivity_tolerance_decides_on_both_sides():
+    basis = build_basis(2, 1)
+    slightly_negative = _rotated([0.5, 0.3, 0.2 + 5e-9, 0.0, 0.0, -5e-9], 1)
+    DensityMatrix(slightly_negative, basis).validate()
+    negative = _rotated([0.5, 0.3, 0.2 + 2e-8, 0.0, 0.0, -2e-8], 2)
+    with pytest.raises(ValueError, match=r"^state not positive: min eigenvalue -2\.000e-08$"):
+        DensityMatrix(negative, basis).validate()
+    rng = np.random.default_rng(3)
+    psi = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
+    psi /= np.linalg.norm(psi)
+    DensityMatrix(np.outer(psi, psi.conj()), basis).validate()  # rank one
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_state_fails_its_certificate(bad):
+    basis = build_basis(2, 1)
+    rho = _vacuum(basis).matrix.copy()
+    rho[1, 2] = rho[2, 1] = bad
+    with pytest.raises(ValueError, match="^state has non-finite entries$"):
+        DensityMatrix(rho, basis).validate()
+    with pytest.raises(SteadyStateError, match="non-finite entries"):
+        dynamics_mod._certified(rho, basis, 0.0)
+
+
+def test_nan_residual_fails_the_certificate():
+    basis = build_basis(2, 1)
+    with pytest.raises(SteadyStateError, match=r"residual nan exceeds"):
+        dynamics_mod._certified(_vacuum(basis).matrix, basis, math.nan)

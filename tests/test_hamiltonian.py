@@ -15,7 +15,8 @@ from rotcav import (
     fizeau_shift,
     resonance_angular_condition,
 )
-from rotcav.hamiltonian import SPEED_OF_LIGHT
+from rotcav.fock import annihilator_a, annihilator_b
+from rotcav.hamiltonian import SPEED_OF_LIGHT, h_eff_builder
 
 # Hand-evaluated oracle values (30-digit arithmetic on the defining
 # formulas), frozen here.
@@ -144,6 +145,31 @@ def test_h_eff_exactly_hermitian():
         )
         h = build_h_eff(p, basis)
         assert np.max(np.abs(h - h.conj().T)) == 0.0
+
+
+def test_h_eff_builder_has_the_bits_of_the_operator_expression():
+    # The builder forms its operator products once per basis; every point's
+    # H keeps the bits of the expression evaluated from the annihilators.
+    for cutoffs in ((1, 1), (6, 3), (10, 5)):
+        basis = build_basis(*cutoffs)
+        a, b = annihilator_a(basis).matrix, annihilator_b(basis).matrix
+        ad = a.conj().T
+        h_of = h_eff_builder(basis)
+        rng = np.random.default_rng(sum(cutoffs))
+        for _ in range(5):
+            p = SystemParams(
+                delta=rng.uniform(-6, 6),
+                g=rng.uniform(0, 10),
+                drive_strength=rng.uniform(0, 3),
+                delta_f=rng.uniform(-1, 1),
+            )
+            detuning = p.delta + p.delta_f
+            expected = detuning * (ad @ a) + 2.0 * detuning * (b.conj().T @ b)
+            half = b @ ad @ ad
+            expected += p.g * (half + half.conj().T)
+            expected += p.drive_strength * (a + ad)
+            assert np.array_equal(h_of(p), expected)
+            assert np.array_equal(build_h_eff(p, basis), expected)
 
 
 def test_h_eff_depends_only_on_detuning_sum():
