@@ -40,18 +40,20 @@ rho[step:, step:] times the real weights kappa_c sqrt(n_i) sqrt(n_j),
 added to the block L[:-step, :-step].  Both the weights and the blocks
 are taken as float arrays, so each term is one real multiply and one add.
 
-S^-1 is applied in H''s eigenbasis H' = V diag(lam) V^-1, with V = U W
-from one complex Schur factorization H' = U T U^dag per point and W the
-eigenvectors of the triangular T, found for a chunk's stack of T at
-once.  There S^-1 is four D x D products and one elementwise product with
-the stored reciprocal of its denominator per iteration, a fifth of the
-cost of a triangular Sylvester solve at D = 45.  An ill-conditioned V
-costs accuracy in S^-1 only, which the residual update tolerates.  Where
-V is singular or its condition number exceeds 1/sqrt(eps), as can happen
-at the exceptional point of the |2,0>/|0,1> pair at vanishing drive,
-S^-1 is applied in the Schur basis: one triangular Sylvester solve per
-iteration, T Z - Z T^dag = i U^dag R U (LAPACK ztrsyl), which is
-backward stable even where H' is defective.  The iteration stops once
+S^-1 is applied in H''s eigenbasis H' = V diag(lam) V^-1, with V and lam
+from one stacked eig (LAPACK zgeev) of a chunk's H'.  There S^-1 is four
+D x D products and one elementwise product with the stored reciprocal of
+its denominator per iteration, a fifth of the cost of a triangular
+Sylvester solve at D = 45.  An ill-conditioned V costs accuracy in S^-1
+only, which the residual update tolerates.  Where V is singular or its
+condition number exceeds 1/sqrt(eps), as can happen at the exceptional
+point of the |2,0>/|0,1> pair at vanishing drive, or where eig does not
+converge, S^-1 is applied in the Schur basis of H' = U T U^dag: one
+triangular Sylvester solve per iteration, T Z - Z T^dag = i U^dag R U
+(LAPACK ztrsyl), which is backward stable even where H' is defective.
+Only this fallback and the dense oracle below import scipy.linalg.  A
+point whose Schur factorization fails too is that point's solver failure.
+The iteration stops once
 the geometric tail of its remaining updates, estimated from the ratio of
 successive updates, is below roundoff, or once the updates sit on a
 roundoff plateau.  Without drive the vacuum |0,0> is an eigenvector of
@@ -99,7 +101,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .fock import FockBasis, ModeOperator, annihilator_a, annihilator_b, ladder
 
@@ -152,11 +153,12 @@ JUMP_MAP_STALL_ITERATIONS = 20
 # Past 1/sqrt(eps) the eigenvectors of H' are numerically dependent (H'
 # is exactly defective) and S^-1 is applied in the Schur basis instead.
 # At the exceptional point g = 1/(4 sqrt 2) the 1-norm condition number of
-# V = U W grows as ~0.7/F at weak drive (7e2 at F = 1e-3, 7e5 at 1e-6) and
-# levels off at 2e7 to 9e7, around the cut, from F = 1e-9 down: at
-# cutoffs (10,5) and F = 1e-13 it is 8.7e7 and the Schur basis takes over.
-# It was at most 949 at 302 random points (F <= 3, g <= 3, cutoffs (6,3)
-# and (8,4)) and 1897 at the exceptional point at F = 3, cutoffs (12,6).
+# V from eig(H') at cutoffs (10,5) grows as ~0.85/F at weak drive (8.6e2
+# at F = 1e-3, 8.4e5 at 1e-6) and levels off around the cut from F = 1e-9
+# down (4.3e7 there): at F = 1e-13 it is 8.7e7 and the Schur basis takes over.
+# It was at most 513 (median 26) at 302 random points (delta in [-6, 6],
+# g <= 3, kappa2 in [0.1, 3], 0.1 <= F <= 3, cutoffs (6,3) and (8,4)) and
+# 1.9e3 at the exceptional point at F = 3, cutoffs (12,6).
 JUMP_MAP_MAX_EIGENBASIS_CONDITION = 1.0 / math.sqrt(np.finfo(float).eps)
 
 
@@ -213,7 +215,7 @@ class DensityMatrix:
         try:
             np.linalg.cholesky(self.matrix - POSITIVITY_TOL * np.eye(self.basis.dim))
         except np.linalg.LinAlgError:
-            min_eig = float(np.min(scipy.linalg.eigvalsh(self.matrix)))
+            min_eig = float(np.min(np.linalg.eigvalsh(self.matrix)))
             if min_eig < POSITIVITY_TOL:
                 raise ValueError(f"state not positive: min eigenvalue {min_eig:.3e}") from None
 
@@ -239,7 +241,7 @@ class Liouvillian:
     @property
     def h_norm(self) -> float:
         """Spectral norm of the Hamiltonian."""
-        return float(np.max(np.abs(scipy.linalg.eigvalsh(self.hamiltonian))))
+        return float(np.max(np.abs(np.linalg.eigvalsh(self.hamiltonian))))
 
 
 def vectorize(rho: np.ndarray) -> np.ndarray:
@@ -330,6 +332,8 @@ def steady_state(lio: Liouvillian) -> DensityMatrix:
     more than one-dimensional, and :class:`SteadyStateError` when the
     augmented system is singular or the residual exceeds tolerance.
     """
+    import scipy.linalg  # only the oracle and the Schur fallback need scipy
+
     d = lio.dim
     mod = lio.matrix.copy(order="F")  # zgetrf then factors it in place
     mod[0, :] = _trace_row(d)
@@ -384,7 +388,7 @@ def _extended_residual(lio: Liouvillian) -> Callable[[np.ndarray], np.ndarray]:
 
 def _diagnose_singular(lio: Liouvillian) -> None:
     """Distinguish a non-unique steady state from a plain solver failure."""
-    svals = scipy.linalg.svdvals(lio.matrix)
+    svals = np.linalg.svd(lio.matrix, compute_uv=False)
     scale = svals[0] if svals[0] > 0 else 1.0
     nullity = int(np.sum(svals < 1e-10 * scale))
     if nullity > 1:
@@ -412,9 +416,10 @@ def decay_hamiltonian(
 # nine complex D x D arrays (-i H', the five factors of S^-1 (V, V^-1, their
 # conjugates and 1 / the denominator of S), the state, L(rho) and a scratch
 # array), the real scaled update, and the two real weight stacks of the jump
-# terms, each just under 2 D**2 floats.  The stacked step after the Schur
-# factorizations holds less before the iteration allocates its own: H', T,
-# U, the eigenvectors W of T, the five factors and V^-1 before it is stored.
+# terms, each just under 2 D**2 floats.  The stacked eigendecomposition
+# holds less before the iteration allocates its own: H', the five factors,
+# and V and V^-1 before they are stored.  No T or U stack is formed: a
+# Schur-fallback point keeps its T and U in two of its own factor slots.
 # Memory bounds the chunk, not speed: at D = 28
 # (cutoffs (6,3)) chunks of 8 solved the fig5 sweep 1.5x faster than chunks
 # of one, and chunks of 16 only 2% faster than 8 at 1.1 MB more peak memory;
@@ -462,11 +467,12 @@ def _solve_chunk(
     O(K D^3) and O(K D^2) per iteration.
 
     This function owns the stacks of H', the rates and the factors of S^-1
-    (:func:`_eigenbasis_factors` of the stacked Schur factors, or T and U of
-    the Schur basis), one slice per driven point; :func:`_keep` moves the
-    undriven points out of them and splits the rest into eigenbasis and
-    Schur points, and
-    :func:`_iterate` owns the rest of each path's arrays.
+    (:func:`_eigenbasis_factors` of the stacked H', or T and U of the Schur
+    basis from :func:`_schur_factors`), one slice per driven point;
+    :func:`_keep` moves the undriven points out of them, splits the rest
+    into eigenbasis and Schur points and drops the points whose Schur
+    factorization failed, and :func:`_iterate` owns the rest of each path's
+    arrays.
     """
     k, d = len(chunk), basis.dim
     h_prime = np.empty((k, d, d), dtype=complex)
@@ -485,17 +491,18 @@ def _solve_chunk(
         results[i] = _outcome(vacuum, basis, 0.0)
     (h_prime, rates, points), _ = _keep(driven, h_prime, rates, np.arange(k))
 
-    t, u = np.empty((2, len(points), d, d), dtype=complex)
-    for j, h in enumerate(h_prime):
-        t[j], u[j] = scipy.linalg.schur(h, output="complex")
     factors = np.empty((5, len(points), d, d), dtype=complex)
-    in_eigenbasis = _eigenbasis_factors(t, u, factors)
-    schur = ~in_eigenbasis
-    factors[0, schur], factors[1, schur] = t[schur], u[schur]
-    del t, u
-    paths = _keep(in_eigenbasis, h_prime, rates, points, *factors)
-    inverses = (_eigenbasis_inverse, _schur_inverse)
-    for (h_prime, rates, points, *factors), inverse in zip(paths, inverses):
+    in_eigenbasis = _eigenbasis_factors(h_prime, factors)
+    eigenbasis, schur = _keep(in_eigenbasis, h_prime, rates, points, *factors)
+    if len(schur[2]):  # the stacks of H', the rates, the points, then T and U
+        errors = _schur_factors(schur[0], schur[3], schur[4])
+        for i, error in zip(schur[2].tolist(), errors):
+            results[i] = error
+        schur, _ = _keep(np.array([error is None for error in errors]), *schur)
+    for (h_prime, rates, points, *factors), inverse in (
+        (eigenbasis, _eigenbasis_inverse),
+        (schur, _schur_inverse),
+    ):
         if len(points):
             states = _iterate(h_prime, rates, basis, inverse, factors)
             for i, state in zip(points.tolist(), states):
@@ -666,18 +673,26 @@ def _generator(
     return out
 
 
-def _eigenbasis_factors(t: np.ndarray, u: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _eigenbasis_factors(h_prime: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write each point's V, V^-1, their conjugates and 1 / the denominator of S in
-    its eigenbasis H' = V diag(lam) V^-1 into out[0] to out[4], for stacks of
-    Schur factors t and u; True where V is usable, False, with that point's
-    slices unusable, where V is near-singular.
+    its eigenbasis H' = V diag(lam) V^-1 into out[0] to out[4], for a stack of H';
+    True where V is usable, False, with that point's slices unusable, where V is
+    near-singular or the eigendecomposition of its H' failed.
 
-    V = U W from H' = U T U^dag and the eigenvectors W of T.  With rho = V X V^dag,
-    S(rho) = V [-i (lam_i - conj(lam_j)) X_ij] V^dag.  Each stacked call acts on
-    each point by the same LAPACK or BLAS call as on a point alone.
+    With rho = V X V^dag, S(rho) = V [-i (lam_i - conj(lam_j)) X_ij] V^dag.  Each
+    stacked call acts on each point by the same LAPACK or BLAS call as on a point
+    alone, and a stack whose eig fails is factored point by point, so no point's
+    factors depend on its chunk-mates.
     """
-    lam, w = np.linalg.eig(t)
-    v = np.matmul(u, w, out=out[0])
+    try:
+        lam, v = np.linalg.eig(h_prime)
+    except np.linalg.LinAlgError:  # some eig did not converge
+        if len(h_prime) == 1:
+            return np.zeros(1, dtype=bool)
+        points = range(len(h_prime))
+        return np.concatenate([_eigenbasis_factors(h_prime[j : j + 1], out[:, j : j + 1]) for j in points])
+    out[0] = v
+    v = out[0]  # and eig's own array is freed
     usable = np.ones(len(v), dtype=bool)
     try:
         out[1] = np.linalg.inv(v)
@@ -711,10 +726,31 @@ def _eigenbasis_inverse(factors: list[np.ndarray], r: np.ndarray, x: np.ndarray)
     return np.matmul(x, v_conj.transpose(0, 2, 1), out=r)
 
 
+def _schur_factors(
+    h_prime: np.ndarray, t: np.ndarray, u: np.ndarray
+) -> list[SteadyStateError | None]:
+    """Write each point's complex Schur factors H' = U T U^dag into the stacks t
+    and u; per point None, or the SteadyStateError of a factorization that did
+    not converge."""
+    import scipy.linalg  # only the Schur fallback and the oracle need scipy
+
+    errors: list = []
+    for j, h in enumerate(h_prime):
+        try:
+            t[j], u[j] = scipy.linalg.schur(h, output="complex")
+        except np.linalg.LinAlgError as exc:
+            errors.append(SteadyStateError(f"no eigendecomposition of H': {exc}"))
+        else:
+            errors.append(None)
+    return errors
+
+
 def _schur_inverse(factors: list[np.ndarray], r: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S^-1(r) into r, point by point, by one triangular Sylvester solve in the
     Schur basis, T Z - Z T^dag = i U^dag R U; factors[0] and factors[1] stack
     each point's T and U."""
+    import scipy.linalg
+
     for t, u, r_point in zip(factors[0], factors[1], r):
         u_dag = u.conj().T
         c = u_dag @ r_point @ u

@@ -1,7 +1,12 @@
 import json
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.linalg
 
 import rotcav.dynamics as dynamics_mod
 from conftest import fail_at_points
@@ -252,6 +257,61 @@ def test_point_solver_failure_exit_2(monkeypatch, capsys):
     code = main(["point", "--g", "1.0", "--na-cut", "2", "--nb-cut", "1"])
     assert code == 2
     assert "solver failure" in capsys.readouterr().err
+
+
+def test_failed_eigendecomposition_is_a_solver_failure_row(monkeypatch, tmp_path):
+    # Every eig raises, so each point takes the Schur basis; the second
+    # point's Schur factorization raises too.  That point alone fails.
+    argv = ["sweep", "--axis1", "g:0.5:1.5:3", "--outputs", "n_a", "--na-cut", "2", "--nb-cut", "1"]
+    plain = tmp_path / "plain.csv"
+    assert main([*argv, "--out", str(plain)]) == 0
+    schur, calls = scipy.linalg.schur, []
+
+    def not_converging(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    def second_not_converging(*args, **kwargs):
+        calls.append(None)
+        return not_converging() if len(calls) == 2 else schur(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", not_converging)
+    monkeypatch.setattr(scipy.linalg, "schur", second_not_converging)
+    failed = tmp_path / "failed.csv"
+    assert main([*argv, "--out", str(failed)]) == 2
+    rows, expected = failed.read_text().splitlines(), plain.read_text().splitlines()
+    assert rows[2] == "1,,solver-failure"
+    assert rows[:2] + rows[3:] == expected[:2] + expected[3:]
+
+
+# ------------------------------------------------------- what gets imported
+
+_SCHUR_FALLBACK_POINT = ["point", "--g", "0.17677669529663687", "--drive-strength", "1e-13",
+                         "--na-cut", "10", "--nb-cut", "5"]
+
+
+@pytest.mark.parametrize(
+    "argv, loads_scipy_linalg",
+    [
+        (None, False),
+        (["point"], False),
+        (["figure", "--name", "fig5", "--count1", "3"], False),
+        (_SCHUR_FALLBACK_POINT, True),
+    ],
+    ids=["import", "point", "fig5-sweep", "schur-fallback-point"],
+)
+def test_scipy_linalg_is_imported_only_by_the_schur_fallback(argv, loads_scipy_linalg):
+    # In a fresh interpreter: scipy.linalg serves only the Schur fallback and
+    # the dense oracle, so the common path never pays for its import.
+    src = Path(dynamics_mod.__file__).parents[1]
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import rotcav.cli\n"
+        "code = None if len(sys.argv) == 2 else rotcav.cli.main(sys.argv[2:])\n"
+        "print(code, 'scipy.linalg' in sys.modules)"
+    )
+    command = [sys.executable, "-c", script, str(src), *(argv or [])]
+    out = subprocess.run(command, capture_output=True, text=True, check=True, timeout=120).stdout
+    expected_code = None if argv is None else 0
+    assert out.splitlines()[-1] == f"{expected_code} {loads_scipy_linalg}"
 
 
 # ------------------------------------------------- parameters and config

@@ -512,7 +512,7 @@ _EIGENBASIS_FACTORS = dynamics_mod._eigenbasis_factors  # unpatched, for the wra
 
 def _schur_only(monkeypatch) -> None:
     monkeypatch.setattr(
-        dynamics_mod, "_eigenbasis_factors", lambda t, u, out: np.zeros(len(t), dtype=bool)
+        dynamics_mod, "_eigenbasis_factors", lambda h_prime, out: np.zeros(len(h_prime), dtype=bool)
     )
 
 
@@ -522,11 +522,11 @@ def _nth_point_near_singular(monkeypatch, n: int) -> list:
     one entry per point that reaches it."""
     seen = []
 
-    def nth_singular(t, u, out):
-        usable = _EIGENBASIS_FACTORS(t, u, out)
-        if len(seen) < n <= len(seen) + len(t):
+    def nth_singular(h_prime, out):
+        usable = _EIGENBASIS_FACTORS(h_prime, out)
+        if len(seen) < n <= len(seen) + len(h_prime):
             usable[n - 1 - len(seen)] = False
-        seen.extend([None] * len(t))
+        seen.extend([None] * len(h_prime))
         return usable
 
     monkeypatch.setattr(dynamics_mod, "_eigenbasis_factors", nth_singular)
@@ -762,16 +762,15 @@ def test_exactly_singular_point_keeps_its_chunk_mates_in_the_eigenbasis(monkeypa
     # inversion of V raises; the chunk is inverted point by point, the third
     # point takes the Schur basis, and the others keep their eigenbasis bits.
     points, basis = _chunk_inputs()
-    h_prime = decay_hamiltonian(points[2][0], basis, 1.0, 1.0)
-    singular_t = scipy.linalg.schur(h_prime, output="complex")[0]
+    singular_h_prime = decay_hamiltonian(points[2][0], basis, 1.0, 1.0)
     eig = np.linalg.eig
 
-    def zero_column(ts):
-        lam, w = eig(ts)
-        for t, w_point in zip(ts, w):
-            if np.array_equal(t, singular_t):
-                w_point[:, 1] = 0.0
-        return lam, w
+    def zero_column(h_primes):
+        lam, v = eig(h_primes)
+        for h_prime, v_point in zip(h_primes, v):
+            if np.array_equal(h_prime, singular_h_prime):
+                v_point[:, 1] = 0.0
+        return lam, v
 
     eigenbasis = _solve_alone()
     _schur_only(monkeypatch)
@@ -780,6 +779,43 @@ def test_exactly_singular_point_keeps_its_chunk_mates_in_the_eigenbasis(monkeypa
     monkeypatch.setattr(np.linalg, "eig", zero_column)
     for i, state in enumerate(_solve_chunk()):
         expected = schur[i] if i == 2 else eigenbasis[i]
+        np.testing.assert_array_equal(state.matrix, expected.matrix)
+
+
+def _raising_for(fn, h_prime: np.ndarray):
+    """fn raising LinAlgError, as a non-converging LAPACK call does, whenever its
+    matrix or stack of matrices holds h_prime."""
+
+    def raising(matrices, *args, **kwargs):
+        if any(np.array_equal(m, h_prime) for m in matrices.reshape(-1, *h_prime.shape)):
+            raise np.linalg.LinAlgError("did not converge")
+        return fn(matrices, *args, **kwargs)
+
+    return raising
+
+
+@pytest.mark.parametrize("schur_fails", [False, True], ids=["schur-certifies", "schur-fails"])
+def test_failed_eigendecomposition_fails_only_its_point(schur_fails, monkeypatch):
+    # The third point's eig raises, in the stack and alone: the chunk is
+    # factored point by point, the third point takes the Schur basis, or fails
+    # alone where its Schur factorization raises too, and the others keep
+    # their eigenbasis bits.
+    points, basis = _chunk_inputs()
+    failing = decay_hamiltonian(points[2][0], basis, 1.0, 1.0)
+    eigenbasis = _solve_alone()
+    _schur_only(monkeypatch)
+    schur = _solve_alone()
+    monkeypatch.undo()
+    monkeypatch.setattr(np.linalg, "eig", _raising_for(np.linalg.eig, failing))
+    if schur_fails:
+        monkeypatch.setattr(scipy.linalg, "schur", _raising_for(scipy.linalg.schur, failing))
+    states = _solve_chunk()
+    assert _failed(states) == [False, False, schur_fails, False, False]
+    if schur_fails:
+        assert str(states[2]) == "no eigendecomposition of H': did not converge"
+    else:
+        np.testing.assert_array_equal(states[2].matrix, schur[2].matrix)
+    for state, expected in zip(states[:2] + states[3:], eigenbasis[:2] + eigenbasis[3:]):
         np.testing.assert_array_equal(state.matrix, expected.matrix)
 
 
