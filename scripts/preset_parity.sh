@@ -6,9 +6,9 @@
 # sweep from F = 0, whose first point is undriven (the vacuum is returned
 # without iterating), as undriven.csv; and two points at F ~ 1e-13 on the
 # exceptional point g = 1/(4 sqrt 2) at cutoffs (10,5), where the
-# eigenvectors of H' are too close to dependent and the solver iterates in
-# the Schur basis, as schur_fallback.csv.  No preset reaches either of the
-# last two paths.  Run it on two checkouts and compare them:
+# eigenvectors of H' are too close to dependent and the solver factors S^-1
+# from H' with its loss rates scaled by 1 + sqrt(eps), as ill_conditioned.csv.
+# No preset reaches either of the last two paths.  Run it on two checkouts and compare them:
 #
 #   /path/to/old/scripts/preset_parity.sh /tmp/old
 #   /path/to/new/scripts/preset_parity.sh /tmp/new
@@ -45,5 +45,5 @@ done
 run strong_drive.csv sweep --axis1 drive_strength:0.5:2:8 --g 0.867 --na-cut 8 --nb-cut 4
 run fig5_convergence.json figure --name fig5 --count1 21 --convergence-check --format json
 run undriven.csv sweep --axis1 drive_strength:0:0.1:3 --g 0.867
-run schur_fallback.csv sweep --axis1 drive_strength:1e-13:2e-13:2 --g 0.17677669529663687 --na-cut 10 --nb-cut 5
+run ill_conditioned.csv sweep --axis1 drive_strength:1e-13:2e-13:2 --g 0.17677669529663687 --na-cut 10 --nb-cut 5
 exit $status

@@ -179,6 +179,9 @@ def _emit_result(result, args) -> int:
     else:
         text = render_csv(result) if args.format == "csv" else render_json(result)
         sys.stdout.write(text)
+    for row in result.rows:
+        if row.error is not None:
+            print(f"solver failure: {row.error}", file=sys.stderr)
     if result.convergence is not None:
         for name, change in result.convergence.items():
             print(f"convergence {name}: max rel change {_fmt_change(change)}", file=sys.stderr)

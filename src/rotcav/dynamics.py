@@ -43,16 +43,15 @@ are taken as float arrays, so each term is one real multiply and one add.
 S^-1 is applied in H''s eigenbasis H' = V diag(lam) V^-1, with V and lam
 from one stacked eig (LAPACK zgeev) of a chunk's H'.  There S^-1 is four
 D x D products and one elementwise product with the stored reciprocal of
-its denominator per iteration, a fifth of the cost of a triangular
-Sylvester solve at D = 45.  An ill-conditioned V costs accuracy in S^-1
-only, which the residual update tolerates.  Where V is singular or its
-condition number exceeds 1/sqrt(eps), as can happen at the exceptional
-point of the |2,0>/|0,1> pair at vanishing drive, or where eig does not
-converge, S^-1 is applied in the Schur basis of H' = U T U^dag: one
-triangular Sylvester solve per iteration, T Z - Z T^dag = i U^dag R U
-(LAPACK ztrsyl), which is backward stable even where H' is defective.
-Only this fallback and the dense oracle below import scipy.linalg.  A
-point whose Schur factorization fails too is that point's solver failure.
+its denominator per iteration.  An ill-conditioned V costs accuracy in
+S^-1 only, which the residual update tolerates.  Where V is singular or
+its condition number exceeds 1/sqrt(eps), as can happen within a few ulps
+of the exceptional point of the |2,0>/|0,1> pair at vanishing drive, or
+where eig does not converge, the point's S^-1 is factored once more from
+H' with both loss rates scaled by 1 + sqrt(eps), which moves the
+exceptional point off it.  The generator keeps the true H', so that S^-1
+changes only the contraction, not the fixed point.  A point whose scaled
+H' has no usable eigenbasis either is that point's solver failure.
 The iteration stops once
 the geometric tail of its remaining updates, estimated from the ratio of
 successive updates, is below roundoff, or once the updates sit on a
@@ -151,15 +150,27 @@ JUMP_MAP_PLATEAU_ITERATIONS = 3
 JUMP_MAP_SLOW_STEP = 1e-6
 JUMP_MAP_STALL_ITERATIONS = 20
 # Past 1/sqrt(eps) the eigenvectors of H' are numerically dependent (H'
-# is exactly defective) and S^-1 is applied in the Schur basis instead.
-# At the exceptional point g = 1/(4 sqrt 2) the 1-norm condition number of
-# V from eig(H') at cutoffs (10,5) grows as ~0.85/F at weak drive (8.6e2
-# at F = 1e-3, 8.4e5 at 1e-6) and levels off around the cut from F = 1e-9
-# down (4.3e7 there): at F = 1e-13 it is 8.7e7 and the Schur basis takes over.
-# It was at most 513 (median 26) at 302 random points (delta in [-6, 6],
-# g <= 3, kappa2 in [0.1, 3], 0.1 <= F <= 3, cutoffs (6,3) and (8,4)) and
-# 1.9e3 at the exceptional point at F = 3, cutoffs (12,6).
+# is exactly defective), and S^-1 is factored from the decay-scaled H'
+# instead (JUMP_MAP_RETRY_DECAY_SCALE).  At the exceptional point
+# g = 1/(4 sqrt 2) the 1-norm condition number of V from eig(H') at cutoffs
+# (10,5) grows as ~0.85/F at weak drive (8.6e2 at F = 1e-3, 8.4e5 at 1e-6)
+# and levels off around the cut from F = 1e-9 down (4.3e7 there): at
+# F = 1e-13 it is 8.7e7 and the retry takes over.  It was at most 513
+# (median 26) at 302 random points (delta in [-6, 6], g <= 3, kappa2 in
+# [0.1, 3], 0.1 <= F <= 3, cutoffs (6,3) and (8,4)) and 1.9e3 at the
+# exceptional point at F = 3, cutoffs (12,6).
 JUMP_MAP_MAX_EIGENBASIS_CONDITION = 1.0 / math.sqrt(np.finfo(float).eps)
+# A point whose V is unusable is factored once more from H' with both loss
+# rates scaled by this factor.  That moves the exceptional point
+# g = (kappa1 - kappa2 / 2) / (2 sqrt 2) by a relative sqrt(eps), far
+# enough that a point within a few ulps of it is no longer defective (Heiss,
+# J. Phys. A 45, 444016 (2012)), yet so little that S^-1 still contracts as
+# fast.  At the 26 of 504 seeded points near it (kappa2 in [0.1, 1.9],
+# 1e-14 <= F <= 1e-5, cutoffs (6,3) to (10,5)) whose V was unusable,
+# cond_1(V) fell from 6.7e7-2.0e8 to 1.6e4-1.9e4 and each certified within
+# 3 to 13 generator evaluations.  Only S^-1 changes, so the fixed point and
+# the certificate do not.
+JUMP_MAP_RETRY_DECAY_SCALE = 1.0 + math.sqrt(np.finfo(float).eps)
 
 
 class SteadyStateError(RuntimeError):
@@ -332,7 +343,7 @@ def steady_state(lio: Liouvillian) -> DensityMatrix:
     more than one-dimensional, and :class:`SteadyStateError` when the
     augmented system is singular or the residual exceeds tolerance.
     """
-    import scipy.linalg  # only the oracle and the Schur fallback need scipy
+    import scipy.linalg  # only the dense oracle needs scipy
 
     d = lio.dim
     mod = lio.matrix.copy(order="F")  # zgetrf then factors it in place
@@ -418,10 +429,9 @@ def decay_hamiltonian(
 # array), the real scaled update, and the two real weight stacks of the jump
 # terms, each just under 2 D**2 floats.  The stacked eigendecomposition
 # holds less before the iteration allocates its own: H', the five factors,
-# and V and V^-1 before they are stored.  No T or U stack is formed: a
-# Schur-fallback point keeps its T and U in two of its own factor slots.
-# Memory bounds the chunk, not speed: at D = 28
-# (cutoffs (6,3)) chunks of 8 solved the fig5 sweep 1.5x faster than chunks
+# and V and V^-1 before they are stored; a point whose V is unusable is
+# factored once more alone, into its own slices.  Memory bounds the chunk,
+# not speed: at D = 28 (cutoffs (6,3)) chunks of 8 solved the fig5 sweep 1.5x faster than chunks
 # of one, and chunks of 16 only 2% faster than 8 at 1.1 MB more peak memory;
 # at D = 45 chunks of 3 ran 7% faster than chunks of one and chunks of 8 3%
 # faster than 3 at 1.8 MB more.  D = 66 and up solves one point at a time.
@@ -439,8 +449,9 @@ def jump_map_steady_states(
     one chunk of inputs and results is alive at once.
 
     Yields one entry per point, in input order: its certified state, or
-    the :class:`SteadyStateError` that stopped it (no convergence within
-    JUMP_MAP_MAX_ITERATIONS, non-finite entries, or a failed certificate).
+    the :class:`SteadyStateError` that stopped it (no usable eigenbasis of
+    H', no convergence within JUMP_MAP_MAX_ITERATIONS, non-finite entries,
+    or a failed certificate).
     A point's bits depend neither on its chunk nor on its position in it:
     every stacked operation acts on each point's slice by the same BLAS
     call or elementwise loop as on a single point.
@@ -458,8 +469,8 @@ def _solve_chunk(
     """Steady states of a chunk of K points, one per point, on (K, D, D) stacks.
 
     Iterates rho <- rho - S^-1(L(rho)) (see the module docstring), with
-    S^-1 in each H''s eigenbasis, or in its Schur basis where the
-    eigenvectors are too close to dependent, until the remaining updates
+    S^-1 in each H''s eigenbasis, or in that of its decay-scaled H' where
+    the eigenvectors are too close to dependent, until the remaining updates
     of a point, relative to its populations, are estimated below roundoff
     or stall there.  That point then leaves the stack and is certified
     like :func:`steady_state`: residual max |L(rho)| against the full
@@ -467,12 +478,9 @@ def _solve_chunk(
     O(K D^3) and O(K D^2) per iteration.
 
     This function owns the stacks of H', the rates and the factors of S^-1
-    (:func:`_eigenbasis_factors` of the stacked H', or T and U of the Schur
-    basis from :func:`_schur_factors`), one slice per driven point;
-    :func:`_keep` moves the undriven points out of them, splits the rest
-    into eigenbasis and Schur points and drops the points whose Schur
-    factorization failed, and :func:`_iterate` owns the rest of each path's
-    arrays.
+    (:func:`_eigenbasis_factors`), one slice per driven point; :func:`_keep`
+    moves the undriven points and those without a usable eigenbasis out of
+    them, and :func:`_iterate` owns the rest of the arrays.
     """
     k, d = len(chunk), basis.dim
     h_prime = np.empty((k, d, d), dtype=complex)
@@ -492,21 +500,20 @@ def _solve_chunk(
     (h_prime, rates, points), _ = _keep(driven, h_prime, rates, np.arange(k))
 
     factors = np.empty((5, len(points), d, d), dtype=complex)
-    in_eigenbasis = _eigenbasis_factors(h_prime, factors)
-    eigenbasis, schur = _keep(in_eigenbasis, h_prime, rates, points, *factors)
-    if len(schur[2]):  # the stacks of H', the rates, the points, then T and U
-        errors = _schur_factors(schur[0], schur[3], schur[4])
-        for i, error in zip(schur[2].tolist(), errors):
-            results[i] = error
-        schur, _ = _keep(np.array([error is None for error in errors]), *schur)
-    for (h_prime, rates, points, *factors), inverse in (
-        (eigenbasis, _eigenbasis_inverse),
-        (schur, _schur_inverse),
-    ):
-        if len(points):
-            states = _iterate(h_prime, rates, basis, inverse, factors)
-            for i, state in zip(points.tolist(), states):
-                results[i] = state
+    usable = _eigenbasis_factors(h_prime, factors)
+    for j in np.flatnonzero(~usable):  # factored alone, so its bits are its chunk of one's
+        h_eff, kappa1, kappa2 = chunk[points[j]]
+        scale = JUMP_MAP_RETRY_DECAY_SCALE
+        scaled = decay_hamiltonian(h_eff, basis, scale * kappa1, scale * kappa2)
+        usable[j] = _eigenbasis_factors(scaled[None], factors[:, j : j + 1])[0]
+        if not usable[j]:
+            results[points[j]] = SteadyStateError(
+                "no usable eigenbasis of H', nor of H' with its loss rates scaled by 1 + sqrt(eps)"
+            )
+    (h_prime, rates, points, *factors), _ = _keep(usable, h_prime, rates, points, *factors)
+    if len(points):
+        for i, state in zip(points.tolist(), _iterate(h_prime, rates, basis, factors)):
+            results[i] = state
     return results
 
 
@@ -514,15 +521,13 @@ def _iterate(
     h_prime: np.ndarray,
     rates: np.ndarray,
     basis: FockBasis,
-    inverse: Callable[..., np.ndarray],
     factors: list[np.ndarray],
 ) -> list[DensityMatrix | SteadyStateError]:
     """The jump-map iteration of a stack of driven points, one result per point.
 
-    inverse(factors, r, x) overwrites the stacked residuals r with S^-1(r)
-    and returns it, with x as scratch.  The caller's arrays hold one slice
-    per point along their first axis, and h_prime is overwritten with -i H'
-    for :func:`_generator`; the state rho, L(rho), the scratch x, the scaled
+    factors are the stacked factors of S^-1 (:func:`_eigenbasis_factors`).
+    The caller's arrays hold one slice per point along their first axis,
+    and h_prime is overwritten with -i H' for :func:`_generator`; the state rho, L(rho), the scratch x, the scaled
     update and the jump weights built from the rates (:func:`_jump_views`)
     are allocated here once.  A point that converges or fails leaves the
     active set: :func:`_keep` moves the others to the front in place, and
@@ -568,7 +573,7 @@ def _iterate(
             (h_prime, rho, r, *stacks), _ = _keep(keep, h_prime, rho, r, *weights, *factors)
             weights, factors = stacks[: len(weights)], stacks[len(weights) :]
             x, scaled = x[: len(tracks)], scaled[: len(tracks)]
-        update = inverse(factors, r, x)
+        update = _eigenbasis_inverse(factors, r, x)
         rho -= update
         # Hermitize without the factor 1/2, which the normalization absorbs
         # exactly: scaling by 2 commutes with rounding.
@@ -724,44 +729,6 @@ def _eigenbasis_inverse(factors: list[np.ndarray], r: np.ndarray, x: np.ndarray)
     r *= inv_denominator
     np.matmul(v, r, out=x)
     return np.matmul(x, v_conj.transpose(0, 2, 1), out=r)
-
-
-def _schur_factors(
-    h_prime: np.ndarray, t: np.ndarray, u: np.ndarray
-) -> list[SteadyStateError | None]:
-    """Write each point's complex Schur factors H' = U T U^dag into the stacks t
-    and u; per point None, or the SteadyStateError of a factorization that did
-    not converge."""
-    import scipy.linalg  # only the Schur fallback and the oracle need scipy
-
-    errors: list = []
-    for j, h in enumerate(h_prime):
-        try:
-            t[j], u[j] = scipy.linalg.schur(h, output="complex")
-        except np.linalg.LinAlgError as exc:
-            errors.append(SteadyStateError(f"no eigendecomposition of H': {exc}"))
-        else:
-            errors.append(None)
-    return errors
-
-
-def _schur_inverse(factors: list[np.ndarray], r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """S^-1(r) into r, point by point, by one triangular Sylvester solve in the
-    Schur basis, T Z - Z T^dag = i U^dag R U; factors[0] and factors[1] stack
-    each point's T and U."""
-    import scipy.linalg
-
-    for t, u, r_point in zip(factors[0], factors[1], r):
-        u_dag = u.conj().T
-        c = u_dag @ r_point @ u
-        c *= 1j
-        z, scale, info = scipy.linalg.lapack.ztrsyl(t, t, c, trana="N", tranb="C", isgn=-1)
-        if info < 0:
-            raise SteadyStateError(f"ztrsyl rejected argument {-info}")
-        z = u @ z @ u_dag
-        z /= scale
-        r_point[...] = z
-    return r
 
 
 def _outcome(rho: np.ndarray, basis: FockBasis, residual: float) -> DensityMatrix | SteadyStateError:

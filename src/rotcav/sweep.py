@@ -156,6 +156,7 @@ class SweepRow:
     axis_values: tuple[float, ...]
     outputs: dict[str, float | None]
     status: str
+    error: str | None = None  # a solver-failure row's SteadyStateError text
 
 
 @dataclass(frozen=True)
@@ -225,15 +226,16 @@ def _evaluate_grid(spec: SweepSpec, cutoffs: tuple[int, int]) -> list[SweepRow]:
     params = [dataclasses.replace(spec.fixed, **assignments) for _, assignments in grid]
     rows = []
     for (axis_values, _), p, stats in zip(grid, params, solve_points(params, cutoffs)):
+        error = None
         if isinstance(stats, SteadyStateError):
             outputs: dict[str, float | None] = {name: None for name in spec.outputs}
-            status = STATUS_FAILURE
+            status, error = STATUS_FAILURE, str(stats)
         else:
             outputs = {name: getattr(stats, name) for name in spec.outputs}
             status = STATUS_VACUUM if None in outputs.values() else STATUS_OK
         if spec.include_optimal_g:
             outputs["optimal_g"] = optimal_g(p.kappa1, p.kappa2, p.drive_strength)
-        rows.append(SweepRow(axis_values, outputs, status))
+        rows.append(SweepRow(axis_values, outputs, status, error))
     return rows
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -6,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import rotcav.dynamics as dynamics_mod
 from conftest import fail_at_points
@@ -16,10 +16,13 @@ from rotcav import (
     SweepAxis,
     SweepSpec,
     SystemParams,
+    build_basis,
+    build_h_eff,
     fizeau_shift,
 )
 from rotcav.cli import main
-from rotcav.sweep import spec_to_dict
+from rotcav.dynamics import decay_hamiltonian
+from rotcav.sweep import DEFAULT_FIXED, spec_to_dict
 
 
 def test_invalid_subcommand_exits_1(capsys):
@@ -259,58 +262,68 @@ def test_point_solver_failure_exit_2(monkeypatch, capsys):
     assert "solver failure" in capsys.readouterr().err
 
 
-def test_failed_eigendecomposition_is_a_solver_failure_row(monkeypatch, tmp_path):
-    # Every eig raises, so each point takes the Schur basis; the second
-    # point's Schur factorization raises too.  That point alone fails.
+def test_failed_eigendecomposition_is_a_solver_failure_row(monkeypatch, tmp_path, capsys):
+    # The second point's eig raises, for its H' and for its decay-scaled H'
+    # alike.  That point alone fails, and stderr says why.
     argv = ["sweep", "--axis1", "g:0.5:1.5:3", "--outputs", "n_a", "--na-cut", "2", "--nb-cut", "1"]
     plain = tmp_path / "plain.csv"
     assert main([*argv, "--out", str(plain)]) == 0
-    schur, calls = scipy.linalg.schur, []
+    basis, p = build_basis(2, 1), dataclasses.replace(DEFAULT_FIXED, g=1.0)
+    failing = decay_hamiltonian(build_h_eff(p, basis), basis, p.kappa1, p.kappa2)
+    eig = np.linalg.eig
 
-    def not_converging(*args, **kwargs):
-        raise np.linalg.LinAlgError("did not converge")
+    def not_converging_near_failing(matrices):
+        if any(np.allclose(m, failing) for m in matrices):
+            raise np.linalg.LinAlgError("did not converge")
+        return eig(matrices)
 
-    def second_not_converging(*args, **kwargs):
-        calls.append(None)
-        return not_converging() if len(calls) == 2 else schur(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eig", not_converging)
-    monkeypatch.setattr(scipy.linalg, "schur", second_not_converging)
+    monkeypatch.setattr(np.linalg, "eig", not_converging_near_failing)
+    capsys.readouterr()
     failed = tmp_path / "failed.csv"
     assert main([*argv, "--out", str(failed)]) == 2
     rows, expected = failed.read_text().splitlines(), plain.read_text().splitlines()
     assert rows[2] == "1,,solver-failure"
     assert rows[:2] + rows[3:] == expected[:2] + expected[3:]
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("solver failure: no usable eigenbasis of H'"), line
+    assert ", g=1.0, " in line, line
 
 
 # ------------------------------------------------------- what gets imported
 
-_SCHUR_FALLBACK_POINT = ["point", "--g", "0.17677669529663687", "--drive-strength", "1e-13",
-                         "--na-cut", "10", "--nb-cut", "5"]
+_EXCEPTIONAL_POINT = ["point", "--g", "0.17677669529663687", "--drive-strength", "1e-13",
+                      "--na-cut", "10", "--nb-cut", "5"]
+_DENSE_ORACLE = (
+    "basis = rotcav.build_basis(2, 1)\n"
+    "ops = rotcav.annihilator_a(basis), rotcav.annihilator_b(basis)\n"
+    "h = rotcav.build_h_eff(rotcav.SystemParams(g=1.0, drive_strength=0.1), basis)\n"
+    "rotcav.steady_state(rotcav.build_liouvillian(h, *ops, 1.0, 1.0))\n"
+    "code = 0"
+)
 
 
 @pytest.mark.parametrize(
-    "argv, loads_scipy_linalg",
+    "statement, expected_code, loads_scipy_linalg",
     [
-        (None, False),
-        (["point"], False),
-        (["figure", "--name", "fig5", "--count1", "3"], False),
-        (_SCHUR_FALLBACK_POINT, True),
+        ("code = None", None, False),
+        ("code = main(['point'])", 0, False),
+        ("code = main(['figure', '--name', 'fig5', '--count1', '3'])", 0, False),
+        (f"code = main({_EXCEPTIONAL_POINT!r})", 0, False),
+        (_DENSE_ORACLE, 0, True),
     ],
-    ids=["import", "point", "fig5-sweep", "schur-fallback-point"],
+    ids=["import", "point", "fig5-sweep", "exceptional-point", "dense-oracle"],
 )
-def test_scipy_linalg_is_imported_only_by_the_schur_fallback(argv, loads_scipy_linalg):
-    # In a fresh interpreter: scipy.linalg serves only the Schur fallback and
-    # the dense oracle, so the common path never pays for its import.
+def test_scipy_linalg_is_imported_only_by_the_dense_oracle(statement, expected_code, loads_scipy_linalg):
+    # In a fresh interpreter: scipy.linalg serves only the dense oracle, so the
+    # solver, even at an exceptional point, never pays for its import.
     src = Path(dynamics_mod.__file__).parents[1]
     script = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import rotcav.cli\n"
-        "code = None if len(sys.argv) == 2 else rotcav.cli.main(sys.argv[2:])\n"
+        "import sys; sys.path.insert(0, sys.argv[1]); import rotcav; from rotcav.cli import main\n"
+        f"{statement}\n"
         "print(code, 'scipy.linalg' in sys.modules)"
     )
-    command = [sys.executable, "-c", script, str(src), *(argv or [])]
+    command = [sys.executable, "-c", script, str(src)]
     out = subprocess.run(command, capture_output=True, text=True, check=True, timeout=120).stdout
-    expected_code = None if argv is None else 0
     assert out.splitlines()[-1] == f"{expected_code} {loads_scipy_linalg}"
 
 

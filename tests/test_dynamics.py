@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -371,7 +370,7 @@ def test_jump_map_matches_extended_precision(params, expected, dense_g2_bb_rel, 
 # Grid points (delta, g) of the fig4 heatmaps at F = 0.05.  With the
 # populations floored at 1e-30 the scaled update stalled between 1e-10 and
 # 4e-10 at the first sixteen, a solver failure, and the last two took 458
-# Schur-basis iterations.
+# iterations.
 FIG4_STALL_POINTS = [
     (-6.0, 0.1), (-5.52, 3.2), (-4.08, 0.2), (-3.96, 0.6), (-3.0, 0.3), (-2.52, 0.2),
     (-2.4, 0.2), (2.28, 0.2), (2.4, 0.2), (2.76, 0.3), (2.88, 0.3), (3.0, 0.3),
@@ -380,11 +379,10 @@ FIG4_STALL_POINTS = [
 
 
 def _count_solver_calls(monkeypatch, p: SystemParams, cutoffs) -> dict:
-    """Calls of the eigenbasis S^-1 ("inverse", one per iteration), of ztrsyl and
-    of the stacked eig in one run_point; patches undone after."""
-    counts = {"inverse": 0, "ztrsyl": 0, "eig": 0}
-    for module, name in ((scipy.linalg.lapack, "ztrsyl"), (np.linalg, "eig")):
-        monkeypatch.setattr(module, name, _counted(getattr(module, name), counts, name))
+    """Calls of the eigenbasis S^-1 ("inverse", one per iteration) and of the
+    stacked eig in one run_point; patches undone after."""
+    counts = {"inverse": 0, "eig": 0}
+    monkeypatch.setattr(np.linalg, "eig", _counted(np.linalg.eig, counts, "eig"))
     _wrap_eigenbasis_inverse(monkeypatch, lambda inverse: _counted(inverse, counts, "inverse"))
     run_point(p, cutoffs)
     monkeypatch.undo()
@@ -430,12 +428,10 @@ def test_jump_map_converges_at_fig4_stall_points(delta, g, monkeypatch):
     ],
     ids=["exceptional-point", "kappa2-0.1", "g10-delta+6", "g10-delta-6", "golden-point"],
 )
-def test_weak_drive_hard_points_match_schur_only_path(params, cutoffs, monkeypatch):
-    eigenbasis, _ = _assert_matches_oracle(params, cutoffs)
-    _schur_only(monkeypatch)
-    schur = run_point(params, cutoffs)
+def test_weak_drive_hard_points_match_schur_only_path(params, cutoffs):
+    stats, expected = _assert_matches_oracle(params, cutoffs)
     for name in ("g2_aa", "g2_bb", "n_a", "n_b"):
-        assert getattr(eigenbasis, name) == pytest.approx(getattr(schur, name), rel=1e-12), name
+        assert getattr(stats, name) == pytest.approx(getattr(expected, name), rel=1e-12), name
 
 
 # Points at cutoffs (8, 4) where roundoff in nearly empty states keeps the
@@ -463,8 +459,7 @@ def test_jump_map_stops_at_roundoff_stall(params):
     ids=["exceptional-point", "g-star", "kappa2-0.1"],
 )
 def test_slow_points_switch_to_eigenbasis_and_match_oracle(params, monkeypatch):
-    counts = _count_solver_calls(monkeypatch, params, (8, 4))
-    assert (counts["eig"], counts["ztrsyl"]) == (1, 0)
+    assert _count_solver_calls(monkeypatch, params, (8, 4))["eig"] == 1
     _assert_matches_oracle(params, (8, 4))
 
 
@@ -510,16 +505,10 @@ def test_weak_drive_does_not_stop_on_its_first_steps(g, cutoffs):
 _EIGENBASIS_FACTORS = dynamics_mod._eigenbasis_factors  # unpatched, for the wrappers below
 
 
-def _schur_only(monkeypatch) -> None:
-    monkeypatch.setattr(
-        dynamics_mod, "_eigenbasis_factors", lambda h_prime, out: np.zeros(len(h_prime), dtype=bool)
-    )
-
-
 def _nth_point_near_singular(monkeypatch, n: int) -> list:
-    """Declare the eigenvectors of the nth driven point (counted from 1) that
-    reaches the stacked eigenbasis step near-singular; the returned list gets
-    one entry per point that reaches it."""
+    """Declare the eigenvectors of the nth point (counted from 1) that reaches
+    the stacked eigenbasis step near-singular, a retried point counted again;
+    the returned list gets one entry per point that reaches it."""
     seen = []
 
     def nth_singular(h_prime, out):
@@ -533,42 +522,40 @@ def _nth_point_near_singular(monkeypatch, n: int) -> list:
     return seen
 
 
-def test_eigenbasis_matches_schur_only_path(monkeypatch):
-    p = SystemParams(g=0.867, drive_strength=3.0)
-    switched = run_point(p, (12, 6))
-    _schur_only(monkeypatch)
-    schur = run_point(p, (12, 6))
-    for name in ("g2_aa", "g2_bb", "n_a", "n_b"):
-        assert getattr(switched, name) == pytest.approx(getattr(schur, name), rel=1e-10), name
-
-
 # A repeated column leaves V invertible in floating point at a condition
-# number near 1e17; a zero column makes the inversion raise.
+# number near 1e17; a zero column makes the inversion raise.  Only the first
+# eig is corrupted, so the point is retried from its decay-scaled H', at
+# F = 3 and at F = 0.05.
 @pytest.mark.parametrize("zero", [False, True], ids=["repeated-column", "zero-column"])
 def test_near_singular_eigenvectors_keep_schur_path(zero, monkeypatch):
-    basis = build_basis(6, 3)
-    h = build_h_eff(SystemParams(g=0.867, drive_strength=3.0), basis)
     eig = np.linalg.eig
     calls = []
 
-    def rank_deficient(matrices):
+    def first_rank_deficient(matrices):
         calls.append(None)
         lam, v = eig(matrices)
-        v[..., 1] = 0.0 if zero else v[..., 0]
+        if len(calls) == 1:
+            v[..., 1] = 0.0 if zero else v[..., 0]
         return lam, v
 
-    monkeypatch.setattr(np.linalg, "eig", rank_deficient)
-    rho = _solve_alone_point(h, basis, 1.0, 1.0)
-    assert len(calls) == 1
-    _schur_only(monkeypatch)
-    np.testing.assert_array_equal(rho.matrix, _solve_alone_point(h, basis, 1.0, 1.0).matrix)
+    for drive in (3.0, 0.05):
+        calls.clear()
+        p = SystemParams(g=0.867, drive_strength=drive)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eig", first_rank_deficient)
+            stats = run_point(p, (6, 3))
+        assert len(calls) == 2, drive
+        expected = photon_statistics(*solve_point(p, 6, 3))
+        for name in ("g2_aa", "g2_bb", "n_a", "n_b"):
+            assert getattr(stats, name) == pytest.approx(getattr(expected, name), rel=1e-12), name
 
 
 # Exceptional points g = (kappa1 - kappa2 / 2) / (2 sqrt 2) of the |2,0>/|0,1>
 # pair at drives so weak that cond_1(V) of H' exceeds 1/sqrt(eps) (7.8e7 at
-# kappa2 = 0.1, cutoffs (10, 5)), so the Schur basis takes over.  There
-# n_a = 4 F^2 to roundoff; iterating in the eigenbasis anyway stopped with
-# n_a 1.5e-9 and 8.2e-12 relative off.
+# kappa2 = 0.1, cutoffs (10, 5)), so the point is factored again from H' with
+# its loss rates scaled by 1 + sqrt(eps).  There n_a = 4 F^2 to roundoff;
+# iterating in the unscaled eigenbasis anyway stopped with n_a 1.5e-9 and
+# 8.2e-12 relative off.
 @pytest.mark.parametrize(
     "params, cutoffs",
     [
@@ -578,7 +565,7 @@ def test_near_singular_eigenvectors_keep_schur_path(zero, monkeypatch):
     ids=["kappa2-0.1", "kappa2-0.5"],
 )
 def test_ill_conditioned_eigenbasis_falls_back_to_schur(params, cutoffs, monkeypatch):
-    assert _count_solver_calls(monkeypatch, params, cutoffs)["ztrsyl"] > 0
+    assert _count_solver_calls(monkeypatch, params, cutoffs)["eig"] == 2
     n_a = run_point(params, cutoffs).n_a
     assert n_a == pytest.approx(4 * params.drive_strength**2, rel=1e-12, abs=0)
 
@@ -624,15 +611,6 @@ def _weak_drive_jump_map():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_update_raises_at_its_iteration(bad, monkeypatch):
     _wrap_eigenbasis_inverse(monkeypatch, lambda inverse: _poisoned_at_call(inverse, bad))
-    with pytest.raises(SteadyStateError, match=r"non-finite entries at iteration 3$"):
-        _weak_drive_jump_map()
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-def test_non_finite_schur_fallback_update_raises_at_its_iteration(monkeypatch):
-    _schur_only(monkeypatch)
-    poisoned = _poisoned_at_call(scipy.linalg.lapack.ztrsyl, np.nan)
-    monkeypatch.setattr(scipy.linalg.lapack, "ztrsyl", poisoned)
     with pytest.raises(SteadyStateError, match=r"non-finite entries at iteration 3$"):
         _weak_drive_jump_map()
 
@@ -692,6 +670,16 @@ def _failed(states) -> list[bool]:
     return [isinstance(state, SteadyStateError) for state in states]
 
 
+def _retried_alone(monkeypatch, i: int) -> DensityMatrix:
+    """Chunk point i solved alone with its first eigenbasis declared unusable,
+    so from the eigenbasis of its decay-scaled H'."""
+    points, basis = _chunk_inputs()
+    h, kappa1, kappa2 = points[i]
+    with monkeypatch.context() as patch:
+        _nth_point_near_singular(patch, 1)
+        return _solve_alone_point(h, basis, kappa1, kappa2)
+
+
 def test_chunk_states_are_bitwise_the_single_point_states():
     for chunked, alone in zip(_solve_chunk(), _solve_alone()):
         np.testing.assert_array_equal(chunked.matrix, alone.matrix)
@@ -745,22 +733,23 @@ def test_converged_points_leave_the_active_set(monkeypatch):
 
 
 def test_schur_fallback_point_in_a_chunk_matches_its_chunk_of_one(monkeypatch):
-    # The third point's eigenvectors are declared near-singular; it leaves the
-    # chunk for the Schur basis, and the others stay in the eigenbasis.
+    # The third point's eigenvectors are declared near-singular; it is factored
+    # again, alone, from its decay-scaled H', and the others keep their bits.
     eigenbasis = _solve_alone()
-    _schur_only(monkeypatch)
-    schur = _solve_alone()
+    retried = _retried_alone(monkeypatch, 2)
+    assert not np.array_equal(retried.matrix, eigenbasis[2].matrix)
     _nth_point_near_singular(monkeypatch, 3)
     chunked = _solve_chunk()
     for i, state in enumerate(chunked):
-        expected = schur[i] if i == 2 else eigenbasis[i]
+        expected = retried if i == 2 else eigenbasis[i]
         np.testing.assert_array_equal(state.matrix, expected.matrix)
 
 
 def test_exactly_singular_point_keeps_its_chunk_mates_in_the_eigenbasis(monkeypatch):
     # The third point's eigenvectors get a zero column, so the stacked
     # inversion of V raises; the chunk is inverted point by point, the third
-    # point takes the Schur basis, and the others keep their eigenbasis bits.
+    # point is factored again from its decay-scaled H', whose eig is left
+    # alone, and the others keep their eigenbasis bits.
     points, basis = _chunk_inputs()
     singular_h_prime = decay_hamiltonian(points[2][0], basis, 1.0, 1.0)
     eig = np.linalg.eig
@@ -773,48 +762,46 @@ def test_exactly_singular_point_keeps_its_chunk_mates_in_the_eigenbasis(monkeypa
         return lam, v
 
     eigenbasis = _solve_alone()
-    _schur_only(monkeypatch)
-    schur = _solve_alone()
-    monkeypatch.undo()
+    retried = _retried_alone(monkeypatch, 2)
     monkeypatch.setattr(np.linalg, "eig", zero_column)
     for i, state in enumerate(_solve_chunk()):
-        expected = schur[i] if i == 2 else eigenbasis[i]
+        expected = retried if i == 2 else eigenbasis[i]
         np.testing.assert_array_equal(state.matrix, expected.matrix)
 
 
-def _raising_for(fn, h_prime: np.ndarray):
+def _raising_for(fn, *h_primes: np.ndarray):
     """fn raising LinAlgError, as a non-converging LAPACK call does, whenever its
-    matrix or stack of matrices holds h_prime."""
+    stack of matrices holds one of h_primes."""
 
     def raising(matrices, *args, **kwargs):
-        if any(np.array_equal(m, h_prime) for m in matrices.reshape(-1, *h_prime.shape)):
+        if any(np.array_equal(m, h) for m in matrices for h in h_primes):
             raise np.linalg.LinAlgError("did not converge")
         return fn(matrices, *args, **kwargs)
 
     return raising
 
 
-@pytest.mark.parametrize("schur_fails", [False, True], ids=["schur-certifies", "schur-fails"])
-def test_failed_eigendecomposition_fails_only_its_point(schur_fails, monkeypatch):
+@pytest.mark.parametrize("retry_fails", [False, True], ids=["retry-certifies", "retry-fails"])
+def test_failed_eigendecomposition_fails_only_its_point(retry_fails, monkeypatch):
     # The third point's eig raises, in the stack and alone: the chunk is
-    # factored point by point, the third point takes the Schur basis, or fails
-    # alone where its Schur factorization raises too, and the others keep
-    # their eigenbasis bits.
+    # factored point by point, the third point is factored again from its
+    # decay-scaled H', or fails alone where that eig raises too, and the
+    # others keep their eigenbasis bits.
     points, basis = _chunk_inputs()
-    failing = decay_hamiltonian(points[2][0], basis, 1.0, 1.0)
+    h, kappa1, kappa2 = points[2]
+    scale = dynamics_mod.JUMP_MAP_RETRY_DECAY_SCALE
+    failing = [decay_hamiltonian(h, basis, kappa1, kappa2)]
+    if retry_fails:
+        failing.append(decay_hamiltonian(h, basis, scale * kappa1, scale * kappa2))
     eigenbasis = _solve_alone()
-    _schur_only(monkeypatch)
-    schur = _solve_alone()
-    monkeypatch.undo()
-    monkeypatch.setattr(np.linalg, "eig", _raising_for(np.linalg.eig, failing))
-    if schur_fails:
-        monkeypatch.setattr(scipy.linalg, "schur", _raising_for(scipy.linalg.schur, failing))
+    retried = _retried_alone(monkeypatch, 2)
+    monkeypatch.setattr(np.linalg, "eig", _raising_for(np.linalg.eig, *failing))
     states = _solve_chunk()
-    assert _failed(states) == [False, False, schur_fails, False, False]
-    if schur_fails:
-        assert str(states[2]) == "no eigendecomposition of H': did not converge"
+    assert _failed(states) == [False, False, retry_fails, False, False]
+    if retry_fails:
+        assert str(states[2]).startswith("no usable eigenbasis of H', nor of H' with its loss rates")
     else:
-        np.testing.assert_array_equal(states[2].matrix, schur[2].matrix)
+        np.testing.assert_array_equal(states[2].matrix, retried.matrix)
     for state, expected in zip(states[:2] + states[3:], eigenbasis[:2] + eigenbasis[3:]):
         np.testing.assert_array_equal(state.matrix, expected.matrix)
 
@@ -822,7 +809,7 @@ def test_failed_eigendecomposition_fails_only_its_point(schur_fails, monkeypatch
 def test_chunk_partition_gives_each_point_its_chunk_of_one_state(monkeypatch):
     # Undriven points (F = 0, and F = 0 with a real energy offset, whose
     # H'[0, 0] is not 0) leave the chunk with the vacuum; a driven point
-    # forced to the Schur basis sits between eigenbasis points.
+    # retried from its decay-scaled H' sits between eigenbasis points.
     basis = build_basis(4, 2)
     driven = [
         build_h_eff(SystemParams(g=0.867, drive_strength=f), basis) for f in (0.05, 1.525, 3.0, 0.7875)
@@ -830,11 +817,12 @@ def test_chunk_partition_gives_each_point_its_chunk_of_one_state(monkeypatch):
     undriven = build_h_eff(SystemParams(g=0.867), basis)
     h_effs = [driven[0], undriven, driven[1], undriven + 0.7 * np.eye(basis.dim), *driven[2:]]
     expected = [_solve_alone_point(h, basis, 1.0, 1.0).matrix for h in h_effs]
-    _schur_only(monkeypatch)
-    expected[4] = _solve_alone_point(h_effs[4], basis, 1.0, 1.0).matrix
+    with monkeypatch.context() as patch:
+        _nth_point_near_singular(patch, 1)
+        expected[4] = _solve_alone_point(h_effs[4], basis, 1.0, 1.0).matrix
     calls = _nth_point_near_singular(monkeypatch, 3)
     states = list(jump_map_steady_states([(h, 1.0, 1.0) for h in h_effs], basis))
-    assert len(calls) == len(driven)
+    assert len(calls) == len(driven) + 1  # the retried point reaches it twice
     for state, want in zip(states, expected):
         np.testing.assert_array_equal(state.matrix, want)
     for i in (1, 3):
