@@ -1,14 +1,18 @@
 #!/bin/sh
 # Write the CSV of every figure preset, as computed by this checkout, into
-# OUTDIR, with four more outputs: the drive sweep F = 0.5..2 at g = 0.867 and
-# cutoffs (8,4) (D = 45) as strong_drive.csv; fig5 at 21 points with
+# OUTDIR, with five more outputs: the drive sweep F = 0.5..2 at g = 0.867 and
+# cutoffs (8,4) (D = 45) as strong_drive.csv, and the same sweep at
+# delta = 1 as strong_drive_detuned.csv; fig5 at 21 points with
 # --convergence-check (doubled cutoffs) as fig5_convergence.json; a drive
 # sweep from F = 0, whose first point is undriven (the vacuum is returned
 # without iterating), as undriven.csv; and two points at F ~ 1e-13 on the
 # exceptional point g = 1/(4 sqrt 2) at cutoffs (10,5), where the
 # eigenvectors of H' are too close to dependent and the solver factors S^-1
 # from H' with its loss rates scaled by 1 + sqrt(eps), as ill_conditioned.csv.
-# No preset reaches either of the last two paths.  Run it on two checkouts and compare them:
+# No preset reaches either of the last two paths.  fig5, fig6, strong_drive
+# and ill_conditioned lie on the mirror line delta + delta_f = 0, which the
+# solver factors in real arithmetic; strong_drive_detuned is the strong-drive
+# check of the complex path.  Run it on two checkouts and compare them:
 #
 #   /path/to/old/scripts/preset_parity.sh /tmp/old
 #   /path/to/new/scripts/preset_parity.sh /tmp/new
@@ -43,6 +47,7 @@ for name in fig5 fig7a fig7b fig8a fig8b; do
     run "$name.csv" figure --name "$name"
 done
 run strong_drive.csv sweep --axis1 drive_strength:0.5:2:8 --g 0.867 --na-cut 8 --nb-cut 4
+run strong_drive_detuned.csv sweep --axis1 drive_strength:0.5:2:8 --g 0.867 --delta 1 --na-cut 8 --nb-cut 4
 run fig5_convergence.json figure --name fig5 --count1 21 --convergence-check --format json
 run undriven.csv sweep --axis1 drive_strength:0:0.1:3 --g 0.867
 run ill_conditioned.csv sweep --axis1 drive_strength:1e-13:2e-13:2 --g 0.17677669529663687 --na-cut 10 --nb-cut 5

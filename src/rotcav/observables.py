@@ -76,11 +76,18 @@ def g2_bb(rho: DensityMatrix, b: ModeOperator) -> float:
     return _g2(rho, b, "b")
 
 
+def _occupation(value: float) -> float:
+    """A mean occupation, 0.0 where roundoff in populations far below the
+    solver's population floor leaves it negative (n_b = -2.8e-51 at the
+    exceptional point, F = 2e-13, cutoffs (10, 5))."""
+    return 0.0 if value < 0 else value
+
+
 def mean_photon(rho: DensityMatrix, mode: Mode) -> float:
-    """Mean occupation Tr{c^dag c rho} of the requested mode."""
+    """Mean occupation Tr{c^dag c rho} of the requested mode; never negative."""
     occ = rho.basis.occ_a if mode is Mode.A else rho.basis.occ_b
     diag = np.real(np.diag(rho.matrix))
-    return float(np.sum(diag * occ))
+    return _occupation(float(np.sum(diag * occ)))
 
 
 def populations(rho: DensityMatrix) -> dict[tuple[int, int], float]:
@@ -118,12 +125,12 @@ def population_statistics(rho: DensityMatrix) -> PhotonStatistics:
     exactly on the box, with n from FockBasis.occ_a / occ_b, so no
     operator product is formed.  The sums run over the complex diagonal,
     and each takes the same imaginary-residue check and vacuum guard as
-    in :func:`photon_statistics`.
+    in :func:`photon_statistics`, and a negative occupation reads 0.0.
     """
     diag = rho.matrix.diagonal()
     moments = []
     for label, occ in (("a", rho.basis.occ_a), ("b", rho.basis.occ_b)):
-        occupation = _real(diag @ occ, f"<{label}^dag {label}>")
+        occupation = _occupation(_real(diag @ occ, f"<{label}^dag {label}>"))
         g2 = None
         if occupation > VACUUM_OCCUPATION_EPS:
             pair = _real(diag @ (occ * (occ - 1)), f"<{label}^dag^2 {label}^2>")

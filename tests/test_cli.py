@@ -264,16 +264,22 @@ def test_point_solver_failure_exit_2(monkeypatch, capsys):
 
 def test_failed_eigendecomposition_is_a_solver_failure_row(monkeypatch, tmp_path, capsys):
     # The second point's eig raises, for its H' and for its decay-scaled H'
-    # alike.  That point alone fails, and stderr says why.
+    # alike, and so does the eig of their real B = -i U H' U^dag
+    # (dynamics._mirror_phases), which is what a point on the mirror line
+    # delta = 0, as here, is factored from.  That point alone fails, and
+    # stderr says why.
     argv = ["sweep", "--axis1", "g:0.5:1.5:3", "--outputs", "n_a", "--na-cut", "2", "--nb-cut", "1"]
     plain = tmp_path / "plain.csv"
     assert main([*argv, "--out", str(plain)]) == 0
     basis, p = build_basis(2, 1), dataclasses.replace(DEFAULT_FIXED, g=1.0)
-    failing = decay_hamiltonian(build_h_eff(p, basis), basis, p.kappa1, p.kappa2)
+    h_prime = decay_hamiltonian(build_h_eff(p, basis), basis, p.kappa1, p.kappa2)
+    b = dynamics_mod._mirror_phases(basis) * h_prime
+    assert not b.imag.any()
+    failing = (h_prime, b.real)
     eig = np.linalg.eig
 
     def not_converging_near_failing(matrices):
-        if any(np.allclose(m, failing) for m in matrices):
+        if any(np.allclose(m, f) for m in matrices for f in failing):
             raise np.linalg.LinAlgError("did not converge")
         return eig(matrices)
 

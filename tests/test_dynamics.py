@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from rotcav import (
     figure_preset,
     optimal_g,
     photon_statistics,
+    resonance_angular_condition,
     run_point,
     steady_state,
     unvectorize,
@@ -32,6 +34,9 @@ from rotcav import (
 
 EXCEPTIONAL_G = 1.0 / (4.0 * math.sqrt(2.0))
 ROUNDOFF = 1e-30
+# A detuning off the mirror line delta + delta_f = 0, whose points the solver
+# factors in complex arithmetic; at delta = 0 it factors them in real.
+OFF_LINE_DELTA = 0.3
 
 
 def _liouvillian(params: SystemParams, na=6, nb=3) -> Liouvillian:
@@ -525,7 +530,10 @@ def _nth_point_near_singular(monkeypatch, n: int) -> list:
 # A repeated column leaves V invertible in floating point at a condition
 # number near 1e17; a zero column makes the inversion raise.  Only the first
 # eig is corrupted, so the point is retried from its decay-scaled H', at
-# F = 3 and at F = 0.05.
+# F = 3 and at F = 0.05, on the mirror line (delta = 0, real B) and off it.
+# On the line the eigenvalue is repeated with its column, so that the block
+# form repeats the column too: a copy of one eigenvector of a complex pair
+# into its partner's column would only flip the sign of that column of P.
 @pytest.mark.parametrize("zero", [False, True], ids=["repeated-column", "zero-column"])
 def test_near_singular_eigenvectors_keep_schur_path(zero, monkeypatch):
     eig = np.linalg.eig
@@ -536,15 +544,17 @@ def test_near_singular_eigenvectors_keep_schur_path(zero, monkeypatch):
         lam, v = eig(matrices)
         if len(calls) == 1:
             v[..., 1] = 0.0 if zero else v[..., 0]
+            if matrices.dtype != complex:
+                lam[..., 1] = lam[..., 0]
         return lam, v
 
-    for drive in (3.0, 0.05):
+    for delta, drive in itertools.product((0.0, OFF_LINE_DELTA), (3.0, 0.05)):
         calls.clear()
-        p = SystemParams(g=0.867, drive_strength=drive)
+        p = SystemParams(delta=delta, g=0.867, drive_strength=drive)
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eig", first_rank_deficient)
             stats = run_point(p, (6, 3))
-        assert len(calls) == 2, drive
+        assert len(calls) == 2, (delta, drive)
         expected = photon_statistics(*solve_point(p, 6, 3))
         for name in ("g2_aa", "g2_bb", "n_a", "n_b"):
             assert getattr(stats, name) == pytest.approx(getattr(expected, name), rel=1e-12), name
@@ -642,38 +652,48 @@ def test_residual_above_tolerance_raises_from_both_solvers(monkeypatch):
 # ------------------------------------------------------------- chunked solves
 
 # Drive strengths at g = 0.867, cutoffs (4, 2), that each take their own
-# number of iterations alone: 7, 38, 75, 70 and 85.
+# number of iterations alone: 7, 38, 75, 70 and 85 on the mirror line
+# (delta = 0, solved in real arithmetic), 6, 57, 82, 77 and 103 at
+# delta = OFF_LINE_DELTA (solved in complex arithmetic).  The chunk tests
+# whose faults reach the factorization run on both paths.
 CHUNK_DRIVES = (0.05, 0.7875, 1.525, 2.2625, 3.0)
-CHUNK_ITERATIONS = (7, 38, 75, 70, 85)
+CHUNK_ITERATIONS = {0.0: (7, 38, 75, 70, 85), OFF_LINE_DELTA: (6, 57, 82, 77, 103)}
 
 
-def _chunk_inputs():
+def _chunk_inputs(delta=0.0):
     basis = build_basis(4, 2)
     points = [
-        (build_h_eff(SystemParams(g=0.867, drive_strength=f), basis), 1.0, 1.0)
+        (build_h_eff(SystemParams(delta=delta, g=0.867, drive_strength=f), basis), 1.0, 1.0)
         for f in CHUNK_DRIVES
     ]
     return points, basis
 
 
-def _solve_chunk():
+def _solve_chunk(delta=0.0):
     # One chunk: the budget holds 27 points at D = 15.
-    return list(jump_map_steady_states(*_chunk_inputs()))
+    return list(jump_map_steady_states(*_chunk_inputs(delta)))
 
 
-def _solve_alone():
-    points, basis = _chunk_inputs()
+def _solve_alone(delta=0.0):
+    points, basis = _chunk_inputs(delta)
     return [_solve_alone_point(h, basis, kappa1, kappa2) for h, kappa1, kappa2 in points]
+
+
+def _eig_input(h_prime, basis):
+    """The matrix the solver's eig receives for h_prime: on the mirror line its
+    real B = -i U H' U^dag, elsewhere H' itself."""
+    b = dynamics_mod._mirror_phases(basis) * h_prime
+    return h_prime if b.imag.any() else b.real
 
 
 def _failed(states) -> list[bool]:
     return [isinstance(state, SteadyStateError) for state in states]
 
 
-def _retried_alone(monkeypatch, i: int) -> DensityMatrix:
+def _retried_alone(monkeypatch, i: int, delta=0.0) -> DensityMatrix:
     """Chunk point i solved alone with its first eigenbasis declared unusable,
     so from the eigenbasis of its decay-scaled H'."""
-    points, basis = _chunk_inputs()
+    points, basis = _chunk_inputs(delta)
     h, kappa1, kappa2 = points[i]
     with monkeypatch.context() as patch:
         _nth_point_near_singular(patch, 1)
@@ -723,50 +743,57 @@ def test_converged_points_leave_the_active_set(monkeypatch):
         return wrapper
 
     _wrap_eigenbasis_inverse(monkeypatch, recorded)
-    assert not any(_failed(_solve_chunk()))
-    # The stack shrinks as points finish: each point is iterated exactly as
-    # often as alone, and the last point alone runs to its own count.
-    assert sizes == sorted(sizes, reverse=True)
-    assert sizes[0] == len(CHUNK_DRIVES) and sizes[-1] == 1
-    assert len(sizes) == max(CHUNK_ITERATIONS)
-    assert sum(sizes) == sum(CHUNK_ITERATIONS)
+    for delta in CHUNK_ITERATIONS:
+        sizes.clear()
+        assert not any(_failed(_solve_chunk(delta)))
+        # The stack shrinks as points finish: each point is iterated exactly as
+        # often as alone, and the last point alone runs to its own count.
+        assert sizes == sorted(sizes, reverse=True)
+        assert sizes[0] == len(CHUNK_DRIVES) and sizes[-1] == 1
+        assert len(sizes) == max(CHUNK_ITERATIONS[delta])
+        assert sum(sizes) == sum(CHUNK_ITERATIONS[delta])
 
 
 def test_schur_fallback_point_in_a_chunk_matches_its_chunk_of_one(monkeypatch):
     # The third point's eigenvectors are declared near-singular; it is factored
     # again, alone, from its decay-scaled H', and the others keep their bits.
-    eigenbasis = _solve_alone()
-    retried = _retried_alone(monkeypatch, 2)
-    assert not np.array_equal(retried.matrix, eigenbasis[2].matrix)
-    _nth_point_near_singular(monkeypatch, 3)
-    chunked = _solve_chunk()
-    for i, state in enumerate(chunked):
-        expected = retried if i == 2 else eigenbasis[i]
-        np.testing.assert_array_equal(state.matrix, expected.matrix)
+    for delta in CHUNK_ITERATIONS:
+        eigenbasis = _solve_alone(delta)
+        retried = _retried_alone(monkeypatch, 2, delta)
+        assert not np.array_equal(retried.matrix, eigenbasis[2].matrix)
+        with monkeypatch.context() as patch:
+            _nth_point_near_singular(patch, 3)
+            chunked = _solve_chunk(delta)
+        for i, state in enumerate(chunked):
+            expected = retried if i == 2 else eigenbasis[i]
+            np.testing.assert_array_equal(state.matrix, expected.matrix)
 
 
 def test_exactly_singular_point_keeps_its_chunk_mates_in_the_eigenbasis(monkeypatch):
     # The third point's eigenvectors get a zero column, so the stacked
-    # inversion of V raises; the chunk is inverted point by point, the third
-    # point is factored again from its decay-scaled H', whose eig is left
-    # alone, and the others keep their eigenbasis bits.
-    points, basis = _chunk_inputs()
-    singular_h_prime = decay_hamiltonian(points[2][0], basis, 1.0, 1.0)
+    # inversion of V (of P, on the mirror line) raises; the chunk is inverted
+    # point by point, the third point is factored again from its decay-scaled
+    # H', whose eig is left alone, and the others keep their eigenbasis bits.
     eig = np.linalg.eig
+    for delta in CHUNK_ITERATIONS:
+        points, basis = _chunk_inputs(delta)
+        singular = _eig_input(decay_hamiltonian(points[2][0], basis, 1.0, 1.0), basis)
 
-    def zero_column(h_primes):
-        lam, v = eig(h_primes)
-        for h_prime, v_point in zip(h_primes, v):
-            if np.array_equal(h_prime, singular_h_prime):
-                v_point[:, 1] = 0.0
-        return lam, v
+        def zero_column(h_primes):
+            lam, v = eig(h_primes)
+            for h_prime, v_point in zip(h_primes, v):
+                if np.array_equal(h_prime, singular):
+                    v_point[:, 1] = 0.0
+            return lam, v
 
-    eigenbasis = _solve_alone()
-    retried = _retried_alone(monkeypatch, 2)
-    monkeypatch.setattr(np.linalg, "eig", zero_column)
-    for i, state in enumerate(_solve_chunk()):
-        expected = retried if i == 2 else eigenbasis[i]
-        np.testing.assert_array_equal(state.matrix, expected.matrix)
+        eigenbasis = _solve_alone(delta)
+        retried = _retried_alone(monkeypatch, 2, delta)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eig", zero_column)
+            states = _solve_chunk(delta)
+        for i, state in enumerate(states):
+            expected = retried if i == 2 else eigenbasis[i]
+            np.testing.assert_array_equal(state.matrix, expected.matrix)
 
 
 def _raising_for(fn, *h_primes: np.ndarray):
@@ -787,23 +814,26 @@ def test_failed_eigendecomposition_fails_only_its_point(retry_fails, monkeypatch
     # factored point by point, the third point is factored again from its
     # decay-scaled H', or fails alone where that eig raises too, and the
     # others keep their eigenbasis bits.
-    points, basis = _chunk_inputs()
-    h, kappa1, kappa2 = points[2]
-    scale = dynamics_mod.JUMP_MAP_RETRY_DECAY_SCALE
-    failing = [decay_hamiltonian(h, basis, kappa1, kappa2)]
-    if retry_fails:
-        failing.append(decay_hamiltonian(h, basis, scale * kappa1, scale * kappa2))
-    eigenbasis = _solve_alone()
-    retried = _retried_alone(monkeypatch, 2)
-    monkeypatch.setattr(np.linalg, "eig", _raising_for(np.linalg.eig, *failing))
-    states = _solve_chunk()
-    assert _failed(states) == [False, False, retry_fails, False, False]
-    if retry_fails:
-        assert str(states[2]).startswith("no usable eigenbasis of H', nor of H' with its loss rates")
-    else:
-        np.testing.assert_array_equal(states[2].matrix, retried.matrix)
-    for state, expected in zip(states[:2] + states[3:], eigenbasis[:2] + eigenbasis[3:]):
-        np.testing.assert_array_equal(state.matrix, expected.matrix)
+    for delta in CHUNK_ITERATIONS:
+        points, basis = _chunk_inputs(delta)
+        h, kappa1, kappa2 = points[2]
+        scale = dynamics_mod.JUMP_MAP_RETRY_DECAY_SCALE
+        failing = [decay_hamiltonian(h, basis, kappa1, kappa2)]
+        if retry_fails:
+            failing.append(decay_hamiltonian(h, basis, scale * kappa1, scale * kappa2))
+        failing = [_eig_input(h_prime, basis) for h_prime in failing]
+        eigenbasis = _solve_alone(delta)
+        retried = _retried_alone(monkeypatch, 2, delta)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eig", _raising_for(np.linalg.eig, *failing))
+            states = _solve_chunk(delta)
+        assert _failed(states) == [False, False, retry_fails, False, False]
+        if retry_fails:
+            assert str(states[2]).startswith("no usable eigenbasis of H', nor of H' with its loss rates")
+        else:
+            np.testing.assert_array_equal(states[2].matrix, retried.matrix)
+        for state, expected in zip(states[:2] + states[3:], eigenbasis[:2] + eigenbasis[3:]):
+            np.testing.assert_array_equal(state.matrix, expected.matrix)
 
 
 def test_chunk_partition_gives_each_point_its_chunk_of_one_state(monkeypatch):
@@ -811,22 +841,25 @@ def test_chunk_partition_gives_each_point_its_chunk_of_one_state(monkeypatch):
     # H'[0, 0] is not 0) leave the chunk with the vacuum; a driven point
     # retried from its decay-scaled H' sits between eigenbasis points.
     basis = build_basis(4, 2)
-    driven = [
-        build_h_eff(SystemParams(g=0.867, drive_strength=f), basis) for f in (0.05, 1.525, 3.0, 0.7875)
-    ]
-    undriven = build_h_eff(SystemParams(g=0.867), basis)
-    h_effs = [driven[0], undriven, driven[1], undriven + 0.7 * np.eye(basis.dim), *driven[2:]]
-    expected = [_solve_alone_point(h, basis, 1.0, 1.0).matrix for h in h_effs]
-    with monkeypatch.context() as patch:
-        _nth_point_near_singular(patch, 1)
-        expected[4] = _solve_alone_point(h_effs[4], basis, 1.0, 1.0).matrix
-    calls = _nth_point_near_singular(monkeypatch, 3)
-    states = list(jump_map_steady_states([(h, 1.0, 1.0) for h in h_effs], basis))
-    assert len(calls) == len(driven) + 1  # the retried point reaches it twice
-    for state, want in zip(states, expected):
-        np.testing.assert_array_equal(state.matrix, want)
-    for i in (1, 3):
-        np.testing.assert_array_equal(states[i].matrix, _vacuum(basis).matrix)
+    for delta in CHUNK_ITERATIONS:
+        driven = [
+            build_h_eff(SystemParams(delta=delta, g=0.867, drive_strength=f), basis)
+            for f in (0.05, 1.525, 3.0, 0.7875)
+        ]
+        undriven = build_h_eff(SystemParams(delta=delta, g=0.867), basis)
+        h_effs = [driven[0], undriven, driven[1], undriven + 0.7 * np.eye(basis.dim), *driven[2:]]
+        expected = [_solve_alone_point(h, basis, 1.0, 1.0).matrix for h in h_effs]
+        with monkeypatch.context() as patch:
+            _nth_point_near_singular(patch, 1)
+            expected[4] = _solve_alone_point(h_effs[4], basis, 1.0, 1.0).matrix
+        with monkeypatch.context() as patch:
+            calls = _nth_point_near_singular(patch, 3)
+            states = list(jump_map_steady_states([(h, 1.0, 1.0) for h in h_effs], basis))
+        assert len(calls) == len(driven) + 1  # the retried point reaches it twice
+        for state, want in zip(states, expected):
+            np.testing.assert_array_equal(state.matrix, want)
+        for i in (1, 3):
+            np.testing.assert_array_equal(states[i].matrix, _vacuum(basis).matrix)
 
 
 def test_solver_streams_its_input_one_chunk_at_a_time(monkeypatch):
@@ -881,6 +914,129 @@ def test_certificate_failure_fails_only_its_point(monkeypatch):
     states = _solve_chunk()
     assert _failed(states) == [False, True, False, False, False]
     assert str(states[1]) == "certificate failed: state not positive: synthetic"
+
+
+# ---------------------------------------------------------------- mirror line
+
+
+def _mirror_b(p: SystemParams, basis) -> np.ndarray:
+    """B = -i U H' U^dag of a point, as the solver forms it."""
+    h_prime = decay_hamiltonian(build_h_eff(p, basis), basis, p.kappa1, p.kappa2)
+    return dynamics_mod._mirror_phases(basis) * h_prime
+
+
+def test_mirror_line_b_is_exactly_real_on_the_line_only():
+    basis = build_basis(6, 3)
+    # The blockade points delta = -delta_f of fig7a (g = 5) and fig7b
+    # (g = g*) from either port: the left port's sum is exactly 0.0.
+    shifts = [(g, resonance_angular_condition(g)) for g in (5.0, optimal_g(1.0, 1.0, 0.05))]
+    on_line = [
+        SystemParams(g=0.867, drive_strength=0.05),
+        SystemParams(g=1.0, kappa2=0.1, drive_strength=3.0),
+        *(SystemParams(delta=-shift, g=g, drive_strength=0.05, delta_f=shift) for g, shift in shifts),
+    ]
+    off_line = [
+        SystemParams(delta=1e-300, g=0.867, drive_strength=0.05),
+        *(SystemParams(delta=-shift, g=g, drive_strength=0.05, delta_f=-shift) for g, shift in shifts),
+    ]
+    for p in on_line:
+        assert p.delta + p.delta_f == 0.0
+        assert not _mirror_b(p, basis).imag.any(), p
+    for p in off_line:
+        assert _mirror_b(p, basis).imag.any(), p
+    # The phases are those of -i U H' U^dag with U = diag(i^(n_a + n_b)).
+    u = np.diag(np.array([1, 1j, -1, -1j])[(basis.occ_a + basis.occ_b) % 4])
+    for p in on_line + off_line:
+        h_prime = decay_hamiltonian(build_h_eff(p, basis), basis, p.kappa1, p.kappa2)
+        np.testing.assert_array_equal(-1j * (u @ h_prime @ u.conj().T), _mirror_b(p, basis))
+
+
+@pytest.mark.parametrize("drive", [0.05, 3.0])
+def test_block_form_inverse_undoes_s(drive):
+    # S(X) = B X + X B^T on a real symmetric X, then S^-1 from the block form
+    # B = P M P^-1 and the four-term mix; at F = 0.05 B has real eigenvalues
+    # next to its complex pairs, at F = 3 none.  The slowest decay rate,
+    # alpha = -0.005 at F = 0.05, scales the roundoff by up to 1 / (2 alpha).
+    basis = build_basis(6, 3)
+    b = _mirror_b(SystemParams(g=0.867, drive_strength=drive), basis).real[None]
+    factors = np.empty((6, *b.shape))
+    assert dynamics_mod._eigenbasis_factors(b, factors).all()
+    x = np.random.default_rng(7).normal(size=b.shape)
+    x += x.transpose(0, 2, 1)
+    r = b @ x + x @ b.transpose(0, 2, 1)
+    got = dynamics_mod._eigenbasis_inverse(list(factors), r, np.empty_like(r))
+    assert np.max(np.abs(got - x)) <= 1e-10 * np.max(np.abs(x))
+
+
+def test_line_points_call_no_complex_lapack(monkeypatch):
+    for delta, dtype in ((0.0, np.float64), (1e-300, np.complex128)):
+        seen = set()
+
+        def recorded(fn):
+            def wrapper(a, *args, **kwargs):
+                seen.add(np.asarray(a).dtype)
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        with monkeypatch.context() as patch:
+            for name in ("eig", "inv", "cholesky"):
+                patch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
+            run_point(SystemParams(delta=delta, g=0.867, drive_strength=0.05), (6, 3))
+        assert seen == {np.dtype(dtype)}, delta
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        SystemParams(g=EXCEPTIONAL_G, drive_strength=1e-13),
+        SystemParams(g=EXCEPTIONAL_G, drive_strength=0.05),
+        SystemParams(g=1.0, kappa2=0.1, drive_strength=0.05),
+        SystemParams(g=0.867, drive_strength=3.0),
+        SystemParams(g=0.867, drive_strength=1e-10),
+        SystemParams(g=10.0, drive_strength=0.05),
+    ],
+    ids=["exceptional-point-F1e-13", "exceptional-point-F0.05", "kappa2-0.1", "F3", "F1e-10", "g10"],
+)
+def test_line_states_match_dense_oracle(params):
+    # Occupations below ROUNDOFF (n_b at F = 1e-13 and 1e-10) sit far below
+    # the population floor and converge only in absolute terms.
+    basis, a, b = make_ops(6, 3)
+    h = build_h_eff(params, basis)
+    assert not _mirror_b(params, basis).imag.any()
+    expected = steady_state(build_liouvillian(h, a, b, params.kappa1, params.kappa2))
+    state = _solve_alone_point(h, basis, params.kappa1, params.kappa2)
+    assert np.max(np.abs(state.matrix - expected.matrix)) <= 1e-12 * np.max(np.abs(expected.matrix))
+    got, want = photon_statistics(state, a, b), photon_statistics(expected, a, b)
+    for name in ("g2_aa", "g2_bb", "n_a", "n_b"):
+        if getattr(want, name) is None:
+            assert getattr(got, name) is None, name
+        else:
+            floor = ROUNDOFF if name.startswith("n") else 0.0
+            assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=floor), name
+
+
+def test_line_point_bits_do_not_depend_on_its_chunk():
+    # Alone, in a chunk of line points, and in a chunk that interleaves them
+    # with off-line points (one chunk of ten: the budget holds 27 at D = 15).
+    basis = build_basis(4, 2)
+    line, _ = _chunk_inputs(0.0)
+    off_line, _ = _chunk_inputs(OFF_LINE_DELTA)
+    alone = _solve_alone(0.0)
+    all_line = list(jump_map_steady_states(line, basis))
+    mixed = list(jump_map_steady_states([p for pair in zip(off_line, line) for p in pair], basis))
+    for want, state, mixed_state in zip(alone, all_line, mixed[1::2], strict=True):
+        np.testing.assert_array_equal(state.matrix, want.matrix)
+        np.testing.assert_array_equal(mixed_state.matrix, want.matrix)
+    for state, want in zip(mixed[::2], _solve_alone(OFF_LINE_DELTA), strict=True):
+        np.testing.assert_array_equal(state.matrix, want.matrix)
+
+
+def test_line_states_are_exactly_hermitian():
+    for state in _solve_alone(0.0):
+        assert state.matrix.dtype == complex
+        np.testing.assert_array_equal(state.matrix, state.matrix.conj().T)
+        assert not state.matrix.diagonal().imag.any()
 
 
 # ---------------------------------------------------------------- evolution

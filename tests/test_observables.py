@@ -207,3 +207,18 @@ def test_population_statistics_reject_an_imaginary_residue(mode, n_a, n_b):
     for stats in (lambda: population_statistics(state), lambda: photon_statistics(state, a, b)):
         with pytest.raises(ValueError, match=message):
             stats()
+
+
+@pytest.mark.parametrize("n_a, n_b", [(1, 0), (0, 1)], ids=["mode-a", "mode-b"])
+def test_roundoff_negative_occupation_reads_zero(n_a, n_b):
+    # A certified state whose only weight above the vacuum is a -1e-51
+    # population, roundoff far below the solver's population floor.
+    basis, a, b = make_ops(4, 2)
+    rho = _fock_projector(basis, 0, 0).matrix
+    rho[basis.index(n_a, n_b), basis.index(n_a, n_b)] = -1e-51
+    state = DensityMatrix(rho, basis)
+    state.validate()
+    assert mean_photon(state, Mode.A if n_a else Mode.B) == 0.0
+    for stats in (population_statistics(state), photon_statistics(state, a, b)):
+        assert (stats.n_a, stats.n_b) == (0.0, 0.0)
+        assert stats.g2_aa is None and stats.g2_bb is None
