@@ -1,8 +1,12 @@
 #!/bin/sh
 # Write the CSV of every figure preset, as computed by this checkout, into
-# OUTDIR, with five more outputs: the drive sweep F = 0.5..2 at g = 0.867 and
+# OUTDIR, with six more outputs: the drive sweep F = 0.5..2 at g = 0.867 and
 # cutoffs (8,4) (D = 45) as strong_drive.csv, and the same sweep at
-# delta = 1 as strong_drive_detuned.csv; fig5 at 21 points with
+# delta = 1 as strong_drive_detuned.csv; delta in {-5, -4} x F in {2, 3} at
+# g = 2 and cutoffs (12,6) (D = 91) as hard_strong_drive.csv, whose points
+# contract so slowly that the solver finishes them in its Krylov phase
+# (delta = -4, F = 2 and delta = -5, F = 3 ran out of the fixed-point loop's
+# budget before it); fig5 at 21 points with
 # --convergence-check (doubled cutoffs) as fig5_convergence.json; a drive
 # sweep from F = 0, whose first point is undriven (the vacuum is returned
 # without iterating), as undriven.csv; and two points at F ~ 1e-13 on the
@@ -48,6 +52,7 @@ for name in fig5 fig7a fig7b fig8a fig8b; do
 done
 run strong_drive.csv sweep --axis1 drive_strength:0.5:2:8 --g 0.867 --na-cut 8 --nb-cut 4
 run strong_drive_detuned.csv sweep --axis1 drive_strength:0.5:2:8 --g 0.867 --delta 1 --na-cut 8 --nb-cut 4
+run hard_strong_drive.csv sweep --axis1 delta:-5:-4:2 --axis2 drive_strength:2:3:2 --g 2 --na-cut 12 --nb-cut 6
 run fig5_convergence.json figure --name fig5 --count1 21 --convergence-check --format json
 run undriven.csv sweep --axis1 drive_strength:0:0.1:3 --g 0.867
 run ill_conditioned.csv sweep --axis1 drive_strength:1e-13:2e-13:2 --g 0.17677669529663687 --na-cut 10 --nb-cut 5

@@ -60,6 +60,21 @@ roundoff plateau.  Without drive the vacuum |0,0> is an eigenvector of
 H' with a real eigenvalue, so S is singular; the vacuum is then
 stationary and is returned directly.
 
+Near the small Liouvillian gap of the driven chi(2) cavity (Minganti et
+al., Phys. Rev. A 98, 042118 (2018)) the iteration contracts at ratios up
+to 0.997, and a point whose ratio stays slow leaves the stacked loop for a
+Krylov phase: restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput.
+7, 856 (1986)) on the root of delta -> S^-1(L(delta)), with the point's
+own factors of S^-1 and jump weights, so that its bits do not depend on
+its chunk.  At g = 2, delta = -4, F = 2, cutoffs (10,5) the loop alone
+needs 1096 iterations; with the phase the point takes 12 generator calls
+and 61 applications of S^-1.  The unknowns are population-weighted,
+delta = W^1/2 Y W^1/2, and packed as Y's upper triangle; every
+application is Hermitized on its way in and out (:func:`_krylov`).  The
+phase stops, and certifies the state from the L(rho) of its last restart,
+once the scaled update is at most JUMP_MAP_KRYLOV_TOL or sits on its
+roundoff floor, without further iterations.
+
 On the mirror line delta + delta_f = 0, where the blockade conditions of
 the model lie, parity W = (-1)^(n_a + n_b) combined with complex
 conjugation maps the steady state onto itself (Albert & Jiang, Phys. Rev.
@@ -202,6 +217,32 @@ JUMP_MAP_MAX_EIGENBASIS_CONDITION = 1.0 / math.sqrt(np.finfo(float).eps)
 # 3 to 13 generator evaluations.  Only S^-1 changes, so the fixed point and
 # the certificate do not.
 JUMP_MAP_RETRY_DECAY_SCALE = 1.0 + math.sqrt(np.finfo(float).eps)
+# A driven point whose contraction stays slow leaves the fixed-point loop
+# for the Krylov phase (:func:`_krylov`): from iteration
+# JUMP_MAP_KRYLOV_ITERATIONS on, once each of its last three scaled steps
+# was at least JUMP_MAP_KRYLOV_RATIO times the one before while the step is
+# still above JUMP_MAP_SLOW_STEP.  Then 4 of the 8 points of the drive
+# sweep F = 0.5..2 at g* and cutoffs (8,4) enter, at steps of 0.035 to
+# 0.25, and no point of any figure preset at 41 x 41 nor of fig4a at
+# 101 x 101.  With a step bound of 1e-9, 4 fig4a cells at 101 x 101
+# entered, and so did the fig7a nonreciprocity pair at cutoffs (10,5),
+# whose step rests near 1e-8 for three or four iterations at weak drive
+# before it falls on, with more S^-1 applications than in the loop; with a
+# ratio of 0.5 as well, 6 cells each of fig4a and fig4b at 21 x 21.
+JUMP_MAP_KRYLOV_ITERATIONS = 8
+JUMP_MAP_KRYLOV_RATIO = 0.7
+# The phase runs GMRES(JUMP_MAP_KRYLOV_RESTART) and stops at a restart once
+# the 2-norm of the Hermitian, population-scaled update is at most
+# JUMP_MAP_KRYLOV_TOL.  At the five points checked (cutoffs (6,3) to
+# (10,5), contraction rates 0.76 to 0.996) the state's largest entry error
+# against the dense oracle, relative to its largest entry, was at most 0.3
+# times the update.  Roundoff in nearly empty states can floor the update
+# above the tolerance (1e-5 to 7e-5 at g = 0.3 and 0.867, F = 2 and 3,
+# |delta| >= 5, cutoffs (12,6), with residuals of 1e-16), so the phase also
+# stops once a cycle whose own least-squares residual reached the tolerance
+# has not halved the update.
+JUMP_MAP_KRYLOV_RESTART = 40
+JUMP_MAP_KRYLOV_TOL = 5e-13
 
 
 class SteadyStateError(RuntimeError):
@@ -467,7 +508,11 @@ def decay_hamiltonian(
 # the four coefficient stacks of T^-1, 48 D**2 bytes against 80), the real
 # state, L(rho) and scratch, the scaled update, the two weight stacks of
 # just under D**2 floats each, and the mix step's temporary.  The two groups
-# of a chunk are solved one after the other.  Memory bounds the chunk,
+# of a chunk are solved one after the other.  A point in the Krylov phase,
+# one at a time, adds its GMRES basis of JUMP_MAP_KRYLOV_RESTART + 1 packed
+# vectors, D (D + 1) / 2 floats each on the mirror line (0.34 MB at D = 45)
+# and D**2 off it (2.7 MB at D = 91), its own state, L(rho), scratch and
+# weights, and its index arrays.  Memory bounds the chunk,
 # not speed: at D = 28 (cutoffs (6,3)) chunks of 8 solved the fig5 sweep 1.5x faster than chunks
 # of one, and chunks of 16 only 2% faster than 8 at 1.1 MB more peak memory;
 # at D = 45 chunks of 3 ran 7% faster than chunks of one and chunks of 8 3%
@@ -613,7 +658,9 @@ def _iterate(
     scaled update and the jump weights built from the rates (:func:`_jump_views`)
     are allocated here once.  A point that converges or fails leaves the
     active set: :func:`_keep` moves the others to the front in place, and
-    every stack is sliced to them.
+    every stack is sliced to them.  So does a point whose contraction stays
+    slow (:meth:`_Track.enters`), once :func:`_krylov` has finished it from
+    its slices; the budget counts S^-1 applications in both.
     """
     n, d = len(minus_i_h), basis.dim
     rho, r, x = np.empty((3, n, d, d), dtype=minus_i_h.dtype)
@@ -629,7 +676,7 @@ def _iterate(
     tracks = [_Track(i) for i in range(n)]
     results: list = [None] * n
     finished: list[int] = []  # positions in the stack, certified from the next L(rho)
-    failed: list[int] = []
+    left: list[int] = []  # positions of points that failed or finished in the Krylov phase
     for iteration in itertools.count(1):
         _generator(minus_i_h, rho, r, x, jumps)
         for j in finished:
@@ -637,7 +684,7 @@ def _iterate(
             results[tracks[j].index] = _outcome(rho[j].copy(), basis, residual)
         if iteration > JUMP_MAP_MAX_ITERATIONS:
             for j, track in enumerate(tracks):
-                if j not in finished and j not in failed:
+                if j not in finished and j not in left:
                     residual = float(np.max(np.abs(r[j])))
                     results[track.index] = SteadyStateError(
                         f"jump-map iteration did not converge in {JUMP_MAP_MAX_ITERATIONS} "
@@ -645,9 +692,9 @@ def _iterate(
                         f"residual {residual:.3e})"
                     )
             return results
-        if finished or failed:
+        if finished or left:
             keep = np.ones(len(tracks), dtype=bool)
-            keep[finished + failed] = False
+            keep[finished + left] = False
             if not keep.any():
                 return results
             tracks = [track for track, kept in zip(tracks, keep) if kept]
@@ -666,16 +713,23 @@ def _iterate(
         np.abs(update, out=scaled)
         scaled *= inv_weight[:, :, None]
         scaled *= inv_weight[:, None, :]
-        finished, failed = [], []
+        finished, left = [], []
         for j, (track, step) in enumerate(zip(tracks, scaled.max(axis=(1, 2)).tolist())):
             if not math.isfinite(step):
                 results[track.index] = SteadyStateError(
                     f"jump-map iteration produced non-finite entries at iteration {iteration}"
                 )
                 rho[j] = 0.0  # stationary, so L(rho) stays finite until it leaves
-                failed.append(j)
+                left.append(j)
             elif track.stops(step, iteration):
                 finished.append(j)
+            elif track.enters(iteration):
+                i, point = track.index, slice(j, j + 1)
+                point_factors = [factor[point] for factor in factors]
+                results[i] = _krylov(
+                    minus_i_h[point], point_factors, rates[i : i + 1], basis, rho[j].copy(), iteration
+                )
+                left.append(j)
 
 
 @dataclass
@@ -687,6 +741,11 @@ class _Track:
     best: float = math.inf
     best_at: int = 0
     step: float = math.inf
+    slow: int = 0  # successive steps of at least JUMP_MAP_KRYLOV_RATIO times the one before
+
+    def enters(self, iteration: int) -> bool:
+        """Whether a point that does not stop enters the Krylov phase."""
+        return iteration >= JUMP_MAP_KRYLOV_ITERATIONS and self.step > JUMP_MAP_SLOW_STEP and self.slow >= 3
 
     def stops(self, step: float, iteration: int) -> bool:
         """Record this iteration's scaled update; whether the iteration stops."""
@@ -698,8 +757,187 @@ class _Track:
         since_best = iteration - self.best_at
         plateau = step <= JUMP_MAP_STALL_TOL and since_best >= JUMP_MAP_PLATEAU_ITERATIONS
         stalled = self.best <= JUMP_MAP_SLOW_STEP and since_best >= JUMP_MAP_STALL_ITERATIONS
+        self.slow = self.slow + 1 if step >= JUMP_MAP_KRYLOV_RATIO * self.previous else 0
         self.previous = self.step = step
         return converged or plateau or stalled
+
+
+def _krylov(
+    minus_i_h: np.ndarray,
+    factors: list[np.ndarray],
+    rates: np.ndarray,
+    basis: FockBasis,
+    state: np.ndarray,
+    calls: int,
+) -> DensityMatrix | SteadyStateError:
+    """Finish one point of :func:`_iterate` by restarted GMRES on the root of
+    delta -> S^-1(L(delta)); its certified state or its error.
+
+    minus_i_h, factors and rates are the point's slices of the stacks (its
+    stacks of one), state its iterate after calls S^-1 applications, which
+    the budget keeps counting here.  Each restart forms L(rho) at the
+    current state, whose max |L(rho)| certifies the state if the phase
+    stops there, and the loop's update S^-1(L(rho)), scaled as
+    delta = W^1/2 Y W^1/2 with W the state's populations floored at
+    JUMP_MAP_POPULATION_FLOOR.  A cycle (:func:`_gmres_cycle`) then solves
+    S^-1(L(delta)) = -update for Y in the packed coordinates of
+    :func:`_packing`: each application unpacks an exactly Hermitian delta
+    and packs the Hermitian part of its image.  Off that subspace, roundoff
+    gave the Krylov vectors anti-Hermitian parts, on which the generator's
+    M + M^dag is not L, and GMRES stalled at 1e-7 to 1e-10.
+    """
+    d = basis.dim
+    real = state.dtype != complex
+    rho, r, x = np.empty((3, 1, d, d), dtype=state.dtype)
+    jumps = _jump_views(basis, rates, rho, r, x)
+    cells, up, lo, spread = _packing(d, real)
+    n, half = len(cells), d * (d + 1) // 2
+    vectors = np.empty((JUMP_MAP_KRYLOV_RESTART + 1, n))
+    source = np.zeros(2 * n - half + 1)  # W Y packed, its imaginary parts negated, and a zero
+    t, ww, iw = np.empty((3, n))
+    flat_rho, flat_r = (a.reshape(-1) if real else a.reshape(-1).view(float) for a in (rho, r))
+
+    def unpack(y: np.ndarray) -> None:
+        """W^1/2 Y W^1/2 into rho, with each entry below the diagonal the
+        conjugate of its mirror, and a zero imaginary part on it."""
+        np.multiply(y, ww, out=source[:n])
+        if not real:
+            np.negative(source[half:n], out=source[n:-1])
+        source.take(spread, out=flat_rho)
+
+    def pack(out: np.ndarray) -> None:
+        """The Hermitian part of S^-1(r), scaled by W^-1/2 on both sides, into out."""
+        _eigenbasis_inverse(factors, r, x)
+        flat_r.take(up, out=out)
+        flat_r.take(lo, out=t)
+        if real:
+            out += t
+        else:  # the real parts add the mirror entry, the imaginary parts subtract it
+            out[:half] += t[:half]
+            out[half:] -= t[half:]
+        out *= iw
+
+    def apply(y: np.ndarray, out: np.ndarray) -> None:
+        # S^-1(L(delta)) = delta + S^-1(J(delta)): the cycle builds its basis
+        # from the renewal part alone, one D x D product fewer.
+        nonlocal calls
+        unpack(y)
+        r.fill(0.0)
+        _add_jumps(1, jumps)
+        calls += 1
+        pack(out)
+
+    best, solved = math.inf, False
+    while True:
+        rho[0] = state
+        _generator(minus_i_h, rho, r, x, jumps)
+        calls += 1
+        residual = float(np.max(np.abs(r)))
+        w = np.sqrt(np.maximum(state.diagonal().real, JUMP_MAP_POPULATION_FLOOR))
+        np.take(np.outer(w, w).reshape(-1), cells, out=ww)
+        np.divide(0.5, ww, out=iw)
+        pack(vectors[0])
+        step = math.sqrt(vectors[0] @ vectors[0])
+        if not math.isfinite(step):
+            return SteadyStateError(f"jump-map iteration produced non-finite entries at iteration {calls}")
+        if step <= JUMP_MAP_KRYLOV_TOL or (solved and step > 0.5 * best):
+            return _outcome(state, basis, residual)
+        if calls >= JUMP_MAP_MAX_ITERATIONS:
+            return SteadyStateError(
+                f"jump-map iteration did not converge in {JUMP_MAP_MAX_ITERATIONS} "
+                f"iterations (last scaled update {step:.3e}, residual {residual:.3e})"
+            )
+        best = min(best, step)
+        vectors[0] *= -1.0 / step  # the update is subtracted
+        y, solved = _gmres_cycle(apply, vectors, step, t, JUMP_MAP_MAX_ITERATIONS - calls)
+        unpack(np.matmul(y, vectors[: len(y)], out=t))
+        state += rho[0]
+        state *= 1.0 / state.trace().real
+
+
+def _packing(d: int, real: bool) -> tuple[np.ndarray, ...]:
+    """Index arrays between a Hermitian D x D matrix and its packed coordinates:
+    the real parts of its upper triangle, row by row, then, for a complex
+    matrix, the imaginary parts of the strict upper triangle.
+
+    cells holds each coordinate's flat entry (i, j); up and lo its position
+    and that of its mirror (j, i) in the matrix's floats; spread, for each
+    float of the matrix, its position in a source of the coordinates, their
+    imaginary parts negated and a zero (:func:`_krylov`).
+    """
+    i, j = np.triu_indices(d)
+    half = len(i)
+    where = np.empty((d, d), dtype=np.intp)
+    where[i, j] = where[j, i] = np.arange(half)
+    if real:
+        cells = i * d + j
+        return cells, cells, j * d + i, where.reshape(-1)
+    si, sj = np.triu_indices(d, 1)
+    n = half + len(si)
+    cells = np.concatenate([i * d + j, si * d + sj])
+    up = np.concatenate([2 * (i * d + j), 2 * (si * d + sj) + 1])
+    lo = np.concatenate([2 * (j * d + i), 2 * (sj * d + si) + 1])
+    imag = np.full((d, d), 2 * n - half, dtype=np.intp)  # the zero
+    imag[si, sj] = half + np.arange(len(si))
+    imag[sj, si] = n + np.arange(len(si))
+    return cells, up, lo, np.stack([where, imag], axis=2).reshape(-1)
+
+
+def _gmres_cycle(
+    apply: Callable[[np.ndarray, np.ndarray], None],
+    vectors: np.ndarray,
+    beta: float,
+    t: np.ndarray,
+    budget: int,
+) -> tuple[np.ndarray, bool]:
+    """One cycle of GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
+    (1986)) for (1 + N) y = beta vectors[0], vectors[0] of unit norm, with
+    apply(v, out) writing N v: the coefficients of y in vectors, whose rows
+    it overwrites with the Arnoldi basis, and whether the least-squares
+    residual reached JUMP_MAP_KRYLOV_TOL.
+
+    At most JUMP_MAP_KRYLOV_RESTART and budget applications, fewer once the
+    least-squares residual is at most JUMP_MAP_KRYLOV_TOL.  The basis is
+    built for N, whose Krylov space is that of 1 + N and whose images cancel
+    less on it: one classical Gram-Schmidt pass, and a second where it takes
+    the norm below 0.7 times.  The Givens rotations run on Python floats.
+    """
+    g, columns, rotations = [beta], [], []
+    for k in range(min(JUMP_MAP_KRYLOV_RESTART, budget)):
+        w, span = vectors[k + 1], vectors[: k + 1]
+        apply(vectors[k], w)
+        before = math.sqrt(w @ w)
+        h = np.dot(span, w)
+        w -= np.dot(h, span, out=t)
+        norm = math.sqrt(w @ w)
+        if norm < 0.7 * before:
+            again = np.dot(span, w)
+            w -= np.dot(again, span, out=t)
+            h += again
+            norm = math.sqrt(w @ w)
+        column = h.tolist()  # A's column: 1 + h on the diagonal, norm below it
+        column[k] += 1.0
+        top = column[0]
+        for i, (c, s) in enumerate(rotations):
+            below = column[i + 1]
+            column[i], top = c * top + s * below, c * below - s * top
+        diagonal = math.hypot(top, norm)
+        if diagonal == 0.0:
+            break
+        c, s = top / diagonal, norm / diagonal
+        rotations.append((c, s))
+        column[k] = diagonal
+        columns.append(column)
+        g.append(-s * g[k])
+        g[k] *= c
+        if norm > 0.0:
+            w *= 1.0 / norm
+        if abs(g[k + 1]) <= JUMP_MAP_KRYLOV_TOL:
+            break
+    triangle = np.zeros((len(columns), len(columns)))
+    for j, column in enumerate(columns):
+        triangle[: j + 1, j] = column[: j + 1]
+    return np.linalg.solve(triangle, g[: len(columns)]), abs(g[-1]) <= JUMP_MAP_KRYLOV_TOL
 
 
 def _keep(keep: np.ndarray, *stacks: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -756,10 +994,15 @@ def _generator(
     np.matmul(minus_i_h, rho, out=out)
     np.conjugate(out, out=scratch)
     out += scratch.transpose(0, 2, 1)
-    n = len(rho)
+    _add_jumps(len(rho), jumps)
+    return out
+
+
+def _add_jumps(n: int, jumps: Sequence[tuple[np.ndarray, ...]]) -> None:
+    """Add the jump terms J(rho) of the first n points of the stacks in jumps
+    (:func:`_jump_views`) to their out."""
     for rho_block, out_block, term, weight in jumps:
         out_block[:n] += np.multiply(rho_block[:n], weight[:n], out=term[:n])
-    return out
 
 
 def _eigenbasis_factors(matrices: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -467,14 +467,35 @@ def test_sweep_convergence_undefined_without_defined_pairs(tmp_path, capsys):
     assert metadata["convergence_failures"] == 0
 
 
-def test_sweep_json_records_doubled_cutoff_failures(tmp_path, capsys):
-    # Delta = -4 fails to converge at the doubled cutoffs (12, 6); Delta = -3 does not.
+def test_sweep_json_records_doubled_cutoff_failures(monkeypatch, tmp_path, capsys):
+    # Delta = -4 fails at the doubled cutoffs (12, 6), the third point solved;
+    # Delta = -3 does not.
+    fail_at_points(monkeypatch, 3)
     out = tmp_path / "failed.json"
     code = main(["sweep", "--axis1", "delta:-4:-3:2", "--g", "2", "--drive-strength", "2",
                  "--convergence-check", "--format", "json", "--out", str(out)])
     assert code == 2
     assert "solver failure at 1 point(s) at doubled cutoffs" in capsys.readouterr().err
     assert json.loads(out.read_text())["metadata"]["convergence_failures"] == 1
+
+
+# The strong-drive point g = 2, delta = -4, F = 2 converges so slowly at the
+# doubled cutoffs (12, 6) that the fixed-point loop ran out of its 1000
+# iterations; the Krylov phase finishes it.
+def test_point_convergence_check_at_strong_drive(capsys):
+    code = main(["point", "--g", "2", "--delta", "-4", "--drive-strength", "2", "--convergence-check"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    lines = [line for line in captured.out.splitlines() if line.startswith("convergence ")]
+    assert len(lines) == 4
+
+
+def test_sweep_convergence_check_at_strong_drive(tmp_path, capsys):
+    out = tmp_path / "strong.json"
+    code = main(["sweep", "--axis1", "delta:-4:-3:2", "--g", "2", "--drive-strength", "2",
+                 "--convergence-check", "--format", "json", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert json.loads(out.read_text())["metadata"]["convergence_failures"] == 0
 
 
 @pytest.mark.parametrize(

@@ -409,6 +409,33 @@ def _wrap_eigenbasis_inverse(monkeypatch, wrap) -> None:
     )
 
 
+def _record_loop_inverses(monkeypatch, record) -> list:
+    """Call record(r) at each S^-1 of the stacked fixed-point loop, not at those
+    of the Krylov phase; the list of the iterations at which points entered it."""
+    entries, inside = [], []
+    krylov = dynamics_mod._krylov
+
+    def phase(*args):
+        entries.append(args[-1])
+        inside.append(None)
+        try:
+            return krylov(*args)
+        finally:
+            inside.pop()
+
+    def wrap(inverse):
+        def wrapper(factors, r, x):
+            if not inside:
+                record(r)
+            return inverse(factors, r, x)
+
+        return wrapper
+
+    monkeypatch.setattr(dynamics_mod, "_krylov", phase)
+    _wrap_eigenbasis_inverse(monkeypatch, wrap)
+    return entries
+
+
 @pytest.mark.parametrize("delta, g", FIG4_STALL_POINTS)
 def test_jump_map_converges_at_fig4_stall_points(delta, g, monkeypatch):
     # The exact grid values, e.g. 2.2799999999999994 rather than 2.28
@@ -651,13 +678,15 @@ def test_residual_above_tolerance_raises_from_both_solvers(monkeypatch):
 
 # ------------------------------------------------------------- chunked solves
 
-# Drive strengths at g = 0.867, cutoffs (4, 2), that each take their own
-# number of iterations alone: 7, 38, 75, 70 and 85 on the mirror line
-# (delta = 0, solved in real arithmetic), 6, 57, 82, 77 and 103 at
-# delta = OFF_LINE_DELTA (solved in complex arithmetic).  The chunk tests
-# whose faults reach the factorization run on both paths.
+# Drive strengths at g = 0.867, cutoffs (4, 2), that each leave the
+# fixed-point loop at their own iteration alone: 7, 38, 15, 70 and 20 on the
+# mirror line (delta = 0, solved in real arithmetic), 6, 57, 11, 77 and 31
+# at delta = OFF_LINE_DELTA (solved in complex arithmetic); on both paths the
+# third and the fifth leave for the Krylov phase.  The chunk tests whose
+# faults reach the factorization run on both paths.
 CHUNK_DRIVES = (0.05, 0.7875, 1.525, 2.2625, 3.0)
-CHUNK_ITERATIONS = {0.0: (7, 38, 75, 70, 85), OFF_LINE_DELTA: (6, 57, 82, 77, 103)}
+CHUNK_ITERATIONS = {0.0: (7, 38, 15, 70, 20), OFF_LINE_DELTA: (6, 57, 11, 77, 31)}
+KRYLOV_POINTS = {0.0: (2, 4), OFF_LINE_DELTA: (2, 4)}
 
 
 def _chunk_inputs(delta=0.0):
@@ -706,7 +735,8 @@ def test_chunk_states_are_bitwise_the_single_point_states():
 
 
 # Loss rates (kappa1, kappa2) of the CHUNK_DRIVES points, one pair each; alone
-# the points then take 7, 36, 97, 66 and 84 iterations.
+# the points then leave the fixed-point loop after 7, 36, 14, 66 and 21
+# iterations, the third and the fifth for the Krylov phase.
 CHUNK_RATES = ((1.0, 0.5), (0.7, 1.3), (1.5, 0.2), (0.4, 2.0), (1.2, 0.9))
 
 
@@ -720,11 +750,11 @@ def test_chunk_with_distinct_loss_rates_is_bitwise_its_chunks_of_one(monkeypatch
     ]
     iterations, alone = [], []
     for h, kappa1, kappa2 in points:
-        calls = {"inverse": 0}
+        calls = []
         with monkeypatch.context() as patch:
-            _wrap_eigenbasis_inverse(patch, lambda inverse: _counted(inverse, calls, "inverse"))
+            _record_loop_inverses(patch, calls.append)
             alone.append(_solve_alone_point(h, basis, kappa1, kappa2))
-        iterations.append(calls["inverse"])
+        iterations.append(len(calls))
     assert len(set(iterations)) == len(points)
     chunked = list(jump_map_steady_states(points, basis))
     assert not any(_failed(chunked))
@@ -734,24 +764,19 @@ def test_chunk_with_distinct_loss_rates_is_bitwise_its_chunks_of_one(monkeypatch
 
 def test_converged_points_leave_the_active_set(monkeypatch):
     sizes = []
-
-    def recorded(inverse):
-        def wrapper(factors, r, x):
-            sizes.append(len(r))
-            return inverse(factors, r, x)
-
-        return wrapper
-
-    _wrap_eigenbasis_inverse(monkeypatch, recorded)
+    entries = _record_loop_inverses(monkeypatch, lambda r: sizes.append(len(r)))
     for delta in CHUNK_ITERATIONS:
         sizes.clear()
+        entries.clear()
         assert not any(_failed(_solve_chunk(delta)))
-        # The stack shrinks as points finish: each point is iterated exactly as
-        # often as alone, and the last point alone runs to its own count.
+        # The stack shrinks as points finish or enter the Krylov phase: each
+        # point is iterated exactly as often as alone, and the last point alone
+        # runs to its own count.
         assert sizes == sorted(sizes, reverse=True)
         assert sizes[0] == len(CHUNK_DRIVES) and sizes[-1] == 1
         assert len(sizes) == max(CHUNK_ITERATIONS[delta])
         assert sum(sizes) == sum(CHUNK_ITERATIONS[delta])
+        assert sorted(entries) == sorted(CHUNK_ITERATIONS[delta][i] for i in KRYLOV_POINTS[delta])
 
 
 def test_schur_fallback_point_in_a_chunk_matches_its_chunk_of_one(monkeypatch):
@@ -896,10 +921,12 @@ def test_non_finite_update_fails_only_its_point(monkeypatch):
 
 
 def test_budget_exhaustion_fails_only_its_point(monkeypatch):
-    monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", 75)
+    # The budget counts S^-1 applications: alone the points take 7, 38, 31, 70
+    # and 36, the third and the fifth with the Krylov phase.
+    monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", 60)
     states = _solve_chunk()
-    assert _failed(states) == [False, False, False, False, True]
-    assert str(states[4]).startswith("jump-map iteration did not converge in 75 iterations")
+    assert _failed(states) == [False, False, False, True, False]
+    assert str(states[3]).startswith("jump-map iteration did not converge in 60 iterations")
 
 
 def test_certificate_failure_fails_only_its_point(monkeypatch):
@@ -1037,6 +1064,116 @@ def test_line_states_are_exactly_hermitian():
         assert state.matrix.dtype == complex
         np.testing.assert_array_equal(state.matrix, state.matrix.conj().T)
         assert not state.matrix.diagonal().imag.any()
+
+
+# ---------------------------------------------------------------- Krylov phase
+
+# Strong-drive points at g = 2 where the fixed-point loop contracts at
+# q = 0.98 to 0.997 and ran out of its 1000 iterations: at (10, 5) converged
+# (last scaled update 4.2e-13), at (12, 6) not.  The (10, 5) values are the
+# dense oracle's, to the digits printed.
+HARD_POINT_10_5 = dict(g2_aa="2.006035561", g2_bb="32.55600571", n_a="0.3140588131", n_b="0.0127596234")
+
+
+def test_krylov_phase_certifies_the_hard_point_at_10_5():
+    stats = run_point(SystemParams(delta=-4.0, g=2.0, drive_strength=2.0), (10, 5))
+    for name, printed in HARD_POINT_10_5.items():
+        half_unit = 0.5 * 10.0 ** -len(printed.split(".")[1])
+        assert getattr(stats, name) == pytest.approx(float(printed), rel=0.0, abs=half_unit), name
+
+
+@pytest.mark.parametrize("delta, drive", [(4.0, 2.0), (5.0, 3.0)])
+def test_krylov_phase_certifies_the_strong_drive_pairs_at_12_6(delta, drive):
+    # delta and -delta are mirror images of each other; each pair gives the
+    # same bits.
+    plus, minus = (
+        run_point(SystemParams(delta=d, g=2.0, drive_strength=drive), (12, 6)) for d in (delta, -delta)
+    )
+    assert plus == minus
+
+
+@pytest.mark.parametrize("cutoffs", [(6, 3), (8, 4)])
+def test_slow_point_at_small_kappa2_matches_dense_oracle(cutoffs):
+    # The loop contracts at q = 0.996 here, and its tail rule stopped with
+    # the state 4.8e-10 (6, 3) and 1.8e-10 (8, 4) off the oracle's, n_b
+    # 2.8e-10 and 1.1e-10.
+    p = SystemParams(g=0.1, kappa2=0.1, drive_strength=1.0)
+    basis, a, b = make_ops(*cutoffs)
+    h = build_h_eff(p, basis)
+    expected = steady_state(build_liouvillian(h, a, b, p.kappa1, p.kappa2))
+    state = _solve_alone_point(h, basis, p.kappa1, p.kappa2)
+    assert np.max(np.abs(state.matrix - expected.matrix)) <= 1e-12 * np.max(np.abs(expected.matrix))
+    got, want = photon_statistics(state, a, b), photon_statistics(expected, a, b)
+    for name in ("g2_aa", "g2_bb", "n_a", "n_b"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0), name
+
+
+def test_krylov_point_has_its_bits_alone_and_in_a_chunk(monkeypatch):
+    entries = _record_loop_inverses(monkeypatch, lambda r: None)
+    for delta, krylov_points in KRYLOV_POINTS.items():
+        entries.clear()
+        alone = _solve_alone(delta)
+        assert sorted(entries) == sorted(CHUNK_ITERATIONS[delta][i] for i in krylov_points)
+        entries.clear()
+        chunked = _solve_chunk(delta)
+        assert len(entries) == len(krylov_points)
+        for state, want in zip(chunked, alone, strict=True):
+            np.testing.assert_array_equal(state.matrix, want.matrix)
+
+
+@pytest.mark.parametrize(
+    "params, cutoffs",
+    [
+        (SystemParams(g=0.1, kappa2=0.1, drive_strength=1.0), (6, 3)),
+        (SystemParams(g=optimal_g(1.0, 1.0, 0.05), drive_strength=2.0), (8, 4)),
+        (SystemParams(delta=-4.0, g=2.0, drive_strength=2.0), (10, 5)),
+    ],
+    ids=["kappa2-0.1", "g-star-F2", "g2-delta-4"],
+)
+def test_converged_krylov_phase_stops_without_idle_calls(params, cutoffs, monkeypatch):
+    # After the phase's last GMRES cycle the point needs one generator call,
+    # whose residual certifies it; the fixed-point loop spent 22 to 33 calls
+    # after a converged phase waiting for its exits.
+    calls, after_cycles = [0], []
+    generator, cycle = dynamics_mod._generator, dynamics_mod._gmres_cycle
+
+    def counted(*args):
+        calls[0] += 1
+        return generator(*args)
+
+    def recorded(*args):
+        y = cycle(*args)
+        after_cycles.append(calls[0])
+        return y
+
+    monkeypatch.setattr(dynamics_mod, "_generator", counted)
+    monkeypatch.setattr(dynamics_mod, "_gmres_cycle", recorded)
+    run_point(params, cutoffs)
+    assert after_cycles and calls[0] - after_cycles[-1] <= 3
+
+
+def test_budget_exhaustion_in_the_krylov_phase_raises(monkeypatch):
+    # The third chunk point enters the phase at iteration 15 and needs 31
+    # applications of S^-1 in all.
+    monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", 25)
+    entries = _record_loop_inverses(monkeypatch, lambda r: None)
+    points, basis = _chunk_inputs()
+    h, kappa1, kappa2 = points[2]
+    with pytest.raises(SteadyStateError, match=r"did not converge in 25 iterations.*residual"):
+        _solve_alone_point(h, basis, kappa1, kappa2)
+    assert entries == [15]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_non_finite_update_in_the_krylov_phase_raises(monkeypatch):
+    # The 20th S^-1 is the phase's fifth: the point enters it at iteration 15.
+    entries = _record_loop_inverses(monkeypatch, lambda r: None)
+    _wrap_eigenbasis_inverse(monkeypatch, lambda inverse: _poisoned_at_call(inverse, np.nan, call=20))
+    points, basis = _chunk_inputs()
+    h, kappa1, kappa2 = points[2]
+    with pytest.raises(SteadyStateError, match=r"non-finite entries at iteration \d+$"):
+        _solve_alone_point(h, basis, kappa1, kappa2)
+    assert entries == [15]
 
 
 # ---------------------------------------------------------------- evolution
