@@ -1,6 +1,9 @@
 #!/bin/sh
 # Write the CSV of every figure preset, as computed by this checkout, into
-# OUTDIR, with six more outputs: the drive sweep F = 0.5..2 at g = 0.867 and
+# OUTDIR, with seven more outputs: fig7a at 41 points and cutoffs (10,5)
+# (D = 66) as fig7a_10_5.csv, the weak-drive nonreciprocity sweep above
+# cutoffs (6,3), where the population floor follows each point's pair
+# moments; the drive sweep F = 0.5..2 at g = 0.867 and
 # cutoffs (8,4) (D = 45) as strong_drive.csv, and the same sweep at
 # delta = 1 as strong_drive_detuned.csv; delta in {-5, -4} x F in {2, 3} at
 # g = 2 and cutoffs (12,6) (D = 91) as hard_strong_drive.csv, whose points
@@ -50,6 +53,7 @@ done
 for name in fig5 fig7a fig7b fig8a fig8b; do
     run "$name.csv" figure --name "$name"
 done
+run fig7a_10_5.csv figure --name fig7a --count1 41 --na-cut 10 --nb-cut 5
 run strong_drive.csv sweep --axis1 drive_strength:0.5:2:8 --g 0.867 --na-cut 8 --nb-cut 4
 run strong_drive_detuned.csv sweep --axis1 drive_strength:0.5:2:8 --g 0.867 --delta 1 --na-cut 8 --nb-cut 4
 run hard_strong_drive.csv sweep --axis1 delta:-5:-4:2 --axis2 drive_strength:2:3:2 --g 2 --na-cut 12 --nb-cut 6

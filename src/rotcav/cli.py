@@ -40,6 +40,7 @@ from .sweep import (
     SWEEPABLE,
     SweepAxis,
     SweepSpec,
+    _integer,
     emit,
     figure_preset,
     max_rel_change,
@@ -127,10 +128,20 @@ def _cutoffs_from_args(args, default=DEFAULT_CUTOFFS) -> tuple[int, int]:
 
 
 def _parse_axis(text: str) -> SweepAxis:
+    """An axis name:start:stop:count, whose count is checked as a config
+    axis's (a whole number such as 4.0 is accepted); an error names the
+    field it rejects."""
     parts = text.split(":")
     if len(parts) != 4:
         raise ValueError(f"axis must be name:start:stop:count, got '{text}'")
-    return SweepAxis(parts[0], float(parts[1]), float(parts[2]), int(parts[3]))
+    numbers = []
+    for key, part in zip(("start", "stop", "count"), parts[1:]):
+        try:
+            numbers.append(float(part))
+        except ValueError:
+            raise ValueError(f"axis {key} must be a number, got {part!r}") from None
+    start, stop, count = numbers
+    return SweepAxis(parts[0], start, stop, _integer(count, "count"))
 
 
 def _fmt(value) -> str:

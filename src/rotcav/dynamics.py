@@ -56,9 +56,13 @@ H' has no usable eigenbasis either is that point's solver failure.
 The iteration stops once
 the geometric tail of its remaining updates, estimated from the ratio of
 successive updates, is below roundoff, or once the updates sit on a
-roundoff plateau.  Without drive the vacuum |0,0> is an eigenvector of
-H' with a real eigenvalue, so S is singular; the vacuum is then
-stationary and is returned directly.
+roundoff plateau.  It measures each update entrywise relative to
+sqrt(p_i p_j), with p the populations of the current iterate floored per
+point at max(1e-24, 1e-6 min(<a^dag^2 a^2>, <b^dag^2 b^2>)): a population
+below the floor adds too little to either pair moment to matter, so the
+stop does not wait on it.  Without drive the vacuum |0,0> is an
+eigenvector of H' with a real eigenvalue, so S is singular; the vacuum
+is then stationary and is returned directly.
 
 Near the small Liouvillian gap of the driven chi(2) cavity (Minganti et
 al., Phys. Rev. A 98, 042118 (2018)) the iteration contracts at ratios up
@@ -157,16 +161,29 @@ TRACE_DRIFT_TOL = 1e-8
 
 JUMP_MAP_MAX_ITERATIONS = 1000
 # The jump-map iteration measures its update entrywise relative to
-# sqrt(p_i p_j), with p the populations floored at
-# JUMP_MAP_POPULATION_FLOOR.  Scaling makes small populations converge in
+# sqrt(p_i p_j), with p the populations floored per point
+# (:func:`_population_floor`).  Scaling makes small populations converge in
 # relative terms: second-harmonic pairs entering g2_bb can be 1e-24 while
 # the vacuum holds almost all the weight, so max |update| reaches roundoff
-# long before they settle.  The floor is observables.VACUUM_OCCUPATION_EPS
-# squared: an entry held there still settles to 1e-34, a ~1e-10 change in
-# any g2 the guard lets through.  A lower floor scales the roundoff of
-# nearly empty states up to the stop thresholds (at 1e-30 the scaled
-# update hovered at 1e-10 to 4e-10 at some fig4 points).
+# long before they settle.  The floor is never below
+# JUMP_MAP_POPULATION_FLOOR, observables.VACUUM_OCCUPATION_EPS squared: an
+# entry held there still settles to 1e-34, a ~1e-10 change in any g2 the
+# guard lets through.  A lower floor scales the roundoff of nearly empty
+# states up to the stop thresholds (at 1e-30 the scaled update hovered at
+# 1e-10 to 4e-10 at some fig4 points).
 JUMP_MAP_POPULATION_FLOOR = 1e-24
+# Above that, the floor is JUMP_MAP_PAIR_FLOOR_FRACTION times the smaller
+# of the pair moments <a^dag^2 a^2> and <b^dag^2 b^2>.  A population p_k
+# below it, at occupation k, adds less than k^2 times this fraction of the
+# smaller moment to either, and the stop still settles it to about 1e-10 of
+# the floor, so every output keeps <~ 1e-13 relative.  Where a moment is 0
+# (g = 0, nb_cut = 1) or the fraction of it is below 1e-24, the floor is
+# 1e-24.  At the fig7a nonreciprocity pair at cutoffs (10,5) a constant
+# floor held |5,1>, |6,1>, |7,1> and |6,2> at 1e-24, whose updates of 1e-32
+# to 1e-34 kept the scaled update above the stop for 15 to 23 generator
+# calls, where the outputs settle by about the 6th, and its stop fired on
+# roundoff; with this floor each stops on its geometric tail after 7.
+JUMP_MAP_PAIR_FLOOR_FRACTION = 1e-6
 # It stops once the geometric tail of the remaining updates,
 # step q / (1 - q) with q = step / previous step, is at most
 # JUMP_MAP_TAIL_TOL.  Unlike "small and no longer shrinking", this does
@@ -667,6 +684,7 @@ def _iterate(
     scaled = np.empty((n, d, d))
     jumps = _jump_views(basis, rates, rho, r, x)
     weights = [jump[-1] for jump in jumps]
+    pairs = _pair_weights(basis)
     # One renewal from the vacuum: the first update is the normalized
     # -kappa1 S^-1(|0,0><0,0|), since J(|1,0><1,0|) = kappa1 |0,0><0,0| and
     # S^-1 S(rho) = rho.  At weak drive nearly every jump lands in |0,0>.
@@ -709,7 +727,8 @@ def _iterate(
         rho += x.transpose(0, 2, 1)
         rho *= (1.0 / rho.trace(axis1=1, axis2=2).real)[:, None, None]
         populations = rho.diagonal(axis1=1, axis2=2).real
-        inv_weight = 1.0 / np.sqrt(np.maximum(populations, JUMP_MAP_POPULATION_FLOOR))
+        floor = _population_floor(populations, pairs)
+        inv_weight = 1.0 / np.sqrt(np.maximum(populations, floor[:, None]))
         np.abs(update, out=scaled)
         scaled *= inv_weight[:, :, None]
         scaled *= inv_weight[:, None, :]
@@ -778,8 +797,8 @@ def _krylov(
     the budget keeps counting here.  Each restart forms L(rho) at the
     current state, whose max |L(rho)| certifies the state if the phase
     stops there, and the loop's update S^-1(L(rho)), scaled as
-    delta = W^1/2 Y W^1/2 with W the state's populations floored at
-    JUMP_MAP_POPULATION_FLOOR.  A cycle (:func:`_gmres_cycle`) then solves
+    delta = W^1/2 Y W^1/2 with W the state's populations floored as in the
+    loop (:func:`_population_floor`).  A cycle (:func:`_gmres_cycle`) then solves
     S^-1(L(delta)) = -update for Y in the packed coordinates of
     :func:`_packing`: each application unpacks an exactly Hermitian delta
     and packs the Hermitian part of its image.  Off that subspace, roundoff
@@ -796,6 +815,7 @@ def _krylov(
     source = np.zeros(2 * n - half + 1)  # W Y packed, its imaginary parts negated, and a zero
     t, ww, iw = np.empty((3, n))
     flat_rho, flat_r = (a.reshape(-1) if real else a.reshape(-1).view(float) for a in (rho, r))
+    pairs = _pair_weights(basis)
 
     def unpack(y: np.ndarray) -> None:
         """W^1/2 Y W^1/2 into rho, with each entry below the diagonal the
@@ -833,7 +853,8 @@ def _krylov(
         _generator(minus_i_h, rho, r, x, jumps)
         calls += 1
         residual = float(np.max(np.abs(r)))
-        w = np.sqrt(np.maximum(state.diagonal().real, JUMP_MAP_POPULATION_FLOOR))
+        populations = state.diagonal().real
+        w = np.sqrt(np.maximum(populations, _population_floor(populations, pairs)))
         np.take(np.outer(w, w).reshape(-1), cells, out=ww)
         np.divide(0.5, ww, out=iw)
         pack(vectors[0])
@@ -853,6 +874,24 @@ def _krylov(
         unpack(np.matmul(y, vectors[: len(y)], out=t))
         state += rho[0]
         state *= 1.0 / state.trace().real
+
+
+def _pair_weights(basis: FockBasis) -> np.ndarray:
+    """The weights n (n - 1) that take populations to the pair moments
+    <a^dag^2 a^2> and <b^dag^2 b^2>, as the two rows of a 2 x D array."""
+    return np.stack([occ * (occ - 1.0) for occ in (basis.occ_a, basis.occ_b)])
+
+
+def _population_floor(populations: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The population floor of each point of a stack of populations (or of
+    one point's): JUMP_MAP_PAIR_FLOOR_FRACTION times its smaller pair moment
+    (pairs from :func:`_pair_weights`), but at least JUMP_MAP_POPULATION_FLOOR.
+
+    Each moment is summed over its own row of one elementwise product, not
+    by a BLAS product, whose order of summation can depend on the number of
+    points: so a point's floor does not depend on its chunk."""
+    moments = (populations[..., None, :] * pairs).sum(axis=-1)
+    return np.maximum(JUMP_MAP_POPULATION_FLOOR, JUMP_MAP_PAIR_FLOOR_FRACTION * moments.min(axis=-1))
 
 
 def _packing(d: int, real: bool) -> tuple[np.ndarray, ...]:

@@ -41,6 +41,40 @@ def test_bad_axis_string_is_error():
     assert main(["sweep", "--axis1", "g:0.5:1.5"]) == 1
 
 
+def test_axis_whole_float_count_matches_config(tmp_path):
+    # A config axis accepts "count": 4.0, and so does the flag.
+    flag_out, config_out = tmp_path / "flag.csv", tmp_path / "config.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"axis1": {"name": "g", "start": 0.1, "stop": 3, "count": 4.0}}))
+    common = ["--outputs", "n_a", "--na-cut", "2", "--nb-cut", "1"]
+    assert main(["sweep", "--axis1", "g:0.1:3:4.0", *common, "--out", str(flag_out)]) == 0
+    assert main(["sweep", "--config", str(cfg), *common, "--out", str(config_out)]) == 0
+    assert flag_out.read_bytes() == config_out.read_bytes()
+    assert len(flag_out.read_text().splitlines()) == 5
+
+
+@pytest.mark.parametrize(
+    "axis, key, config_axis",
+    [
+        ("g:abc:3:4", "start", None),
+        ("g:0.1:abc:3", "stop", None),
+        ("g:0.1:3:abc", "count", None),
+        ("g:0.1:3:4.5", "count", {"name": "g", "start": 0.1, "stop": 3, "count": 4.5}),
+        ("g:0.1:3:inf", "count", None),
+    ],
+)
+def test_axis_bad_field_is_named(tmp_path, capsys, axis, key, config_axis):
+    assert main(["sweep", "--axis1", axis]) == 1
+    captured = capsys.readouterr()
+    assert f"{key} must be" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    if config_axis is not None:  # the config path rejects the same value, naming the same field
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"axis1": config_axis}))
+        assert main(["sweep", "--config", str(cfg)]) == 1
+        assert f"{key} must be" in capsys.readouterr().err
+
+
 def test_sweep_requires_axis_or_config():
     assert main(["sweep"]) == 1
 

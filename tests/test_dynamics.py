@@ -534,6 +534,69 @@ def test_weak_drive_does_not_stop_on_its_first_steps(g, cutoffs):
     assert run_point(p, cutoffs).n_a == pytest.approx(expected.n_a, rel=1e-9, abs=0.0)
 
 
+# The fig7a nonreciprocity pair at cutoffs (10, 5), at fig7a's grid point and
+# three offsets below its 0.04 step in delta.  With the population floor
+# fixed at 1e-24, |5,1>, |6,1>, |7,1> and |6,2> sat on it with updates of
+# 1e-32 to 1e-34 that kept the scaled update up, and each point took 15 to
+# 23 generator calls, stopping on roundoff, where its outputs settle by
+# about the 6th.
+@pytest.mark.parametrize("offset", [0.0, 0.0095, 0.018, 0.025])
+def test_weak_drive_pair_at_10_5_stops_on_its_tail(offset, monkeypatch):
+    calls = [0]
+    generator = dynamics_mod._generator
+
+    def counted(*args):
+        calls[0] += 1
+        return generator(*args)
+
+    shift = resonance_angular_condition(5.0)
+    for delta_f in (shift, -shift):
+        p = SystemParams(delta=-shift + offset, g=5.0, drive_strength=0.05, delta_f=delta_f)
+        calls[0] = 0
+        with monkeypatch.context() as patch:
+            patch.setattr(dynamics_mod, "_generator", counted)
+            run_point(p, (10, 5))
+        assert calls[0] <= 7, delta_f
+        stats, expected = _assert_matches_oracle(p, (10, 5))
+        for name in ("g2_aa", "g2_bb", "n_a", "n_b"):
+            assert getattr(stats, name) == pytest.approx(getattr(expected, name), rel=1e-12), name
+
+
+def test_population_floor_is_never_below_the_constant():
+    basis = build_basis(10, 5)
+    pairs = dynamics_mod._pair_weights(basis)
+    rng = np.random.default_rng(7)
+    for scale in (1.0, 1e-12, 1e-20, 1e-30):
+        populations = scale * rng.normal(size=(6, basis.dim))  # roundoff can make them negative
+        floor = dynamics_mod._population_floor(populations, pairs)
+        assert floor.shape == (6,) and np.all(floor >= dynamics_mod.JUMP_MAP_POPULATION_FLOOR)
+        for one, want in zip(populations, floor):
+            assert dynamics_mod._population_floor(one, pairs) == want
+
+
+# Without hopping no second-harmonic photon is made, and at nb_cut = 1 no
+# pair of them fits, so <b^dag^2 b^2> = 0 and the floor is the constant's at
+# every iteration: the bits do not move.
+@pytest.mark.parametrize(
+    "params, cutoffs",
+    [
+        (SystemParams(g=0.0, drive_strength=0.05), (6, 3)),
+        (SystemParams(g=0.0, delta=OFF_LINE_DELTA, drive_strength=2.0), (8, 4)),
+        (SystemParams(g=0.867, drive_strength=0.05), (6, 1)),
+        (SystemParams(g=0.867, delta=OFF_LINE_DELTA, drive_strength=0.05), (6, 1)),
+    ],
+    ids=["g0", "g0-off-line-F2", "nb-cut-1", "nb-cut-1-off-line"],
+)
+def test_population_floor_is_the_constant_without_second_harmonic_pairs(params, cutoffs, monkeypatch):
+    basis = build_basis(*cutoffs)
+    h = build_h_eff(params, basis)
+    state = _solve_alone_point(h, basis, params.kappa1, params.kappa2)
+    floor = dynamics_mod._population_floor(state.matrix.diagonal().real, dynamics_mod._pair_weights(basis))
+    assert floor == dynamics_mod.JUMP_MAP_POPULATION_FLOOR
+    monkeypatch.setattr(dynamics_mod, "JUMP_MAP_PAIR_FLOOR_FRACTION", 0.0)
+    np.testing.assert_array_equal(_solve_alone_point(h, basis, params.kappa1, params.kappa2).matrix, state.matrix)
+
+
 _EIGENBASIS_FACTORS = dynamics_mod._eigenbasis_factors  # unpatched, for the wrappers below
 
 
