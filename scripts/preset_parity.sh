@@ -1,6 +1,6 @@
 #!/bin/sh
 # Write the CSV of every figure preset, as computed by this checkout, into
-# OUTDIR, with seven more outputs: fig7a at 41 points and cutoffs (10,5)
+# OUTDIR, with eight more outputs: fig7a at 41 points and cutoffs (10,5)
 # (D = 66) as fig7a_10_5.csv, the weak-drive nonreciprocity sweep above
 # cutoffs (6,3), where the population floor follows each point's pair
 # moments; the drive sweep F = 0.5..2 at g = 0.867 and
@@ -9,7 +9,10 @@
 # g = 2 and cutoffs (12,6) (D = 91) as hard_strong_drive.csv, whose points
 # contract so slowly that the solver finishes them in its Krylov phase
 # (delta = -4, F = 2 and delta = -5, F = 3 ran out of the fixed-point loop's
-# budget before it); fig5 at 21 points with
+# budget before it); delta in {-6, -5, -4} x F in {0.5, 1} at g = 0.3 and
+# cutoffs (8,4) as stalled_strong_drive.csv, whose scaled updates stop
+# shrinking above the roundoff plateau, so that the solver finishes them in
+# its Krylov phase too; fig5 at 21 points with
 # --convergence-check (doubled cutoffs) as fig5_convergence.json; a drive
 # sweep from F = 0, whose first point is undriven (the vacuum is returned
 # without iterating), as undriven.csv; and two points at F ~ 1e-13 on the
@@ -57,6 +60,7 @@ run fig7a_10_5.csv figure --name fig7a --count1 41 --na-cut 10 --nb-cut 5
 run strong_drive.csv sweep --axis1 drive_strength:0.5:2:8 --g 0.867 --na-cut 8 --nb-cut 4
 run strong_drive_detuned.csv sweep --axis1 drive_strength:0.5:2:8 --g 0.867 --delta 1 --na-cut 8 --nb-cut 4
 run hard_strong_drive.csv sweep --axis1 delta:-5:-4:2 --axis2 drive_strength:2:3:2 --g 2 --na-cut 12 --nb-cut 6
+run stalled_strong_drive.csv sweep --axis1 delta:-6:-4:3 --axis2 drive_strength:0.5:1:2 --g 0.3 --na-cut 8 --nb-cut 4
 run fig5_convergence.json figure --name fig5 --count1 21 --convergence-check --format json
 run undriven.csv sweep --axis1 drive_strength:0:0.1:3 --g 0.867
 run ill_conditioned.csv sweep --axis1 drive_strength:1e-13:2e-13:2 --g 0.17677669529663687 --na-cut 10 --nb-cut 5

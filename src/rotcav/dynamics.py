@@ -56,19 +56,20 @@ H' has no usable eigenbasis either is that point's solver failure.
 The iteration stops once
 the geometric tail of its remaining updates, estimated from the ratio of
 successive updates, is below roundoff, or once the updates sit on a
-roundoff plateau.  It measures each update entrywise relative to
-sqrt(p_i p_j), with p the populations of the current iterate floored per
-point at max(1e-24, 1e-6 min(<a^dag^2 a^2>, <b^dag^2 b^2>)): a population
-below the floor adds too little to either pair moment to matter, so the
-stop does not wait on it.  Without drive the vacuum |0,0> is an
+roundoff plateau of at most 1e-10.  It measures each update entrywise
+relative to sqrt(p_i p_j), with p the populations of the current iterate
+floored per point at max(1e-24, 1e-6 min(<a^dag^2 a^2>, <b^dag^2 b^2>)):
+a population below the floor adds too little to either pair moment to
+matter, so the stop does not wait on it.  Without drive the vacuum |0,0> is an
 eigenvector of H' with a real eigenvalue, so S is singular; the vacuum
 is then stationary and is returned directly.
 
 Near the small Liouvillian gap of the driven chi(2) cavity (Minganti et
 al., Phys. Rev. A 98, 042118 (2018)) the iteration contracts at ratios up
-to 0.997, and a point whose ratio stays slow leaves the stacked loop for a
-Krylov phase: restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput.
-7, 856 (1986)) on the root of delta -> S^-1(L(delta)), with the point's
+to 0.997, and a point whose ratio stays slow, or whose updates stop
+shrinking above that plateau, leaves the stacked loop for a Krylov phase:
+restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
+(1986)) on the root of delta -> S^-1(L(delta)), with the point's
 own factors of S^-1 and jump weights, so that its bits do not depend on
 its chunk.  At g = 2, delta = -4, F = 2, cutoffs (10,5) the loop alone
 needs 1096 iterations; with the phase the point takes 12 generator calls
@@ -195,23 +196,18 @@ JUMP_MAP_PAIR_FLOOR_FRACTION = 1e-6
 # (6,3) the scaled steps are 1.4e23 and then 3.0e4, a tail of 6e-15, and
 # the point stopped at iteration 2 with n_a 3.4 relative off.
 JUMP_MAP_TAIL_TOL = 1e-13
-# It also stops once the scaled update is at most JUMP_MAP_STALL_TOL and
-# has set no new minimum for JUMP_MAP_PLATEAU_ITERATIONS iterations: a
-# roundoff plateau, as at 10 of the 441 fig4b cells at 21 x 21, where n_b
-# is just above the 1e-12 vacuum guard.
-JUMP_MAP_STALL_TOL = 1e-10
+# A point is flat once its scaled update has set no new minimum for
+# JUMP_MAP_PLATEAU_ITERATIONS iterations.  A flat point at most
+# JUMP_MAP_PLATEAU_TOL stops on a roundoff plateau, as at 10 of the 441
+# fig4b cells at 21 x 21, where n_b is just above the 1e-12 vacuum guard.
+# One above it, held there by roundoff in nearly empty states at strong
+# drive or by a stalled contraction, enters the Krylov phase (below), as 24
+# of the 195 points of delta in [-6, 6] x F in {0.05, 0.5, 1, 2, 3} x
+# g in {0.3, 0.867, 2} at (8,4) do, in 16 to 50 applications of S^-1 in
+# all.
+JUMP_MAP_PLATEAU_TOL = 1e-10
 JUMP_MAP_PLATEAU_ITERATIONS = 3
-# The iteration also stops, and certifies, once its scaled update has set
-# no new minimum for JUMP_MAP_STALL_ITERATIONS iterations and that minimum
-# is at most JUMP_MAP_SLOW_STEP.  At strong drive, nearly empty states
-# just above the floor keep the scaled update above JUMP_MAP_STALL_TOL
-# from roundoff alone: on the grid delta in [-6, 6] (13 points) x F in
-# {0.2, 0.5, 1, 2} at g = 0.867 the budget ran out at 12 of 52 points at
-# (8,4) and 22 of 52 at (12,6).  At the 18 (8,4) points that stall, the
-# minimum is 6e-11 to 1.1e-9 and is set by iteration 89; the residual at
-# delta = -5, F = 0.5 is 1e-16.
 JUMP_MAP_SLOW_STEP = 1e-6
-JUMP_MAP_STALL_ITERATIONS = 20
 # Past 1/sqrt(eps) the eigenvectors of H' are numerically dependent (H'
 # is exactly defective), and S^-1 is factored from the decay-scaled H'
 # instead (JUMP_MAP_RETRY_DECAY_SCALE).  At the exceptional point
@@ -238,10 +234,11 @@ JUMP_MAP_RETRY_DECAY_SCALE = 1.0 + math.sqrt(np.finfo(float).eps)
 # for the Krylov phase (:func:`_krylov`): from iteration
 # JUMP_MAP_KRYLOV_ITERATIONS on, once each of its last three scaled steps
 # was at least JUMP_MAP_KRYLOV_RATIO times the one before while the step is
-# still above JUMP_MAP_SLOW_STEP.  Then 4 of the 8 points of the drive
+# still above JUMP_MAP_SLOW_STEP, or once it is flat above
+# JUMP_MAP_PLATEAU_TOL.  By slow contraction 4 of the 8 points of the drive
 # sweep F = 0.5..2 at g* and cutoffs (8,4) enter, at steps of 0.035 to
-# 0.25, and no point of any figure preset at 41 x 41 nor of fig4a at
-# 101 x 101.  With a step bound of 1e-9, 4 fig4a cells at 101 x 101
+# 0.25; by either rule, no point of any figure preset at 41 x 41 nor of
+# fig4a at 101 x 101.  With a step bound of 1e-9, 4 fig4a cells at 101 x 101
 # entered, and so did the fig7a nonreciprocity pair at cutoffs (10,5),
 # whose step rests near 1e-8 for three or four iterations at weak drive
 # before it falls on, with more S^-1 applications than in the loop; with a
@@ -571,9 +568,9 @@ def _solve_chunk(
     S^-1 in each H''s eigenbasis, or in that of its decay-scaled H' where
     the eigenvectors are too close to dependent, until the remaining updates
     of a point, relative to its populations, are estimated below roundoff
-    or stall there.  That point then leaves the stack and is certified
-    like :func:`steady_state`: residual max |L(rho)| against the full
-    generator and :meth:`DensityMatrix.validate`.  Time and memory are
+    or sit on a roundoff plateau.  That point then leaves the stack and is
+    certified like :func:`steady_state`: residual max |L(rho)| against the
+    full generator and :meth:`DensityMatrix.validate`.  Time and memory are
     O(K D^3) and O(K D^2) per iteration.
 
     The driven points on the mirror line, whose B = -i U H' U^dag is exactly
@@ -676,7 +673,8 @@ def _iterate(
     are allocated here once.  A point that converges or fails leaves the
     active set: :func:`_keep` moves the others to the front in place, and
     every stack is sliced to them.  So does a point whose contraction stays
-    slow (:meth:`_Track.enters`), once :func:`_krylov` has finished it from
+    slow or whose update stops shrinking above the plateau
+    (:meth:`_Track.enters`), once :func:`_krylov` has finished it from
     its slices; the budget counts S^-1 applications in both.
     """
     n, d = len(minus_i_h), basis.dim
@@ -703,12 +701,7 @@ def _iterate(
         if iteration > JUMP_MAP_MAX_ITERATIONS:
             for j, track in enumerate(tracks):
                 if j not in finished and j not in left:
-                    residual = float(np.max(np.abs(r[j])))
-                    results[track.index] = SteadyStateError(
-                        f"jump-map iteration did not converge in {JUMP_MAP_MAX_ITERATIONS} "
-                        f"iterations (last scaled update {track.step:.3e}, "
-                        f"residual {residual:.3e})"
-                    )
+                    results[track.index] = _unfinished(track.step, iteration, float(np.max(np.abs(r[j]))))
             return results
         if finished or left:
             keep = np.ones(len(tracks), dtype=bool)
@@ -735,9 +728,7 @@ def _iterate(
         finished, left = [], []
         for j, (track, step) in enumerate(zip(tracks, scaled.max(axis=(1, 2)).tolist())):
             if not math.isfinite(step):
-                results[track.index] = SteadyStateError(
-                    f"jump-map iteration produced non-finite entries at iteration {iteration}"
-                )
+                results[track.index] = _unfinished(step, iteration)
                 rho[j] = 0.0  # stationary, so L(rho) stays finite until it leaves
                 left.append(j)
             elif track.stops(step, iteration):
@@ -761,10 +752,13 @@ class _Track:
     best_at: int = 0
     step: float = math.inf
     slow: int = 0  # successive steps of at least JUMP_MAP_KRYLOV_RATIO times the one before
+    flat: bool = False  # no new minimum for JUMP_MAP_PLATEAU_ITERATIONS iterations
 
     def enters(self, iteration: int) -> bool:
-        """Whether a point that does not stop enters the Krylov phase."""
-        return iteration >= JUMP_MAP_KRYLOV_ITERATIONS and self.step > JUMP_MAP_SLOW_STEP and self.slow >= 3
+        """Whether a point that does not stop enters the Krylov phase: a flat
+        one, or one still above JUMP_MAP_SLOW_STEP that contracts slowly."""
+        slow = self.step > JUMP_MAP_SLOW_STEP and self.slow >= 3
+        return iteration >= JUMP_MAP_KRYLOV_ITERATIONS and (self.flat or slow)
 
     def stops(self, step: float, iteration: int) -> bool:
         """Record this iteration's scaled update; whether the iteration stops."""
@@ -773,12 +767,10 @@ class _Track:
         # step q / (1 - q) <= tol with q = step / previous, free of division
         tail = step * step <= JUMP_MAP_TAIL_TOL * (self.previous - step)
         converged = iteration > 1 and step <= JUMP_MAP_SLOW_STEP and step < self.previous and tail
-        since_best = iteration - self.best_at
-        plateau = step <= JUMP_MAP_STALL_TOL and since_best >= JUMP_MAP_PLATEAU_ITERATIONS
-        stalled = self.best <= JUMP_MAP_SLOW_STEP and since_best >= JUMP_MAP_STALL_ITERATIONS
+        self.flat = iteration - self.best_at >= JUMP_MAP_PLATEAU_ITERATIONS
         self.slow = self.slow + 1 if step >= JUMP_MAP_KRYLOV_RATIO * self.previous else 0
         self.previous = self.step = step
-        return converged or plateau or stalled
+        return converged or (self.flat and step <= JUMP_MAP_PLATEAU_TOL)
 
 
 def _krylov(
@@ -860,20 +852,29 @@ def _krylov(
         pack(vectors[0])
         step = math.sqrt(vectors[0] @ vectors[0])
         if not math.isfinite(step):
-            return SteadyStateError(f"jump-map iteration produced non-finite entries at iteration {calls}")
+            return _unfinished(step, calls)
         if step <= JUMP_MAP_KRYLOV_TOL or (solved and step > 0.5 * best):
             return _outcome(state, basis, residual)
         if calls >= JUMP_MAP_MAX_ITERATIONS:
-            return SteadyStateError(
-                f"jump-map iteration did not converge in {JUMP_MAP_MAX_ITERATIONS} "
-                f"iterations (last scaled update {step:.3e}, residual {residual:.3e})"
-            )
+            return _unfinished(step, calls, residual)
         best = min(best, step)
         vectors[0] *= -1.0 / step  # the update is subtracted
         y, solved = _gmres_cycle(apply, vectors, step, t, JUMP_MAP_MAX_ITERATIONS - calls)
         unpack(np.matmul(y, vectors[: len(y)], out=t))
         state += rho[0]
         state *= 1.0 / state.trace().real
+
+
+def _unfinished(step: float, iteration: int, residual: float = math.nan) -> SteadyStateError:
+    """The error of a jump-map point left without a state at iteration, by the
+    loop or by :func:`_krylov`: non-finite entries where its scaled update step
+    is not finite, else no convergence within JUMP_MAP_MAX_ITERATIONS."""
+    if not math.isfinite(step):
+        return SteadyStateError(f"jump-map iteration produced non-finite entries at iteration {iteration}")
+    return SteadyStateError(
+        f"jump-map iteration did not converge in {JUMP_MAP_MAX_ITERATIONS} "
+        f"iterations (last scaled update {step:.3e}, residual {residual:.3e})"
+    )
 
 
 def _pair_weights(basis: FockBasis) -> np.ndarray:

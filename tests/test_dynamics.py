@@ -466,18 +466,26 @@ def test_weak_drive_hard_points_match_schur_only_path(params, cutoffs):
         assert getattr(stats, name) == pytest.approx(getattr(expected, name), rel=1e-12), name
 
 
-# Points at cutoffs (8, 4) where roundoff in nearly empty states keeps the
-# scaled update above JUMP_MAP_STALL_TOL; without the stall exit the
-# budget ran out at each.
+# Points at cutoffs (8, 4) where roundoff in nearly empty states holds the
+# scaled update near JUMP_MAP_PLATEAU_TOL: each either stops on the
+# plateau or, flat above it, is finished by the Krylov phase.  The last
+# three once idled 20 iterations past their last new minimum and were
+# certified where they stood, after 63 to 79 applications of S^-1; they
+# now take 30 to 39.
 ROUNDOFF_STALL_POINTS = [
     SystemParams(delta=-5.0, g=0.867, drive_strength=0.5),
-    SystemParams(delta=-4.83, g=0.867, kappa2=0.273, drive_strength=0.856),
     SystemParams(delta=4.15, g=0.867, kappa2=0.933, drive_strength=0.426),
+    SystemParams(delta=-4.83, g=0.867, kappa2=0.273, drive_strength=0.856),
+    SystemParams(delta=-5.0, g=0.3, drive_strength=1.0),
+    SystemParams(delta=-6.0, g=0.867, drive_strength=2.0),
 ]
 
 
-@pytest.mark.parametrize("params", ROUNDOFF_STALL_POINTS, ids=["F0.5", "F0.856", "F0.426"])
-def test_jump_map_stops_at_roundoff_stall(params):
+@pytest.mark.parametrize(
+    "params", ROUNDOFF_STALL_POINTS, ids=["F0.5", "F0.426", "F0.856", "g0.3-F1", "g0.867-F2"]
+)
+def test_jump_map_stops_at_roundoff_stall(params, monkeypatch):
+    assert _count_solver_calls(monkeypatch, params, (8, 4))["inverse"] <= 45
     _assert_matches_oracle(params, (8, 4))
 
 
@@ -532,6 +540,48 @@ def test_weak_drive_does_not_stop_on_its_first_steps(g, cutoffs):
     lio = build_liouvillian(build_h_eff(p, basis), a, b, p.kappa1, p.kappa2)
     expected = photon_statistics(steady_state(lio), a, b)
     assert run_point(p, cutoffs).n_a == pytest.approx(expected.n_a, rel=1e-9, abs=0.0)
+
+
+def _first_exit(steps) -> tuple[str, int] | None:
+    """Feed scaled steps to a stop-rule track as _iterate does, one per
+    iteration: whether it first stops or enters the Krylov phase, and when."""
+    track = dynamics_mod._Track(0)
+    for iteration, step in enumerate(steps, 1):
+        if track.stops(step, iteration):
+            return "stops", iteration
+        if track.enters(iteration):
+            return "enters", iteration
+    return None
+
+
+# Steps that halve from 1e-7 down to their minimum at iteration best_at,
+# below JUMP_MAP_SLOW_STEP and far from a tail below roundoff, then rest
+# at 1.5 times it, above JUMP_MAP_PLATEAU_TOL.
+@pytest.mark.parametrize("best_at", [2, 5, 9])
+def test_flat_point_above_the_plateau_enters_the_krylov_phase(best_at):
+    steps = [1e-7 * 0.5**k for k in range(best_at)]
+    steps += [1.5 * steps[-1]] * 30
+    assert min(steps) > dynamics_mod.JUMP_MAP_PLATEAU_TOL
+    assert _first_exit(steps) == ("enters", max(dynamics_mod.JUMP_MAP_KRYLOV_ITERATIONS, best_at + 3))
+
+
+@pytest.mark.parametrize("plateau", [1e-10, 3e-11])
+def test_flat_point_on_the_plateau_stops(plateau):
+    # Its minimum at iteration 2, so it is flat at 5, before the phase could
+    # take it.
+    assert _first_exit([4.0 * plateau, 0.5 * plateau] + [plateau] * 30) == ("stops", 5)
+
+
+def test_slow_point_above_the_slow_step_enters_the_krylov_phase():
+    # A new minimum every iteration, at a ratio of 0.9.
+    assert _first_exit([0.9**k for k in range(30)]) == ("enters", dynamics_mod.JUMP_MAP_KRYLOV_ITERATIONS)
+
+
+def test_flat_point_does_not_idle_until_it_is_certified():
+    # A minimum of 2e-9 at iteration 6, then steps of 3e-9: the stop rule
+    # once idled here 20 iterations and certified the point at iteration 26.
+    steps = [1e-7 * 0.5**k for k in range(5)] + [2e-9] + [3e-9] * 30
+    assert _first_exit(steps) == ("enters", 9)
 
 
 # The fig7a nonreciprocity pair at cutoffs (10, 5), at fig7a's grid point and
@@ -1171,6 +1221,14 @@ def test_slow_point_at_small_kappa2_matches_dense_oracle(cutoffs):
         assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12, abs=0.0), name
 
 
+# One chunk at delta = -5, g = 0.3, cutoffs (8, 4) (the budget holds three
+# points at D = 45): F = 2 enters the Krylov phase contracting slowly at
+# iteration 8; F = 0.5 and F = 1 enter it flat, at iterations 18 and 20,
+# their scaled updates no longer shrinking above JUMP_MAP_PLATEAU_TOL.
+FLAT_CHUNK_DRIVES = (0.5, 1.0, 2.0)
+FLAT_CHUNK_ENTRIES = [8, 18, 20]
+
+
 def test_krylov_point_has_its_bits_alone_and_in_a_chunk(monkeypatch):
     entries = _record_loop_inverses(monkeypatch, lambda r: None)
     for delta, krylov_points in KRYLOV_POINTS.items():
@@ -1182,6 +1240,19 @@ def test_krylov_point_has_its_bits_alone_and_in_a_chunk(monkeypatch):
         assert len(entries) == len(krylov_points)
         for state, want in zip(chunked, alone, strict=True):
             np.testing.assert_array_equal(state.matrix, want.matrix)
+    basis = build_basis(8, 4)
+    points = [
+        (build_h_eff(SystemParams(delta=-5.0, g=0.3, drive_strength=f), basis), 1.0, 1.0)
+        for f in FLAT_CHUNK_DRIVES
+    ]
+    entries.clear()
+    alone = [_solve_alone_point(h, basis, kappa1, kappa2) for h, kappa1, kappa2 in points]
+    assert sorted(entries) == FLAT_CHUNK_ENTRIES
+    entries.clear()
+    chunked = list(jump_map_steady_states(points, basis))
+    assert sorted(entries) == FLAT_CHUNK_ENTRIES
+    for state, want in zip(chunked, alone, strict=True):
+        np.testing.assert_array_equal(state.matrix, want.matrix)
 
 
 @pytest.mark.parametrize(
