@@ -74,11 +74,12 @@ own factors of S^-1 and jump weights, so that its bits do not depend on
 its chunk.  At g = 2, delta = -4, F = 2, cutoffs (10,5) the loop alone
 needs 1096 iterations; with the phase the point takes 12 generator calls
 and 61 applications of S^-1.  The unknowns are population-weighted,
-delta = W^1/2 Y W^1/2, and packed as Y's upper triangle; every
-application is Hermitized on its way in and out (:func:`_krylov`).  The
-phase stops, and certifies the state from the L(rho) of its last restart,
-once the scaled update is at most JUMP_MAP_KRYLOV_TOL or sits on its
-roundoff floor, without further iterations.
+delta = W^1/2 Y W^1/2, and packed as Y's upper triangle in the state's
+dtype; every application is Hermitized on its way in and out
+(:func:`_krylov`).  The phase stops, and certifies the state from the
+L(rho) of its last restart, once the scaled update is at most
+JUMP_MAP_KRYLOV_TOL or sits on its roundoff floor, without further
+iterations.
 
 On the mirror line delta + delta_f = 0, where the blockade conditions of
 the model lie, parity W = (-1)^(n_a + n_b) combined with complex
@@ -524,9 +525,10 @@ def decay_hamiltonian(
 # just under D**2 floats each, and the mix step's temporary.  The two groups
 # of a chunk are solved one after the other.  A point in the Krylov phase,
 # one at a time, adds its GMRES basis of JUMP_MAP_KRYLOV_RESTART + 1 packed
-# vectors, D (D + 1) / 2 floats each on the mirror line (0.34 MB at D = 45)
-# and D**2 off it (2.7 MB at D = 91), its own state, L(rho), scratch and
-# weights, and its index arrays.  Memory bounds the chunk,
+# vectors, Y's upper triangle in the state's dtype: D (D + 1) / 2 floats
+# each on the mirror line (0.34 MB at D = 45) and D (D + 1) off it (2.75 MB
+# at D = 91), its own state, L(rho), scratch and weights, and its index
+# arrays.  Memory bounds the chunk,
 # not speed: at D = 28 (cutoffs (6,3)) chunks of 8 solved the fig5 sweep 1.5x faster than chunks
 # of one, and chunks of 16 only 2% faster than 8 at 1.1 MB more peak memory;
 # at D = 45 chunks of 3 ran 7% faster than chunks of one and chunks of 8 3%
@@ -791,43 +793,41 @@ def _krylov(
     stops there, and the loop's update S^-1(L(rho)), scaled as
     delta = W^1/2 Y W^1/2 with W the state's populations floored as in the
     loop (:func:`_population_floor`).  A cycle (:func:`_gmres_cycle`) then solves
-    S^-1(L(delta)) = -update for Y in the packed coordinates of
-    :func:`_packing`: each application unpacks an exactly Hermitian delta
-    and packs the Hermitian part of its image.  Off that subspace, roundoff
-    gave the Krylov vectors anti-Hermitian parts, on which the generator's
-    M + M^dag is not L, and GMRES stalled at 1e-7 to 1e-10.
+    S^-1(L(delta)) = -update for Y packed as its upper triangle, row by
+    row, in the state's dtype: real on the mirror line, complex off it,
+    where the Krylov vectors are the float views of the packed entries.
+    Each application unpacks an exactly Hermitian delta, each entry below
+    the diagonal the conjugate of its mirror, and packs the Hermitian part
+    of its image.  Off that subspace, roundoff gave the Krylov vectors
+    anti-Hermitian parts, on which the generator's M + M^dag is not L, and
+    GMRES stalled at 1e-7 to 1e-10.
     """
     d = basis.dim
-    real = state.dtype != complex
     rho, r, x = np.empty((3, 1, d, d), dtype=state.dtype)
     jumps = _jump_views(basis, rates, rho, r, x)
-    cells, up, lo, spread = _packing(d, real)
-    n, half = len(cells), d * (d + 1) // 2
-    vectors = np.empty((JUMP_MAP_KRYLOV_RESTART + 1, n))
-    source = np.zeros(2 * n - half + 1)  # W Y packed, its imaginary parts negated, and a zero
-    t, ww, iw = np.empty((3, n))
-    flat_rho, flat_r = (a.reshape(-1) if real else a.reshape(-1).view(float) for a in (rho, r))
+    i, j = np.triu_indices(d)
+    up, lo = i * d + j, j * d + i  # each entry of Y's upper triangle and its mirror
+    packed = np.empty(len(up), dtype=state.dtype)
+    vectors = np.empty((JUMP_MAP_KRYLOV_RESTART + 1, packed.view(float).size))
+    t = np.empty_like(vectors[0])
+    ww, iw = np.empty((2, len(up)))
+    flat_rho, flat_r = rho.reshape(-1), r.reshape(-1)
     pairs = _pair_weights(basis)
 
     def unpack(y: np.ndarray) -> None:
         """W^1/2 Y W^1/2 into rho, with each entry below the diagonal the
-        conjugate of its mirror, and a zero imaginary part on it."""
-        np.multiply(y, ww, out=source[:n])
-        if not real:
-            np.negative(source[half:n], out=source[n:-1])
-        source.take(spread, out=flat_rho)
+        conjugate of its mirror."""
+        np.multiply(y.view(state.dtype), ww, out=packed)
+        flat_rho[up] = packed
+        flat_rho[lo] = np.conjugate(packed, out=packed)
 
     def pack(out: np.ndarray) -> None:
         """The Hermitian part of S^-1(r), scaled by W^-1/2 on both sides, into out."""
         _eigenbasis_inverse(factors, r, x)
-        flat_r.take(up, out=out)
-        flat_r.take(lo, out=t)
-        if real:
-            out += t
-        else:  # the real parts add the mirror entry, the imaginary parts subtract it
-            out[:half] += t[:half]
-            out[half:] -= t[half:]
-        out *= iw
+        entries = out.view(state.dtype)
+        flat_r.take(up, out=entries)
+        entries += np.conjugate(flat_r.take(lo, out=packed), out=packed)
+        entries *= iw
 
     def apply(y: np.ndarray, out: np.ndarray) -> None:
         # S^-1(L(delta)) = delta + S^-1(J(delta)): the cycle builds its basis
@@ -847,7 +847,7 @@ def _krylov(
         residual = float(np.max(np.abs(r)))
         populations = state.diagonal().real
         w = np.sqrt(np.maximum(populations, _population_floor(populations, pairs)))
-        np.take(np.outer(w, w).reshape(-1), cells, out=ww)
+        np.take(np.outer(w, w).reshape(-1), up, out=ww)
         np.divide(0.5, ww, out=iw)
         pack(vectors[0])
         step = math.sqrt(vectors[0] @ vectors[0])
@@ -893,34 +893,6 @@ def _population_floor(populations: np.ndarray, pairs: np.ndarray) -> np.ndarray:
     points: so a point's floor does not depend on its chunk."""
     moments = (populations[..., None, :] * pairs).sum(axis=-1)
     return np.maximum(JUMP_MAP_POPULATION_FLOOR, JUMP_MAP_PAIR_FLOOR_FRACTION * moments.min(axis=-1))
-
-
-def _packing(d: int, real: bool) -> tuple[np.ndarray, ...]:
-    """Index arrays between a Hermitian D x D matrix and its packed coordinates:
-    the real parts of its upper triangle, row by row, then, for a complex
-    matrix, the imaginary parts of the strict upper triangle.
-
-    cells holds each coordinate's flat entry (i, j); up and lo its position
-    and that of its mirror (j, i) in the matrix's floats; spread, for each
-    float of the matrix, its position in a source of the coordinates, their
-    imaginary parts negated and a zero (:func:`_krylov`).
-    """
-    i, j = np.triu_indices(d)
-    half = len(i)
-    where = np.empty((d, d), dtype=np.intp)
-    where[i, j] = where[j, i] = np.arange(half)
-    if real:
-        cells = i * d + j
-        return cells, cells, j * d + i, where.reshape(-1)
-    si, sj = np.triu_indices(d, 1)
-    n = half + len(si)
-    cells = np.concatenate([i * d + j, si * d + sj])
-    up = np.concatenate([2 * (i * d + j), 2 * (si * d + sj) + 1])
-    lo = np.concatenate([2 * (j * d + i), 2 * (sj * d + si) + 1])
-    imag = np.full((d, d), 2 * n - half, dtype=np.intp)  # the zero
-    imag[si, sj] = half + np.arange(len(si))
-    imag[sj, si] = n + np.arange(len(si))
-    return cells, up, lo, np.stack([where, imag], axis=2).reshape(-1)
 
 
 def _gmres_cycle(

@@ -27,6 +27,7 @@ from __future__ import annotations
 import dataclasses
 import datetime
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -105,6 +106,11 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in SWEEPABLE:
             raise ValueError(f"cannot sweep '{self.name}'; choose from {SWEEPABLE}")
+        for key, value in (("start", self.start), ("stop", self.stop)):
+            if not math.isfinite(value):
+                raise ValueError(f"axis '{self.name}' {key} must be finite, got {value!r}")
+        if isinstance(self.count, bool) or not isinstance(self.count, int):
+            raise ValueError(f"axis '{self.name}' count must be an integer, got {self.count!r}")
         if self.count < 2:
             raise ValueError(f"axis '{self.name}' needs count >= 2, got {self.count}")
         if self.start == self.stop:
@@ -352,18 +358,7 @@ def _round12(value: float | None) -> float | None:
 
 
 def spec_to_dict(spec: SweepSpec) -> dict:
-    def axis_dict(axis: SweepAxis | None):
-        return None if axis is None else dataclasses.asdict(axis)
-
-    return {
-        "axis1": axis_dict(spec.axis1),
-        "axis2": axis_dict(spec.axis2),
-        "fixed": dataclasses.asdict(spec.fixed),
-        "outputs": list(spec.outputs),
-        "cutoffs": list(spec.cutoffs),
-        "convergence_check": spec.convergence_check,
-        "include_optimal_g": spec.include_optimal_g,
-    }
+    return dataclasses.asdict(spec) | {"outputs": list(spec.outputs), "cutoffs": list(spec.cutoffs)}
 
 
 def _integer(value, key: str) -> int:

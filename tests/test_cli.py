@@ -61,6 +61,8 @@ def test_axis_whole_float_count_matches_config(tmp_path):
         ("g:0.1:3:abc", "count", None),
         ("g:0.1:3:4.5", "count", {"name": "g", "start": 0.1, "stop": 3, "count": 4.5}),
         ("g:0.1:3:inf", "count", None),
+        ("g:0.1:inf:3", "stop", {"name": "g", "start": 0.1, "stop": float("inf"), "count": 3}),
+        ("g:nan:3:3", "start", {"name": "g", "start": float("nan"), "stop": 3, "count": 3}),
     ],
 )
 def test_axis_bad_field_is_named(tmp_path, capsys, axis, key, config_axis):

@@ -1173,10 +1173,14 @@ def test_line_point_bits_do_not_depend_on_its_chunk():
 
 
 def test_line_states_are_exactly_hermitian():
-    for state in _solve_alone(0.0):
-        assert state.matrix.dtype == complex
-        np.testing.assert_array_equal(state.matrix, state.matrix.conj().T)
-        assert not state.matrix.diagonal().imag.any()
+    # Off the line too: there two of the five points finish in the complex
+    # Krylov phase, which writes each entry below the diagonal as the
+    # conjugate of its mirror.
+    for delta in (0.0, OFF_LINE_DELTA):
+        for state in _solve_alone(delta):
+            assert state.matrix.dtype == complex
+            np.testing.assert_array_equal(state.matrix, state.matrix.conj().T)
+            assert not state.matrix.diagonal().imag.any()
 
 
 # ---------------------------------------------------------------- Krylov phase
@@ -1205,12 +1209,18 @@ def test_krylov_phase_certifies_the_strong_drive_pairs_at_12_6(delta, drive):
     assert plus == minus
 
 
-@pytest.mark.parametrize("cutoffs", [(6, 3), (8, 4)])
-def test_slow_point_at_small_kappa2_matches_dense_oracle(cutoffs):
-    # The loop contracts at q = 0.996 here, and its tail rule stopped with
-    # the state 4.8e-10 (6, 3) and 1.8e-10 (8, 4) off the oracle's, n_b
-    # 2.8e-10 and 1.1e-10.
-    p = SystemParams(g=0.1, kappa2=0.1, drive_strength=1.0)
+@pytest.mark.parametrize(
+    "cutoffs, delta",
+    [((6, 3), 0.0), ((8, 4), 0.0), ((6, 3), 1.0), ((8, 4), 1.0)],
+    ids=["cutoffs0", "cutoffs1", "cutoffs0-delta1", "cutoffs1-delta1"],
+)
+def test_slow_point_at_small_kappa2_matches_dense_oracle(cutoffs, delta):
+    # The loop contracts at q = 0.996 at delta = 0, and its tail rule stopped
+    # with the state 4.8e-10 (6, 3) and 1.8e-10 (8, 4) off the oracle's, n_b
+    # 2.8e-10 and 1.1e-10.  At delta = 1 the point enters the Krylov phase at
+    # iteration 8 off the mirror line, so the complex packing is held to the
+    # same bounds.
+    p = SystemParams(delta=delta, g=0.1, kappa2=0.1, drive_strength=1.0)
     basis, a, b = make_ops(*cutoffs)
     h = build_h_eff(p, basis)
     expected = steady_state(build_liouvillian(h, a, b, p.kappa1, p.kappa2))

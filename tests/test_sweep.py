@@ -115,6 +115,16 @@ def test_axis_validation():
         SweepAxis("g", 1.0, 1.0, 5)  # degenerate
     with pytest.raises(ValueError):
         SweepAxis("kappa1", 0.0, 1.0, 5)  # not sweepable
+    for start, stop, count, key in [
+        (0.1, math.inf, 3, "stop"),
+        (-math.inf, 1.0, 3, "start"),
+        (math.nan, 1.0, 3, "start"),
+        (0.1, 3.0, 2.5, "count"),
+        (0.1, 3.0, 3.0, "count"),
+        (0.1, 3.0, True, "count"),
+    ]:
+        with pytest.raises(ValueError, match=f"axis 'g' {key} must be"):
+            SweepAxis("g", start, stop, count)
 
 
 def test_spec_validation():
