@@ -155,11 +155,7 @@ def _fmt_change(value) -> str:
 def _cmd_point(args) -> int:
     params = _params_from_args(args)
     cutoffs = _cutoffs_from_args(args)
-    try:
-        stats = run_point(params, cutoffs)
-    except SteadyStateError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
+    stats = run_point(params, cutoffs)
     status = STATUS_VACUUM if stats.vacuum_undefined else STATUS_OK
     outputs = {name: getattr(stats, name) for name in ("n_a", "n_b", "g2_aa", "g2_bb")}
     for name, value in outputs.items():

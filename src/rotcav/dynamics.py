@@ -749,7 +749,6 @@ class _Track:
     """Stop-rule state of one point of a stacked jump-map iteration."""
 
     index: int  # position in the stacks given to _iterate
-    previous: float = math.inf
     best: float = math.inf
     best_at: int = 0
     step: float = math.inf
@@ -764,14 +763,14 @@ class _Track:
 
     def stops(self, step: float, iteration: int) -> bool:
         """Record this iteration's scaled update; whether the iteration stops."""
+        previous, self.step = self.step, step
         if step < self.best:
             self.best, self.best_at = step, iteration
         # step q / (1 - q) <= tol with q = step / previous, free of division
-        tail = step * step <= JUMP_MAP_TAIL_TOL * (self.previous - step)
-        converged = iteration > 1 and step <= JUMP_MAP_SLOW_STEP and step < self.previous and tail
+        tail = step * step <= JUMP_MAP_TAIL_TOL * (previous - step)
+        converged = iteration > 1 and step <= JUMP_MAP_SLOW_STEP and step < previous and tail
         self.flat = iteration - self.best_at >= JUMP_MAP_PLATEAU_ITERATIONS
-        self.slow = self.slow + 1 if step >= JUMP_MAP_KRYLOV_RATIO * self.previous else 0
-        self.previous = self.step = step
+        self.slow = self.slow + 1 if step >= JUMP_MAP_KRYLOV_RATIO * previous else 0
         return converged or (self.flat and step <= JUMP_MAP_PLATEAU_TOL)
 
 
@@ -1020,8 +1019,8 @@ def _add_jumps(n: int, jumps: Sequence[tuple[np.ndarray, ...]]) -> None:
 def _eigenbasis_factors(matrices: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the factors of S^-1 for a stack of H' (complex) or of mirror-line B
     (real) into out; True where they are usable, False, with that point's slices
-    unusable, where the eigenvectors are near-singular or the eigendecomposition
-    failed.
+    unusable, where the eigenvectors are near-singular or their eig or inversion
+    raised.
 
     For H' = V diag(lam) V^-1, out[0] to out[4] are V, V^-1, their conjugates and
     1 / the denominator of S: with rho = V X V^dag,
@@ -1029,36 +1028,28 @@ def _eigenbasis_factors(matrices: np.ndarray, out: np.ndarray) -> np.ndarray:
     are P and P^-1 of its real block form B = P M P^-1 and the four
     coefficient stacks of T^-1 (:func:`_block_form`).  Each stacked call acts
     on each point by the same LAPACK or BLAS call as on a point alone, and a
-    stack whose eig fails is factored point by point, so no point's factors
-    depend on its chunk-mates.
+    stack whose eig or inversion raises is factored point by point, so no
+    point's factors depend on its chunk-mates.
     """
+    real = matrices.dtype != complex
     try:
         lam, v = np.linalg.eig(matrices)
-    except np.linalg.LinAlgError:  # some eig did not converge
+        if real:
+            lam = _block_form(lam, v, out[0])
+        else:
+            out[0] = v
+        v = out[0]  # and eig's own array is freed
+        out[1] = np.linalg.inv(v)
+    except np.linalg.LinAlgError:  # some eig did not converge or some V is exactly singular
         if len(matrices) == 1:
             return np.zeros(1, dtype=bool)
         points = range(len(matrices))
         return np.concatenate([_eigenbasis_factors(matrices[j : j + 1], out[:, j : j + 1]) for j in points])
-    real = matrices.dtype != complex
-    if real:
-        lam = _block_form(lam, v, out[0])
-    else:
-        out[0] = v
-    v = out[0]  # and eig's own array is freed
-    usable = np.ones(len(v), dtype=bool)
-    try:
-        out[1] = np.linalg.inv(v)
-    except np.linalg.LinAlgError:  # some V exactly singular: invert point by point
-        for j, v_point in enumerate(v):
-            try:
-                out[1, j] = np.linalg.inv(v_point)
-            except np.linalg.LinAlgError:
-                out[1, j], usable[j] = 0.0, False
     v_inv = out[1]
     # The 1-norm condition number needs no SVD, whose LAPACK code would
     # add ~1 MB to the peak resident memory.
     condition = np.linalg.norm(v, 1, axis=(1, 2)) * np.linalg.norm(v_inv, 1, axis=(1, 2))
-    usable &= condition <= JUMP_MAP_MAX_EIGENBASIS_CONDITION
+    usable = condition <= JUMP_MAP_MAX_EIGENBASIS_CONDITION
     if real:
         _mix_coefficients(lam, out[2:])
         return usable

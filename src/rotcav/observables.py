@@ -102,17 +102,15 @@ def photon_statistics(
     """All observables at once, from the operators; vacuum-undefined g2 values
     become None.  :func:`population_statistics` gives the same numbers from
     the populations alone."""
-    try:
-        val_aa = g2_aa(rho, a)
-    except VacuumModeError:
-        val_aa = None
-    try:
-        val_bb = g2_bb(rho, b)
-    except VacuumModeError:
-        val_bb = None
+    g2 = {}
+    for op, label in ((a, "a"), (b, "b")):
+        try:
+            g2[label] = _g2(rho, op, label)
+        except VacuumModeError:
+            g2[label] = None
     return PhotonStatistics(
-        g2_aa=val_aa,
-        g2_bb=val_bb,
+        g2_aa=g2["a"],
+        g2_bb=g2["b"],
         n_a=mean_photon(rho, Mode.A),
         n_b=mean_photon(rho, Mode.B),
     )

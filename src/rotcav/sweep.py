@@ -26,15 +26,16 @@ from __future__ import annotations
 
 import dataclasses
 import datetime
+import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import __version__ as _version
-from .fock import build_basis
+from .fock import FockBasis, build_basis
 from .hamiltonian import SystemParams, h_eff_builder, resonance_angular_condition
 from .dynamics import SteadyStateError, jump_map_steady_states
 from .observables import PhotonStatistics, population_statistics
@@ -109,8 +110,9 @@ class SweepAxis:
         for key, value in (("start", self.start), ("stop", self.stop)):
             if not math.isfinite(value):
                 raise ValueError(f"axis '{self.name}' {key} must be finite, got {value!r}")
-        if isinstance(self.count, bool) or not isinstance(self.count, int):
+        if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
             raise ValueError(f"axis '{self.name}' count must be an integer, got {self.count!r}")
+        object.__setattr__(self, "count", int(self.count))
         if self.count < 2:
             raise ValueError(f"axis '{self.name}' needs count >= 2, got {self.count}")
         if self.start == self.stop:
@@ -140,6 +142,10 @@ class SweepSpec:
                 raise ValueError(f"output '{name}' is requested more than once")
         if self.axis2 is not None and self.axis2.name == self.axis1.name:
             raise ValueError("axis1 and axis2 sweep the same parameter")
+        if len(self.cutoffs) != 2:
+            raise ValueError(f"malformed sweep config: cutoffs {self.cutoffs!r} are not a pair")
+        basis = FockBasis(*self.cutoffs)  # its checks: integers, each >= 1
+        object.__setattr__(self, "cutoffs", (int(basis.na_cut), int(basis.nb_cut)))
 
     @property
     def axis_names(self) -> tuple[str, ...]:
@@ -214,24 +220,12 @@ def run_point(p: SystemParams, cutoffs: tuple[int, int] = DEFAULT_CUTOFFS) -> Ph
     return stats
 
 
-def _grid(spec: SweepSpec):
-    if spec.axis2 is None:
-        for v1 in spec.axis1.values():
-            yield (float(v1),), {spec.axis1.name: float(v1)}
-    else:
-        for v1 in spec.axis1.values():
-            for v2 in spec.axis2.values():
-                yield (
-                    (float(v1), float(v2)),
-                    {spec.axis1.name: float(v1), spec.axis2.name: float(v2)},
-                )
-
-
 def _evaluate_grid(spec: SweepSpec, cutoffs: tuple[int, int]) -> list[SweepRow]:
-    grid = list(_grid(spec))
-    params = [dataclasses.replace(spec.fixed, **assignments) for _, assignments in grid]
+    axes = [axis.values().tolist() for axis in (spec.axis1, spec.axis2) if axis is not None]
+    grid = list(itertools.product(*axes))  # row-major
+    params = [dataclasses.replace(spec.fixed, **dict(zip(spec.axis_names, values))) for values in grid]
     rows = []
-    for (axis_values, _), p, stats in zip(grid, params, solve_points(params, cutoffs)):
+    for axis_values, p, stats in zip(grid, params, solve_points(params, cutoffs)):
         error = None
         if isinstance(stats, SteadyStateError):
             outputs: dict[str, float | None] = {name: None for name in spec.outputs}
@@ -333,23 +327,16 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.12g}"
 
 
-def _row_values(spec: SweepSpec, row: SweepRow) -> list[float | None | str]:
-    values: list[float | None | str] = list(row.axis_values)
-    for name in spec.column_names[len(row.axis_values) : -1]:
-        values.append(row.outputs.get(name))
-    values.append(row.status)
-    return values
+def _row_values(spec: SweepSpec, row: SweepRow, cell: Callable) -> list:
+    """A row's cells in column order: each value through cell, then the status."""
+    names = spec.column_names[len(row.axis_values) : -1]
+    return [*map(cell, row.axis_values), *(cell(row.outputs.get(name)) for name in names), row.status]
 
 
 def render_csv(result: SweepResult) -> str:
     """Deterministic CSV: header, 12-significant-digit floats, no timestamps."""
     lines = [",".join(result.spec.column_names)]
-    for row in result.rows:
-        cells = [
-            cell if isinstance(cell, str) else _fmt(cell)
-            for cell in _row_values(result.spec, row)
-        ]
-        lines.append(",".join(cells))
+    lines += (",".join(_row_values(result.spec, row, _fmt)) for row in result.rows)
     return "\n".join(lines) + "\n"
 
 
@@ -409,14 +396,12 @@ def spec_from_dict(data: dict) -> SweepSpec:
     try:
         _reject_unknown(data, _SPEC_KEYS, "config")
         cutoffs = _json(data.get("cutoffs", list(DEFAULT_CUTOFFS)), list, "cutoffs")
-        if len(cutoffs) != 2:
-            raise ValueError(f"malformed sweep config: cutoffs {cutoffs!r} are not a pair")
         return SweepSpec(
             axis1=axis("axis1"),
             axis2=axis("axis2"),
             fixed=params_from_dict(_json(data.get("fixed", {}), dict, "fixed")),
             outputs=tuple(_json(data.get("outputs", list(OUTPUT_NAMES)), list, "outputs")),
-            cutoffs=(_integer(cutoffs[0], "cutoffs"), _integer(cutoffs[1], "cutoffs")),
+            cutoffs=tuple(_integer(cut, "cutoffs") for cut in cutoffs),
             convergence_check=_flag(data, "convergence_check"),
             include_optimal_g=_flag(data, "include_optimal_g"),
         )
@@ -435,14 +420,15 @@ def render_json(result: SweepResult) -> str:
             k: _round12(v) for k, v in result.convergence.items()
         }
         metadata["convergence_failures"] = result.convergence_failures
-    rows = []
-    for row in result.rows:
-        entry: dict = dict(zip(result.spec.axis_names, map(_round12, row.axis_values)))
-        for name in result.spec.column_names[len(row.axis_values) : -1]:
-            entry[name] = _round12(row.outputs.get(name))
-        entry["status"] = row.status
-        rows.append(entry)
-    return json.dumps({"metadata": metadata, "rows": rows}, indent=2) + "\n"
+    rows = [dict(zip(result.spec.column_names, _row_values(result.spec, row, _round12))) for row in result.rows]
+    return json.dumps({"metadata": metadata, "rows": rows}, indent=2, default=_python_scalar) + "\n"
+
+
+def _python_scalar(value):
+    """json's fallback for a numpy scalar in a spec: its Python value."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def emit(result: SweepResult, format: str, path) -> str:

@@ -295,7 +295,10 @@ def test_point_solver_failure_exit_2(monkeypatch, capsys):
     fail_at_points(monkeypatch, 1)
     code = main(["point", "--g", "1.0", "--na-cut", "2", "--nb-cut", "1"])
     assert code == 2
-    assert "solver failure" in capsys.readouterr().err
+    failures = [line for line in capsys.readouterr().err.splitlines() if "solver failure" in line]
+    assert len(failures) == 1
+    assert failures[0].startswith("solver failure: synthetic failure [at delta=")
+    assert ", g=1.0, " in failures[0] and failures[0].endswith("]")
 
 
 def test_failed_eigendecomposition_is_a_solver_failure_row(monkeypatch, tmp_path, capsys):

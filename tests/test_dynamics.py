@@ -909,7 +909,7 @@ def test_schur_fallback_point_in_a_chunk_matches_its_chunk_of_one(monkeypatch):
 
 def test_exactly_singular_point_keeps_its_chunk_mates_in_the_eigenbasis(monkeypatch):
     # The third point's eigenvectors get a zero column, so the stacked
-    # inversion of V (of P, on the mirror line) raises; the chunk is inverted
+    # inversion of V (of P, on the mirror line) raises; the chunk is factored
     # point by point, the third point is factored again from its decay-scaled
     # H', whose eig is left alone, and the others keep their eigenbasis bits.
     eig = np.linalg.eig

@@ -28,6 +28,8 @@ from rotcav.sweep import (
     STATUS_FAILURE,
     STATUS_OK,
     STATUS_VACUUM,
+    SweepResult,
+    SweepRow,
     render_csv,
     max_rel_change,
     params_from_dict,
@@ -122,9 +124,17 @@ def test_axis_validation():
         (0.1, 3.0, 2.5, "count"),
         (0.1, 3.0, 3.0, "count"),
         (0.1, 3.0, True, "count"),
+        (0.1, 3.0, np.bool_(True), "count"),
+        (0.1, 3.0, np.float64(3.0), "count"),
     ]:
         with pytest.raises(ValueError, match=f"axis 'g' {key} must be"):
             SweepAxis("g", start, stop, count)
+
+
+def test_axis_and_preset_take_numpy_integer_counts():
+    axis = SweepAxis("g", 0.1, 3.0, np.int64(5))
+    assert axis == SweepAxis("g", 0.1, 3.0, 5) and type(axis.count) is int
+    assert figure_preset("fig5", count1=np.int64(5)).axis1 == axis
 
 
 def test_spec_validation():
@@ -134,6 +144,26 @@ def test_spec_validation():
         _small_spec(outputs=())
     with pytest.raises(ValueError):
         _small_spec(axis2=SweepAxis("g", 0.0, 1.0, 3))  # duplicate name
+
+
+@pytest.mark.parametrize(
+    "cutoffs, message",
+    [
+        ((4, 2, 1), "are not a pair"),
+        ((4,), "are not a pair"),
+        ((4.0, 2), "cutoffs must be integers"),
+        ((True, 2), "cutoffs must be integers"),
+        ((4, 0), "cutoffs must be >= 1"),
+    ],
+)
+def test_spec_checks_cutoffs_when_built(cutoffs, message):
+    with pytest.raises(ValueError, match=message):
+        _small_spec(cutoffs=cutoffs)
+
+
+def test_spec_stores_cutoffs_as_python_ints():
+    spec = _small_spec(cutoffs=(np.int64(4), np.int64(2)))
+    assert spec.cutoffs == (4, 2) and all(type(cut) is int for cut in spec.cutoffs)
 
 
 def test_spec_rejects_duplicate_outputs():
@@ -446,6 +476,52 @@ def test_json_null_for_vacuum(tmp_path):
     rows = json.loads(path.read_text())["rows"]
     assert rows[0]["g2_bb"] is None
     assert rows[0]["status"] == STATUS_VACUUM
+
+
+def test_csv_and_json_rows_agree_cell_for_cell():
+    # A synthetic result, with no solve: each JSON value is float of its CSV
+    # cell, or null where the cell is empty, in the same column order.
+    spec = SweepSpec(
+        axis1=SweepAxis("kappa2", 0.1, 3.0, 2),
+        axis2=SweepAxis("g", 0.1, 3.0, 2),
+        outputs=("g2_aa", "g2_bb", "n_a"),
+        include_optimal_g=True,
+    )
+    rows = [
+        SweepRow((0.1, 0.1), {"g2_aa": 1 / 3, "g2_bb": 0.123456789012345, "n_a": 2.5e-7, "optimal_g": 0.75}, STATUS_OK),
+        SweepRow((0.1, 3.0), {"g2_aa": None, "g2_bb": 12345.6789, "n_a": 1e-30, "optimal_g": 0.75}, STATUS_VACUUM),
+        SweepRow(
+            (3.0, 0.1),
+            {"g2_aa": None, "g2_bb": None, "n_a": None, "optimal_g": 2 / 3},
+            STATUS_FAILURE,
+            "synthetic failure",
+        ),
+    ]
+    result = SweepResult(spec, rows)
+    header, *lines = render_csv(result).splitlines()
+    entries = json.loads(render_json(result))["rows"]
+    assert header.split(",") == list(spec.column_names)
+    assert len(lines) == len(entries) == len(rows)
+    for row, line, entry in zip(rows, lines, entries):
+        cells = dict(zip(spec.column_names, line.split(",")))
+        assert list(entry) == list(spec.column_names)
+        assert entry.pop("status") == cells.pop("status") == row.status
+        assert entry == {name: float(cell) if cell else None for name, cell in cells.items()}
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"cutoffs": (np.int64(4), np.int64(2))},
+        {"axis1": SweepAxis("g", np.float32(0.5), 1.0, 2)},
+        {"fixed": SystemParams(drive_strength=np.float32(0.05))},
+    ],
+    ids=["cutoffs", "axis", "fixed"],
+)
+def test_json_writes_numpy_scalars_of_a_spec(changes):
+    spec = _small_spec(**changes)
+    written = json.loads(render_json(SweepResult(spec, [])))["metadata"]["spec"]
+    assert written == spec_to_dict(spec)
 
 
 def test_emit_rejects_unknown_format(tmp_path):
