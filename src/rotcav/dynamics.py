@@ -1,4 +1,4 @@
-"""Lindblad dynamics: steady state, Liouvillian build, time evolution.
+"""Lindblad dynamics: the matrix-free steady-state solver.
 
 The master equation
 
@@ -6,7 +6,8 @@ The master equation
         + (kappa1/2)(2 a rho a^dag - a^dag a rho - rho a^dag a)
         + (kappa2/2)(2 b rho b^dag - b^dag b rho - rho b^dag b)
 
-is solved for its steady state L(rho) = 0, Tr rho = 1, by two routes.
+is solved for its steady state L(rho) = 0, Tr rho = 1.  The tests and the
+benchmark check this module against the dense route of :mod:`rotcav.oracle`.
 
 The production solver, :func:`jump_map_steady_states`, streams its points
 in chunks of CHUNK_ENTRIES // D**2 on stacked arrays and never forms a
@@ -111,37 +112,9 @@ U's entries are +-1 and +-i, so the transform is exact, and the
 residual, trace, Hermiticity and spectrum are those of rho.  No complex
 LAPACK routine runs for such a point.
 
-The dense route vectorizes by column stacking: vec(rho) stacks the
-columns of rho (numpy order='F'), in the same n_a-major index order as
-the Fock basis, so that vec(A rho B) = (B^T kron A) vec(rho) and
-
-    L = -i (I kron H  -  H^T kron I)
-        + sum_c (kappa_c/2) (2 conj(c) kron c - I kron c^dag c - (c^dag c)^T kron I).
-
-:func:`steady_state` solves L vec(rho) = 0 with the trace condition
-imposed by replacing the first row of L (a diagonal-entry row, made
-redundant by trace preservation) with vec(I)^dag, LU-factoring the
-resulting square system, and refining the solution twice with the same
-factors.  It stores and factors D^2 x D^2 matrices
-(16 D^4 bytes, O(D^6) time), so it serves as the reference oracle the
-tests compare the production solver against, not as a production path.
-Both routes certify their state the same way: residual max |L(rho)| at
-most STEADY_RESIDUAL_TOL against the full generator, and
-:meth:`DensityMatrix.validate`.
-
-The time integrator is an independent cross-check of the linear solve.
-One fixed step h of classical fourth-order Runge-Kutta on the linear
-system dv/dt = L v is the polynomial map
-
-    P(h) = I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24,
-
-and n steps compose to P^n, which is applied to vec(rho0) by binary
-powering.  This is bit-for-bit the same method as naive stepping up to
-floating-point reassociation, but costs O(log n) matrix products
-instead of O(n) matrix-vector products.  Because vec(I)^dag L = 0, RK4
-preserves the trace exactly in exact arithmetic; the residual trace
-drift over a run measures roundoff plus any defect in L, which is why
-renormalizing along the way is forbidden.
+Each state is certified as the dense reference route of :mod:`rotcav.oracle`
+certifies its own: residual max |L(rho)| at most STEADY_RESIDUAL_TOL
+against the full generator, and :meth:`DensityMatrix.validate`.
 """
 
 from __future__ import annotations
@@ -153,13 +126,12 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .fock import FockBasis, ModeOperator, annihilator_a, annihilator_b, ladder
+from .fock import FockBasis, ladder
 
 STEADY_RESIDUAL_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 POSITIVITY_TOL = -1e-8
-TRACE_DRIFT_TOL = 1e-8
 
 JUMP_MAP_MAX_ITERATIONS = 1000
 # The jump-map iteration measures its update entrywise relative to
@@ -264,14 +236,6 @@ class SteadyStateError(RuntimeError):
     """Steady-state solve failed (singular or inaccurate system)."""
 
 
-class NonUniqueSteadyStateError(SteadyStateError):
-    """The Liouvillian nullspace has dimension > 1."""
-
-
-class TraceDriftError(RuntimeError):
-    """Trace drifted beyond tolerance during time evolution."""
-
-
 @dataclass(frozen=True)
 class DensityMatrix:
     """D x D state with its basis: complex, or real in the rotated frame of a
@@ -289,9 +253,6 @@ class DensityMatrix:
 
     def trace(self) -> complex:
         return np.trace(self.matrix)
-
-    def expectation(self, op: np.ndarray) -> complex:
-        return np.trace(op @ self.matrix)
 
     def validate(self) -> None:
         """Enforce finite entries, Hermiticity, unit trace, and positivity tolerances.
@@ -319,181 +280,12 @@ class DensityMatrix:
                 raise ValueError(f"state not positive: min eigenvalue {min_eig:.3e}") from None
 
 
-@dataclass(frozen=True)
-class Liouvillian:
-    """D^2 x D^2 superoperator acting on column-stacked states."""
-
-    matrix: np.ndarray
-    basis: FockBasis
-    kappa1: float
-    kappa2: float
-    hamiltonian: np.ndarray  # the H of the build, read by the oracle's refinement
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-        self.hamiltonian.setflags(write=False)
-
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
-
-    @property
-    def h_norm(self) -> float:
-        """Spectral norm of the Hamiltonian."""
-        return float(np.max(np.abs(np.linalg.eigvalsh(self.hamiltonian))))
-
-
-def vectorize(rho: np.ndarray) -> np.ndarray:
-    """Column-stack a matrix (order='F')."""
-    return rho.reshape(-1, order="F")
-
-
-def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
-    """Inverse of :func:`vectorize`."""
-    return vec.reshape((dim, dim), order="F")
-
-
-def _add_sandwich(
-    out4: np.ndarray, scale: complex, left: np.ndarray, right: np.ndarray
-) -> None:
-    """Accumulate scale * (right^T kron left) into the 4-index view of L.
-
-    With column stacking, vec(left @ rho @ right) = (right^T kron left)
-    vec(rho); entry ((j,i),(l,k)) of that Kronecker product is
-    right[l,j] * left[i,k], so each nonzero of `right` contributes one
-    dense block.  Writing blocks directly avoids materializing full
-    D^2 x D^2 temporaries for every term.
-    """
-    for l, j in zip(*np.nonzero(right)):
-        out4[j, :, l, :] += scale * right[l, j] * left
-
-
 def _check_input(h_eff: np.ndarray, basis: FockBasis, kappa1: float, kappa2: float) -> None:
     """Reject negative loss rates and an H that does not fit the basis."""
     if kappa1 < 0 or kappa2 < 0:
         raise ValueError("loss rates must be non-negative")
     if h_eff.shape != (basis.dim, basis.dim):
         raise ValueError("Hamiltonian dimensions do not match the basis")
-
-
-def build_liouvillian(
-    h_eff: np.ndarray,
-    a: ModeOperator,
-    b: ModeOperator,
-    kappa1: float,
-    kappa2: float,
-) -> Liouvillian:
-    """Assemble the master-equation generator for the given Hamiltonian.
-
-    a and b must be the annihilators of their basis, which the oracle's
-    refinement (:func:`_extended_residual`) rebuilds from the basis alone.
-    """
-    basis = a.basis
-    _check_input(h_eff, basis, kappa1, kappa2)
-    for op, annihilator in ((a, annihilator_a), (b, annihilator_b)):
-        if not np.array_equal(op.matrix, annihilator(basis).matrix):
-            raise ValueError("a and b must be the annihilators of their basis")
-    d = basis.dim
-    eye = np.eye(d)
-    lio = np.zeros((d * d, d * d), dtype=complex)
-    out4 = lio.reshape(d, d, d, d)
-    _add_sandwich(out4, -1j, h_eff, eye)  # -i H rho
-    _add_sandwich(out4, +1j, eye, h_eff)  # +i rho H
-    for op, kappa in ((a, kappa1), (b, kappa2)):
-        c = op.matrix
-        n_op = op.dag() @ c
-        _add_sandwich(out4, kappa, c, op.dag())  # kappa * c rho c^dag
-        _add_sandwich(out4, -kappa / 2.0, n_op, eye)
-        _add_sandwich(out4, -kappa / 2.0, eye, n_op)
-    return Liouvillian(lio, basis, kappa1, kappa2, np.array(h_eff, dtype=complex))
-
-
-def _trace_row(d: int) -> np.ndarray:
-    row = np.zeros(d * d, dtype=complex)
-    row[:: d + 1] = 1.0  # diagonal entries of a column-stacked matrix
-    return row
-
-
-def steady_state(lio: Liouvillian) -> DensityMatrix:
-    """Solve L vec(rho) = 0 with Tr rho = 1 by trace-row replacement.
-
-    One complex128 LU of the augmented system, then two steps of
-    mixed-precision iterative refinement with the same factors: each
-    residual is formed in np.clongdouble by :func:`_extended_residual`
-    and the solution is accumulated in np.clongdouble, then cast to
-    complex128 for the certificate.  Residuals in working precision
-    stalled the refinement 1e-9 to 1e-8 relative off in g2_bb near the
-    1e-12 vacuum guard; in extended precision it comes within 1e-13 of a
-    40-digit solve of the same operator problem (Moler, J. ACM 14, 1967;
-    Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    ch. 12).  Where np.longdouble is plain double (MSVC, Apple silicon)
-    this is ordinary refinement in working precision.  Raises :class:`NonUniqueSteadyStateError` when the nullspace of L is
-    more than one-dimensional, and :class:`SteadyStateError` when the
-    augmented system is singular or the residual exceeds tolerance.
-    """
-    import scipy.linalg  # only the dense oracle needs scipy
-
-    d = lio.dim
-    mod = lio.matrix.copy(order="F")  # zgetrf then factors it in place
-    mod[0, :] = _trace_row(d)
-    lu, piv, info = scipy.linalg.lapack.zgetrf(mod, overwrite_a=True)
-    if info != 0:
-        _diagnose_singular(lio)
-        raise SteadyStateError(f"augmented steady-state system is singular (info {info})")
-    residual_of = _extended_residual(lio)
-    rho = np.zeros((d, d), dtype=np.clongdouble)
-    for _ in range(3):  # the solve, then two refinement steps
-        correction = vectorize(residual_of(rho)).astype(complex)
-        correction[0] = complex(np.trace(rho) - 1)
-        rho -= unvectorize(
-            scipy.linalg.lu_solve((lu, piv), correction, check_finite=False), d
-        )
-
-    vec = vectorize(rho).astype(complex)
-    if not np.all(np.isfinite(vec)):
-        _diagnose_singular(lio)
-        raise SteadyStateError("steady-state solve produced non-finite entries")
-
-    residual = float(np.max(np.abs(lio.matrix @ vec)))
-    if residual > STEADY_RESIDUAL_TOL:
-        _diagnose_singular(lio)
-    return _certified(unvectorize(vec, d), lio.basis, residual)
-
-
-def _extended_residual(lio: Liouvillian) -> Callable[[np.ndarray], np.ndarray]:
-    """L(rho) in np.clongdouble from D x D products of H', a and b.
-
-    -i (H' rho - rho H'^dag) + sum_c kappa_c c rho c^dag, written out from
-    the operators rather than from lio.matrix or the jump-map generator,
-    so that the oracle's refinement is an independent third form of L.
-    The long-double D x D products cost ~3 ms at D = 66, next to seconds
-    for the D^2 x D^2 LU; a long-double lio.matrix would take 32 D^4 bytes.
-    """
-    a, b = annihilator_a(lio.basis), annihilator_b(lio.basis)
-    h_prime = decay_hamiltonian(lio.hamiltonian, lio.basis, lio.kappa1, lio.kappa2)
-    h_prime = h_prime.astype(np.clongdouble)
-    h_prime_dag = h_prime.conj().T
-    ops = [(lio.kappa1, a.matrix), (lio.kappa2, b.matrix)]
-    ops = [(kappa, c.astype(np.clongdouble)) for kappa, c in ops]
-
-    def residual(rho: np.ndarray) -> np.ndarray:
-        out = -1j * (h_prime @ rho - rho @ h_prime_dag)
-        for kappa, c in ops:
-            out += kappa * (c @ rho @ c.conj().T)
-        return out
-
-    return residual
-
-
-def _diagnose_singular(lio: Liouvillian) -> None:
-    """Distinguish a non-unique steady state from a plain solver failure."""
-    svals = np.linalg.svd(lio.matrix, compute_uv=False)
-    scale = svals[0] if svals[0] > 0 else 1.0
-    nullity = int(np.sum(svals < 1e-10 * scale))
-    if nullity > 1:
-        raise NonUniqueSteadyStateError(
-            f"Liouvillian nullspace dimension {nullity}; steady state is not unique"
-        )
 
 
 def decay_hamiltonian(
@@ -571,7 +363,7 @@ def _solve_chunk(
     the eigenvectors are too close to dependent, until the remaining updates
     of a point, relative to its populations, are estimated below roundoff
     or sit on a roundoff plateau.  That point then leaves the stack and is
-    certified like :func:`steady_state`: residual max |L(rho)| against the
+    certified like :func:`rotcav.oracle.steady_state`: residual max |L(rho)| against the
     full generator and :meth:`DensityMatrix.validate`.  Time and memory are
     O(K D^3) and O(K D^2) per iteration.
 
@@ -1167,63 +959,3 @@ def _certified(rho: np.ndarray, basis: FockBasis, residual: float) -> DensityMat
     except ValueError as exc:
         raise SteadyStateError(f"certificate failed: {exc}") from exc
     return state
-
-
-def _rk4_step_matrix(lio_matrix: np.ndarray, h: float) -> np.ndarray:
-    """One-step RK4 propagator P(h) for dv/dt = L v."""
-    b1 = h * lio_matrix
-    b2 = b1 @ b1
-    p = np.eye(lio_matrix.shape[0], dtype=complex) + b1 + b2 / 2.0
-    p += (b2 @ b1) / 6.0 + (b2 @ b2) / 24.0
-    return p
-
-
-def evolve(
-    rho0: DensityMatrix, lio: Liouvillian, t_final: float, dt: float
-) -> DensityMatrix:
-    """Propagate vec(rho) by fixed-step RK4 to t_final.
-
-    dt must satisfy dt <= 0.01 / max(kappa1, kappa2, ||H||); the actual
-    step is t_final/n for the smallest n with t_final/n <= dt.  Raises
-    :class:`TraceDriftError` if |Tr rho(t_final) - Tr rho(0)| > 1e-8
-    (no renormalization is ever applied).
-    """
-    if rho0.basis is not lio.basis and rho0.basis != lio.basis:
-        raise ValueError("state and Liouvillian bases differ")
-    if t_final < 0:
-        raise ValueError("t_final must be >= 0")
-    if t_final == 0:
-        return DensityMatrix(rho0.matrix.copy(), rho0.basis)
-
-    dt_max = 0.01 / max(lio.kappa1, lio.kappa2, lio.h_norm)
-    if dt > dt_max * (1 + 1e-12):
-        raise ValueError(
-            f"dt = {dt:.3e} exceeds stability bound 0.01/max(kappa1, kappa2, ||H||) "
-            f"= {dt_max:.3e}"
-        )
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-
-    n_steps = max(1, math.ceil(t_final / dt - 1e-12))
-    step = t_final / n_steps
-
-    vec = vectorize(rho0.matrix).astype(complex)
-    trace_in = np.real(np.sum(vec[:: lio.dim + 1]))
-
-    base = _rk4_step_matrix(lio.matrix, step)
-    n = n_steps
-    while n:
-        if n & 1:
-            vec = base @ vec
-        n >>= 1
-        if n:
-            base = base @ base
-
-    trace_out = np.real(np.sum(vec[:: lio.dim + 1]))
-    drift = abs(trace_out - trace_in)
-    if drift > TRACE_DRIFT_TOL:
-        raise TraceDriftError(
-            f"trace drifted by {drift:.3e} over the run (> {TRACE_DRIFT_TOL:.0e}); "
-            "reduce dt or check the generator"
-        )
-    return DensityMatrix(unvectorize(vec, lio.dim), lio.basis)

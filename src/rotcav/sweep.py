@@ -108,8 +108,10 @@ class SweepAxis:
         if self.name not in SWEEPABLE:
             raise ValueError(f"cannot sweep '{self.name}'; choose from {SWEEPABLE}")
         for key, value in (("start", self.start), ("stop", self.stop)):
-            if not math.isfinite(value):
-                raise ValueError(f"axis '{self.name}' {key} must be finite, got {value!r}")
+            real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+            if not (real and math.isfinite(value)):
+                raise ValueError(f"axis '{self.name}' {key} must be a finite number, got {value!r}")
+            object.__setattr__(self, key, float(value))
         if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
             raise ValueError(f"axis '{self.name}' count must be an integer, got {self.count!r}")
         object.__setattr__(self, "count", int(self.count))

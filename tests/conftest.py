@@ -5,14 +5,14 @@ from __future__ import annotations
 import numpy as np
 
 from rotcav import (
+    DensityMatrix,
     SystemParams,
     annihilator_a,
     annihilator_b,
     build_basis,
     build_h_eff,
-    build_liouvillian,
-    steady_state,
 )
+from rotcav.oracle import Liouvillian, build_liouvillian, steady_state
 
 
 def make_ops(na_cut=6, nb_cut=3):
@@ -20,12 +20,22 @@ def make_ops(na_cut=6, nb_cut=3):
     return basis, annihilator_a(basis), annihilator_b(basis)
 
 
+def liouvillian(params: SystemParams, na=6, nb=3) -> Liouvillian:
+    basis, a, b = make_ops(na, nb)
+    h = build_h_eff(params, basis)
+    return build_liouvillian(h, a, b, params.kappa1, params.kappa2)
+
+
+def vacuum(basis) -> DensityMatrix:
+    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
+    rho[0, 0] = 1.0
+    return DensityMatrix(rho, basis)
+
+
 def solve_point(params: SystemParams, na_cut=6, nb_cut=3):
     """Full pipeline to the steady state; returns (rho, a, b)."""
-    basis, a, b = make_ops(na_cut, nb_cut)
-    h = build_h_eff(params, basis)
-    lio = build_liouvillian(h, a, b, params.kappa1, params.kappa2)
-    return steady_state(lio), a, b
+    lio = liouvillian(params, na_cut, nb_cut)
+    return steady_state(lio), annihilator_a(lio.basis), annihilator_b(lio.basis)
 
 
 def kron_liouvillian(h, a_mat, b_mat, kappa1, kappa2):

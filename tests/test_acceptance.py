@@ -29,17 +29,13 @@ their claim in the form the documented model promises:
 import numpy as np
 import pytest
 
-from conftest import make_ops, solve_point
+from conftest import liouvillian as _liouvillian, make_ops, solve_point, vacuum as _vacuum
 from rotcav import (
     AmplitudeModelOptions,
-    DensityMatrix,
     SystemParams,
     build_basis,
-    build_h_eff,
     build_h_lab,
-    build_liouvillian,
     eigenlevels,
-    evolve,
     figure_preset,
     g2_from_amplitudes,
     optimal_g,
@@ -48,9 +44,8 @@ from rotcav import (
     run_point,
     run_sweep,
     steady_amplitudes,
-    steady_state,
-    vectorize,
 )
+from rotcav.oracle import evolve, steady_state, vectorize
 
 WEAK_DRIVE = 0.05
 
@@ -60,18 +55,6 @@ def _report(num: int, description: str, passed: bool, detail: str = "") -> None:
     suffix = f"  [{detail}]" if detail else ""
     print(f"\nACCEPTANCE {num:02d} {status}: {description}{suffix}")
     assert passed, f"criterion {num}: {description}{suffix}"
-
-
-def _vacuum(basis) -> DensityMatrix:
-    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
-    rho[0, 0] = 1.0
-    return DensityMatrix(rho, basis)
-
-
-def _liouvillian(params: SystemParams):
-    basis, a, b = make_ops()
-    h = build_h_eff(params, basis)
-    return build_liouvillian(h, a, b, params.kappa1, params.kappa2)
 
 
 def test_01_closed_form_optimum():

@@ -10,12 +10,12 @@ from rotcav import (
     AmplitudeState,
     SystemParams,
     amplitude_system,
-    g2_bb,
     g2_from_amplitudes,
     optimal_g,
     steady_amplitudes,
 )
 from rotcav.amplitudes import ANSATZ_STATES
+from rotcav.oracle import g2_bb
 
 KEEP = AmplitudeModelOptions(keep_subleading=True)
 DROP = AmplitudeModelOptions(keep_subleading=False)

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import subprocess
@@ -338,12 +339,18 @@ def test_failed_eigendecomposition_is_a_solver_failure_row(monkeypatch, tmp_path
 
 _EXCEPTIONAL_POINT = ["point", "--g", "0.17677669529663687", "--drive-strength", "1e-13",
                       "--na-cut", "10", "--nb-cut", "5"]
-_DENSE_ORACLE = (
+_DENSE_SETUP = (
     "basis = rotcav.build_basis(2, 1)\n"
     "ops = rotcav.annihilator_a(basis), rotcav.annihilator_b(basis)\n"
     "h = rotcav.build_h_eff(rotcav.SystemParams(g=1.0, drive_strength=0.1), basis)\n"
-    "rotcav.steady_state(rotcav.build_liouvillian(h, *ops, 1.0, 1.0))\n"
-    "code = 0"
+)
+_DENSE_ORACLE = _DENSE_SETUP + "rotcav.steady_state(rotcav.build_liouvillian(h, *ops, 1.0, 1.0))\ncode = 0"
+_DENSE_ORACLE_WITHOUT_SCIPY = _DENSE_SETUP + (
+    "lio = rotcav.oracle.build_liouvillian(h, *ops, 1.0, 1.0)\n"
+    "try:\n"
+    "    rotcav.oracle.steady_state(lio)\n"
+    "except ModuleNotFoundError:\n"
+    "    code = 'ModuleNotFoundError'"
 )
 
 
@@ -352,24 +359,63 @@ _DENSE_ORACLE = (
     [
         ("code = None", None, False),
         ("code = main(['point'])", 0, False),
+        ("code = main(['point', '--convergence-check'])", 0, False),
         ("code = main(['figure', '--name', 'fig5', '--count1', '3'])", 0, False),
+        ("code = main(['sweep', '--axis1', 'g:0.5:1:3', '--format', 'json'])", 0, False),
         (f"code = main({_EXCEPTIONAL_POINT!r})", 0, False),
+        ("code = main(['eigen', '--omega1', '10'])", 0, False),
+        ("code = main(['optimal-g'])", 0, False),
+        ("code = main(['fizeau', '--kappa1-si', '6.28e6'])", 0, False),
+        (_DENSE_ORACLE_WITHOUT_SCIPY, "ModuleNotFoundError", False),
         (_DENSE_ORACLE, 0, True),
     ],
-    ids=["import", "point", "fig5-sweep", "exceptional-point", "dense-oracle"],
+    ids=["import", "point", "point-convergence-check", "fig5-sweep", "sweep-json", "exceptional-point",
+         "eigen", "optimal-g", "fizeau", "dense-oracle-without-scipy", "dense-oracle"],
 )
 def test_scipy_linalg_is_imported_only_by_the_dense_oracle(statement, expected_code, loads_scipy_linalg):
     # In a fresh interpreter: scipy.linalg serves only the dense oracle, so the
-    # solver, even at an exceptional point, never pays for its import.
+    # solver, even at an exceptional point, never pays for its import.  Every
+    # case but the dense oracle's runs with scipy unimportable, as in an install
+    # without the test extra: any import of it raises ModuleNotFoundError.
     src = Path(dynamics_mod.__file__).parents[1]
+    without_scipy = "" if loads_scipy_linalg else "sys.modules['scipy'] = None; "
     script = (
-        "import sys; sys.path.insert(0, sys.argv[1]); import rotcav; from rotcav.cli import main\n"
+        f"import sys; {without_scipy}sys.path.insert(0, sys.argv[1]); import rotcav; from rotcav.cli import main\n"
         f"{statement}\n"
         "print(code, 'scipy.linalg' in sys.modules)"
     )
     command = [sys.executable, "-c", script, str(src)]
     out = subprocess.run(command, capture_output=True, text=True, check=True, timeout=120).stdout
     assert out.splitlines()[-1] == f"{expected_code} {loads_scipy_linalg}"
+
+
+def _imported_names(path: Path):
+    """The dotted name of everything each import statement of a package module
+    imports: `from .oracle import steady_state` gives rotcav.oracle.steady_state."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["rotcav" if node.level else "", node.module]))
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_only_the_oracle_imports_scipy_and_only_the_package_imports_the_oracle():
+    # The production path must not gain a dependency on the dense oracle or on
+    # scipy.  The package re-exports the three oracle names that the benchmark
+    # imports from it.
+    scipy_users, oracle_imports = set(), set()
+    for path in sorted(Path(dynamics_mod.__file__).parent.glob("*.py")):
+        for name in _imported_names(path):
+            if name.split(".")[0] == "scipy":
+                scipy_users.add(path.name)
+            if name == "rotcav.oracle" or name.startswith("rotcav.oracle."):
+                oracle_imports.add((path.name, name))
+    assert scipy_users == {"oracle.py"}
+    assert oracle_imports == {
+        ("__init__.py", f"rotcav.oracle.{name}")
+        for name in ("build_liouvillian", "photon_statistics", "steady_state")
+    }
 
 
 # ------------------------------------------------- parameters and config

@@ -8,25 +8,27 @@ from hypothesis import strategies as st
 
 import rotcav.dynamics as dynamics_mod
 from rotcav.dynamics import decay_hamiltonian, jump_map_steady_states
-from conftest import kron_liouvillian, make_ops, solve_point
+from conftest import kron_liouvillian, liouvillian as _liouvillian, make_ops, solve_point, vacuum as _vacuum
 from rotcav import (
     DensityMatrix,
-    Liouvillian,
     ModeOperator,
-    NonUniqueSteadyStateError,
     SteadyStateError,
     SystemParams,
-    TraceDriftError,
     annihilator_b,
     build_basis,
     build_h_eff,
-    build_liouvillian,
-    evolve,
     figure_preset,
     optimal_g,
-    photon_statistics,
     resonance_angular_condition,
     run_point,
+)
+from rotcav.oracle import (
+    Liouvillian,
+    NonUniqueSteadyStateError,
+    TraceDriftError,
+    build_liouvillian,
+    evolve,
+    photon_statistics,
     steady_state,
     unvectorize,
     vectorize,
@@ -39,24 +41,12 @@ ROUNDOFF = 1e-30
 OFF_LINE_DELTA = 0.3
 
 
-def _liouvillian(params: SystemParams, na=6, nb=3) -> Liouvillian:
-    basis, a, b = make_ops(na, nb)
-    h = build_h_eff(params, basis)
-    return build_liouvillian(h, a, b, params.kappa1, params.kappa2)
-
-
 def _solve_alone_point(h, basis, kappa1, kappa2) -> DensityMatrix:
     """The jump-map state of one point solved on its own; raises its error."""
     (state,) = jump_map_steady_states([(h, kappa1, kappa2)], basis)
     if isinstance(state, SteadyStateError):
         raise state
     return state
-
-
-def _vacuum(basis) -> DensityMatrix:
-    rho = np.zeros((basis.dim, basis.dim), dtype=complex)
-    rho[0, 0] = 1.0
-    return DensityMatrix(rho, basis)
 
 
 # ------------------------------------------------------------ vectorization

@@ -4,18 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import make_ops, solve_point
-from rotcav import (
-    DensityMatrix,
-    Mode,
-    SystemParams,
-    VacuumModeError,
-    g2_aa,
-    g2_bb,
-    mean_photon,
-    photon_statistics,
-    population_statistics,
-    populations,
-)
+from rotcav import DensityMatrix, SystemParams, VacuumModeError, population_statistics, populations
+from rotcav.oracle import Mode, g2_aa, g2_bb, mean_photon, photon_statistics
 
 
 def _fock_projector(basis, n_a, n_b) -> DensityMatrix:

@@ -126,9 +126,24 @@ def test_axis_validation():
         (0.1, 3.0, True, "count"),
         (0.1, 3.0, np.bool_(True), "count"),
         (0.1, 3.0, np.float64(3.0), "count"),
+        (True, 2.0, 3, "start"),
+        (np.bool_(False), 2.0, 3, "start"),
+        (0.1, "1.0", 3, "stop"),
+        (0.1, None, 3, "stop"),
     ]:
         with pytest.raises(ValueError, match=f"axis 'g' {key} must be"):
             SweepAxis("g", start, stop, count)
+
+
+def test_axis_stores_bounds_as_python_floats():
+    # A float32 bound made np.linspace sweep a float32 grid, every interior
+    # point ~1e-8 relative off the grid of the bounds the axis holds.
+    axis = SweepAxis("g", np.float32(0.1), np.int64(1), 3)
+    assert type(axis.start) is float and type(axis.stop) is float
+    assert axis == SweepAxis("g", float(np.float32(0.1)), 1.0, 3)
+    values = axis.values()
+    assert values.dtype == np.float64
+    np.testing.assert_array_equal(values, np.linspace(float(np.float32(0.1)), 1.0, 3))
 
 
 def test_axis_and_preset_take_numpy_integer_counts():
