@@ -44,8 +44,7 @@ from .sweep import (
     emit,
     figure_preset,
     max_rel_change,
-    render_csv,
-    render_json,
+    render,
     run_point,
     run_sweep,
     spec_from_dict,
@@ -184,8 +183,7 @@ def _emit_result(result, args) -> int:
     if args.out:
         emit(result, args.format, args.out)
     else:
-        text = render_csv(result) if args.format == "csv" else render_json(result)
-        sys.stdout.write(text)
+        sys.stdout.write(render(result, args.format))
     for row in result.rows:
         if row.error is not None:
             print(f"solver failure: {row.error}", file=sys.stderr)

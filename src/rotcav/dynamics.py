@@ -73,8 +73,8 @@ restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
 (1986)) on the root of delta -> S^-1(L(delta)), with the point's
 own factors of S^-1 and jump weights, so that its bits do not depend on
 its chunk.  At g = 2, delta = -4, F = 2, cutoffs (10,5) the loop alone
-needs 1096 iterations; with the phase the point takes 12 generator calls
-and 61 applications of S^-1.  The unknowns are population-weighted,
+needs 1096 iterations; with the phase the point takes 11 generator calls
+and 60 applications of S^-1.  The unknowns are population-weighted,
 delta = W^1/2 Y W^1/2, and packed as Y's upper triangle in the state's
 dtype; every application is Hermitized on its way in and out
 (:func:`_krylov`).  The phase stops, and certifies the state from the
@@ -121,7 +121,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -232,17 +232,32 @@ JUMP_MAP_KRYLOV_RESTART = 40
 JUMP_MAP_KRYLOV_TOL = 5e-13
 
 
+@dataclass(frozen=True)
+class SolveRecord:
+    """How the jump map solved one point, from its budget's own counters; zeros for the vacuum."""
+
+    applications: int = 0  # S^-1 applications, in the loop and the Krylov phase
+    generator_calls: int = 0  # L(rho) evaluations: loop iterations plus Krylov restarts
+    krylov_from: int = 0  # the loop iteration at which it entered the Krylov phase, or 0
+    retried: bool = False  # S^-1 factored from the decay-scaled H'
+
+
 class SteadyStateError(RuntimeError):
-    """Steady-state solve failed (singular or inaccurate system)."""
+    """Steady-state solve failed; solve is the jump map's record of the point, or None."""
+
+    def __init__(self, message: str, solve: SolveRecord | None = None):
+        super().__init__(message)
+        self.solve = solve
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
     """D x D state with its basis: complex, or real in the rotated frame of a
-    mirror-line point (:func:`_solve_points`)."""
+    mirror-line point (:func:`_solve_points`); solve is the jump map's record."""
 
     matrix: np.ndarray
     basis: FockBasis
+    solve: SolveRecord | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         d = self.basis.dim
@@ -385,7 +400,7 @@ def _solve_chunk(
     for i in np.flatnonzero(~driven):
         vacuum = np.zeros((d, d), dtype=complex)
         vacuum[0, 0] = 1.0
-        results[i] = _outcome(vacuum, basis, 0.0)
+        results[i] = _outcome(DensityMatrix(vacuum, basis, SolveRecord()), 0.0)
     (h_prime, rates, points), _ = _keep(driven, h_prime, rates, np.arange(k))
     phases = _mirror_phases(basis)
     on_line, off_line = _keep(~(phases * h_prime).imag.any(axis=(1, 2)), h_prime, rates, points)
@@ -429,7 +444,8 @@ def _solve_points(
     matrices = (phases * h_prime).real.copy() if rotated else h_prime
     factors = np.empty((6 if rotated else 5, *matrices.shape), dtype=matrices.dtype)
     usable = _eigenbasis_factors(matrices, factors)
-    for j in np.flatnonzero(~usable):  # factored alone, so its bits are its chunk of one's
+    retried = ~usable
+    for j in np.flatnonzero(retried):  # factored alone, so its bits are its chunk of one's
         h_eff, kappa1, kappa2 = chunk[points[j]]
         scale = JUMP_MAP_RETRY_DECAY_SCALE
         scaled = decay_hamiltonian(h_eff, basis, scale * kappa1, scale * kappa2)
@@ -438,16 +454,17 @@ def _solve_points(
         usable[j] = _eigenbasis_factors(scaled[None], factors[:, j : j + 1])[0]
         if not usable[j]:
             results[points[j]] = SteadyStateError(
-                "no usable eigenbasis of H', nor of H' with its loss rates scaled by 1 + sqrt(eps)"
+                "no usable eigenbasis of H', nor of H' with its loss rates scaled by 1 + sqrt(eps)",
+                SolveRecord(retried=True),
             )
     (matrices, rates, points, *factors), _ = _keep(usable, matrices, rates, points, *factors)
     if not len(points):
         return
     if not rotated:
         matrices *= -1j  # the generator's -i H', exactly
-    for i, state in zip(points.tolist(), _iterate(matrices, rates, basis, factors)):
+    for i, state in zip(points.tolist(), _iterate(matrices, rates, basis, factors, retried[usable])):
         if rotated and isinstance(state, DensityMatrix):
-            state = DensityMatrix(np.conjugate(1j * phases) * state.matrix, basis)
+            state = DensityMatrix(np.conjugate(1j * phases) * state.matrix, basis, state.solve)
         results[i] = state
 
 
@@ -456,6 +473,7 @@ def _iterate(
     rates: np.ndarray,
     basis: FockBasis,
     factors: list[np.ndarray],
+    retried: np.ndarray,
 ) -> list[DensityMatrix | SteadyStateError]:
     """The jump-map iteration of a stack of driven points, one result per point.
 
@@ -469,7 +487,8 @@ def _iterate(
     every stack is sliced to them.  So does a point whose contraction stays
     slow or whose update stops shrinking above the plateau
     (:meth:`_Track.enters`), once :func:`_krylov` has finished it from
-    its slices; the budget counts S^-1 applications in both.
+    its slices; the budget counts S^-1 applications in both.  retried marks
+    the points whose factors come from the decay-scaled H'.
     """
     n, d = len(minus_i_h), basis.dim
     rho, r, x = np.empty((3, n, d, d), dtype=minus_i_h.dtype)
@@ -487,15 +506,21 @@ def _iterate(
     results: list = [None] * n
     finished: list[int] = []  # positions in the stack, certified from the next L(rho)
     left: list[int] = []  # positions of points that failed or finished in the Krylov phase
+
+    def record(track: _Track, applications: int) -> SolveRecord:
+        """The record of a point that leaves the loop at this iteration."""
+        return SolveRecord(applications, iteration, 0, bool(retried[track.index]))
+
     for iteration in itertools.count(1):
         _generator(minus_i_h, rho, r, x, jumps)
         for j in finished:
-            residual = float(np.max(np.abs(r[j])))
-            results[tracks[j].index] = _outcome(rho[j].copy(), basis, residual)
+            residual, solve = float(np.max(np.abs(r[j]))), record(tracks[j], iteration - 1)
+            results[tracks[j].index] = _outcome(DensityMatrix(rho[j].copy(), basis, solve), residual)
         if iteration > JUMP_MAP_MAX_ITERATIONS:
             for j, track in enumerate(tracks):
                 if j not in finished and j not in left:
-                    results[track.index] = _unfinished(track.step, iteration, float(np.max(np.abs(r[j]))))
+                    residual, solve = float(np.max(np.abs(r[j]))), record(track, iteration - 1)
+                    results[track.index] = _unfinished(track.step, solve, residual)
             return results
         if finished or left:
             keep = np.ones(len(tracks), dtype=bool)
@@ -522,16 +547,16 @@ def _iterate(
         finished, left = [], []
         for j, (track, step) in enumerate(zip(tracks, scaled.max(axis=(1, 2)).tolist())):
             if not math.isfinite(step):
-                results[track.index] = _unfinished(step, iteration)
+                results[track.index] = _unfinished(step, record(track, iteration))
                 rho[j] = 0.0  # stationary, so L(rho) stays finite until it leaves
                 left.append(j)
             elif track.stops(step, iteration):
                 finished.append(j)
             elif track.enters(iteration):
-                i, point = track.index, slice(j, j + 1)
+                i, point, entry = track.index, slice(j, j + 1), record(track, iteration)
                 point_factors = [factor[point] for factor in factors]
                 results[i] = _krylov(
-                    minus_i_h[point], point_factors, rates[i : i + 1], basis, rho[j].copy(), iteration
+                    minus_i_h[point], point_factors, rates[i : i + 1], basis, rho[j].copy(), entry
                 )
                 left.append(j)
 
@@ -572,14 +597,14 @@ def _krylov(
     rates: np.ndarray,
     basis: FockBasis,
     state: np.ndarray,
-    calls: int,
+    entry: SolveRecord,
 ) -> DensityMatrix | SteadyStateError:
     """Finish one point of :func:`_iterate` by restarted GMRES on the root of
     delta -> S^-1(L(delta)); its certified state or its error.
 
     minus_i_h, factors and rates are the point's slices of the stacks (its
-    stacks of one), state its iterate after calls S^-1 applications, which
-    the budget keeps counting here.  Each restart forms L(rho) at the
+    stacks of one), state its iterate and entry its loop record, whose S^-1
+    applications the budget keeps counting here.  Each restart forms L(rho) at the
     current state, whose max |L(rho)| certifies the state if the phase
     stops there, and the loop's update S^-1(L(rho)), scaled as
     delta = W^1/2 Y W^1/2 with W the state's populations floored as in the
@@ -630,8 +655,8 @@ def _krylov(
         calls += 1
         pack(out)
 
-    best, solved = math.inf, False
-    while True:
+    best, solved, calls = math.inf, False, entry.applications
+    for restart in itertools.count(1):
         rho[0] = state
         _generator(minus_i_h, rho, r, x, jumps)
         calls += 1
@@ -642,12 +667,13 @@ def _krylov(
         np.divide(0.5, ww, out=iw)
         pack(vectors[0])
         step = math.sqrt(vectors[0] @ vectors[0])
+        solve = SolveRecord(calls, entry.generator_calls + restart, entry.applications, entry.retried)
         if not math.isfinite(step):
-            return _unfinished(step, calls)
+            return _unfinished(step, solve)
         if step <= JUMP_MAP_KRYLOV_TOL or (solved and step > 0.5 * best):
-            return _outcome(state, basis, residual)
+            return _outcome(DensityMatrix(state, basis, solve), residual)
         if calls >= JUMP_MAP_MAX_ITERATIONS:
-            return _unfinished(step, calls, residual)
+            return _unfinished(step, solve, residual)
         best = min(best, step)
         vectors[0] *= -1.0 / step  # the update is subtracted
         y, solved = _gmres_cycle(apply, vectors, step, t, JUMP_MAP_MAX_ITERATIONS - calls)
@@ -656,16 +682,17 @@ def _krylov(
         state *= 1.0 / state.trace().real
 
 
-def _unfinished(step: float, iteration: int, residual: float = math.nan) -> SteadyStateError:
-    """The error of a jump-map point left without a state at iteration, by the
-    loop or by :func:`_krylov`: non-finite entries where its scaled update step
-    is not finite, else no convergence within JUMP_MAP_MAX_ITERATIONS."""
-    if not math.isfinite(step):
-        return SteadyStateError(f"jump-map iteration produced non-finite entries at iteration {iteration}")
-    return SteadyStateError(
-        f"jump-map iteration did not converge in {JUMP_MAP_MAX_ITERATIONS} "
-        f"iterations (last scaled update {step:.3e}, residual {residual:.3e})"
-    )
+def _unfinished(step: float, solve: SolveRecord, residual: float = math.nan) -> SteadyStateError:
+    """The error of a jump-map point left without a state, by the loop or by
+    :func:`_krylov`: non-finite entries where its scaled update step is not
+    finite, else no convergence within JUMP_MAP_MAX_ITERATIONS."""
+    message = f"jump-map iteration produced non-finite entries at iteration {solve.applications}"
+    if math.isfinite(step):
+        message = (
+            f"jump-map iteration did not converge in {JUMP_MAP_MAX_ITERATIONS} "
+            f"iterations (last scaled update {step:.3e}, residual {residual:.3e})"
+        )
+    return SteadyStateError(message, solve)
 
 
 def _pair_weights(basis: FockBasis) -> np.ndarray:
@@ -939,23 +966,22 @@ def _eigenbasis_inverse(factors: list[np.ndarray], r: np.ndarray, x: np.ndarray)
     return np.matmul(x, v_conj.transpose(0, 2, 1), out=r)
 
 
-def _outcome(rho: np.ndarray, basis: FockBasis, residual: float) -> DensityMatrix | SteadyStateError:
+def _outcome(state: DensityMatrix, residual: float) -> DensityMatrix | SteadyStateError:
     """The certified state, or the SteadyStateError of its failed certificate."""
     try:
-        return _certified(rho, basis, residual)
+        return _certified(state, residual)
     except SteadyStateError as exc:
         return exc
 
 
-def _certified(rho: np.ndarray, basis: FockBasis, residual: float) -> DensityMatrix:
-    """The state, once its residual and :meth:`DensityMatrix.validate` pass."""
+def _certified(state: DensityMatrix, residual: float) -> DensityMatrix:
+    """The state, once its residual and :meth:`DensityMatrix.validate` pass; errors keep its record."""
     if not residual <= STEADY_RESIDUAL_TOL:  # a NaN residual fails too
         raise SteadyStateError(
-            f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.0e}"
+            f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL:.0e}", state.solve
         )
-    state = DensityMatrix(rho, basis)
     try:
         state.validate()
     except ValueError as exc:
-        raise SteadyStateError(f"certificate failed: {exc}") from exc
+        raise SteadyStateError(f"certificate failed: {exc}", state.solve) from exc
     return state

@@ -15,11 +15,11 @@ cross-check in :mod:`rotcav.oracle`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DensityMatrix
+from .dynamics import DensityMatrix, SolveRecord
 
 VACUUM_OCCUPATION_EPS = 1e-12
 IMAG_RESIDUE_TOL = 1e-12
@@ -31,12 +31,13 @@ class VacuumModeError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PhotonStatistics:
-    """Steady-state statistics; g2 fields are None when the mode is empty."""
+    """Steady-state statistics, g2 None for an empty mode; solve is the jump map's record."""
 
     g2_aa: float | None
     g2_bb: float | None
     n_a: float
     n_b: float
+    solve: SolveRecord | None = field(default=None, compare=False, repr=False)
 
     @property
     def vacuum_undefined(self) -> bool:
@@ -81,4 +82,4 @@ def population_statistics(rho: DensityMatrix) -> PhotonStatistics:
             g2 = pair / occupation**2
         moments.append((g2, occupation))
     (g2_a, n_a), (g2_b, n_b) = moments
-    return PhotonStatistics(g2_aa=g2_a, g2_bb=g2_b, n_a=n_a, n_b=n_b)
+    return PhotonStatistics(g2_aa=g2_a, g2_bb=g2_b, n_a=n_a, n_b=n_b, solve=rho.solve)

@@ -190,7 +190,7 @@ def steady_state(lio: Liouvillian) -> DensityMatrix:
     residual = float(np.max(np.abs(lio.matrix @ vec)))
     if residual > dynamics.STEADY_RESIDUAL_TOL:
         _diagnose_singular(lio)
-    return _certified(unvectorize(vec, d), lio.basis, residual)
+    return _certified(DensityMatrix(unvectorize(vec, d), lio.basis), residual)
 
 
 def _extended_residual(lio: Liouvillian) -> Callable[[np.ndarray], np.ndarray]:
@@ -327,8 +327,8 @@ def photon_statistics(
     rho: DensityMatrix, a: ModeOperator, b: ModeOperator
 ) -> PhotonStatistics:
     """All observables at once, from the operators; vacuum-undefined g2 values
-    become None.  :func:`population_statistics` gives the same numbers from
-    the populations alone."""
+    become None.  :func:`rotcav.observables.population_statistics` gives the
+    same numbers from the populations alone."""
     g2 = {}
     for op, label in ((a, "a"), (b, "b")):
         try:

@@ -37,7 +37,7 @@ import numpy as np
 from . import __version__ as _version
 from .fock import FockBasis, build_basis
 from .hamiltonian import SystemParams, h_eff_builder, resonance_angular_condition
-from .dynamics import SteadyStateError, jump_map_steady_states
+from .dynamics import SolveRecord, SteadyStateError, jump_map_steady_states
 from .observables import PhotonStatistics, population_statistics
 from .amplitudes import optimal_g
 
@@ -171,6 +171,7 @@ class SweepRow:
     outputs: dict[str, float | None]
     status: str
     error: str | None = None  # a solver-failure row's SteadyStateError text
+    solve: SolveRecord | None = dataclasses.field(default=None, compare=False)  # not written out
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ def solve_points(
     for p, state in zip(params, jump_map_steady_states(points, basis), strict=True):
         if isinstance(state, SteadyStateError):
             label = ", ".join(f"{key}={value}" for key, value in dataclasses.asdict(p).items())
-            error = type(state)(f"{state} [at {label}]")
+            error = type(state)(f"{state} [at {label}]", state.solve)
             error.__cause__ = state
             results.append(error)
         else:
@@ -237,7 +238,7 @@ def _evaluate_grid(spec: SweepSpec, cutoffs: tuple[int, int]) -> list[SweepRow]:
             status = STATUS_VACUUM if None in outputs.values() else STATUS_OK
         if spec.include_optimal_g:
             outputs["optimal_g"] = optimal_g(p.kappa1, p.kappa2, p.drive_strength)
-        rows.append(SweepRow(axis_values, outputs, status, error))
+        rows.append(SweepRow(axis_values, outputs, status, error, stats.solve))
     return rows
 
 
@@ -293,6 +294,8 @@ def figure_preset(
             outputs=("g2_aa",) if name == "fig4a" else ("g2_bb",),
         )
     if name == "fig5":
+        if count2 is not None:
+            raise ValueError("preset 'fig5' sweeps one axis; count2 applies only to two-axis presets")
         return SweepSpec(
             axis1=ax("g", 0.1, 3.0, 200, count1),
             outputs=("g2_bb",),
@@ -433,14 +436,16 @@ def _python_scalar(value):
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+def render(result: SweepResult, format: str) -> str:
+    """The result as 'csv' or 'json' text."""
+    if format not in ("csv", "json"):
+        raise ValueError(f"unknown format '{format}'; choose csv or json")
+    return render_csv(result) if format == "csv" else render_json(result)
+
+
 def emit(result: SweepResult, format: str, path) -> str:
     """Write the result as 'csv' or 'json'; returns the path written."""
-    if format == "csv":
-        text = render_csv(result)
-    elif format == "json":
-        text = render_json(result)
-    else:
-        raise ValueError(f"unknown format '{format}'; choose csv or json")
+    text = render(result, format)
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import make_ops, solve_point
+from conftest import solve_point
 from rotcav import (
     AmplitudeModelOptions,
     AmplitudeState,

@@ -418,6 +418,19 @@ def test_only_the_oracle_imports_scipy_and_only_the_package_imports_the_oracle()
     }
 
 
+def test_every_imported_name_is_loaded():
+    # Not in the package's __init__, whose imports are re-exports.
+    unused = []
+    for path in [*Path(dynamics_mod.__file__).parent.glob("[!_]*.py"), *Path(__file__).parent.glob("*.py")]:
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        loaded = {node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in nodes:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                bound = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unused += [f"{path.name}: {name}" for name in bound if name not in loaded]
+    assert unused == []
+
+
 # ------------------------------------------------- parameters and config
 
 
@@ -643,6 +656,15 @@ def test_figure_zero_count_is_error(flag, capsys):
     assert main(["figure", "--name", "fig4a", flag, "0"]) == 1
     captured = capsys.readouterr()
     assert "needs count >= 2, got 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("count2", ["0", "3"])
+def test_figure_count2_on_a_one_axis_preset_is_error(count2, capsys):
+    # fig5 sweeps one axis: a second-axis count is an error, not ignored.
+    assert main(["figure", "--name", "fig5", "--count1", "2", "--count2", count2]) == 1
+    captured = capsys.readouterr()
+    assert "preset 'fig5' sweeps one axis" in captured.err
     assert captured.out == ""
 
 

@@ -373,25 +373,6 @@ FIG4_STALL_POINTS = [
 ]
 
 
-def _count_solver_calls(monkeypatch, p: SystemParams, cutoffs) -> dict:
-    """Calls of the eigenbasis S^-1 ("inverse", one per iteration) and of the
-    stacked eig in one run_point; patches undone after."""
-    counts = {"inverse": 0, "eig": 0}
-    monkeypatch.setattr(np.linalg, "eig", _counted(np.linalg.eig, counts, "eig"))
-    _wrap_eigenbasis_inverse(monkeypatch, lambda inverse: _counted(inverse, counts, "inverse"))
-    run_point(p, cutoffs)
-    monkeypatch.undo()
-    return counts
-
-
-def _counted(fn, counts: dict, name: str):
-    def wrapper(*args, **kwargs):
-        counts[name] += 1
-        return fn(*args, **kwargs)
-
-    return wrapper
-
-
 def _wrap_eigenbasis_inverse(monkeypatch, wrap) -> None:
     """Route every stacked eigenbasis S^-1 the solver applies through wrap(inverse)."""
     monkeypatch.setattr(
@@ -399,43 +380,21 @@ def _wrap_eigenbasis_inverse(monkeypatch, wrap) -> None:
     )
 
 
-def _record_loop_inverses(monkeypatch, record) -> list:
-    """Call record(r) at each S^-1 of the stacked fixed-point loop, not at those
-    of the Krylov phase; the list of the iterations at which points entered it."""
-    entries, inside = [], []
-    krylov = dynamics_mod._krylov
-
-    def phase(*args):
-        entries.append(args[-1])
-        inside.append(None)
-        try:
-            return krylov(*args)
-        finally:
-            inside.pop()
-
-    def wrap(inverse):
-        def wrapper(factors, r, x):
-            if not inside:
-                record(r)
-            return inverse(factors, r, x)
-
-        return wrapper
-
-    monkeypatch.setattr(dynamics_mod, "_krylov", phase)
-    _wrap_eigenbasis_inverse(monkeypatch, wrap)
-    return entries
+def _krylov_entries(states) -> list[int]:
+    """The sorted loop iterations at which the points entered the Krylov phase."""
+    return sorted(state.solve.krylov_from for state in states if state.solve.krylov_from)
 
 
 @pytest.mark.parametrize("delta, g", FIG4_STALL_POINTS)
-def test_jump_map_converges_at_fig4_stall_points(delta, g, monkeypatch):
+def test_jump_map_converges_at_fig4_stall_points(delta, g):
     # The exact grid values, e.g. 2.2799999999999994 rather than 2.28
     spec = figure_preset("fig4a")
     deltas, gs = spec.axis1.values(), spec.axis2.values()
     delta = float(deltas[np.argmin(np.abs(deltas - delta))])
     g = float(gs[np.argmin(np.abs(gs - g))])
     p = SystemParams(delta=delta, g=g, drive_strength=0.05)
-    assert 0 < _count_solver_calls(monkeypatch, p, (6, 3))["inverse"] <= 50
-    _assert_matches_oracle(p, (6, 3))
+    stats, _ = _assert_matches_oracle(p, (6, 3))
+    assert 0 < stats.solve.applications <= 50
 
 
 @pytest.mark.parametrize(
@@ -474,9 +433,9 @@ ROUNDOFF_STALL_POINTS = [
 @pytest.mark.parametrize(
     "params", ROUNDOFF_STALL_POINTS, ids=["F0.5", "F0.426", "F0.856", "g0.3-F1", "g0.867-F2"]
 )
-def test_jump_map_stops_at_roundoff_stall(params, monkeypatch):
-    assert _count_solver_calls(monkeypatch, params, (8, 4))["inverse"] <= 45
-    _assert_matches_oracle(params, (8, 4))
+def test_jump_map_stops_at_roundoff_stall(params):
+    stats, _ = _assert_matches_oracle(params, (8, 4))
+    assert stats.solve.applications <= 45
 
 
 @pytest.mark.parametrize(
@@ -488,9 +447,9 @@ def test_jump_map_stops_at_roundoff_stall(params, monkeypatch):
     ],
     ids=["exceptional-point", "g-star", "kappa2-0.1"],
 )
-def test_slow_points_switch_to_eigenbasis_and_match_oracle(params, monkeypatch):
-    assert _count_solver_calls(monkeypatch, params, (8, 4))["eig"] == 1
-    _assert_matches_oracle(params, (8, 4))
+def test_slow_points_switch_to_eigenbasis_and_match_oracle(params):
+    stats, _ = _assert_matches_oracle(params, (8, 4))
+    assert not stats.solve.retried  # factored once, from H' itself
 
 
 # The slowest contraction of the grid delta in [-6, 6] (13 points) x
@@ -499,10 +458,10 @@ def test_slow_points_switch_to_eigenbasis_and_match_oracle(params, monkeypatch):
 # once it is small and no longer shrinking certified n_a 1.6e-10 relative
 # off the long-double oracle.
 @pytest.mark.parametrize("delta", [-1.0, 1.0])
-def test_slow_contraction_points_match_oracle(delta, monkeypatch):
+def test_slow_contraction_points_match_oracle(delta):
     p = SystemParams(delta=delta, g=0.867, drive_strength=2.0)
-    assert _count_solver_calls(monkeypatch, p, (8, 4))["eig"] == 1
     stats, expected = _assert_matches_oracle(p, (8, 4))
+    assert not stats.solve.retried
     for name in ("g2_aa", "n_a"):
         assert getattr(stats, name) == pytest.approx(getattr(expected, name), rel=1e-13), name
 
@@ -510,11 +469,11 @@ def test_slow_contraction_points_match_oracle(delta, monkeypatch):
 # The iteration starts one renewal from the vacuum.  From a uniform
 # fundamental mixture the fig5 points took 10 to 13 iterations, the first
 # six of them draining the mixture down the ladder.
-def test_fig5_points_start_one_renewal_from_the_vacuum(monkeypatch):
+def test_fig5_points_start_one_renewal_from_the_vacuum():
     spec = figure_preset("fig5", count1=9)
     for g in spec.axis1.values():
         p = SystemParams(g=float(g), drive_strength=spec.fixed.drive_strength)
-        assert _count_solver_calls(monkeypatch, p, (6, 3))["inverse"] <= 9, g
+        assert run_point(p, (6, 3)).solve.applications <= 9, g
 
 
 # At F = 1e-10 the first two scaled steps are 1.4e23 and 3.0e4, a geometric
@@ -581,23 +540,12 @@ def test_flat_point_does_not_idle_until_it_is_certified():
 # 23 generator calls, stopping on roundoff, where its outputs settle by
 # about the 6th.
 @pytest.mark.parametrize("offset", [0.0, 0.0095, 0.018, 0.025])
-def test_weak_drive_pair_at_10_5_stops_on_its_tail(offset, monkeypatch):
-    calls = [0]
-    generator = dynamics_mod._generator
-
-    def counted(*args):
-        calls[0] += 1
-        return generator(*args)
-
+def test_weak_drive_pair_at_10_5_stops_on_its_tail(offset):
     shift = resonance_angular_condition(5.0)
     for delta_f in (shift, -shift):
         p = SystemParams(delta=-shift + offset, g=5.0, drive_strength=0.05, delta_f=delta_f)
-        calls[0] = 0
-        with monkeypatch.context() as patch:
-            patch.setattr(dynamics_mod, "_generator", counted)
-            run_point(p, (10, 5))
-        assert calls[0] <= 7, delta_f
         stats, expected = _assert_matches_oracle(p, (10, 5))
+        assert stats.solve.generator_calls <= 7, delta_f
         for name in ("g2_aa", "g2_bb", "n_a", "n_b"):
             assert getattr(stats, name) == pytest.approx(getattr(expected, name), rel=1e-12), name
 
@@ -704,10 +652,10 @@ def test_near_singular_eigenvectors_keep_schur_path(zero, monkeypatch):
     ],
     ids=["kappa2-0.1", "kappa2-0.5"],
 )
-def test_ill_conditioned_eigenbasis_falls_back_to_schur(params, cutoffs, monkeypatch):
-    assert _count_solver_calls(monkeypatch, params, cutoffs)["eig"] == 2
-    n_a = run_point(params, cutoffs).n_a
-    assert n_a == pytest.approx(4 * params.drive_strength**2, rel=1e-12, abs=0)
+def test_ill_conditioned_eigenbasis_falls_back_to_schur(params, cutoffs):
+    stats = run_point(params, cutoffs)
+    assert stats.solve.retried  # factored again, from the decay-scaled H'
+    assert stats.n_a == pytest.approx(4 * params.drive_strength**2, rel=1e-12, abs=0)
 
 
 def test_undriven_jump_map_returns_vacuum():
@@ -757,13 +705,11 @@ def test_non_finite_update_raises_at_its_iteration(bad, monkeypatch):
 
 def test_jump_map_budget_exhaustion_in_eigenbasis_raises(monkeypatch):
     monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", 20)
-    counts = {"eig": 0}
-    monkeypatch.setattr(np.linalg, "eig", _counted(np.linalg.eig, counts, "eig"))
     basis = build_basis(6, 3)
     h = build_h_eff(SystemParams(g=0.867, drive_strength=3.0), basis)
-    with pytest.raises(SteadyStateError, match=r"did not converge in 20 iterations.*residual"):
+    with pytest.raises(SteadyStateError, match=r"did not converge in 20 iterations.*residual") as info:
         _solve_alone_point(h, basis, 1.0, 1.0)
-    assert counts["eig"] == 1
+    assert not info.value.solve.retried  # factored once
 
 
 def test_residual_above_tolerance_raises_from_both_solvers(monkeypatch):
@@ -822,6 +768,13 @@ def _failed(states) -> list[bool]:
     return [isinstance(state, SteadyStateError) for state in states]
 
 
+def _assert_same_solves(states, wants) -> None:
+    """Each state has the bits and the record of the state it is paired with."""
+    for state, want in zip(states, wants, strict=True):
+        np.testing.assert_array_equal(state.matrix, want.matrix)
+        assert state.solve == want.solve
+
+
 def _retried_alone(monkeypatch, i: int, delta=0.0) -> DensityMatrix:
     """Chunk point i solved alone with its first eigenbasis declared unusable,
     so from the eigenbasis of its decay-scaled H'."""
@@ -833,8 +786,7 @@ def _retried_alone(monkeypatch, i: int, delta=0.0) -> DensityMatrix:
 
 
 def test_chunk_states_are_bitwise_the_single_point_states():
-    for chunked, alone in zip(_solve_chunk(), _solve_alone()):
-        np.testing.assert_array_equal(chunked.matrix, alone.matrix)
+    _assert_same_solves(_solve_chunk(), _solve_alone())
 
 
 # Loss rates (kappa1, kappa2) of the CHUNK_DRIVES points, one pair each; alone
@@ -843,7 +795,7 @@ def test_chunk_states_are_bitwise_the_single_point_states():
 CHUNK_RATES = ((1.0, 0.5), (0.7, 1.3), (1.5, 0.2), (0.4, 2.0), (1.2, 0.9))
 
 
-def test_chunk_with_distinct_loss_rates_is_bitwise_its_chunks_of_one(monkeypatch):
+def test_chunk_with_distinct_loss_rates_is_bitwise_its_chunks_of_one():
     # The jump weights carry each point's rates: as the points leave the stack,
     # in an order other than their own, each must keep its weights.
     basis = build_basis(4, 2)
@@ -851,27 +803,26 @@ def test_chunk_with_distinct_loss_rates_is_bitwise_its_chunks_of_one(monkeypatch
         (build_h_eff(SystemParams(g=0.867, kappa1=k1, kappa2=k2, drive_strength=f), basis), k1, k2)
         for f, (k1, k2) in zip(CHUNK_DRIVES, CHUNK_RATES)
     ]
-    iterations, alone = [], []
-    for h, kappa1, kappa2 in points:
-        calls = []
-        with monkeypatch.context() as patch:
-            _record_loop_inverses(patch, calls.append)
-            alone.append(_solve_alone_point(h, basis, kappa1, kappa2))
-        iterations.append(len(calls))
-    assert len(set(iterations)) == len(points)
+    alone = [_solve_alone_point(h, basis, kappa1, kappa2) for h, kappa1, kappa2 in points]
+    assert len({state.solve.krylov_from or state.solve.applications for state in alone}) == len(points)
     chunked = list(jump_map_steady_states(points, basis))
     assert not any(_failed(chunked))
-    for state, want in zip(chunked, alone, strict=True):
-        np.testing.assert_array_equal(state.matrix, want.matrix)
+    _assert_same_solves(chunked, alone)
 
 
 def test_converged_points_leave_the_active_set(monkeypatch):
-    sizes = []
-    entries = _record_loop_inverses(monkeypatch, lambda r: sizes.append(len(r)))
+    sizes, floor = [], dynamics_mod._population_floor
+
+    def recorded(populations, pairs):
+        if populations.ndim == 2:  # the loop's stack, once per S^-1; the Krylov phase floors one point
+            sizes.append(len(populations))
+        return floor(populations, pairs)
+
+    monkeypatch.setattr(dynamics_mod, "_population_floor", recorded)
     for delta in CHUNK_ITERATIONS:
         sizes.clear()
-        entries.clear()
-        assert not any(_failed(_solve_chunk(delta)))
+        states = _solve_chunk(delta)
+        assert not any(_failed(states))
         # The stack shrinks as points finish or enter the Krylov phase: each
         # point is iterated exactly as often as alone, and the last point alone
         # runs to its own count.
@@ -879,7 +830,7 @@ def test_converged_points_leave_the_active_set(monkeypatch):
         assert sizes[0] == len(CHUNK_DRIVES) and sizes[-1] == 1
         assert len(sizes) == max(CHUNK_ITERATIONS[delta])
         assert sum(sizes) == sum(CHUNK_ITERATIONS[delta])
-        assert sorted(entries) == sorted(CHUNK_ITERATIONS[delta][i] for i in KRYLOV_POINTS[delta])
+        assert _krylov_entries(states) == sorted(CHUNK_ITERATIONS[delta][i] for i in KRYLOV_POINTS[delta])
 
 
 def test_schur_fallback_point_in_a_chunk_matches_its_chunk_of_one(monkeypatch):
@@ -892,9 +843,7 @@ def test_schur_fallback_point_in_a_chunk_matches_its_chunk_of_one(monkeypatch):
         with monkeypatch.context() as patch:
             _nth_point_near_singular(patch, 3)
             chunked = _solve_chunk(delta)
-        for i, state in enumerate(chunked):
-            expected = retried if i == 2 else eigenbasis[i]
-            np.testing.assert_array_equal(state.matrix, expected.matrix)
+        _assert_same_solves(chunked, eigenbasis[:2] + [retried] + eigenbasis[3:])
 
 
 def test_exactly_singular_point_keeps_its_chunk_mates_in_the_eigenbasis(monkeypatch):
@@ -919,9 +868,7 @@ def test_exactly_singular_point_keeps_its_chunk_mates_in_the_eigenbasis(monkeypa
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "eig", zero_column)
             states = _solve_chunk(delta)
-        for i, state in enumerate(states):
-            expected = retried if i == 2 else eigenbasis[i]
-            np.testing.assert_array_equal(state.matrix, expected.matrix)
+        _assert_same_solves(states, eigenbasis[:2] + [retried] + eigenbasis[3:])
 
 
 def _raising_for(fn, *h_primes: np.ndarray):
@@ -956,12 +903,13 @@ def test_failed_eigendecomposition_fails_only_its_point(retry_fails, monkeypatch
             patch.setattr(np.linalg, "eig", _raising_for(np.linalg.eig, *failing))
             states = _solve_chunk(delta)
         assert _failed(states) == [False, False, retry_fails, False, False]
+        expected = eigenbasis[:2] + [retried] + eigenbasis[3:]
         if retry_fails:
-            assert str(states[2]).startswith("no usable eigenbasis of H', nor of H' with its loss rates")
-        else:
-            np.testing.assert_array_equal(states[2].matrix, retried.matrix)
-        for state, expected in zip(states[:2] + states[3:], eigenbasis[:2] + eigenbasis[3:]):
-            np.testing.assert_array_equal(state.matrix, expected.matrix)
+            del expected[2]
+            failed = states.pop(2)
+            assert str(failed).startswith("no usable eigenbasis of H', nor of H' with its loss rates")
+            assert failed.solve == dynamics_mod.SolveRecord(retried=True)
+        _assert_same_solves(states, expected)
 
 
 def test_chunk_partition_gives_each_point_its_chunk_of_one_state(monkeypatch):
@@ -976,18 +924,18 @@ def test_chunk_partition_gives_each_point_its_chunk_of_one_state(monkeypatch):
         ]
         undriven = build_h_eff(SystemParams(delta=delta, g=0.867), basis)
         h_effs = [driven[0], undriven, driven[1], undriven + 0.7 * np.eye(basis.dim), *driven[2:]]
-        expected = [_solve_alone_point(h, basis, 1.0, 1.0).matrix for h in h_effs]
+        expected = [_solve_alone_point(h, basis, 1.0, 1.0) for h in h_effs]
         with monkeypatch.context() as patch:
             _nth_point_near_singular(patch, 1)
-            expected[4] = _solve_alone_point(h_effs[4], basis, 1.0, 1.0).matrix
+            expected[4] = _solve_alone_point(h_effs[4], basis, 1.0, 1.0)
         with monkeypatch.context() as patch:
             calls = _nth_point_near_singular(patch, 3)
             states = list(jump_map_steady_states([(h, 1.0, 1.0) for h in h_effs], basis))
         assert len(calls) == len(driven) + 1  # the retried point reaches it twice
-        for state, want in zip(states, expected):
-            np.testing.assert_array_equal(state.matrix, want)
+        _assert_same_solves(states, expected)
         for i in (1, 3):
             np.testing.assert_array_equal(states[i].matrix, _vacuum(basis).matrix)
+            assert states[i].solve == dynamics_mod.SolveRecord()  # the vacuum's: all zeros
 
 
 def test_solver_streams_its_input_one_chunk_at_a_time(monkeypatch):
@@ -1008,9 +956,7 @@ def test_solver_streams_its_input_one_chunk_at_a_time(monkeypatch):
     assert len(pulled) <= 3
     states = [first, *states]
     assert len(pulled) == 7
-    alone = [_solve_alone_point(h, basis, 1.0, 1.0) for h in h_effs]
-    for state, want in zip(states, alone, strict=True):
-        np.testing.assert_array_equal(state.matrix, want.matrix)
+    _assert_same_solves(states, [_solve_alone_point(h, basis, 1.0, 1.0) for h in h_effs])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -1019,8 +965,7 @@ def test_non_finite_update_fails_only_its_point(monkeypatch):
     states = _solve_chunk()
     assert _failed(states) == [False, True, False, False, False]
     assert str(states[1]) == "jump-map iteration produced non-finite entries at iteration 3"
-    for state, alone in zip(states[::2], _solve_alone()[::2]):
-        np.testing.assert_array_equal(state.matrix, alone.matrix)
+    _assert_same_solves(states[::2], _solve_alone()[::2])
 
 
 def test_budget_exhaustion_fails_only_its_point(monkeypatch):
@@ -1155,11 +1100,9 @@ def test_line_point_bits_do_not_depend_on_its_chunk():
     alone = _solve_alone(0.0)
     all_line = list(jump_map_steady_states(line, basis))
     mixed = list(jump_map_steady_states([p for pair in zip(off_line, line) for p in pair], basis))
-    for want, state, mixed_state in zip(alone, all_line, mixed[1::2], strict=True):
-        np.testing.assert_array_equal(state.matrix, want.matrix)
-        np.testing.assert_array_equal(mixed_state.matrix, want.matrix)
-    for state, want in zip(mixed[::2], _solve_alone(OFF_LINE_DELTA), strict=True):
-        np.testing.assert_array_equal(state.matrix, want.matrix)
+    _assert_same_solves(all_line, alone)
+    _assert_same_solves(mixed[1::2], alone)
+    _assert_same_solves(mixed[::2], _solve_alone(OFF_LINE_DELTA))
 
 
 def test_line_states_are_exactly_hermitian():
@@ -1229,30 +1172,23 @@ FLAT_CHUNK_DRIVES = (0.5, 1.0, 2.0)
 FLAT_CHUNK_ENTRIES = [8, 18, 20]
 
 
-def test_krylov_point_has_its_bits_alone_and_in_a_chunk(monkeypatch):
-    entries = _record_loop_inverses(monkeypatch, lambda r: None)
+def test_krylov_point_has_its_bits_alone_and_in_a_chunk():
     for delta, krylov_points in KRYLOV_POINTS.items():
-        entries.clear()
         alone = _solve_alone(delta)
-        assert sorted(entries) == sorted(CHUNK_ITERATIONS[delta][i] for i in krylov_points)
-        entries.clear()
+        assert _krylov_entries(alone) == sorted(CHUNK_ITERATIONS[delta][i] for i in krylov_points)
         chunked = _solve_chunk(delta)
-        assert len(entries) == len(krylov_points)
-        for state, want in zip(chunked, alone, strict=True):
-            np.testing.assert_array_equal(state.matrix, want.matrix)
+        assert len(_krylov_entries(chunked)) == len(krylov_points)
+        _assert_same_solves(chunked, alone)
     basis = build_basis(8, 4)
     points = [
         (build_h_eff(SystemParams(delta=-5.0, g=0.3, drive_strength=f), basis), 1.0, 1.0)
         for f in FLAT_CHUNK_DRIVES
     ]
-    entries.clear()
     alone = [_solve_alone_point(h, basis, kappa1, kappa2) for h, kappa1, kappa2 in points]
-    assert sorted(entries) == FLAT_CHUNK_ENTRIES
-    entries.clear()
+    assert _krylov_entries(alone) == FLAT_CHUNK_ENTRIES
     chunked = list(jump_map_steady_states(points, basis))
-    assert sorted(entries) == FLAT_CHUNK_ENTRIES
-    for state, want in zip(chunked, alone, strict=True):
-        np.testing.assert_array_equal(state.matrix, want.matrix)
+    assert _krylov_entries(chunked) == FLAT_CHUNK_ENTRIES
+    _assert_same_solves(chunked, alone)
 
 
 @pytest.mark.parametrize(
@@ -1290,24 +1226,22 @@ def test_budget_exhaustion_in_the_krylov_phase_raises(monkeypatch):
     # The third chunk point enters the phase at iteration 15 and needs 31
     # applications of S^-1 in all.
     monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", 25)
-    entries = _record_loop_inverses(monkeypatch, lambda r: None)
     points, basis = _chunk_inputs()
     h, kappa1, kappa2 = points[2]
-    with pytest.raises(SteadyStateError, match=r"did not converge in 25 iterations.*residual"):
+    with pytest.raises(SteadyStateError, match=r"did not converge in 25 iterations.*residual") as info:
         _solve_alone_point(h, basis, kappa1, kappa2)
-    assert entries == [15]
+    assert info.value.solve.krylov_from == 15
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_update_in_the_krylov_phase_raises(monkeypatch):
     # The 20th S^-1 is the phase's fifth: the point enters it at iteration 15.
-    entries = _record_loop_inverses(monkeypatch, lambda r: None)
     _wrap_eigenbasis_inverse(monkeypatch, lambda inverse: _poisoned_at_call(inverse, np.nan, call=20))
     points, basis = _chunk_inputs()
     h, kappa1, kappa2 = points[2]
-    with pytest.raises(SteadyStateError, match=r"non-finite entries at iteration \d+$"):
+    with pytest.raises(SteadyStateError, match=r"non-finite entries at iteration \d+$") as info:
         _solve_alone_point(h, basis, kappa1, kappa2)
-    assert entries == [15]
+    assert info.value.solve.krylov_from == 15
 
 
 # ---------------------------------------------------------------- evolution
@@ -1426,6 +1360,14 @@ def test_positivity_tolerance_decides_on_both_sides():
     DensityMatrix(np.outer(psi, psi.conj()), basis).validate()  # rank one
 
 
+def test_the_record_stays_out_of_equality_and_repr():
+    vacuum = _vacuum(build_basis(2, 1))
+    state = DensityMatrix(vacuum.matrix, vacuum.basis, dynamics_mod.SolveRecord(7, 8, 0, False))
+    assert state == vacuum and "solve" not in repr(state)
+    stats = run_point(SystemParams(g=0.867, drive_strength=0.05), (4, 2))
+    assert stats.solve.applications > 0 and stats == type(stats)(stats.g2_aa, stats.g2_bb, stats.n_a, stats.n_b)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_state_fails_its_certificate(bad):
     basis = build_basis(2, 1)
@@ -1434,10 +1376,10 @@ def test_non_finite_state_fails_its_certificate(bad):
     with pytest.raises(ValueError, match="^state has non-finite entries$"):
         DensityMatrix(rho, basis).validate()
     with pytest.raises(SteadyStateError, match="non-finite entries"):
-        dynamics_mod._certified(rho, basis, 0.0)
+        dynamics_mod._certified(DensityMatrix(rho, basis), 0.0)
 
 
 def test_nan_residual_fails_the_certificate():
     basis = build_basis(2, 1)
     with pytest.raises(SteadyStateError, match=r"residual nan exceeds"):
-        dynamics_mod._certified(_vacuum(basis).matrix, basis, math.nan)
+        dynamics_mod._certified(_vacuum(basis), math.nan)

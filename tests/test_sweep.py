@@ -228,6 +228,7 @@ def test_vacuum_rows_flagged():
     assert result.rows[0].status == STATUS_VACUUM
     assert result.rows[0].outputs["g2_bb"] is None
     assert result.rows[1].status == STATUS_OK
+    assert result.rows[0].solve == dynamics_mod.SolveRecord()  # the undriven vacuum's: all zeros
 
 
 def test_solver_failure_rows_kept(monkeypatch):
@@ -259,6 +260,8 @@ def test_certificate_failure_rows_kept(monkeypatch):
     result = run_sweep(spec)
     assert [row.status for row in result.rows] == [STATUS_OK, STATUS_FAILURE, STATUS_FAILURE]
     assert [row.outputs["n_a"] is None for row in result.rows] == [False, True, True]
+    # Every row carries its point's record, a failed one through its relabelled error.
+    assert all(row.solve.applications > 0 for row in result.rows)
 
 
 def test_swept_delta_f_reinfers_direction():
@@ -380,7 +383,7 @@ def test_unknown_preset_rejected():
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_presets_solve_every_point_on_a_coarse_grid(name):
-    spec = figure_preset(name, count1=11, count2=11)
+    spec = figure_preset(name, count1=11, count2=None if name == "fig5" else 11)  # fig5 has one axis
     statuses = {row.status for row in run_sweep(spec).rows}
     assert STATUS_FAILURE not in statuses
 
