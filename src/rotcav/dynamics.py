@@ -317,29 +317,30 @@ def decay_hamiltonian(
 
 
 # jump_map_steady_states applies this budget of stacked D x D entries: it
-# solves CHUNK_ENTRIES // D**2 points (at least one) at a time.  The chunk
-# solver holds at most 184 D**2 bytes per point, 1.15 MB at this budget:
-# nine complex D x D arrays (-i H', the five factors of S^-1 (V, V^-1, their
-# conjugates and 1 / the denominator of S), the state, L(rho) and a scratch
-# array), the real scaled update, and the two real weight stacks of the jump
-# terms, each just under 2 D**2 floats.  The stacked eigendecomposition
-# holds less before the iteration allocates its own: H', the five factors,
-# and V and V^-1 before they are stored; a point whose V is unusable is
-# factored once more alone, into its own slices.  A mirror-line point holds
-# 128 D**2 bytes: its complex H', the real B, six real factors (P, P^-1 and
-# the four coefficient stacks of T^-1, 48 D**2 bytes against 80), the real
-# state, L(rho) and scratch, the scaled update, the two weight stacks of
-# just under D**2 floats each, and the mix step's temporary.  The two groups
-# of a chunk are solved one after the other.  A point in the Krylov phase,
-# one at a time, adds its GMRES basis of JUMP_MAP_KRYLOV_RESTART + 1 packed
-# vectors, Y's upper triangle in the state's dtype: D (D + 1) / 2 floats
-# each on the mirror line (0.34 MB at D = 45) and D (D + 1) off it (2.75 MB
-# at D = 91), its own state, L(rho), scratch and weights, and its index
-# arrays.  Memory bounds the chunk,
-# not speed: at D = 28 (cutoffs (6,3)) chunks of 8 solved the fig5 sweep 1.5x faster than chunks
-# of one, and chunks of 16 only 2% faster than 8 at 1.1 MB more peak memory;
-# at D = 45 chunks of 3 ran 7% faster than chunks of one and chunks of 8 3%
-# faster than 3 at 1.8 MB more.  D = 66 and up solves one point at a time.
+# solves CHUNK_ENTRIES // D**2 points (at least one) at a time.  Per point
+# the chunk solver stores 152 D**2 bytes off the mirror line: seven complex
+# D x D arrays (-i H', V, V^-1 and 1 / the denominator of S, the state,
+# L(rho) and a scratch array), the real scaled update, and the two real
+# weight stacks of the jump terms, each just under 2 D**2 floats; it peaks
+# at 168 D**2 bytes (1.05 MB at this budget) in a product with the conjugate
+# of V or V^-1.  On the line it holds 112 D**2 bytes, all real: B, the six
+# factors (P, P^-1 and the four coefficient stacks of T^-1), the state,
+# L(rho), scratch, the scaled update, weights of just under D**2 floats each
+# and the mix step's temporary.  The stacked eig holds less: the matrices,
+# the factors, and V and V^-1 before they are stored.  A point whose V is
+# unusable is factored once more alone, into its own slices.  A chunk's
+# mirror-line points are solved first, while the others' H' waits.
+# Certifying a point adds its state's copy and validate's temporaries.  A
+# point in the Krylov phase, one at a time, adds its GMRES basis of
+# JUMP_MAP_KRYLOV_RESTART + 1 packed vectors, Y's upper triangle in the
+# state's dtype: D (D + 1) / 2 floats each on the mirror line (0.34 MB at
+# D = 45) and D (D + 1) off it (2.75 MB at D = 91), its own state, L(rho),
+# scratch and weights, and its index arrays.  Memory bounds the chunk, not
+# speed: at D = 28 (cutoffs (6,3)) chunks of 8 solved the fig5 sweep 1.5x
+# faster than chunks of one, and chunks of 16 only 2% faster than 8 at
+# 1.1 MB more peak memory; at D = 45 chunks of 3 ran 7% faster than chunks
+# of one and chunks of 8 3% faster than 3 at 1.8 MB more.  D = 66 and up
+# solves one point at a time.
 CHUNK_ENTRIES = 8 * 28**2
 
 
@@ -401,11 +402,12 @@ def _solve_chunk(
         vacuum = np.zeros((d, d), dtype=complex)
         vacuum[0, 0] = 1.0
         results[i] = _outcome(DensityMatrix(vacuum, basis, SolveRecord()), 0.0)
-    (h_prime, rates, points), _ = _keep(driven, h_prime, rates, np.arange(k))
-    phases = _mirror_phases(basis)
-    on_line, off_line = _keep(~(phases * h_prime).imag.any(axis=(1, 2)), h_prime, rates, points)
-    _solve_points(*on_line, chunk, basis, results, phases)
-    _solve_points(*off_line, chunk, basis, results)
+    b = _mirror_phases(basis) * h_prime
+    line = driven & ~b.imag.any(axis=(1, 2))
+    off_line = driven & ~line
+    b, h_prime = b.real[line], h_prime[off_line]  # and the complex stacks are freed
+    _solve_points(b, rates[line], np.flatnonzero(line), chunk, basis, results)
+    _solve_points(h_prime, rates[off_line], np.flatnonzero(off_line), chunk, basis, results)
     return results
 
 
@@ -419,19 +421,18 @@ def _mirror_phases(basis: FockBasis) -> np.ndarray:
 
 
 def _solve_points(
-    h_prime: np.ndarray,
+    matrices: np.ndarray,
     rates: np.ndarray,
     points: np.ndarray,
     chunk: Sequence[tuple[np.ndarray, float, float]],
     basis: FockBasis,
     results: list,
-    phases: np.ndarray | None = None,
 ) -> None:
     """Write the results of the driven points of a chunk, at positions points
-    in it, into results, given the stacks of their H' and rates.  With the
-    phases of :func:`_mirror_phases`, the points are on the mirror line: they
-    are solved from their real B = phases * H' and certified in the rotated
-    frame, and their states are rotated back.
+    in it, into results, given the stacks of their matrices and rates: complex
+    H', or real B = phases * H' (:func:`_mirror_phases`) for points on the
+    mirror line, which are certified in the rotated frame and whose states
+    are rotated back.
 
     This function owns the stacks of the matrices, the rates and the factors
     of S^-1 (:func:`_eigenbasis_factors`), one slice per point; :func:`_keep`
@@ -440,9 +441,9 @@ def _solve_points(
     """
     if not len(points):
         return
-    rotated = phases is not None
-    matrices = (phases * h_prime).real.copy() if rotated else h_prime
-    factors = np.empty((6 if rotated else 5, *matrices.shape), dtype=matrices.dtype)
+    rotated = matrices.dtype != complex
+    phases = _mirror_phases(basis)
+    factors = np.empty((6 if rotated else 3, *matrices.shape), dtype=matrices.dtype)
     usable = _eigenbasis_factors(matrices, factors)
     retried = ~usable
     for j in np.flatnonzero(retried):  # factored alone, so its bits are its chunk of one's
@@ -457,7 +458,7 @@ def _solve_points(
                 "no usable eigenbasis of H', nor of H' with its loss rates scaled by 1 + sqrt(eps)",
                 SolveRecord(retried=True),
             )
-    (matrices, rates, points, *factors), _ = _keep(usable, matrices, rates, points, *factors)
+    matrices, rates, points, *factors = _keep(usable, matrices, rates, points, *factors)
     if not len(points):
         return
     if not rotated:
@@ -512,6 +513,8 @@ def _iterate(
         return SolveRecord(applications, iteration, 0, bool(retried[track.index]))
 
     for iteration in itertools.count(1):
+        if len(left) == len(tracks):  # nothing to certify or iterate
+            return results
         _generator(minus_i_h, rho, r, x, jumps)
         for j in finished:
             residual, solve = float(np.max(np.abs(r[j]))), record(tracks[j], iteration - 1)
@@ -528,7 +531,7 @@ def _iterate(
             if not keep.any():
                 return results
             tracks = [track for track, kept in zip(tracks, keep) if kept]
-            (minus_i_h, rho, r, *stacks), _ = _keep(keep, minus_i_h, rho, r, *weights, *factors)
+            minus_i_h, rho, r, *stacks = _keep(keep, minus_i_h, rho, r, *weights, *factors)
             weights, factors = stacks[: len(weights)], stacks[len(weights) :]
             x, scaled = x[: len(tracks)], scaled[: len(tracks)]
         update = _eigenbasis_inverse(factors, r, x)
@@ -573,10 +576,10 @@ class _Track:
     flat: bool = False  # no new minimum for JUMP_MAP_PLATEAU_ITERATIONS iterations
 
     def enters(self, iteration: int) -> bool:
-        """Whether a point that does not stop enters the Krylov phase: a flat
-        one, or one still above JUMP_MAP_SLOW_STEP that contracts slowly."""
+        """Whether a point that does not stop enters the Krylov phase with budget
+        left for a restart: flat, or above JUMP_MAP_SLOW_STEP and contracting slowly."""
         slow = self.step > JUMP_MAP_SLOW_STEP and self.slow >= 3
-        return iteration >= JUMP_MAP_KRYLOV_ITERATIONS and (self.flat or slow)
+        return JUMP_MAP_KRYLOV_ITERATIONS <= iteration < JUMP_MAP_MAX_ITERATIONS and (self.flat or slow)
 
     def stops(self, step: float, iteration: int) -> bool:
         """Record this iteration's scaled update; whether the iteration stops."""
@@ -672,11 +675,11 @@ def _krylov(
             return _unfinished(step, solve)
         if step <= JUMP_MAP_KRYLOV_TOL or (solved and step > 0.5 * best):
             return _outcome(DensityMatrix(state, basis, solve), residual)
-        if calls >= JUMP_MAP_MAX_ITERATIONS:
+        if calls >= JUMP_MAP_MAX_ITERATIONS - 1:  # the next restart applies S^-1 too
             return _unfinished(step, solve, residual)
         best = min(best, step)
         vectors[0] *= -1.0 / step  # the update is subtracted
-        y, solved = _gmres_cycle(apply, vectors, step, t, JUMP_MAP_MAX_ITERATIONS - calls)
+        y, solved = _gmres_cycle(apply, vectors, step, t, JUMP_MAP_MAX_ITERATIONS - 1 - calls)
         unpack(np.matmul(y, vectors[: len(y)], out=t))
         state += rho[0]
         state *= 1.0 / state.trace().real
@@ -770,14 +773,14 @@ def _gmres_cycle(
     return np.linalg.solve(triangle, g[: len(columns)]), abs(g[-1]) <= JUMP_MAP_KRYLOV_TOL
 
 
-def _keep(keep: np.ndarray, *stacks: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _keep(keep: np.ndarray, *stacks: np.ndarray) -> list[np.ndarray]:
     """Move the kept points of each stack to its front and the others behind
-    them, in place and each in their order; views of the two parts."""
+    them, in place and each in their order; views of the kept points."""
     m = int(np.count_nonzero(keep))
     order = np.argsort(~keep, kind="stable")
     for stack in stacks:
         stack[...] = stack[order]
-    return [stack[:m] for stack in stacks], [stack[m:] for stack in stacks]
+    return [stack[:m] for stack in stacks]
 
 
 def _jump_views(
@@ -841,11 +844,11 @@ def _eigenbasis_factors(matrices: np.ndarray, out: np.ndarray) -> np.ndarray:
     unusable, where the eigenvectors are near-singular or their eig or inversion
     raised.
 
-    For H' = V diag(lam) V^-1, out[0] to out[4] are V, V^-1, their conjugates and
-    1 / the denominator of S: with rho = V X V^dag,
-    S(rho) = V [-i (lam_i - conj(lam_j)) X_ij] V^dag.  For B, out[0] to out[5]
-    are P and P^-1 of its real block form B = P M P^-1 and the four
-    coefficient stacks of T^-1 (:func:`_block_form`).  Each stacked call acts
+    Both layouts hold V, V^-1 and then the middle step of S^-1, and no
+    conjugate.  For H' = V diag(lam) V^-1, out[2] is 1 / the denominator of S:
+    with rho = V X V^dag, S(rho) = V [-i (lam_i - conj(lam_j)) X_ij] V^dag.
+    For B, out[0] to out[5] are P and P^-1 of its real block form B = P M P^-1
+    and the four coefficient stacks of T^-1 (:func:`_block_form`).  Each stacked call acts
     on each point by the same LAPACK or BLAS call as on a point alone, and a
     stack whose eig or inversion raises is factored point by point, so no
     point's factors depend on its chunk-mates.
@@ -864,20 +867,16 @@ def _eigenbasis_factors(matrices: np.ndarray, out: np.ndarray) -> np.ndarray:
             return np.zeros(1, dtype=bool)
         points = range(len(matrices))
         return np.concatenate([_eigenbasis_factors(matrices[j : j + 1], out[:, j : j + 1]) for j in points])
-    v_inv = out[1]
     # The 1-norm condition number needs no SVD, whose LAPACK code would
     # add ~1 MB to the peak resident memory.
-    condition = np.linalg.norm(v, 1, axis=(1, 2)) * np.linalg.norm(v_inv, 1, axis=(1, 2))
-    usable = condition <= JUMP_MAP_MAX_EIGENBASIS_CONDITION
+    condition = np.linalg.norm(v, 1, axis=(1, 2)) * np.linalg.norm(out[1], 1, axis=(1, 2))
     if real:
         _mix_coefficients(lam, out[2:])
-        return usable
-    np.conjugate(v, out=out[2])
-    np.conjugate(v_inv, out=out[3])
-    np.subtract(lam[:, :, None], lam.conj()[:, None, :], out=out[4])
-    out[4] *= -1j
-    np.divide(1.0, out[4], out=out[4])
-    return usable
+    else:
+        np.subtract(lam[:, :, None], lam.conj()[:, None, :], out=out[2])
+        out[2] *= -1j
+        np.divide(1.0, out[2], out=out[2])
+    return condition <= JUMP_MAP_MAX_EIGENBASIS_CONDITION
 
 
 def _block_form(lam: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -943,19 +942,16 @@ def _mix_coefficients(lam: np.ndarray, out: np.ndarray) -> None:
 
 def _eigenbasis_inverse(factors: list[np.ndarray], r: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S^-1(r) into r for a stack of points in their eigenbases, with the stacked
-    factors of _eigenbasis_factors: four D x D products per point, and between
-    the middle two the product with 1 / the denominator, or on the mirror line
-    the four-term mix T^-1, in which P stands in for its own conjugate."""
-    if r.dtype == complex:
-        v, v_inv, v_conj, v_inv_conj, inv_denominator = factors
-    else:
-        v, v_inv, c0, c1, c2, c3 = factors
-        v_conj, v_inv_conj = v, v_inv
+    factors of _eigenbasis_factors: V^-1 r V^-dag, the product with 1 / the
+    denominator or, on the mirror line, the four-term mix T^-1, then V X V^dag;
+    each conjugate is formed for its product (conj() of a real factor is itself)."""
+    v, v_inv, *middle = factors
     np.matmul(v_inv, r, out=x)
-    np.matmul(x, v_inv_conj.transpose(0, 2, 1), out=r)
+    np.matmul(x, v_inv.conj().transpose(0, 2, 1), out=r)
     if r.dtype == complex:
-        r *= inv_denominator
+        r *= middle[0]
     else:  # the partner of row or column i is D - 1 - i
+        c0, c1, c2, c3 = middle
         np.multiply(c1, r[:, ::-1], out=x)
         term = c2 * r[:, :, ::-1]
         x += term
@@ -963,7 +959,7 @@ def _eigenbasis_inverse(factors: list[np.ndarray], r: np.ndarray, x: np.ndarray)
         r *= c0
         r += x
     np.matmul(v, r, out=x)
-    return np.matmul(x, v_conj.transpose(0, 2, 1), out=r)
+    return np.matmul(x, v.conj().transpose(0, 2, 1), out=r)
 
 
 def _outcome(state: DensityMatrix, residual: float) -> DensityMatrix | SteadyStateError:

@@ -55,7 +55,8 @@ class SystemParams:
     signed Fizeau shift of the fundamental mode.  The sign of delta_f is
     the drive port: delta_f >= 0 drives from the left (the pump runs
     against the rotation), delta_f < 0 from the right.  At delta_f = 0
-    the two ports are the same physics.
+    the two ports are the same physics.  Each field is stored as a Python
+    float; a bool or a non-number is rejected.
     """
 
     delta: float = 0.0
@@ -66,7 +67,11 @@ class SystemParams:
     delta_f: float = 0.0
 
     def __post_init__(self):
-        _require_finite({f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
+        for name, value in list(vars(self).items()):
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            _require_finite({name: value})
+            object.__setattr__(self, name, float(value))
         if self.kappa1 <= 0 or self.kappa2 <= 0:
             raise ValueError("loss rates kappa1, kappa2 must be positive")
         if self.drive_strength < 0:

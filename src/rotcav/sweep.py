@@ -135,6 +135,7 @@ class SweepSpec:
     include_optimal_g: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "outputs", tuple(self.outputs))
         if not self.outputs:
             raise ValueError("at least one output must be requested")
         for name in self.outputs:
@@ -148,6 +149,10 @@ class SweepSpec:
             raise ValueError(f"malformed sweep config: cutoffs {self.cutoffs!r} are not a pair")
         basis = FockBasis(*self.cutoffs)  # its checks: integers, each >= 1
         object.__setattr__(self, "cutoffs", (int(basis.na_cut), int(basis.nb_cut)))
+        for key in ("convergence_check", "include_optimal_g"):
+            if not isinstance(getattr(self, key), (bool, np.bool_)):
+                raise ValueError(f"{key} must be a bool, got {getattr(self, key)!r}")
+            object.__setattr__(self, key, bool(getattr(self, key)))
 
     @property
     def axis_names(self) -> tuple[str, ...]:
@@ -426,14 +431,7 @@ def render_json(result: SweepResult) -> str:
         }
         metadata["convergence_failures"] = result.convergence_failures
     rows = [dict(zip(result.spec.column_names, _row_values(result.spec, row, _round12))) for row in result.rows]
-    return json.dumps({"metadata": metadata, "rows": rows}, indent=2, default=_python_scalar) + "\n"
-
-
-def _python_scalar(value):
-    """json's fallback for a numpy scalar in a spec: its Python value."""
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return json.dumps({"metadata": metadata, "rows": rows}, indent=2) + "\n"
 
 
 def render(result: SweepResult, format: str) -> str:

@@ -669,8 +669,9 @@ def test_jump_map_budget_exhaustion_raises(monkeypatch):
     monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", 3)
     basis = build_basis(6, 3)
     h = build_h_eff(SystemParams(g=0.867, drive_strength=3.0), basis)
-    with pytest.raises(SteadyStateError, match=r"did not converge in 3 iterations.*residual"):
+    with pytest.raises(SteadyStateError, match=r"did not converge in 3 iterations.*residual") as info:
         _solve_alone_point(h, basis, 1.0, 1.0)
+    assert info.value.solve.applications <= dynamics_mod.JUMP_MAP_MAX_ITERATIONS
 
 
 def _poisoned_at_call(fn, bad, call: int = 3, point: int | None = None):
@@ -710,6 +711,7 @@ def test_jump_map_budget_exhaustion_in_eigenbasis_raises(monkeypatch):
     with pytest.raises(SteadyStateError, match=r"did not converge in 20 iterations.*residual") as info:
         _solve_alone_point(h, basis, 1.0, 1.0)
     assert not info.value.solve.retried  # factored once
+    assert info.value.solve.applications <= dynamics_mod.JUMP_MAP_MAX_ITERATIONS
 
 
 def test_residual_above_tolerance_raises_from_both_solvers(monkeypatch):
@@ -975,6 +977,7 @@ def test_budget_exhaustion_fails_only_its_point(monkeypatch):
     states = _solve_chunk()
     assert _failed(states) == [False, False, False, True, False]
     assert str(states[3]).startswith("jump-map iteration did not converge in 60 iterations")
+    assert states[3].solve.applications <= dynamics_mod.JUMP_MAP_MAX_ITERATIONS
 
 
 def test_certificate_failure_fails_only_its_point(monkeypatch):
@@ -1026,19 +1029,36 @@ def test_mirror_line_b_is_exactly_real_on_the_line_only():
         np.testing.assert_array_equal(-1j * (u @ h_prime @ u.conj().T), _mirror_b(p, basis))
 
 
-@pytest.mark.parametrize("drive", [0.05, 3.0])
-def test_block_form_inverse_undoes_s(drive):
-    # S(X) = B X + X B^T on a real symmetric X, then S^-1 from the block form
-    # B = P M P^-1 and the four-term mix; at F = 0.05 B has real eigenvalues
-    # next to its complex pairs, at F = 3 none.  The slowest decay rate,
-    # alpha = -0.005 at F = 0.05, scales the roundoff by up to 1 / (2 alpha).
+@pytest.mark.parametrize(
+    "p",
+    [
+        SystemParams(g=0.867, drive_strength=0.05),
+        SystemParams(g=0.867, drive_strength=3.0),
+        SystemParams(delta=1.0, g=0.867, drive_strength=0.05),
+    ],
+    ids=["0.05", "3.0", "off-line"],
+)
+def test_block_form_inverse_undoes_s(p):
+    # On the mirror line S(X) = B X + X B^T on a real symmetric X, then S^-1
+    # from the block form B = P M P^-1 and the four-term mix; at F = 0.05 B
+    # has real eigenvalues next to its complex pairs, at F = 3 none.  The
+    # slowest decay rate, alpha = -0.005 at F = 0.05, scales the roundoff by
+    # up to 1 / (2 alpha).  Off it S(X) = -i (H' X - X H'^dag) on a complex
+    # Hermitian X, with S^-1 from V, V^-1 and 1 / the denominator alone: the
+    # error is 2.3e-12 there.
     basis = build_basis(6, 3)
-    b = _mirror_b(SystemParams(g=0.867, drive_strength=drive), basis).real[None]
-    factors = np.empty((6, *b.shape))
-    assert dynamics_mod._eigenbasis_factors(b, factors).all()
-    x = np.random.default_rng(7).normal(size=b.shape)
-    x += x.transpose(0, 2, 1)
-    r = b @ x + x @ b.transpose(0, 2, 1)
+    rng = np.random.default_rng(7)
+    if p.delta + p.delta_f == 0.0:
+        matrices = _mirror_b(p, basis).real[None]
+        m, x = matrices, rng.normal(size=matrices.shape)
+    else:
+        matrices = decay_hamiltonian(build_h_eff(p, basis), basis, p.kappa1, p.kappa2)[None]
+        m = -1j * matrices
+        x = rng.normal(size=m.shape) + 1j * rng.normal(size=m.shape)
+    x += x.conj().transpose(0, 2, 1)
+    factors = np.empty((6 if m.dtype == float else 3, *m.shape), dtype=m.dtype)
+    assert dynamics_mod._eigenbasis_factors(matrices, factors).all()
+    r = m @ x + x @ m.conj().transpose(0, 2, 1)  # S(X) = M X + X M^dag, M = B or -i H'
     got = dynamics_mod._eigenbasis_inverse(list(factors), r, np.empty_like(r))
     assert np.max(np.abs(got - x)) <= 1e-10 * np.max(np.abs(x))
 
@@ -1222,6 +1242,34 @@ def test_converged_krylov_phase_stops_without_idle_calls(params, cutoffs, monkey
     assert after_cycles and calls[0] - after_cycles[-1] <= 3
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_every_generator_call_is_in_the_record(monkeypatch):
+    # No L(rho) is formed after a chunk's last point has left the loop: at
+    # g = 2, delta = -4, F = 2, cutoffs (10, 5) for the Krylov phase (8 loop
+    # iterations and 3 restarts), and at weak drive by a non-finite update
+    # at iteration 3.
+    calls = [0]
+    generator = dynamics_mod._generator
+
+    def counted(*args):
+        calls[0] += 1
+        return generator(*args)
+
+    monkeypatch.setattr(dynamics_mod, "_generator", counted)
+    p = SystemParams(delta=-4.0, g=2.0, drive_strength=2.0)
+    basis = build_basis(10, 5)
+    state = _solve_alone_point(build_h_eff(p, basis), basis, p.kappa1, p.kappa2)
+    assert state.solve.krylov_from == 8
+    assert calls[0] == state.solve.generator_calls == 11
+    calls[0] = 0
+    _wrap_eigenbasis_inverse(monkeypatch, lambda inverse: _poisoned_at_call(inverse, np.nan))
+    basis = build_basis(6, 3)
+    h = build_h_eff(SystemParams(g=0.867, drive_strength=0.05), basis)
+    (failed,) = jump_map_steady_states([(h, 1.0, 1.0)], basis)
+    assert isinstance(failed, SteadyStateError)
+    assert calls[0] == failed.solve.generator_calls == 3
+
+
 def test_budget_exhaustion_in_the_krylov_phase_raises(monkeypatch):
     # The third chunk point enters the phase at iteration 15 and needs 31
     # applications of S^-1 in all.
@@ -1231,6 +1279,21 @@ def test_budget_exhaustion_in_the_krylov_phase_raises(monkeypatch):
     with pytest.raises(SteadyStateError, match=r"did not converge in 25 iterations.*residual") as info:
         _solve_alone_point(h, basis, kappa1, kappa2)
     assert info.value.solve.krylov_from == 15
+    assert info.value.solve.applications <= dynamics_mod.JUMP_MAP_MAX_ITERATIONS
+
+
+@pytest.mark.parametrize("budget", [15, 16])
+def test_krylov_phase_spends_no_application_past_the_budget(budget, monkeypatch):
+    # The point would enter the phase at iteration 15.  With a budget of 15
+    # no restart fits, so it stays in the loop; with 16 its first restart
+    # takes the last application and no cycle runs.
+    monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", budget)
+    points, basis = _chunk_inputs()
+    h, kappa1, kappa2 = points[2]
+    with pytest.raises(SteadyStateError, match=rf"did not converge in {budget} iterations") as info:
+        _solve_alone_point(h, basis, kappa1, kappa2)
+    assert info.value.solve.applications == budget
+    assert info.value.solve.krylov_from == (0 if budget == 15 else 15)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -327,6 +328,20 @@ def test_system_params_validation():
 def test_system_params_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         SystemParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "1", None, 1j])
+def test_system_params_reject_non_numbers_by_name(value):
+    with pytest.raises(ValueError, match=f"g must be a number, got {value!r}"):
+        SystemParams(g=value)
+
+
+def test_system_params_store_python_floats():
+    # float32 fields summed as float32 give 0.4 here, not the float64 sum.
+    p = SystemParams(delta=np.float32(0.3), g=np.int64(2), drive_strength=1, delta_f=np.float32(0.1))
+    assert all(type(value) is float for value in dataclasses.astuple(p))
+    assert p.g == 2.0 and p.drive_strength == 1.0
+    assert p.delta + p.delta_f == 0.30000001192092896 + 0.10000000149011612
 
 
 @pytest.mark.parametrize(

@@ -542,6 +542,24 @@ def test_json_writes_numpy_scalars_of_a_spec(changes):
     assert written == spec_to_dict(spec)
 
 
+def test_spec_stores_outputs_as_a_tuple():
+    spec = _small_spec(outputs=["g2_bb"])
+    assert spec.outputs == ("g2_bb",) and hash(spec) == hash(_small_spec(outputs=("g2_bb",)))
+    result = SweepResult(spec, [])
+    assert render_csv(result) == "g,g2_bb,status\n"
+    assert json.loads(render_json(result))["metadata"]["spec"]["outputs"] == ["g2_bb"]
+
+
+def test_spec_stores_its_flags_as_python_bools():
+    spec = _small_spec(convergence_check=np.bool_(False), include_optimal_g=np.bool_(True))
+    assert type(spec.convergence_check) is bool and type(spec.include_optimal_g) is bool
+    written = json.loads(render_json(SweepResult(spec, [])))["metadata"]["spec"]
+    assert written == spec_to_dict(spec)
+    for key in ("convergence_check", "include_optimal_g"):
+        with pytest.raises(ValueError, match=f"{key} must be a bool, got 1"):
+            _small_spec(**{key: 1})
+
+
 def test_emit_rejects_unknown_format(tmp_path):
     result = run_sweep(_small_spec(axis1=SweepAxis("g", 1.0, 2.0, 2), cutoffs=(2, 1)))
     with pytest.raises(ValueError):
