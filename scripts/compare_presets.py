@@ -5,7 +5,9 @@
 
 For each CSV or JSON output in OLD it prints the number of rows, the
 number of cells whose text differs in NEW, and the worst relative change
-among them (|new - old| / |old|, the absolute change where old is 0).
+among them (|new - old| / |old|, the absolute change where old is 0), with
+its row, its column and its old -> new text, so that a change of a value
+at roundoff level reads as such.
 A JSON output is read as a table of its rows, plus one row of its
 convergence_max_rel_change with the status "convergence"; every other
 metadata key that differs, except created_utc, is printed by its dotted
@@ -78,7 +80,7 @@ def compare(old: Path, new: Path) -> tuple[str, list[str]]:
         problem = f"{old.name}: {len(old_rows)} rows in OLD, {len(new_rows)} in NEW"
         return problem, mismatches + [problem]
     status = header.index("status")
-    moved, worst = 0, 0.0
+    moved = []  # (relative change, row, column, old, new) per moved cell
     for n, (row_old, row_new) in enumerate(zip(old_rows, new_rows), start=1):
         if row_old[status] != row_new[status]:
             mismatches.append(f"{old.name} row {n}: status {row_old[status]} -> {row_new[status]}")
@@ -88,11 +90,11 @@ def compare(old: Path, new: Path) -> tuple[str, list[str]]:
             if not a or not b:
                 mismatches.append(f"{old.name} row {n}: {header[column]} {a!r} -> {b!r}")
                 continue
-            moved += 1
-            worst = max(worst, _relative_change(a, b))
-    summary = f"{old.name}: {len(old_rows)} rows, {moved} cells moved"
+            moved.append((_relative_change(a, b), n, header[column], a, b))
+    summary = f"{old.name}: {len(old_rows)} rows, {len(moved)} cells moved"
     if moved:
-        summary += f", worst relative change {worst:.2g}"
+        change, n, column, a, b = max(moved, key=lambda cell: cell[0])
+        summary += f", worst relative change {change:.2g} (row {n}, {column}: {a} -> {b})"
     return summary, mismatches
 
 

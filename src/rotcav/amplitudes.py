@@ -54,7 +54,7 @@ import numpy as np
 
 from .dynamics import DensityMatrix, decay_hamiltonian
 from .fock import FockBasis
-from .hamiltonian import SystemParams, _require_finite, build_h_eff
+from .hamiltonian import SystemParams, build_h_eff, finite_float
 from .observables import population_statistics
 
 # Ansatz members in fixed order; index map used by the linear system.
@@ -150,7 +150,7 @@ def optimal_g(kappa1: float, kappa2: float, f: float) -> float:
 
     g = sqrt(4 f^2 + (2 kappa1 + kappa2)(kappa1 + kappa2)) / (2 sqrt(2)).
     """
-    _require_finite({"kappa1": kappa1, "kappa2": kappa2, "f": f})
+    kappa1, kappa2, f = map(finite_float, (kappa1, kappa2, f), ("kappa1", "kappa2", "f"))
     if kappa1 <= 0 or kappa2 <= 0:
         raise ValueError("loss rates must be positive")
     return math.sqrt(4.0 * f**2 + (2.0 * kappa1 + kappa2) * (kappa1 + kappa2)) / (

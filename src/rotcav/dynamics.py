@@ -34,27 +34,55 @@ same reason the fixed point L(rho) = 0 does not depend on how
 accurately S^-1 is applied: an inaccurate S^-1 only slows the
 contraction.
 
-L(rho) is formed for a Hermitian rho as S(rho) = M + M^dag with
-M = (-i H') rho, one D x D product, plus each jump term kappa_c c rho c^dag:
-c shifts rho down a stride of the Fock layout, so the term is rho's block
-rho[step:, step:] times the real weights kappa_c sqrt(n_i) sqrt(n_j),
+Every driven point is iterated in the rotated frame rho~ = U rho U^dag,
+U = diag(i^(n_a + n_b)), under B = -i U H' U^dag: S(rho~) = B rho~ + rho~ B^dag,
+and the jumps keep their form (U a U^dag = -i a).  U's entries are +-1 and
++-i, so B is H' times exact phases (:func:`_mirror_phases`), the populations
+are rho's, and the state is certified in the rotated frame, by its residual
+and validate on rho~, and returned as rho_jk = conj(i^(p_j - p_k)) rho~_jk,
+p = n_a + n_b: the transform is exact and keeps the residual, trace,
+Hermiticity and spectrum.  The g and F terms change n_a + n_b by one, so
+B is real where the detuning terms vanish, on the mirror line
+delta + delta_f = 0, where the blockade conditions of the model lie;
+there parity W = (-1)^(n_a + n_b) combined with complex conjugation maps
+the steady state onto itself (Albert & Jiang, Phys. Rev. A 89, 022118
+(2014)).  The solver tests the H' it receives and iterates each point
+whose B has an exactly zero imaginary part in real arithmetic, with
+rho~ real symmetric; no complex LAPACK routine runs for such a point.
+The points at x = delta + delta_f and -x have exactly conjugate B.
+
+L(rho~) is formed for a Hermitian rho~ as S(rho~) = M + M^dag with
+M = B rho~, one D x D product, plus each jump term kappa_c c rho~ c^dag:
+c shifts rho~ down a stride of the Fock layout, so the term is its block
+rho~[step:, step:] times the real weights kappa_c sqrt(n_i) sqrt(n_j),
 added to the block L[:-step, :-step].  Both the weights and the blocks
 are taken as float arrays, so each term is one real multiply and one add.
 
-Off the mirror line (below), S^-1 is applied in H''s eigenbasis
-H' = V diag(lam) V^-1, with V and lam from one stacked eig (LAPACK zgeev)
-of a chunk's H'.  There S^-1 is four
-D x D products and one elementwise product with the stored reciprocal of
-its denominator per iteration.  An ill-conditioned V costs accuracy in
-S^-1 only, which the residual update tolerates.  Where V is singular or
-its condition number exceeds 1/sqrt(eps), as can happen within a few ulps
-of the exceptional point of the |2,0>/|0,1> pair at vanishing drive, or
-where eig does not converge, the point's S^-1 is factored once more from
-H' with both loss rates scaled by 1 + sqrt(eps), which moves the
-exceptional point off it.  The generator keeps the true H', so that S^-1
-changes only the contraction, not the fixed point.  A point whose scaled
-H' has no usable eigenbasis either is that point's solver failure.
-The iteration stops once
+S^-1 is applied in B's eigenbasis, from one stacked eig of a chunk's B:
+four D x D products and the middle step per iteration.  For a complex B =
+V diag(mu) V^-1 (LAPACK zgeev) the middle step is the product with the
+stored 1 / (mu_i + conj(mu_j)).  For a real B (dgeev) it is the block form
+B = P M P^-1: P holds the real and imaginary parts p, q of each conjugate
+pair of eigenvectors, ordered so that the pair partner pi(i) of column i
+is column D - 1 - i, and M holds alpha on its diagonal and +-beta at
+(i, pi(i)) for an eigenvalue pair alpha +- i beta.  With
+rho~ = P Y P^T, S becomes T(Y) = M Y + Y M^T, which couples only the
+entries (i, j), (pi(i), j), (i, pi(j)) and (pi(i), pi(j)), so T^-1 is a
+closed-form four-term mix of them, with four coefficient stacks stored
+per point.  Where the real eig returns the near-kernel eigenvalue of a
+weakly driven point as exactly 0 (at F = 1e-10), alpha_i + alpha_j
+vanishes with the denominator of T^-1; it is held at most -eps max |lam|,
+on the decaying side, which changes only the contraction.  An
+ill-conditioned V costs accuracy in S^-1 only, which the residual update
+tolerates.  Where V is singular or its condition number exceeds
+1/sqrt(eps), as can happen within a few ulps of the exceptional point of
+the |2,0>/|0,1> pair at vanishing drive, or where eig does not converge,
+the point's S^-1 is factored once more from its B with the real part of
+the diagonal, -(kappa1 n_a + kappa2 n_b) / 2, scaled by 1 + sqrt(eps),
+which scales both loss rates and moves the exceptional point off it.  The
+generator keeps the true B, so that S^-1 changes only the contraction,
+not the fixed point.  A point whose scaled B has no usable eigenbasis
+either is that point's solver failure.  The iteration stops once
 the geometric tail of its remaining updates, estimated from the ratio of
 successive updates, is below roundoff, or once the updates sit on a
 roundoff plateau of at most 1e-10.  It measures each update entrywise
@@ -81,36 +109,6 @@ dtype; every application is Hermitized on its way in and out
 L(rho) of its last restart, once the scaled update is at most
 JUMP_MAP_KRYLOV_TOL or sits on its roundoff floor, without further
 iterations.
-
-On the mirror line delta + delta_f = 0, where the blockade conditions of
-the model lie, parity W = (-1)^(n_a + n_b) combined with complex
-conjugation maps the steady state onto itself (Albert & Jiang, Phys. Rev.
-A 89, 022118 (2014)), and a point is solved in real arithmetic.  With
-U = diag(i^(n_a + n_b)), the g and F terms change n_a + n_b by one, so
-B = -i U H' U^dag is real where the detuning terms vanish; the solver
-tests the H' it receives and sends each point whose B has an exactly zero
-imaginary part down this path.  The jumps keep their form
-(U a U^dag = -i a), so rho~ = U rho U^dag is iterated as above with -i H'
-replaced by B: S(rho~) = B rho~ + rho~ B^T on a real symmetric rho~.
-S^-1 comes from one stacked real eig of B, in the block form
-B = P M P^-1: P holds the real and imaginary parts p, q of each conjugate
-pair of eigenvectors, ordered so that the pair partner pi(i) of column i
-is column D - 1 - i, and M holds alpha on its diagonal and +-beta at
-(i, pi(i)) for an eigenvalue pair alpha +- i beta.  With
-rho~ = P Y P^T, S becomes T(Y) = M Y + Y M^T, which couples only the
-entries (i, j), (pi(i), j), (i, pi(j)) and (pi(i), pi(j)), so T^-1 is a
-closed-form four-term mix of them, with four coefficient stacks stored
-per point, and S^-1 is four real D x D products and that mix.  Where
-the real eig returns the near-kernel eigenvalue of a weakly driven point
-as exactly 0 (at F = 1e-10), alpha_i + alpha_j vanishes with the
-denominator of T^-1; it is held at most -eps max |lam|, on the decaying
-side, which changes only the contraction.  The decay-scaled retry
-applies to B as to H'.  A point is certified in the rotated frame, by
-its residual from the real generator and validate on rho~, and
-rho_jk = conj(i^(p_j - p_k)) rho~_jk with p = n_a + n_b is returned:
-U's entries are +-1 and +-i, so the transform is exact, and the
-residual, trace, Hermiticity and spectrum are those of rho.  No complex
-LAPACK routine runs for such a point.
 
 Each state is certified as the dense reference route of :mod:`rotcav.oracle`
 certifies its own: residual max |L(rho)| at most STEADY_RESIDUAL_TOL
@@ -239,7 +237,7 @@ class SolveRecord:
     applications: int = 0  # S^-1 applications, in the loop and the Krylov phase
     generator_calls: int = 0  # L(rho) evaluations: loop iterations plus Krylov restarts
     krylov_from: int = 0  # the loop iteration at which it entered the Krylov phase, or 0
-    retried: bool = False  # S^-1 factored from the decay-scaled H'
+    retried: bool = False  # S^-1 factored from the decay-scaled B
 
 
 class SteadyStateError(RuntimeError):
@@ -252,8 +250,8 @@ class SteadyStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """D x D state with its basis: complex, or real in the rotated frame of a
-    mirror-line point (:func:`_solve_points`); solve is the jump map's record."""
+    """D x D state with its basis: complex, or, inside the solver, in its
+    rotated frame (:func:`_solve_points`); solve is the jump map's record."""
 
     matrix: np.ndarray
     basis: FockBasis
@@ -319,7 +317,7 @@ def decay_hamiltonian(
 # jump_map_steady_states applies this budget of stacked D x D entries: it
 # solves CHUNK_ENTRIES // D**2 points (at least one) at a time.  Per point
 # the chunk solver stores 152 D**2 bytes off the mirror line: seven complex
-# D x D arrays (-i H', V, V^-1 and 1 / the denominator of S, the state,
+# D x D arrays (B, V, V^-1 and 1 / the denominator of S, the state,
 # L(rho) and a scratch array), the real scaled update, and the two real
 # weight stacks of the jump terms, each just under 2 D**2 floats; it peaks
 # at 168 D**2 bytes (1.05 MB at this budget) in a product with the conjugate
@@ -329,7 +327,7 @@ def decay_hamiltonian(
 # and the mix step's temporary.  The stacked eig holds less: the matrices,
 # the factors, and V and V^-1 before they are stored.  A point whose V is
 # unusable is factored once more alone, into its own slices.  A chunk's
-# mirror-line points are solved first, while the others' H' waits.
+# mirror-line points are solved first, while the others' B waits.
 # Certifying a point adds its state's copy and validate's temporaries.  A
 # point in the Krylov phase, one at a time, adds its GMRES basis of
 # JUMP_MAP_KRYLOV_RESTART + 1 packed vectors, Y's upper triangle in the
@@ -374,18 +372,19 @@ def _solve_chunk(
 ) -> list[DensityMatrix | SteadyStateError]:
     """Steady states of a chunk of K points, one per point, on (K, D, D) stacks.
 
-    Iterates rho <- rho - S^-1(L(rho)) (see the module docstring), with
-    S^-1 in each H''s eigenbasis, or in that of its decay-scaled H' where
-    the eigenvectors are too close to dependent, until the remaining updates
-    of a point, relative to its populations, are estimated below roundoff
-    or sit on a roundoff plateau.  That point then leaves the stack and is
-    certified like :func:`rotcav.oracle.steady_state`: residual max |L(rho)| against the
-    full generator and :meth:`DensityMatrix.validate`.  Time and memory are
-    O(K D^3) and O(K D^2) per iteration.
+    Iterates rho~ <- rho~ - S^-1(L(rho~)) in the rotated frame (see the
+    module docstring), with S^-1 in each B's eigenbasis, or in that of its
+    decay-scaled B where the eigenvectors are too close to dependent, until
+    the remaining updates of a point, relative to its populations, are
+    estimated below roundoff or sit on a roundoff plateau.  That point then
+    leaves the stack and is certified like :func:`rotcav.oracle.steady_state`:
+    residual max |L(rho)| against the full generator and
+    :meth:`DensityMatrix.validate`.  Time and memory are O(K D^3) and
+    O(K D^2) per iteration.
 
-    The driven points on the mirror line, whose B = -i U H' U^dag is exactly
-    real, are solved first, in real arithmetic in the rotated frame, and the
-    others after them; :func:`_solve_points` solves each group.
+    B = -i U H' U^dag is formed once for the chunk.  The driven points on the
+    mirror line, whose B is exactly real, are solved first, in real
+    arithmetic, and the others after them, each group by :func:`_solve_points`.
     """
     k, d = len(chunk), basis.dim
     h_prime = np.empty((k, d, d), dtype=complex)
@@ -403,74 +402,71 @@ def _solve_chunk(
         vacuum[0, 0] = 1.0
         results[i] = _outcome(DensityMatrix(vacuum, basis, SolveRecord()), 0.0)
     b = _mirror_phases(basis) * h_prime
+    del h_prime
     line = driven & ~b.imag.any(axis=(1, 2))
     off_line = driven & ~line
-    b, h_prime = b.real[line], h_prime[off_line]  # and the complex stacks are freed
-    _solve_points(b, rates[line], np.flatnonzero(line), chunk, basis, results)
-    _solve_points(h_prime, rates[off_line], np.flatnonzero(off_line), chunk, basis, results)
+    line_b, b = b.real[line], b[off_line]  # and the full stack is freed
+    _solve_points(line_b, rates[line], np.flatnonzero(line), basis, results)
+    del line_b
+    _solve_points(b, rates[off_line], np.flatnonzero(off_line), basis, results)
     return results
 
 
 def _mirror_phases(basis: FockBasis) -> np.ndarray:
-    """The entrywise phases -i i^(p_j - p_k), p = n_a + n_b, of the mirror-line
-    rotation U = diag(i^p): B = -i U H' U^dag is phases * H', and a state
-    rho~ = U rho U^dag of the rotated frame is rho = conj(1j * phases) * rho~.
+    """The entrywise phases -i i^(p_j - p_k), p = n_a + n_b, of the rotation
+    U = diag(i^p) of the solver's frame: B = -i U H' U^dag is phases * H', and
+    a state rho~ = U rho U^dag of that frame is rho = conj(1j * phases) * rho~.
     Each entry is 1, -1, 1j or -1j, so both products are exact."""
     p = basis.occ_a + basis.occ_b
     return np.array([-1j, 1.0, 1j, -1.0])[(p[:, None] - p[None, :]) % 4]
 
 
 def _solve_points(
-    matrices: np.ndarray,
-    rates: np.ndarray,
-    points: np.ndarray,
-    chunk: Sequence[tuple[np.ndarray, float, float]],
-    basis: FockBasis,
-    results: list,
+    b: np.ndarray, rates: np.ndarray, points: np.ndarray, basis: FockBasis, results: list
 ) -> None:
     """Write the results of the driven points of a chunk, at positions points
-    in it, into results, given the stacks of their matrices and rates: complex
-    H', or real B = phases * H' (:func:`_mirror_phases`) for points on the
-    mirror line, which are certified in the rotated frame and whose states
-    are rotated back.
+    in it, into results, given the stacks of their B (:func:`_mirror_phases`),
+    real on the mirror line and complex off it, and of their rates.  Each
+    point is certified in the rotated frame and its state rotated back.
 
-    This function owns the stacks of the matrices, the rates and the factors
-    of S^-1 (:func:`_eigenbasis_factors`), one slice per point; :func:`_keep`
-    moves the points without a usable eigenbasis out of them, and
-    :func:`_iterate` owns the rest of the arrays.
+    This function owns the stacks of B, the rates and the factors of S^-1
+    (:func:`_eigenbasis_factors`), one slice per point; :func:`_keep` moves
+    the points without a usable eigenbasis out of them, and :func:`_iterate`
+    owns the rest of the arrays.
     """
     if not len(points):
         return
-    rotated = matrices.dtype != complex
-    phases = _mirror_phases(basis)
-    factors = np.empty((6 if rotated else 3, *matrices.shape), dtype=matrices.dtype)
-    usable = _eigenbasis_factors(matrices, factors)
+    factors = np.empty((3 if b.dtype == complex else 6, *b.shape), dtype=b.dtype)
+    usable = _eigenbasis_factors(b, factors)
     retried = ~usable
     for j in np.flatnonzero(retried):  # factored alone, so its bits are its chunk of one's
-        h_eff, kappa1, kappa2 = chunk[points[j]]
-        scale = JUMP_MAP_RETRY_DECAY_SCALE
-        scaled = decay_hamiltonian(h_eff, basis, scale * kappa1, scale * kappa2)
-        if rotated:
-            scaled = (phases * scaled).real
-        usable[j] = _eigenbasis_factors(scaled[None], factors[:, j : j + 1])[0]
+        usable[j] = _eigenbasis_factors(_decay_scaled(b[j : j + 1]), factors[:, j : j + 1])[0]
         if not usable[j]:
             results[points[j]] = SteadyStateError(
                 "no usable eigenbasis of H', nor of H' with its loss rates scaled by 1 + sqrt(eps)",
                 SolveRecord(retried=True),
             )
-    matrices, rates, points, *factors = _keep(usable, matrices, rates, points, *factors)
-    if not len(points):
-        return
-    if not rotated:
-        matrices *= -1j  # the generator's -i H', exactly
-    for i, state in zip(points.tolist(), _iterate(matrices, rates, basis, factors, retried[usable])):
-        if rotated and isinstance(state, DensityMatrix):
-            state = DensityMatrix(np.conjugate(1j * phases) * state.matrix, basis, state.solve)
+    b, rates, points, *factors = _keep(usable, b, rates, points, *factors)
+    back = np.conjugate(1j * _mirror_phases(basis))
+    for i, state in zip(points.tolist(), _iterate(b, rates, basis, factors, retried[usable])):
+        if isinstance(state, DensityMatrix):
+            state = DensityMatrix(back * state.matrix, basis, state.solve)
         results[i] = state
 
 
+def _decay_scaled(b: np.ndarray) -> np.ndarray:
+    """A copy of a stack of B with both loss rates scaled by
+    JUMP_MAP_RETRY_DECAY_SCALE: the real part of B's diagonal is exactly
+    -(kappa1 n_a + kappa2 n_b) / 2, as the phase -i of the diagonal makes
+    H's own diagonal imaginary."""
+    scaled = b.copy()
+    diagonal = np.arange(b.shape[-1])
+    scaled.real[:, diagonal, diagonal] *= JUMP_MAP_RETRY_DECAY_SCALE
+    return scaled
+
+
 def _iterate(
-    minus_i_h: np.ndarray,
+    b: np.ndarray,
     rates: np.ndarray,
     basis: FockBasis,
     factors: list[np.ndarray],
@@ -478,21 +474,21 @@ def _iterate(
 ) -> list[DensityMatrix | SteadyStateError]:
     """The jump-map iteration of a stack of driven points, one result per point.
 
-    minus_i_h is the stack of -i H', or of the real B on the mirror line,
+    b is the stack of B (:func:`_mirror_phases`), real on the mirror line,
     and factors are the stacked factors of S^-1 (:func:`_eigenbasis_factors`);
-    the iteration runs in their dtype.  The caller's arrays hold one slice per
-    point along their first axis; the state rho, L(rho), the scratch x, the
-    scaled update and the jump weights built from the rates (:func:`_jump_views`)
-    are allocated here once.  A point that converges or fails leaves the
+    the iteration runs in their dtype, in the rotated frame.  The caller's
+    arrays hold one slice per point along their first axis; the state rho,
+    L(rho), the scratch x, the scaled update and the jump weights built from
+    the rates (:func:`_jump_views`) are allocated here once.  A point that converges or fails leaves the
     active set: :func:`_keep` moves the others to the front in place, and
     every stack is sliced to them.  So does a point whose contraction stays
     slow or whose update stops shrinking above the plateau
     (:meth:`_Track.enters`), once :func:`_krylov` has finished it from
     its slices; the budget counts S^-1 applications in both.  retried marks
-    the points whose factors come from the decay-scaled H'.
+    the points whose factors come from the decay-scaled B.
     """
-    n, d = len(minus_i_h), basis.dim
-    rho, r, x = np.empty((3, n, d, d), dtype=minus_i_h.dtype)
+    n, d = len(b), basis.dim
+    rho, r, x = np.empty((3, n, d, d), dtype=b.dtype)
     scaled = np.empty((n, d, d))
     jumps = _jump_views(basis, rates, rho, r, x)
     weights = [jump[-1] for jump in jumps]
@@ -515,7 +511,7 @@ def _iterate(
     for iteration in itertools.count(1):
         if len(left) == len(tracks):  # nothing to certify or iterate
             return results
-        _generator(minus_i_h, rho, r, x, jumps)
+        _generator(b, rho, r, x, jumps)
         for j in finished:
             residual, solve = float(np.max(np.abs(r[j]))), record(tracks[j], iteration - 1)
             results[tracks[j].index] = _outcome(DensityMatrix(rho[j].copy(), basis, solve), residual)
@@ -531,7 +527,7 @@ def _iterate(
             if not keep.any():
                 return results
             tracks = [track for track, kept in zip(tracks, keep) if kept]
-            minus_i_h, rho, r, *stacks = _keep(keep, minus_i_h, rho, r, *weights, *factors)
+            b, rho, r, *stacks = _keep(keep, b, rho, r, *weights, *factors)
             weights, factors = stacks[: len(weights)], stacks[len(weights) :]
             x, scaled = x[: len(tracks)], scaled[: len(tracks)]
         update = _eigenbasis_inverse(factors, r, x)
@@ -559,7 +555,7 @@ def _iterate(
                 i, point, entry = track.index, slice(j, j + 1), record(track, iteration)
                 point_factors = [factor[point] for factor in factors]
                 results[i] = _krylov(
-                    minus_i_h[point], point_factors, rates[i : i + 1], basis, rho[j].copy(), entry
+                    b[point], point_factors, rates[i : i + 1], basis, rho[j].copy(), entry
                 )
                 left.append(j)
 
@@ -595,7 +591,7 @@ class _Track:
 
 
 def _krylov(
-    minus_i_h: np.ndarray,
+    b: np.ndarray,
     factors: list[np.ndarray],
     rates: np.ndarray,
     basis: FockBasis,
@@ -605,9 +601,9 @@ def _krylov(
     """Finish one point of :func:`_iterate` by restarted GMRES on the root of
     delta -> S^-1(L(delta)); its certified state or its error.
 
-    minus_i_h, factors and rates are the point's slices of the stacks (its
-    stacks of one), state its iterate and entry its loop record, whose S^-1
-    applications the budget keeps counting here.  Each restart forms L(rho) at the
+    b, factors and rates are the point's slices of the stacks (its stacks of
+    one), state its iterate in the rotated frame and entry its loop record,
+    whose S^-1 applications the budget keeps counting here.  Each restart forms L(rho) at the
     current state, whose max |L(rho)| certifies the state if the phase
     stops there, and the loop's update S^-1(L(rho)), scaled as
     delta = W^1/2 Y W^1/2 with W the state's populations floored as in the
@@ -661,7 +657,7 @@ def _krylov(
     best, solved, calls = math.inf, False, entry.applications
     for restart in itertools.count(1):
         rho[0] = state
-        _generator(minus_i_h, rho, r, x, jumps)
+        _generator(b, rho, r, x, jumps)
         calls += 1
         residual = float(np.max(np.abs(r)))
         populations = state.diagonal().real
@@ -812,19 +808,17 @@ def _jump_views(
 
 
 def _generator(
-    minus_i_h: np.ndarray,
+    b: np.ndarray,
     rho: np.ndarray,
     out: np.ndarray,
     scratch: np.ndarray,
     jumps: Sequence[tuple[np.ndarray, ...]],
 ) -> np.ndarray:
-    """L(rho) into out for a stack of Hermitian rho, given the stack of -i H'
-    (or of B, on the mirror line):
-    S(rho) = M + M^dag with M = -i H' rho, since rho H'^dag = (H' rho)^dag, and
-    each jump term is one product of rho's block with its weights; rho, out and
-    scratch are the first len(rho) points of the stacks whose
-    :func:`_jump_views` are in jumps."""
-    np.matmul(minus_i_h, rho, out=out)
+    """L(rho) into out for a stack of Hermitian rho in the rotated frame, given
+    the stack of B: S(rho) = M + M^dag with M = B rho, and each jump term is
+    one product of rho's block with its weights; rho, out and scratch are the
+    first len(rho) points of the stacks whose :func:`_jump_views` are in jumps."""
+    np.matmul(b, rho, out=out)
     np.conjugate(out, out=scratch)
     out += scratch.transpose(0, 2, 1)
     _add_jumps(len(rho), jumps)
@@ -839,16 +833,17 @@ def _add_jumps(n: int, jumps: Sequence[tuple[np.ndarray, ...]]) -> None:
 
 
 def _eigenbasis_factors(matrices: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the factors of S^-1 for a stack of H' (complex) or of mirror-line B
-    (real) into out; True where they are usable, False, with that point's slices
-    unusable, where the eigenvectors are near-singular or their eig or inversion
-    raised.
+    """Write the factors of S^-1 for a stack of B, complex or, on the mirror
+    line, real, into out; True where they are usable, False, with that point's
+    slices unusable, where the eigenvectors are near-singular or their eig or
+    inversion raised.
 
     Both layouts hold V, V^-1 and then the middle step of S^-1, and no
-    conjugate.  For H' = V diag(lam) V^-1, out[2] is 1 / the denominator of S:
-    with rho = V X V^dag, S(rho) = V [-i (lam_i - conj(lam_j)) X_ij] V^dag.
-    For B, out[0] to out[5] are P and P^-1 of its real block form B = P M P^-1
-    and the four coefficient stacks of T^-1 (:func:`_block_form`).  Each stacked call acts
+    conjugate.  For a complex B = V diag(mu) V^-1, out[2] is
+    1 / (mu_i + conj(mu_j)): with rho~ = V X V^dag,
+    S(rho~) = V [(mu_i + conj(mu_j)) X_ij] V^dag.  For a real B, out[0] to
+    out[5] are P and P^-1 of its real block form B = P M P^-1 and the four
+    coefficient stacks of T^-1 (:func:`_block_form`).  Each stacked call acts
     on each point by the same LAPACK or BLAS call as on a point alone, and a
     stack whose eig or inversion raises is factored point by point, so no
     point's factors depend on its chunk-mates.
@@ -873,8 +868,7 @@ def _eigenbasis_factors(matrices: np.ndarray, out: np.ndarray) -> np.ndarray:
     if real:
         _mix_coefficients(lam, out[2:])
     else:
-        np.subtract(lam[:, :, None], lam.conj()[:, None, :], out=out[2])
-        out[2] *= -1j
+        np.add(lam[:, :, None], lam.conj()[:, None, :], out=out[2])
         np.divide(1.0, out[2], out=out[2])
     return condition <= JUMP_MAP_MAX_EIGENBASIS_CONDITION
 
@@ -941,10 +935,11 @@ def _mix_coefficients(lam: np.ndarray, out: np.ndarray) -> None:
 
 
 def _eigenbasis_inverse(factors: list[np.ndarray], r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """S^-1(r) into r for a stack of points in their eigenbases, with the stacked
-    factors of _eigenbasis_factors: V^-1 r V^-dag, the product with 1 / the
-    denominator or, on the mirror line, the four-term mix T^-1, then V X V^dag;
-    each conjugate is formed for its product (conj() of a real factor is itself)."""
+    """S^-1(r) into r for a stack of points in the eigenbases of their B, with the
+    stacked factors of _eigenbasis_factors: V^-1 r V^-dag, the product with
+    1 / (mu_i + conj(mu_j)) or, on the mirror line, the four-term mix T^-1, then
+    V X V^dag; each conjugate is formed for its product (conj() of a real factor
+    is itself)."""
     v, v_inv, *middle = factors
     np.matmul(v_inv, r, out=x)
     np.matmul(x, v_inv.conj().transpose(0, 2, 1), out=r)

@@ -39,11 +39,19 @@ class DriveDirection(enum.Enum):
     RIGHT = "right"
 
 
-def _require_finite(values: dict[str, float | None]) -> None:
-    """Reject a value that is set (not None) and not finite, by name."""
-    for name, value in values.items():
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+def finite_float(value, name: str) -> float:
+    """value as a Python float, or a ValueError that names it: a bool or a
+    non-number is not a number, and a NaN, an infinity or an integer beyond
+    the float range is not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -68,10 +76,7 @@ class SystemParams:
 
     def __post_init__(self):
         for name, value in list(vars(self).items()):
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            _require_finite({name: value})
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, finite_float(value, name))
         if self.kappa1 <= 0 or self.kappa2 <= 0:
             raise ValueError("loss rates kappa1, kappa2 must be positive")
         if self.drive_strength < 0:
@@ -87,6 +92,7 @@ class FizeauParams:
     Defaults describe a millimetre-scale silica toroid pumped at
     1550 nm; they are placeholders for order-of-magnitude estimates,
     not measured device values.  omega1 defaults to 2 pi c / wavelength.
+    Each field is stored as a Python float, as in :class:`SystemParams`.
     """
 
     n: float = 1.4  # refractive index
@@ -97,9 +103,11 @@ class FizeauParams:
     omega1: float | None = None  # mode frequency, rad/s
 
     def __post_init__(self):
-        if self.omega1 is None and self.wavelength > 0:
-            object.__setattr__(self, "omega1", 2 * math.pi * SPEED_OF_LIGHT / self.wavelength)
-        _require_finite({f.name: getattr(self, f.name) for f in dataclasses.fields(self)})
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.name == "omega1":  # the last field: from the checked wavelength
+                value = 2 * math.pi * SPEED_OF_LIGHT / self.wavelength if self.wavelength > 0 else 0.0
+            object.__setattr__(self, f.name, finite_float(value, f.name))
         if self.n <= 1:
             raise ValueError("refractive index must exceed 1")
         if self.r <= 0 or self.wavelength <= 0 or self.omega1 <= 0:
@@ -136,7 +144,7 @@ def drive_strength_from_power(kappa1: float, power: float, omega_l: float) -> fl
     kappa1 and omega_l are in rad/s, power in watts.  power = 0 is
     allowed and gives F = 0.
     """
-    _require_finite({"kappa1": kappa1, "power": power, "omega_l": omega_l})
+    kappa1, power, omega_l = map(finite_float, (kappa1, power, omega_l), ("kappa1", "power", "omega_l"))
     if kappa1 <= 0 or omega_l <= 0:
         raise ValueError("kappa1 and omega_l must be positive")
     if power < 0:
@@ -184,8 +192,7 @@ def build_h_eff(p: SystemParams, basis: FockBasis) -> np.ndarray:
 
 def build_h_lab(omega1: float, p: SystemParams, basis: FockBasis) -> np.ndarray:
     """Undriven lab-frame Hamiltonian with omega_b = 2 omega_a enforced."""
-    _require_finite({"omega1": omega1})
-    return _hamiltonian(basis)(omega1 + p.delta_f, p.g, 0.0)
+    return _hamiltonian(basis)(finite_float(omega1, "omega1") + p.delta_f, p.g, 0.0)
 
 
 def eigenlevels(h: np.ndarray, k: int) -> EigenLevels:

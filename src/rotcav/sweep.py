@@ -28,7 +28,6 @@ import dataclasses
 import datetime
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from . import __version__ as _version
 from .fock import FockBasis, build_basis
-from .hamiltonian import SystemParams, h_eff_builder, resonance_angular_condition
+from .hamiltonian import SystemParams, finite_float, h_eff_builder, resonance_angular_condition
 from .dynamics import SolveRecord, SteadyStateError, jump_map_steady_states
 from .observables import PhotonStatistics, population_statistics
 from .amplitudes import optimal_g
@@ -69,7 +68,7 @@ def _reject_unknown(data: dict, known: tuple[str, ...], where: str) -> None:
 def _number(value, key: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{key} must be a JSON number, got {value!r}")
-    return float(value)
+    return finite_float(value, key)
 
 
 def params_from_dict(data: dict) -> SystemParams:
@@ -107,11 +106,8 @@ class SweepAxis:
     def __post_init__(self):
         if self.name not in SWEEPABLE:
             raise ValueError(f"cannot sweep '{self.name}'; choose from {SWEEPABLE}")
-        for key, value in (("start", self.start), ("stop", self.stop)):
-            real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-            if not (real and math.isfinite(value)):
-                raise ValueError(f"axis '{self.name}' {key} must be a finite number, got {value!r}")
-            object.__setattr__(self, key, float(value))
+        for key in ("start", "stop"):
+            object.__setattr__(self, key, finite_float(getattr(self, key), f"axis '{self.name}' {key}"))
         if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
             raise ValueError(f"axis '{self.name}' count must be an integer, got {self.count!r}")
         object.__setattr__(self, "count", int(self.count))

@@ -525,10 +525,13 @@ _G_AXIS = {"name": "g", "start": 0.5, "stop": 1.0, "count": 2}
         ({"fixed": {"drive_strength": True}}, "drive_strength must be a JSON number"),
         ({"axis1": {**_G_AXIS, "start": True}}, "start must be a JSON number"),
         ({"axis1": {**_G_AXIS, "stop": False}}, "stop must be a JSON number"),
+        # json reads a 401-digit integer as a Python int, beyond the float range
+        ({"fixed": {"delta": 10**400}}, "error: delta must be finite"),
+        ({"axis1": {**_G_AXIS, "start": 10**400}}, "error: start must be finite"),
     ],
     ids=[
         "fixed-list", "outputs-string", "axis-string", "axis-null", "fixed-bool", "start-bool",
-        "stop-bool",
+        "stop-bool", "fixed-int-beyond-float", "start-int-beyond-float",
     ],
 )
 def test_sweep_config_wrong_json_type_is_error(tmp_path, capsys, entry, message):

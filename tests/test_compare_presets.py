@@ -30,7 +30,7 @@ def test_moved_cells_are_counted_with_their_worst_change(tmp_path, capsys):
     old, new = _write(tmp_path / "old", ROWS), _write(tmp_path / "new", moved)
     assert compare_presets.main([str(old), str(new)]) == 0
     out = capsys.readouterr().out
-    assert out == "fig5.csv: 3 rows, 2 cells moved, worst relative change 1e-09\n"
+    assert out == "fig5.csv: 3 rows, 2 cells moved, worst relative change 1e-09 (row 3, g2_bb: 2 -> 2.000000002)\n"
 
 
 @pytest.mark.parametrize(

@@ -24,6 +24,14 @@ from rotcav.hamiltonian import SPEED_OF_LIGHT, h_eff_builder
 FIZEAU_REFERENCE = 126_796_672.504_760_17  # rad/s for the default geometry
 DRIVE_REFERENCE = 313_135.578_529_0166  # rad/s for 2pi MHz, 1 fW, 1550 nm
 EIG_PAIR = (192.928_932_188_134_52, 207.071_067_811_865_48)  # 200 -/+ sqrt(2)*5
+# Values that are not finite: NaN, the infinities, and integers beyond the float range.
+NOT_FINITE = [
+    float("nan"),
+    float("inf"),
+    float("-inf"),
+    pytest.param(10**400, id="int-beyond-float"),
+    pytest.param(-(10**400), id="-int-beyond-float"),
+]
 
 
 # ---------------------------------------------------------------- Fizeau
@@ -324,7 +332,7 @@ def test_system_params_validation():
 @pytest.mark.parametrize(
     "name", ["delta", "g", "kappa1", "kappa2", "drive_strength", "delta_f"]
 )
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", NOT_FINITE)
 def test_system_params_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         SystemParams(**{name: value})
@@ -347,9 +355,23 @@ def test_system_params_store_python_floats():
 @pytest.mark.parametrize(
     "name", ["n", "r", "omega_rot", "wavelength", "dn_dlambda", "omega1"]
 )
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("value", NOT_FINITE)
 def test_fizeau_params_reject_non_finite(name, value):
     with pytest.raises(ValueError, match=f"{name} must be finite"):
         FizeauParams(**{name: value})
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "2", None, 1j])
+@pytest.mark.parametrize("name", ["n", "r", "wavelength"])
+def test_fizeau_params_reject_non_numbers_by_name(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a number, got {value!r}"):
+        FizeauParams(**{name: value})
+
+
+def test_fizeau_params_store_python_floats():
+    fp = FizeauParams(n=np.float64(1.5), r=np.float32(1e-3), omega_rot=np.int64(100), dn_dlambda=0)
+    assert all(type(value) is float for value in dataclasses.astuple(fp))
+    assert fp.r == float(np.float32(1e-3)) and fp.omega_rot == 100.0
+    assert fp.omega1 == 2 * math.pi * SPEED_OF_LIGHT / fp.wavelength
 
 

@@ -121,6 +121,8 @@ def test_axis_validation():
         (0.1, math.inf, 3, "stop"),
         (-math.inf, 1.0, 3, "start"),
         (math.nan, 1.0, 3, "start"),
+        (10**400, 1.0, 3, "start"),  # an int beyond the float range
+        (0.1, -(10**400), 3, "stop"),
         (0.1, 3.0, 2.5, "count"),
         (0.1, 3.0, 3.0, "count"),
         (0.1, 3.0, True, "count"),
