@@ -22,22 +22,14 @@ from .hamiltonian import (
     SystemParams,
     build_h_eff,
     build_h_lab,
-    drive_strength_from_power,
     eigenlevels,
     fizeau_shift,
+    optimal_g,
     resonance_angular_condition,
 )
 from .dynamics import DensityMatrix, SteadyStateError
-from .observables import PhotonStatistics, VacuumModeError, population_statistics, populations
+from .observables import PhotonStatistics, VacuumModeError, population_statistics
 from .oracle import build_liouvillian, photon_statistics, steady_state
-from .amplitudes import (
-    AmplitudeModelOptions,
-    AmplitudeState,
-    amplitude_system,
-    g2_from_amplitudes,
-    optimal_g,
-    steady_amplitudes,
-)
 from .sweep import (
     SweepAxis,
     SweepResult,
@@ -45,7 +37,6 @@ from .sweep import (
     SweepSpec,
     emit,
     figure_preset,
-    refine_extremum,
     run_point,
     run_sweep,
 )
@@ -62,9 +53,9 @@ __all__ = [
     "SystemParams",
     "build_h_eff",
     "build_h_lab",
-    "drive_strength_from_power",
     "eigenlevels",
     "fizeau_shift",
+    "optimal_g",
     "resonance_angular_condition",
     "DensityMatrix",
     "SteadyStateError",
@@ -74,20 +65,12 @@ __all__ = [
     "VacuumModeError",
     "photon_statistics",
     "population_statistics",
-    "populations",
-    "AmplitudeModelOptions",
-    "AmplitudeState",
-    "amplitude_system",
-    "g2_from_amplitudes",
-    "optimal_g",
-    "steady_amplitudes",
     "SweepAxis",
     "SweepResult",
     "SweepRow",
     "SweepSpec",
     "emit",
     "figure_preset",
-    "refine_extremum",
     "run_point",
     "run_sweep",
 ]

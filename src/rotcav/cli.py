@@ -26,10 +26,10 @@ from .hamiltonian import (
     build_h_lab,
     eigenlevels,
     fizeau_shift,
+    optimal_g,
 )
 from .fock import build_basis
 from .dynamics import SteadyStateError
-from .amplitudes import optimal_g
 from .sweep import (
     DEFAULT_CUTOFFS,
     DEFAULT_FIXED,
@@ -199,16 +199,16 @@ def _emit_result(result, args) -> int:
 def _cmd_sweep(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as handle:
-            spec = spec_from_dict(json.load(handle))
-    elif args.axis1:
-        spec = SweepSpec(axis1=_parse_axis(args.axis1))
-    else:
+            config = spec_from_dict(json.load(handle))
+    elif not args.axis1:
         raise ValueError("sweep needs --axis1 or --config")
+    axis1 = _parse_axis(args.axis1) if args.axis1 else config.axis1
+    spec = config if args.config else SweepSpec(axis1=axis1)
 
     # flags override config fields
     spec = dataclasses.replace(
         spec,
-        axis1=_parse_axis(args.axis1) if args.axis1 else spec.axis1,
+        axis1=axis1,
         axis2=_parse_axis(args.axis2) if args.axis2 else spec.axis2,
         fixed=_params_from_args(args, spec.fixed),
         outputs=tuple(args.outputs.split(",")) if args.outputs else spec.outputs,

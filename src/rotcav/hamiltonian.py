@@ -10,9 +10,9 @@ second harmonic).  In the frame rotating at the pump frequency,
             + g (b a^dag^2 + b^dag a^2) + F (a + a^dag),
 
 with hbar = 1.  All dynamical quantities are expressed in units of the
-fundamental loss rate kappa1; the only SI-valued helpers are
-:func:`fizeau_shift` and :func:`drive_strength_from_power`, which the
-caller bridges to simulation units via an explicit kappa1-in-rad/s.
+fundamental loss rate kappa1; the only SI-valued helper is
+:func:`fizeau_shift`, which the caller bridges to simulation units via
+an explicit kappa1-in-rad/s.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .dynamics import HERMITICITY_TOL
 from .fock import FockBasis, annihilator_a, annihilator_b
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-HBAR = 1.054_571_817e-34  # J s
 
 
 class DriveDirection(enum.Enum):
@@ -138,20 +137,6 @@ def fizeau_shift(fp: FizeauParams, direction: DriveDirection) -> float:
     return magnitude if direction is DriveDirection.LEFT else -magnitude
 
 
-def drive_strength_from_power(kappa1: float, power: float, omega_l: float) -> float:
-    """Pump amplitude F = sqrt(2 kappa1 P / (hbar omega_L)), in rad/s.
-
-    kappa1 and omega_l are in rad/s, power in watts.  power = 0 is
-    allowed and gives F = 0.
-    """
-    kappa1, power, omega_l = map(finite_float, (kappa1, power, omega_l), ("kappa1", "power", "omega_l"))
-    if kappa1 <= 0 or omega_l <= 0:
-        raise ValueError("kappa1 and omega_l must be positive")
-    if power < 0:
-        raise ValueError("power must be >= 0")
-    return math.sqrt(2.0 * kappa1 * power / (HBAR * omega_l))
-
-
 def _hamiltonian(basis: FockBasis) -> Callable[[float, float, float], np.ndarray]:
     """H(detuning, g, drive) = detuning (a^dag a + 2 b^dag b)
     + g (b a^dag^2 + b^dag a^2) + drive (a + a^dag), with the operator
@@ -217,3 +202,19 @@ def resonance_angular_condition(g: float) -> float:
     """Fizeau-shift magnitude at which right-side driving hits the
     two-photon resonance: delta_f = (sqrt(2)/4) g."""
     return math.sqrt(2.0) / 4.0 * g
+
+
+def optimal_g(kappa1: float, kappa2: float, f: float) -> float:
+    """Hopping interaction that nulls the two-photon amplitude c02.
+
+    g = sqrt(4 f^2 + (2 kappa1 + kappa2)(kappa1 + kappa2)) / (2 sqrt(2)),
+    the c02 = 0 condition of the nine-state weak-drive amplitude model
+    with its subleading drive couplings dropped: the tests' reference
+    model, in tests/amplitudes.py.
+    """
+    kappa1, kappa2, f = map(finite_float, (kappa1, kappa2, f), ("kappa1", "kappa2", "f"))
+    if kappa1 <= 0 or kappa2 <= 0:
+        raise ValueError("loss rates must be positive")
+    return math.sqrt(4.0 * f**2 + (2.0 * kappa1 + kappa2) * (kappa1 + kappa2)) / (
+        2.0 * math.sqrt(2.0)
+    )

@@ -4,20 +4,17 @@ Second-order correlations at zero delay,
 
     g2_aa(0) = Tr{a^dag^2 a^2 rho} / Tr{a^dag a rho}^2,
 
-and likewise for mode b, plus mean occupations and the joint Fock
-population map, all read off the populations.  g2 of an (almost) empty
-mode is a 0/0; rather than letting NaN propagate, the guard reports it
-as None, so sweep drivers can mark the grid point as undefined instead
-of silently recording garbage.  The same numbers formed from the
-operators, whose guard raises :class:`VacuumModeError`, are the
-cross-check in :mod:`rotcav.oracle`.
+and likewise for mode b, plus mean occupations, all read off the
+populations.  g2 of an (almost) empty mode is a 0/0; rather than letting
+NaN propagate, the guard reports it as None, so sweep drivers can mark
+the grid point as undefined instead of silently recording garbage.  The
+same numbers formed from the operators, whose guard raises
+:class:`VacuumModeError`, are the cross-check in :mod:`rotcav.oracle`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .dynamics import DensityMatrix, SolveRecord
 
@@ -55,12 +52,6 @@ def _occupation(value: float) -> float:
     solver's population floor leaves it negative (n_b = -2.8e-51 at the
     exceptional point, F = 2e-13, cutoffs (10, 5))."""
     return 0.0 if value < 0 else value
-
-
-def populations(rho: DensityMatrix) -> dict[tuple[int, int], float]:
-    """Joint Fock-state probabilities p(n_a, n_b) from the diagonal."""
-    diag = np.real(np.diag(rho.matrix))
-    return dict(zip(rho.basis.occupations(), diag.tolist()))
 
 
 def population_statistics(rho: DensityMatrix) -> PhotonStatistics:

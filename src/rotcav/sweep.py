@@ -28,6 +28,7 @@ import dataclasses
 import datetime
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -35,10 +36,9 @@ import numpy as np
 
 from . import __version__ as _version
 from .fock import FockBasis, build_basis
-from .hamiltonian import SystemParams, finite_float, h_eff_builder, resonance_angular_condition
+from .hamiltonian import SystemParams, finite_float, h_eff_builder, optimal_g, resonance_angular_condition
 from .dynamics import SolveRecord, SteadyStateError, jump_map_steady_states
 from .observables import PhotonStatistics, population_statistics
-from .amplitudes import optimal_g
 
 SWEEPABLE = ("delta", "g", "kappa2", "drive_strength", "delta_f")
 OUTPUT_NAMES = ("g2_aa", "g2_bb", "n_a", "n_b")
@@ -108,6 +108,8 @@ class SweepAxis:
             raise ValueError(f"cannot sweep '{self.name}'; choose from {SWEEPABLE}")
         for key in ("start", "stop"):
             object.__setattr__(self, key, finite_float(getattr(self, key), f"axis '{self.name}' {key}"))
+        if not math.isfinite(self.stop - self.start):  # np.linspace would fill the grid with NaN
+            raise ValueError(f"axis '{self.name}' span stop - start overflows: {self.start} to {self.stop}")
         if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
             raise ValueError(f"axis '{self.name}' count must be an integer, got {self.count!r}")
         object.__setattr__(self, "count", int(self.count))
@@ -446,34 +448,3 @@ def emit(result: SweepResult, format: str, path) -> str:
     except OSError as exc:
         raise OSError(f"cannot write sweep output to {path}: {exc}") from exc
     return str(path)
-
-
-def refine_extremum(
-    xs: np.ndarray, ys: np.ndarray, kind: str = "min"
-) -> tuple[float, float]:
-    """Grid minimum (kind "min") or maximum ("max") location with 3-point
-    parabolic refinement.
-
-    Returns (refined x, grid extremum y).  Exact ties are broken toward
-    the smaller x; a boundary extremum is returned unrefined.
-    """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1 or len(xs) < 2:
-        raise ValueError("xs and ys must be equal-length 1D arrays, len >= 2")
-    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-        raise ValueError("xs and ys must be finite; got a NaN or infinite entry")
-    if kind not in ("min", "max"):
-        raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
-    target = np.min(ys) if kind == "min" else np.max(ys)
-    candidates = np.flatnonzero(ys == target)
-    i = int(candidates[np.argmin(xs[candidates])])
-    if i == 0 or i == len(xs) - 1:
-        return float(xs[i]), float(ys[i])
-    x0, x1, x2 = xs[i - 1 : i + 2]
-    y0, y1, y2 = ys[i - 1 : i + 2]
-    denom = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
-    if denom == 0.0:
-        return float(x1), float(y1)
-    shift = 0.5 * ((x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)) / denom
-    return float(x1 - shift), float(y1)

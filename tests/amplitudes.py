@@ -1,5 +1,8 @@
 """Weak-drive amplitude model of the two-mode cavity.
 
+A reference of the tests, not part of the package: the master-equation
+solver and :func:`~rotcav.hamiltonian.optimal_g` are checked against it.
+
 For pump strengths well below the loss rates the state stays in the
 low-excitation sector and can be truncated to nine Fock components,
 
@@ -26,9 +29,9 @@ equations of motion into a 9 x 9 linear system for the steady
 amplitudes.  Four of the drive couplings feed a higher-occupation
 amplitude back into a lower one and are subleading in the pump
 strength; dropping them (the default) makes the c02 = 0 condition
-solvable in closed form, which is where :func:`optimal_g` comes from:
-the interference null of the two-photon amplitude in the second
-harmonic sits at
+solvable in closed form, which is where
+:func:`~rotcav.hamiltonian.optimal_g` comes from: the interference null
+of the two-photon amplitude in the second harmonic sits at
 
     g = sqrt(4 F^2 + (2 kappa1 + kappa2)(kappa1 + kappa2)) / (2 sqrt(2)).
 
@@ -52,10 +55,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, decay_hamiltonian
-from .fock import FockBasis
-from .hamiltonian import SystemParams, build_h_eff, finite_float
-from .observables import population_statistics
+from rotcav.dynamics import DensityMatrix, decay_hamiltonian
+from rotcav.fock import FockBasis
+from rotcav.hamiltonian import SystemParams, build_h_eff
+from rotcav.observables import population_statistics
 
 # Ansatz members in fixed order; index map used by the linear system.
 ANSATZ_STATES: tuple[tuple[int, int], ...] = (
@@ -143,19 +146,6 @@ def steady_amplitudes(
     if not np.all(np.isfinite(sol)) or residual > 1e-8 * max(1.0, float(np.max(np.abs(sol)))):
         raise ValueError(f"amplitude system is ill-conditioned (residual {residual:.3e})")
     return AmplitudeState(*sol)
-
-
-def optimal_g(kappa1: float, kappa2: float, f: float) -> float:
-    """Hopping interaction that nulls the two-photon amplitude c02.
-
-    g = sqrt(4 f^2 + (2 kappa1 + kappa2)(kappa1 + kappa2)) / (2 sqrt(2)).
-    """
-    kappa1, kappa2, f = map(finite_float, (kappa1, kappa2, f), ("kappa1", "kappa2", "f"))
-    if kappa1 <= 0 or kappa2 <= 0:
-        raise ValueError("loss rates must be positive")
-    return math.sqrt(4.0 * f**2 + (2.0 * kappa1 + kappa2) * (kappa1 + kappa2)) / (
-        2.0 * math.sqrt(2.0)
-    )
 
 
 def g2_from_amplitudes(s: AmplitudeState) -> tuple[float | None, float | None]:

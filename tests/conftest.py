@@ -66,3 +66,34 @@ def fail_at_points(monkeypatch, *numbers: int) -> None:
             yield SteadyStateError("synthetic failure") if seen[0] in numbers else state
 
     monkeypatch.setattr(sweep_mod, "jump_map_steady_states", flaky)
+
+
+def refine_extremum(
+    xs: np.ndarray, ys: np.ndarray, kind: str = "min"
+) -> tuple[float, float]:
+    """Grid minimum (kind "min") or maximum ("max") location with 3-point
+    parabolic refinement.
+
+    Returns (refined x, grid extremum y).  Exact ties are broken toward
+    the smaller x; a boundary extremum is returned unrefined.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if xs.shape != ys.shape or xs.ndim != 1 or len(xs) < 2:
+        raise ValueError("xs and ys must be equal-length 1D arrays, len >= 2")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValueError("xs and ys must be finite; got a NaN or infinite entry")
+    if kind not in ("min", "max"):
+        raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
+    target = np.min(ys) if kind == "min" else np.max(ys)
+    candidates = np.flatnonzero(ys == target)
+    i = int(candidates[np.argmin(xs[candidates])])
+    if i == 0 or i == len(xs) - 1:
+        return float(xs[i]), float(ys[i])
+    x0, x1, x2 = xs[i - 1 : i + 2]
+    y0, y1, y2 = ys[i - 1 : i + 2]
+    denom = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
+    if denom == 0.0:
+        return float(x1), float(y1)
+    shift = 0.5 * ((x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)) / denom
+    return float(x1 - shift), float(y1)

@@ -28,21 +28,18 @@ their claim in the form the documented model promises:
 
 import numpy as np
 
-from conftest import liouvillian as _liouvillian, make_ops, vacuum as _vacuum
+from amplitudes import AmplitudeModelOptions, g2_from_amplitudes, steady_amplitudes
+from conftest import liouvillian as _liouvillian, make_ops, refine_extremum, vacuum as _vacuum
 from rotcav import (
-    AmplitudeModelOptions,
     SystemParams,
     build_basis,
     build_h_lab,
     eigenlevels,
     figure_preset,
-    g2_from_amplitudes,
     optimal_g,
-    refine_extremum,
     resonance_angular_condition,
     run_point,
     run_sweep,
-    steady_amplitudes,
 )
 from rotcav.dynamics import jump_map_steady_states
 from rotcav.oracle import evolve, steady_state, vectorize

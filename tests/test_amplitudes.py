@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from conftest import solve_point
-from rotcav import (
+from amplitudes import (
+    ANSATZ_STATES,
     AmplitudeModelOptions,
     AmplitudeState,
-    SystemParams,
     amplitude_system,
     g2_from_amplitudes,
-    optimal_g,
     steady_amplitudes,
 )
-from rotcav.amplitudes import ANSATZ_STATES
+from conftest import refine_extremum, solve_point
+from rotcav import SystemParams, optimal_g
 from rotcav.oracle import g2_bb
 
 KEEP = AmplitudeModelOptions(keep_subleading=True)
@@ -277,8 +276,6 @@ def test_amplitude_g2_matches_master_equation():
         full_vals.append(full_val)
         if abs(g - g_null) > 0.25:
             assert abs(amp_val - full_val) / full_val < 0.10, f"at g={g}"
-
-    from rotcav import refine_extremum
 
     amp_min, _ = refine_extremum(gs, np.array(amp_vals), "min")
     full_min, _ = refine_extremum(gs, np.array(full_vals), "min")

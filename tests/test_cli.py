@@ -78,6 +78,16 @@ def test_axis_bad_field_is_named(tmp_path, capsys, axis, key, config_axis):
         assert f"{key} must be" in capsys.readouterr().err
 
 
+def test_axis_whose_span_overflows_is_error(capsys):
+    # Finite bounds whose difference overflows: an error that names the axis,
+    # not a NaN grid point the user never gave.
+    assert main(["sweep", "--axis1", "delta:-1e308:1e308:3", "--na-cut", "1", "--nb-cut", "1"]) == 1
+    captured = capsys.readouterr()
+    assert "axis 'delta' span stop - start overflows" in captured.err
+    assert "RuntimeWarning" not in captured.err and "nan" not in captured.err
+    assert captured.out == ""
+
+
 def test_sweep_requires_axis_or_config():
     assert main(["sweep"]) == 1
 
@@ -302,20 +312,21 @@ def test_point_solver_failure_exit_2(monkeypatch, capsys):
     assert ", g=1.0, " in failures[0] and failures[0].endswith("]")
 
 
-def test_failed_eigendecomposition_is_a_solver_failure_row(monkeypatch, tmp_path, capsys):
-    # The second point's eig raises, for its H' and for its decay-scaled H'
-    # alike, and so does the eig of their real B = -i U H' U^dag
-    # (dynamics._mirror_phases), which is what a point on the mirror line
-    # delta = 0, as here, is factored from.  That point alone fails, and
-    # stderr says why.
-    argv = ["sweep", "--axis1", "g:0.5:1.5:3", "--outputs", "n_a", "--na-cut", "2", "--nb-cut", "1"]
+def _assert_failed_eigendecomposition_is_a_solver_failure_row(monkeypatch, tmp_path, capsys, delta):
+    # The second point's eig raises, for its B = -i U H' U^dag
+    # (dynamics._mirror_phases), which every driven point is factored from,
+    # and for its decay-scaled B alike.  B is real on the mirror line
+    # delta = 0 and complex off it.  That point alone fails, and stderr says
+    # why.
+    argv = ["sweep", "--axis1", "g:0.5:1.5:3", "--delta", str(delta), "--outputs", "n_a",
+            "--na-cut", "2", "--nb-cut", "1"]
     plain = tmp_path / "plain.csv"
     assert main([*argv, "--out", str(plain)]) == 0
-    basis, p = build_basis(2, 1), dataclasses.replace(DEFAULT_FIXED, g=1.0)
+    basis, p = build_basis(2, 1), dataclasses.replace(DEFAULT_FIXED, delta=delta, g=1.0)
     h_prime = decay_hamiltonian(build_h_eff(p, basis), basis, p.kappa1, p.kappa2)
     b = dynamics_mod._mirror_phases(basis) * h_prime
-    assert not b.imag.any()
-    failing = (h_prime, b.real)
+    assert b.imag.any() == (delta != 0.0)
+    failing = (b,) if delta else (b.real,)
     eig = np.linalg.eig
 
     def not_converging_near_failing(matrices):
@@ -333,6 +344,14 @@ def test_failed_eigendecomposition_is_a_solver_failure_row(monkeypatch, tmp_path
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("solver failure: no usable eigenbasis of H'"), line
     assert ", g=1.0, " in line, line
+
+
+def test_failed_eigendecomposition_is_a_solver_failure_row(monkeypatch, tmp_path, capsys):
+    _assert_failed_eigendecomposition_is_a_solver_failure_row(monkeypatch, tmp_path, capsys, 0.0)
+
+
+def test_failed_eigendecomposition_off_the_mirror_line_is_a_solver_failure_row(monkeypatch, tmp_path, capsys):
+    _assert_failed_eigendecomposition_is_a_solver_failure_row(monkeypatch, tmp_path, capsys, 0.5)
 
 
 # ------------------------------------------------------- what gets imported

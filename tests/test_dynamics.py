@@ -34,6 +34,7 @@ from rotcav.oracle import (
     unvectorize,
     vectorize,
 )
+from rotcav.sweep import OUTPUT_NAMES, solve_points
 
 EXCEPTIONAL_G = 1.0 / (4.0 * math.sqrt(2.0))
 ROUNDOFF = 1e-30
@@ -1051,6 +1052,56 @@ def test_mirror_partner_b_is_the_exact_conjugate():
         partner = dataclasses.replace(p, delta=-p.delta, delta_f=-p.delta_f)
         assert partner.delta + partner.delta_f == -(p.delta + p.delta_f)
         np.testing.assert_array_equal(_mirror_b(partner, basis), _mirror_b(p, basis).conj())
+
+
+def _box_survey(count: int, cutoffs) -> list[SystemParams]:
+    """count seeded draws from the parameter box, less those whose mean-field
+    occupation (2 F / kappa1)^2 reaches half the fundamental cutoff, where
+    truncation rather than the solver sets the numbers.
+
+    The box: delta in [-10, 10]; g in [0, 10], a fifth of the draws
+    log-uniform in [1e-6, 1]; kappa2 log-uniform in [1e-3, 10]; F
+    log-uniform in [1e-6, 5]; delta_f in [-5, 5] for half the draws, else 0.
+    """
+    rng = np.random.default_rng(0)
+    points = []
+    for _ in range(count):
+        g = 10.0 ** rng.uniform(-6.0, 0.0) if rng.random() < 0.2 else rng.uniform(0.0, 10.0)
+        p = SystemParams(
+            delta=rng.uniform(-10.0, 10.0),
+            g=g,
+            kappa2=10.0 ** rng.uniform(-3.0, 1.0),
+            drive_strength=10.0 ** rng.uniform(-6.0, math.log10(5.0)),
+            delta_f=rng.uniform(-5.0, 5.0) if rng.random() < 0.5 else 0.0,
+        )
+        if (2.0 * p.drive_strength / p.kappa1) ** 2 < cutoffs[0] / 2:
+            points.append(p)
+    return points
+
+
+@pytest.mark.parametrize("cutoffs, count", [((6, 3), 500), ((8, 4), 100)], ids=["6-3", "8-4"])
+def test_box_survey_solves_every_point_as_its_mirror_partner(cutoffs, count):
+    # Only delta + delta_f enters H, and the outputs are even in it: each point
+    # gives those of its partner delta' = -delta - 2 delta_f.  (433 of 500
+    # points are kept at (6, 3) and 93 of 100 at (8, 4); the worst relative
+    # difference was 2.0e-11.)
+    points = _box_survey(count, cutoffs)
+    partners = [dataclasses.replace(p, delta=-p.delta - 2.0 * p.delta_f) for p in points]
+    results = solve_points(points + partners, cutoffs)
+    assert [str(r) for r in results if isinstance(r, SteadyStateError)] == []
+    for p, stats, mirrored in zip(points, results, results[len(points) :]):
+        for name in OUTPUT_NAMES:
+            got, want = getattr(mirrored, name), getattr(stats, name)
+            if want is None or got is None:
+                assert got is want, (name, p)
+            else:
+                assert got == pytest.approx(want, rel=1e-10, abs=0.0), (name, p)
+
+
+def test_box_survey_sample_matches_dense_oracle():
+    points = _box_survey(500, (6, 3))
+    for i in np.random.default_rng(0).choice(len(points), 20, replace=False):
+        _assert_matches_oracle(points[i], (6, 3))
 
 
 @pytest.mark.parametrize("cutoffs", [(6, 3), (10, 5), (12, 6)])

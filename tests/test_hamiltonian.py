@@ -11,7 +11,6 @@ from rotcav import (
     build_basis,
     build_h_eff,
     build_h_lab,
-    drive_strength_from_power,
     eigenlevels,
     fizeau_shift,
     resonance_angular_condition,
@@ -22,7 +21,6 @@ from rotcav.hamiltonian import SPEED_OF_LIGHT, h_eff_builder
 # Hand-evaluated oracle values (30-digit arithmetic on the defining
 # formulas), frozen here.
 FIZEAU_REFERENCE = 126_796_672.504_760_17  # rad/s for the default geometry
-DRIVE_REFERENCE = 313_135.578_529_0166  # rad/s for 2pi MHz, 1 fW, 1550 nm
 EIG_PAIR = (192.928_932_188_134_52, 207.071_067_811_865_48)  # 200 -/+ sqrt(2)*5
 # Values that are not finite: NaN, the infinities, and integers beyond the float range.
 NOT_FINITE = [
@@ -80,43 +78,6 @@ def test_fizeau_params_validation():
         FizeauParams(n=0.9)
     with pytest.raises(ValueError):
         FizeauParams(r=-1.0)
-
-
-# ---------------------------------------------------------- drive strength
-
-
-def test_drive_strength_zero_power():
-    assert drive_strength_from_power(1e6, 0.0, 1e15) == 0.0
-
-
-def test_drive_strength_sqrt_law():
-    f1 = drive_strength_from_power(1e6, 1e-15, 1e15)
-    f2 = drive_strength_from_power(1e6, 4e-15, 1e15)
-    assert f2 == pytest.approx(2 * f1, rel=1e-12)
-
-
-def test_drive_strength_reference_value():
-    kappa1 = 2 * np.pi * 1e6
-    omega_l = 2 * np.pi * 299_792_458.0 / 1550e-9
-    f = drive_strength_from_power(kappa1, 1e-15, omega_l)
-    assert f == pytest.approx(DRIVE_REFERENCE, rel=1e-12)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-@pytest.mark.parametrize("name", ["kappa1", "power", "omega_l"])
-def test_drive_strength_rejects_non_finite_inputs(name, bad):
-    args = {"kappa1": 1e6, "power": 1e-15, "omega_l": 1e15} | {name: bad}
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
-        drive_strength_from_power(**args)
-
-
-def test_drive_strength_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        drive_strength_from_power(0.0, 1e-15, 1e15)
-    with pytest.raises(ValueError):
-        drive_strength_from_power(1e6, -1.0, 1e15)
-    with pytest.raises(ValueError):
-        drive_strength_from_power(1e6, 1e-15, 0.0)
 
 
 # ------------------------------------------------------------ Hamiltonians

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_ops, solve_point
-from rotcav import DensityMatrix, SystemParams, VacuumModeError, population_statistics, populations
+from rotcav import DensityMatrix, SystemParams, VacuumModeError, population_statistics
 from rotcav.oracle import Mode, g2_aa, g2_bb, mean_photon, photon_statistics
 
 
@@ -122,14 +122,6 @@ def test_mean_photon_on_fock_states():
     state = _fock_projector(basis, 2, 1)
     assert mean_photon(state, Mode.A) == pytest.approx(2.0, rel=1e-14)
     assert mean_photon(state, Mode.B) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_populations_sum_and_consistency():
-    rho, a, _ = solve_point(SystemParams(delta=0.5, g=1.5, drive_strength=0.05))
-    pops = populations(rho)
-    assert sum(pops.values()) == pytest.approx(1.0, abs=1e-9)
-    from_pops = sum(n_a * p for (n_a, _), p in pops.items())
-    assert from_pops == pytest.approx(mean_photon(rho, Mode.A), abs=1e-9)
 
 
 def test_photon_statistics_assembly():

@@ -8,7 +8,7 @@ import pytest
 
 import rotcav.dynamics as dynamics_mod
 import rotcav.sweep as sweep_mod
-from conftest import fail_at_points
+from conftest import fail_at_points, refine_extremum
 from rotcav import (
     DensityMatrix,
     SteadyStateError,
@@ -18,7 +18,6 @@ from rotcav import (
     emit,
     figure_preset,
     optimal_g,
-    refine_extremum,
     run_point,
     run_sweep,
 )
@@ -135,6 +134,13 @@ def test_axis_validation():
     ]:
         with pytest.raises(ValueError, match=f"axis 'g' {key} must be"):
             SweepAxis("g", start, stop, count)
+
+
+@pytest.mark.parametrize("start, stop", [(-1e308, 1e308), (1.7e308, -1.7e308)])
+def test_axis_rejects_a_span_that_overflows(start, stop):
+    # Both bounds are finite, but stop - start is not: the grid would be NaN.
+    with pytest.raises(ValueError, match="axis 'delta' span stop - start overflows"):
+        SweepAxis("delta", start, stop, 3)
 
 
 def test_axis_stores_bounds_as_python_floats():
