@@ -1,6 +1,6 @@
 #!/bin/sh
 # Write the CSV of every figure preset, as computed by this checkout, into
-# OUTDIR, with eight more outputs: fig7a at 41 points and cutoffs (10,5)
+# OUTDIR, with nine more outputs: fig7a at 41 points and cutoffs (10,5)
 # (D = 66) as fig7a_10_5.csv, the weak-drive nonreciprocity sweep above
 # cutoffs (6,3), where the population floor follows each point's pair
 # moments; the drive sweep F = 0.5..2 at g = 0.867 and
@@ -18,11 +18,16 @@
 # without iterating), as undriven.csv; and two points at F ~ 1e-13 on the
 # exceptional point g = 1/(4 sqrt 2) at cutoffs (10,5), where the
 # eigenvectors of H' are too close to dependent and the solver factors S^-1
-# from H' with its loss rates scaled by 1 + sqrt(eps), as ill_conditioned.csv.
-# No preset reaches either of the last two paths.  fig5, fig6, strong_drive
-# and ill_conditioned lie on the mirror line delta + delta_f = 0, which the
-# solver factors in real arithmetic; strong_drive_detuned is the strong-drive
-# check of the complex path.  Run it on two checkouts and compare them:
+# from H' with its loss rates scaled by 1 + sqrt(eps), as ill_conditioned.csv;
+# and a drive sweep from F = 1e-17 to 1e-15 at delta = 1, g = 0.867, off the
+# mirror line, where eig returns the near-kernel eigenvalue of B with a real
+# part of 0 or of the wrong sign and the middle step of S^-1 holds the pair
+# sum on the decaying side, as weak_off_line.csv.  No preset reaches any of
+# the last three paths.  fig5, fig6, strong_drive and ill_conditioned lie on
+# the mirror line delta + delta_f = 0, which the solver factors in real
+# arithmetic; strong_drive_detuned is the strong-drive check of the complex
+# path, and weak_off_line its weak-drive check.  Run it on two checkouts and
+# compare them:
 #
 #   /path/to/old/scripts/preset_parity.sh /tmp/old
 #   /path/to/new/scripts/preset_parity.sh /tmp/new
@@ -64,4 +69,5 @@ run stalled_strong_drive.csv sweep --axis1 delta:-6:-4:3 --axis2 drive_strength:
 run fig5_convergence.json figure --name fig5 --count1 21 --convergence-check --format json
 run undriven.csv sweep --axis1 drive_strength:0:0.1:3 --g 0.867
 run ill_conditioned.csv sweep --axis1 drive_strength:1e-13:2e-13:2 --g 0.17677669529663687 --na-cut 10 --nb-cut 5
+run weak_off_line.csv sweep --axis1 drive_strength:1e-17:1e-15:3 --delta 1 --g 0.867
 exit $status

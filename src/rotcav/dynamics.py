@@ -69,17 +69,18 @@ is column D - 1 - i, and M holds alpha on its diagonal and +-beta at
 rho~ = P Y P^T, S becomes T(Y) = M Y + Y M^T, which couples only the
 entries (i, j), (pi(i), j), (i, pi(j)) and (pi(i), pi(j)), so T^-1 is a
 closed-form four-term mix of them, with four coefficient stacks stored
-per point.  Where the real eig returns the near-kernel eigenvalue of a
-weakly driven point as exactly 0 (at F = 1e-10), alpha_i + alpha_j
-vanishes with the denominator of T^-1; it is held at most -eps max |lam|,
-on the decaying side, which changes only the contraction.  An
-ill-conditioned V costs accuracy in S^-1 only, which the residual update
-tolerates.  Where V is singular or its condition number exceeds
-1/sqrt(eps), as can happen within a few ulps of the exceptional point of
-the |2,0>/|0,1> pair at vanishing drive, or where eig does not converge,
-the point's S^-1 is factored once more from its B with the real part of
-the diagonal, -(kappa1 n_a + kappa2 n_b) / 2, scaled by 1 + sqrt(eps),
-which scales both loss rates and moves the exceptional point off it.  The
+per point.  Both middle steps are complex reciprocals of the pair sums
+(:func:`_middle_step`); where eig returns the near-kernel eigenvalue of a
+weakly driven point with a real part of 0 or of the wrong sign, a pair
+sum's real part is held on the decaying side, on both paths, at -eps
+max |Re mu|, which changes only the contraction.  An ill-conditioned V
+costs accuracy in S^-1 only, which the residual update tolerates.  Where
+V is singular or its condition number exceeds 1/sqrt(eps), as can happen
+within a few ulps of the exceptional point of the |2,0>/|0,1> pair at
+vanishing drive, or where eig does not converge, the point's S^-1 is
+factored once more from its B with the real part of the diagonal,
+-(kappa1 n_a + kappa2 n_b) / 2, scaled by 1 + sqrt(eps), which scales
+both loss rates and moves the exceptional point off it.  The
 generator keeps the true B, so that S^-1 changes only the contraction,
 not the fixed point.  A point whose scaled B has no usable eigenbasis
 either is that point's solver failure.  The iteration stops once
@@ -325,7 +326,8 @@ def decay_hamiltonian(
 # factors (P, P^-1 and the four coefficient stacks of T^-1), the state,
 # L(rho), scratch, the scaled update, weights of just under D**2 floats each
 # and the mix step's temporary.  The stacked eig holds less: the matrices,
-# the factors, and V and V^-1 before they are stored.  A point whose V is
+# the factors, and V and V^-1 before they are stored, or, on the line, the
+# two complex stacks of the middle step's reciprocals.  A point whose V is
 # unusable is factored once more alone, into its own slices.  A chunk's
 # mirror-line points are solved first, while the others' B waits.
 # Certifying a point adds its state's copy and validate's temporaries.  A
@@ -838,15 +840,17 @@ def _eigenbasis_factors(matrices: np.ndarray, out: np.ndarray) -> np.ndarray:
     slices unusable, where the eigenvectors are near-singular or their eig or
     inversion raised.
 
-    Both layouts hold V, V^-1 and then the middle step of S^-1, and no
-    conjugate.  For a complex B = V diag(mu) V^-1, out[2] is
-    1 / (mu_i + conj(mu_j)): with rho~ = V X V^dag,
-    S(rho~) = V [(mu_i + conj(mu_j)) X_ij] V^dag.  For a real B, out[0] to
-    out[5] are P and P^-1 of its real block form B = P M P^-1 and the four
-    coefficient stacks of T^-1 (:func:`_block_form`).  Each stacked call acts
-    on each point by the same LAPACK or BLAS call as on a point alone, and a
-    stack whose eig or inversion raises is factored point by point, so no
-    point's factors depend on its chunk-mates.
+    Both layouts hold V, V^-1 and then the middle step of S^-1
+    (:func:`_middle_step`), and no conjugate.  For a complex
+    B = V diag(mu) V^-1, out[2] is 1 / (mu_i + conj(mu_j)): with
+    rho~ = V X V^dag, S(rho~) = V [(mu_i + conj(mu_j)) X_ij] V^dag.  For a
+    real B, out[0] to out[5] are P and P^-1 of its real block form
+    B = P M P^-1 (:func:`_block_form`) and the four coefficient stacks of
+    T^-1.  On both, a pair sum whose real part is not negative is held on
+    the decaying side by one floor on the point's decay scale.  Each stacked
+    call acts on each point by the same LAPACK or BLAS call as on a point
+    alone, and a stack whose eig or inversion raises is factored point by
+    point, so no point's factors depend on its chunk-mates.
     """
     real = matrices.dtype != complex
     try:
@@ -865,11 +869,7 @@ def _eigenbasis_factors(matrices: np.ndarray, out: np.ndarray) -> np.ndarray:
     # The 1-norm condition number needs no SVD, whose LAPACK code would
     # add ~1 MB to the peak resident memory.
     condition = np.linalg.norm(v, 1, axis=(1, 2)) * np.linalg.norm(out[1], 1, axis=(1, 2))
-    if real:
-        _mix_coefficients(lam, out[2:])
-    else:
-        np.add(lam[:, :, None], lam.conj()[:, None, :], out=out[2])
-        np.divide(1.0, out[2], out=out[2])
+    _middle_step(lam, out[2:])
     return condition <= JUMP_MAP_MAX_EIGENBASIS_CONDITION
 
 
@@ -903,43 +903,60 @@ def _block_form(lam: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.take_along_axis(lam, order, axis=1)
 
 
-def _mix_coefficients(lam: np.ndarray, out: np.ndarray) -> None:
-    """The four coefficient stacks of T^-1, T(Y) = M Y + Y M^T, into out, from
-    the eigenvalues lam in the column order of :func:`_block_form`.
+def _middle_step(lam: np.ndarray, out: np.ndarray) -> None:
+    """The middle step of S^-1 into out from the eigenvalues lam of a stack
+    of B: for a complex B the stack of u = 1 / (mu_i + conj(mu_j)), for a
+    real B the four coefficient stacks of T^-1, lam in the column order of
+    :func:`_block_form`.
 
-    T(Y)_ij = a Y_ij + s_i Y_pi,j + s_j Y_i,pj with a = alpha_i + alpha_j,
-    s = Im lam and pi the pair partner, so T couples the four entries
-    (i, j), (pi, j), (i, pj), (pi, pj), and T^-1(Z) = c0 Z_ij + c1 Z_pi,j
-    + c2 Z_i,pj + c3 Z_pi,pj with, over
-    N = (a^2 + (s_i - s_j)^2) (a^2 + (s_i + s_j)^2),
-    c0 = a (a^2 + s_i^2 + s_j^2) / N, c1 = -s_i (a^2 + s_i^2 - s_j^2) / N,
-    c2 = -s_j (a^2 - s_i^2 + s_j^2) / N and c3 = 2 a s_i s_j / N.  For a real
-    eigenvalue s_i = 0, so its c1 and c3 are exactly 0.  Where eig returns
-    the near-kernel eigenvalue of a weakly driven point as exactly 0, a and
-    N vanish; a is therefore held at most -eps max |lam| (on the decaying
-    side), which changes only the contraction.
+    With a = Re lam_i + Re lam_j and s = Im lam, u = 1 / (a + i (s_i - s_j)).
+    On the mirror line T(Y) = M Y + Y M^T has T(Y)_ij = a Y_ij + s_i Y_pi,j
+    + s_j Y_i,pj, pi the pair partner, and T^-1(Z) = c0 Z_ij + c1 Z_pi,j
+    + c2 Z_i,pj + c3 Z_pi,pj with w = 1 / (a + i (s_i + s_j)) and
+    c0 = Re(u + w) / 2, c1 = Im(u + w) / 2, c2 = Im(w - u) / 2,
+    c3 = Re(u - w) / 2: the closed forms over
+    N = (a^2 + (s_i - s_j)^2) (a^2 + (s_i + s_j)^2) to roundoff, without N,
+    which overflows from |lam| ~ 1e77.  For a real eigenvalue u and w are
+    exact conjugates, so its c1 and c3 are exactly 0.
+
+    Every pair of a driven, damped B decays, a < 0, but eig can return the
+    near-kernel eigenvalue of a weakly driven point with a real part of 0
+    or of the wrong sign (at F = 1e-10 on the mirror line, F = 1e-16 off
+    it).  Such an a is set to -eps max |Re lam|, on the point's decay
+    scale, which changes only the contraction.  A negative a is kept,
+    however small: eig resolves the near-kernel rate down to ~1e-31
+    (-2.5e-31 at delta = 1e14, F = 0.05, cutoffs (6,3), where holding it at
+    the floor left the certified n_a 5.6% off at g = 0.867), and a floor on
+    max |lam| grows with the detuning (n_a 3.2x off at delta = 3e14).
     """
+    real = out.dtype != complex
+    u = np.empty(out.shape[1:], dtype=complex) if real else out[0]
+    s = lam.imag
+    np.add(lam.real[:, :, None], lam.real[:, None, :], out=u.real)
+    floor = np.finfo(float).eps * np.abs(lam.real).max(axis=1)
+    np.copyto(u.real, -floor[:, None, None], where=u.real >= 0.0)
+    np.subtract(s[:, :, None], s[:, None, :], out=u.imag)
+    if not real:
+        np.divide(1.0, u, out=u)
+        return
+    w = u.copy()
+    np.add(s[:, :, None], s[:, None, :], out=w.imag)
+    # Halves of u and w, exactly, so that their sums are the coefficients.
+    np.divide(0.5, u, out=u)
+    np.divide(0.5, w, out=w)
     c0, c1, c2, c3 = out
-    s_i, s_j = lam.imag[:, :, None], lam.imag[:, None, :]
-    a = c0
-    np.add(lam.real[:, :, None], lam.real[:, None, :], out=a)
-    floor = np.finfo(float).eps * np.abs(lam).max(axis=1)
-    np.minimum(a, -floor[:, None, None], out=a)
-    a2 = a * a
-    inv_n = (a2 + (s_i - s_j) ** 2) * (a2 + (s_i + s_j) ** 2)
-    np.divide(1.0, inv_n, out=inv_n)
-    np.multiply(2.0 * a * s_i * s_j, inv_n, out=c3)
-    np.multiply(-s_i * (a2 + s_i**2 - s_j**2), inv_n, out=c1)
-    np.multiply(-s_j * (a2 - s_i**2 + s_j**2), inv_n, out=c2)
-    c0 *= (a2 + s_i**2 + s_j**2) * inv_n
+    np.add(u.real, w.real, out=c0)
+    np.add(u.imag, w.imag, out=c1)
+    np.subtract(w.imag, u.imag, out=c2)
+    np.subtract(u.real, w.real, out=c3)
 
 
 def _eigenbasis_inverse(factors: list[np.ndarray], r: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S^-1(r) into r for a stack of points in the eigenbases of their B, with the
-    stacked factors of _eigenbasis_factors: V^-1 r V^-dag, the product with
-    1 / (mu_i + conj(mu_j)) or, on the mirror line, the four-term mix T^-1, then
-    V X V^dag; each conjugate is formed for its product (conj() of a real factor
-    is itself)."""
+    stacked factors of _eigenbasis_factors: V^-1 r V^-dag, the middle step
+    (:func:`_middle_step`), the product with 1 / (mu_i + conj(mu_j)) or, on the
+    mirror line, the four-term mix T^-1, then V X V^dag; each conjugate is
+    formed for its product (conj() of a real factor is itself)."""
     v, v_inv, *middle = factors
     np.matmul(v_inv, r, out=x)
     np.matmul(x, v_inv.conj().transpose(0, 2, 1), out=r)

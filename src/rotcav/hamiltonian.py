@@ -140,7 +140,8 @@ def fizeau_shift(fp: FizeauParams, direction: DriveDirection) -> float:
 def _hamiltonian(basis: FockBasis) -> Callable[[float, float, float], np.ndarray]:
     """H(detuning, g, drive) = detuning (a^dag a + 2 b^dag b)
     + g (b a^dag^2 + b^dag a^2) + drive (a + a^dag), with the operator
-    products formed once for the basis."""
+    products formed once for the basis.  An H with a non-finite entry (a
+    detuning, g or drive near the float limit overflows) is a ValueError."""
     a = annihilator_a(basis)
     b = annihilator_b(basis)
     ad = a.dag()
@@ -151,9 +152,14 @@ def _hamiltonian(basis: FockBasis) -> Callable[[float, float, float], np.ndarray
     quadrature = a.matrix + ad
 
     def h(detuning: float, g: float, drive: float) -> np.ndarray:
-        out = detuning * number_a + 2.0 * detuning * number_b
-        out += g * hopping
-        out += drive * quadrature
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            out = detuning * number_a + 2.0 * detuning * number_b
+            out += g * hopping
+            out += drive * quadrature
+        if not np.isfinite(out).all():
+            raise ValueError(
+                f"Hamiltonian overflows the float range at detuning {detuning}, g {g}, drive {drive}"
+            )
         return out
 
     return h

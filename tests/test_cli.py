@@ -312,6 +312,58 @@ def test_point_solver_failure_exit_2(monkeypatch, capsys):
     assert ", g=1.0, " in failures[0] and failures[0].endswith("]")
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--drive-strength", "1e100"],
+        ["--drive-strength", "1e200"],
+        ["--g", "1e200"],
+        ["--kappa2", "1e300"],
+        ["--delta", "1e200"],
+    ],
+    ids=["F1e100", "F1e200", "g1e200", "kappa2-1e300", "delta1e200"],
+)
+def test_point_at_extreme_finite_inputs_keeps_the_exit_codes(flags, capsys):
+    # A RuntimeWarning is an error in this suite: the point solves or fails
+    # cleanly, without a NaN or an overflow on the way.
+    assert main(["point", *flags]) in (0, 2)
+    assert "Warning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--delta", "1", "--drive-strength", "1e-16"],
+        ["--delta", "-1", "--drive-strength", "1e-16"],
+        ["--delta", "1", "--g", "0.5", "--drive-strength", "1e-17"],
+    ],
+    ids=["delta1-F1e-16", "delta-1-F1e-16", "delta1-g0.5-F1e-17"],
+)
+def test_point_at_tiny_drive_off_the_mirror_line_solves(flags, tmp_path):
+    out = tmp_path / "point.json"
+    assert main(["point", *flags, "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    p = payload["params"]
+    n_a = p["drive_strength"] ** 2 / ((p["delta"] + p["delta_f"]) ** 2 + 0.25)
+    assert payload["outputs"]["n_a"] == pytest.approx(n_a, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--delta", "1e308", "--delta-f", "1e308"],
+        ["sweep", "--axis1", "delta:1e308:1.5e308:2", "--delta-f", "1e308"],
+        ["eigen", "--omega1", "1e308", "--delta-f", "1e308"],
+    ],
+    ids=["point", "sweep", "eigen"],
+)
+def test_hamiltonian_that_overflows_exits_1(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Hamiltonian overflows the float range at detuning inf")
+
+
 def _assert_failed_eigendecomposition_is_a_solver_failure_row(monkeypatch, tmp_path, capsys, delta):
     # The second point's eig raises, for its B = -i U H' U^dag
     # (dynamics._mirror_phases), which every driven point is factored from,

@@ -1155,6 +1155,62 @@ def test_block_form_inverse_undoes_s(p):
     assert np.max(np.abs(got - x)) <= 1e-10 * np.max(np.abs(x))
 
 
+def test_middle_step_scales_as_one_over_the_eigenvalues():
+    # The closed forms of the four coefficients, over
+    # N = (a^2 + (s_i - s_j)^2) (a^2 + (s_i + s_j)^2), overflow from |lam| ~ 1e77;
+    # by complex division they stay finite and scale as 1 / lam: exactly, for
+    # a power of two, which every step of the division carries through.
+    rng = np.random.default_rng(11)
+    d = 28
+    b = rng.normal(size=(1, d, d)) - 8.0 * np.eye(d)
+    lam, v = np.linalg.eig(b)
+    assert lam.imag.any() and (lam.real < 0).all()
+    lam = dynamics_mod._block_form(lam, v, np.empty_like(b))
+    coefficients, scaled = np.empty((2, 4, 1, d, d))
+    dynamics_mod._middle_step(lam, coefficients)
+    scale = 2.0**266  # 1.2e80
+    dynamics_mod._middle_step(scale * lam, scaled)
+    assert np.isfinite(scaled).all()
+    np.testing.assert_array_equal(scale * scaled, coefficients)
+
+
+def _n_a_weak_drive(p: SystemParams) -> float:
+    """n_a = F^2 / ((delta + delta_f)^2 + kappa1^2 / 4) of the empty-cavity
+    coherent state, the weak-drive limit at kappa1 = 1."""
+    return p.drive_strength**2 / ((p.delta + p.delta_f) ** 2 + 0.25)
+
+
+@pytest.mark.parametrize("g", [0.0, 0.867])
+@pytest.mark.parametrize("delta", [1.0, 3.0])
+@pytest.mark.parametrize("drive", [1e-17, 1e-16])
+def test_off_line_tiny_drive_solves_as_its_mirror_partner(drive, delta, g):
+    # There eig returns the near-kernel eigenvalue of B with a real part of 0
+    # or of roundoff of either sign: the floor of the middle step holds each
+    # such pair sum on the decaying side, off the mirror line as on it.
+    points = [SystemParams(delta=x, g=g, drive_strength=drive) for x in (delta, -delta)]
+    results = solve_points(points, (6, 3))
+    assert [str(r) for r in results if isinstance(r, SteadyStateError)] == []
+    for p, stats in zip(points, results):
+        assert stats.n_a == pytest.approx(_n_a_weak_drive(p), rel=1e-12, abs=0.0), p
+    for name in OUTPUT_NAMES:
+        got, want = getattr(results[1], name), getattr(results[0], name)
+        if want is None or got is None:
+            assert got is want, name
+        else:
+            assert got == pytest.approx(want, rel=1e-10, abs=0.0), name
+
+
+@pytest.mark.parametrize("g", [0.0, 0.867])
+@pytest.mark.parametrize("delta", [1e14, 3e14, 1e15])
+def test_large_detuning_keeps_the_floor_on_the_decay_scale(delta, g):
+    # The imaginary parts of B's eigenvalues grow with the detuning, their
+    # real parts do not.  A floor scaled by max |lam| left n_a 3.2x off at
+    # delta = 3e14, and a floor applied to the resolved near-kernel rate
+    # (-2.5e-31 at delta = 1e14) left it 5.6% off at g = 0.867.
+    p = SystemParams(delta=delta, g=g, drive_strength=0.05)
+    assert run_point(p, (6, 3)).n_a == pytest.approx(_n_a_weak_drive(p), rel=1e-12, abs=0.0)
+
+
 def test_line_points_call_no_complex_lapack(monkeypatch):
     for delta, dtype in ((0.0, np.float64), (1e-300, np.complex128)):
         seen = set()

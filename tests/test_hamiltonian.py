@@ -230,6 +230,32 @@ def test_lab_hamiltonian_rejects_non_finite_frequency(omega1):
         build_h_lab(omega1, SystemParams(g=5.0), build_basis(2, 1))
 
 
+@pytest.mark.parametrize(
+    "p, omega1",
+    [
+        (SystemParams(delta=1e308, delta_f=1e308, drive_strength=0.05), None),  # the sum overflows
+        (SystemParams(delta=1e308, drive_strength=0.05), None),  # 2 delta b^dag b overflows
+        (SystemParams(g=1e308, drive_strength=0.05), None),  # g sqrt(2) overflows
+        (SystemParams(drive_strength=1e308), None),  # F sqrt(6) at (6, 3)
+        (SystemParams(delta_f=1e308), 1e308),
+    ],
+    ids=["delta-sum", "delta", "g", "drive", "lab"],
+)
+def test_hamiltonian_that_overflows_is_an_input_error(p, omega1):
+    # Finite parameters whose H overflows: an error that names them, not a
+    # NaN from inf * 0 (a RuntimeWarning, an error in this suite) for the
+    # solver to report as a failure.
+    basis = build_basis(6, 3)
+    with pytest.raises(ValueError, match="detuning .*, g .*, drive "):
+        if omega1 is None:
+            build_h_eff(p, basis)
+        else:
+            build_h_lab(omega1, p, basis)
+    if omega1 is None:
+        with pytest.raises(ValueError, match="overflows"):
+            h_eff_builder(basis)(p)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_eigenlevels_rejects_non_finite_entries(bad):
     # NaN makes max |H - H^dag| NaN, which passes a "> tol" check.
