@@ -7,15 +7,16 @@ For each CSV or JSON output in OLD it prints the number of rows, the
 number of cells whose text differs in NEW, and the worst relative change
 among them (|new - old| / |old|, the absolute change where old is 0), with
 its row, its column and its old -> new text, so that a change of a value
-at roundoff level reads as such.
+at roundoff level reads as such.  Each stderr file (.err) is compared
+line by line, and every differing pair of lines is printed.
 A JSON output is read as a table of its rows, plus one row of its
 convergence_max_rel_change with the status "convergence"; every other
 metadata key that differs, except created_utc, is printed by its dotted
 name (spec.fixed.delta_f), and the rows are still compared.  It exits 1
 when the two directories do not hold the same file names, or an output
 differs in its header, its metadata, its row count, a row's status, or
-which cells are empty (an undefined g2); otherwise it exits 0, however
-far the values moved.
+which cells are empty (an undefined g2), or a stderr file in its number
+of lines; otherwise it exits 0, however far the values moved.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import json
 import sys
 from pathlib import Path
 
-OUTPUTS = ("*.csv", "*.json")
+OUTPUTS = ("*.csv", "*.json", "*.err")
 
 
 def _leaves(value, prefix: str = "") -> dict:
@@ -98,6 +99,20 @@ def compare(old: Path, new: Path) -> tuple[str, list[str]]:
     return summary, mismatches
 
 
+def compare_lines(old: Path, new: Path) -> tuple[str, list[str]]:
+    """A summary of one stderr pair, with each differing pair of lines, and
+    the mismatch that fails it: a different number of lines."""
+    old_lines, new_lines = old.read_text().splitlines(), new.read_text().splitlines()
+    if len(old_lines) != len(new_lines):
+        problem = f"{old.name}: {len(old_lines)} lines in OLD, {len(new_lines)} in NEW"
+        return problem, [problem]
+    differ = [(n, a, b) for n, (a, b) in enumerate(zip(old_lines, new_lines), start=1) if a != b]
+    summary = f"{old.name}: {len(old_lines)} lines, {len(differ)} differ"
+    for n, a, b in differ:
+        summary += f"\n  line {n} OLD: {a}\n  line {n} NEW: {b}"
+    return summary, []
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path)
@@ -109,7 +124,8 @@ def main(argv=None) -> int:
     if names != new_names:
         mismatches.append(f"output names differ: OLD {names}, NEW {new_names}")
     for name in sorted(set(names) & set(new_names)):
-        summary, found = compare(args.old / name, args.new / name)
+        compared = compare_lines if name.endswith(".err") else compare
+        summary, found = compared(args.old / name, args.new / name)
         print(summary)
         mismatches += found
     for line in mismatches:

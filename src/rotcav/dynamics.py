@@ -90,26 +90,27 @@ roundoff plateau of at most 1e-10.  It measures each update entrywise
 relative to sqrt(p_i p_j), with p the populations of the current iterate
 floored per point at max(1e-24, 1e-6 min(<a^dag^2 a^2>, <b^dag^2 b^2>)):
 a population below the floor adds too little to either pair moment to
-matter, so the stop does not wait on it.  Without drive the vacuum |0,0> is an
-eigenvector of H' with a real eigenvalue, so S is singular; the vacuum
-is then stationary and is returned directly.
+matter, so the stop does not wait on it.  Each iterate's L(rho) is formed
+once, right after its update, and every exit is decided from it.  Without
+drive the vacuum |0,0> is an eigenvector of H' with a real eigenvalue,
+so S is singular; the vacuum is then stationary and is returned directly.
 
 Near the small Liouvillian gap of the driven chi(2) cavity (Minganti et
 al., Phys. Rev. A 98, 042118 (2018)) the iteration contracts at ratios up
 to 0.997, and a point whose ratio stays slow, or whose updates stop
 shrinking above that plateau, leaves the stacked loop for a Krylov phase:
 restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
-(1986)) on the root of delta -> S^-1(L(delta)), with the point's
-own factors of S^-1 and jump weights, so that its bits do not depend on
-its chunk.  At g = 2, delta = -4, F = 2, cutoffs (10,5) the loop alone
-needs 1096 iterations; with the phase the point takes 11 generator calls
-and 60 applications of S^-1.  The unknowns are population-weighted,
+(1986)) on the root of delta -> S^-1(L(delta)), in the point's own slices
+of the loop's stacks, so that its bits do not depend on its chunk.  At
+g = 2, delta = -4, F = 2, cutoffs (10,5) the loop alone needs 1096
+iterations; with the phase the point takes 11 generator calls and 60
+applications of S^-1.  The unknowns are population-weighted,
 delta = W^1/2 Y W^1/2, and packed as Y's upper triangle in the state's
 dtype; every application is Hermitized on its way in and out
-(:func:`_krylov`).  The phase stops, and certifies the state from the
-L(rho) of its last restart, once the scaled update is at most
-JUMP_MAP_KRYLOV_TOL or sits on its roundoff floor, without further
-iterations.
+(:func:`_krylov`).  The phase starts from the loop's last L(rho) and
+forms L(rho) once after each cycle; it stops, and certifies the state
+from that L(rho), once the scaled update is at most JUMP_MAP_KRYLOV_TOL
+or sits on its roundoff floor, without further iterations.
 
 Each state is certified as the dense reference route of :mod:`rotcav.oracle`
 certifies its own: residual max |L(rho)| at most STEADY_RESIDUAL_TOL
@@ -334,13 +335,14 @@ def decay_hamiltonian(
 # point in the Krylov phase, one at a time, adds its GMRES basis of
 # JUMP_MAP_KRYLOV_RESTART + 1 packed vectors, Y's upper triangle in the
 # state's dtype: D (D + 1) / 2 floats each on the mirror line (0.34 MB at
-# D = 45) and D (D + 1) off it (2.75 MB at D = 91), its own state, L(rho),
-# scratch and weights, and its index arrays.  Memory bounds the chunk, not
-# speed: at D = 28 (cutoffs (6,3)) chunks of 8 solved the fig5 sweep 1.5x
-# faster than chunks of one, and chunks of 16 only 2% faster than 8 at
-# 1.1 MB more peak memory; at D = 45 chunks of 3 ran 7% faster than chunks
-# of one and chunks of 8 3% faster than 3 at 1.8 MB more.  D = 66 and up
-# solves one point at a time.
+# D = 45) and D (D + 1) off it (2.75 MB at D = 91), a copy of its state,
+# its jump weights and its index arrays; it works in its own slices of the
+# loop's state, L(rho) and scratch.  Memory bounds the chunk, not speed: at
+# D = 28 (cutoffs (6,3)) chunks of 8 solved the fig5 sweep 1.5x faster than
+# chunks of one, and chunks of 16 only 2% faster than 8 at 1.1 MB more peak
+# memory; at D = 45 chunks of 3 ran 7% faster than chunks of one and chunks
+# of 8 3% faster than 3 at 1.8 MB more.  D = 66 and up solves one point at
+# a time.
 CHUNK_ENTRIES = 8 * 28**2
 
 
@@ -481,13 +483,14 @@ def _iterate(
     the iteration runs in their dtype, in the rotated frame.  The caller's
     arrays hold one slice per point along their first axis; the state rho,
     L(rho), the scratch x, the scaled update and the jump weights built from
-    the rates (:func:`_jump_views`) are allocated here once.  A point that converges or fails leaves the
-    active set: :func:`_keep` moves the others to the front in place, and
-    every stack is sliced to them.  So does a point whose contraction stays
-    slow or whose update stops shrinking above the plateau
-    (:meth:`_Track.enters`), once :func:`_krylov` has finished it from
-    its slices; the budget counts S^-1 applications in both.  retried marks
-    the points whose factors come from the decay-scaled B.
+    the rates (:func:`_jump_views`) are allocated here once.  Each iteration
+    forms the L(rho) of its update once and decides every exit from it: a
+    non-finite step fails the point, a stop certifies it, a slow or flat
+    contraction (:meth:`_Track.enters`) hands its slices to :func:`_krylov`,
+    and the budget's last iteration fails it; the budget counts S^-1
+    applications in the loop and the phase alike.  :func:`_keep` then moves
+    the points that stay to the front in place, and every stack is sliced to
+    them.  retried marks the points whose factors come from the decay-scaled B.
     """
     n, d = len(b), basis.dim
     rho, r, x = np.empty((3, n, d, d), dtype=b.dtype)
@@ -495,43 +498,17 @@ def _iterate(
     jumps = _jump_views(basis, rates, rho, r, x)
     weights = [jump[-1] for jump in jumps]
     pairs = _pair_weights(basis)
+    retried = retried.tolist()
     # One renewal from the vacuum: the first update is the normalized
     # -kappa1 S^-1(|0,0><0,0|), since J(|1,0><1,0|) = kappa1 |0,0><0,0| and
     # S^-1 S(rho) = rho.  At weak drive nearly every jump lands in |0,0>.
     rho[...] = 0.0
     one = basis.index(1, 0)
     rho[:, one, one] = 1.0
+    _generator(b, rho, r, x, jumps)
     tracks = [_Track(i) for i in range(n)]
     results: list = [None] * n
-    finished: list[int] = []  # positions in the stack, certified from the next L(rho)
-    left: list[int] = []  # positions of points that failed or finished in the Krylov phase
-
-    def record(track: _Track, applications: int) -> SolveRecord:
-        """The record of a point that leaves the loop at this iteration."""
-        return SolveRecord(applications, iteration, 0, bool(retried[track.index]))
-
     for iteration in itertools.count(1):
-        if len(left) == len(tracks):  # nothing to certify or iterate
-            return results
-        _generator(b, rho, r, x, jumps)
-        for j in finished:
-            residual, solve = float(np.max(np.abs(r[j]))), record(tracks[j], iteration - 1)
-            results[tracks[j].index] = _outcome(DensityMatrix(rho[j].copy(), basis, solve), residual)
-        if iteration > JUMP_MAP_MAX_ITERATIONS:
-            for j, track in enumerate(tracks):
-                if j not in finished and j not in left:
-                    residual, solve = float(np.max(np.abs(r[j]))), record(track, iteration - 1)
-                    results[track.index] = _unfinished(track.step, solve, residual)
-            return results
-        if finished or left:
-            keep = np.ones(len(tracks), dtype=bool)
-            keep[finished + left] = False
-            if not keep.any():
-                return results
-            tracks = [track for track, kept in zip(tracks, keep) if kept]
-            b, rho, r, *stacks = _keep(keep, b, rho, r, *weights, *factors)
-            weights, factors = stacks[: len(weights)], stacks[len(weights) :]
-            x, scaled = x[: len(tracks)], scaled[: len(tracks)]
         update = _eigenbasis_inverse(factors, r, x)
         rho -= update
         # Hermitize without the factor 1/2, which the normalization absorbs
@@ -545,21 +522,38 @@ def _iterate(
         np.abs(update, out=scaled)
         scaled *= inv_weight[:, :, None]
         scaled *= inv_weight[:, None, :]
-        finished, left = [], []
-        for j, (track, step) in enumerate(zip(tracks, scaled.max(axis=(1, 2)).tolist())):
+        steps = scaled.max(axis=(1, 2)).tolist()
+        failed = [j for j, step in enumerate(steps) if not math.isfinite(step)]
+        if failed:
+            rho[failed] = 0.0  # stationary, so L(rho) stays finite
+        if len(failed) < len(steps):
+            _generator(b, rho, r, x, jumps)
+        keep = [False] * len(tracks)
+        for j, (track, step) in enumerate(zip(tracks, steps)):
+            i, point = track.index, slice(j, j + 1)
             if not math.isfinite(step):
-                results[track.index] = _unfinished(step, record(track, iteration))
-                rho[j] = 0.0  # stationary, so L(rho) stays finite until it leaves
-                left.append(j)
+                results[i] = _unfinished(step, SolveRecord(iteration, iteration, 0, retried[i]))
             elif track.stops(step, iteration):
-                finished.append(j)
+                solve = SolveRecord(iteration, iteration + 1, 0, retried[i])
+                results[i] = _outcome(DensityMatrix(rho[j].copy(), basis, solve), float(np.max(np.abs(r[j]))))
             elif track.enters(iteration):
-                i, point, entry = track.index, slice(j, j + 1), record(track, iteration)
+                entry = SolveRecord(iteration, iteration, 0, retried[i])
                 point_factors = [factor[point] for factor in factors]
                 results[i] = _krylov(
-                    b[point], point_factors, rates[i : i + 1], basis, rho[j].copy(), entry
+                    b[point], point_factors, rates[i : i + 1], basis, rho[point], r[point], x[point], entry
                 )
-                left.append(j)
+            elif iteration == JUMP_MAP_MAX_ITERATIONS:
+                solve = SolveRecord(iteration, iteration + 1, 0, retried[i])
+                results[i] = _unfinished(step, solve, float(np.max(np.abs(r[j]))))
+            else:
+                keep[j] = True
+        if not all(keep):
+            if not any(keep):
+                return results
+            tracks = [track for track, kept in zip(tracks, keep) if kept]
+            b, rho, r, *stacks = _keep(np.array(keep), b, rho, r, *weights, *factors)
+            weights, factors = stacks[: len(weights)], stacks[len(weights) :]
+            x, scaled = x[: len(tracks)], scaled[: len(tracks)]
 
 
 @dataclass
@@ -597,17 +591,21 @@ def _krylov(
     factors: list[np.ndarray],
     rates: np.ndarray,
     basis: FockBasis,
-    state: np.ndarray,
+    rho: np.ndarray,
+    r: np.ndarray,
+    x: np.ndarray,
     entry: SolveRecord,
 ) -> DensityMatrix | SteadyStateError:
     """Finish one point of :func:`_iterate` by restarted GMRES on the root of
     delta -> S^-1(L(delta)); its certified state or its error.
 
-    b, factors and rates are the point's slices of the stacks (its stacks of
-    one), state its iterate in the rotated frame and entry its loop record,
-    whose S^-1 applications the budget keeps counting here.  Each restart forms L(rho) at the
-    current state, whose max |L(rho)| certifies the state if the phase
-    stops there, and the loop's update S^-1(L(rho)), scaled as
+    b, factors, rates, rho, r and x are the point's slices of the loop's
+    stacks (its stacks of one): rho holds its iterate in the rotated frame,
+    r that iterate's L(rho) and x scratch.  entry is its loop record, whose
+    S^-1 applications the budget keeps counting here.  The phase updates a
+    copy of the state and forms its L(rho) after each cycle.  Each restart
+    reads max |L(rho)|, which certifies the state if the phase stops there,
+    and the loop's update S^-1(L(rho)), scaled as
     delta = W^1/2 Y W^1/2 with W the state's populations floored as in the
     loop (:func:`_population_floor`).  A cycle (:func:`_gmres_cycle`) then solves
     S^-1(L(delta)) = -update for Y packed as its upper triangle, row by
@@ -620,11 +618,10 @@ def _krylov(
     GMRES stalled at 1e-7 to 1e-10.
     """
     d = basis.dim
-    rho, r, x = np.empty((3, 1, d, d), dtype=state.dtype)
     jumps = _jump_views(basis, rates, rho, r, x)
     i, j = np.triu_indices(d)
     up, lo = i * d + j, j * d + i  # each entry of Y's upper triangle and its mirror
-    packed = np.empty(len(up), dtype=state.dtype)
+    packed = np.empty(len(up), dtype=rho.dtype)
     vectors = np.empty((JUMP_MAP_KRYLOV_RESTART + 1, packed.view(float).size))
     t = np.empty_like(vectors[0])
     ww, iw = np.empty((2, len(up)))
@@ -634,14 +631,14 @@ def _krylov(
     def unpack(y: np.ndarray) -> None:
         """W^1/2 Y W^1/2 into rho, with each entry below the diagonal the
         conjugate of its mirror."""
-        np.multiply(y.view(state.dtype), ww, out=packed)
+        np.multiply(y.view(rho.dtype), ww, out=packed)
         flat_rho[up] = packed
         flat_rho[lo] = np.conjugate(packed, out=packed)
 
     def pack(out: np.ndarray) -> None:
         """The Hermitian part of S^-1(r), scaled by W^-1/2 on both sides, into out."""
         _eigenbasis_inverse(factors, r, x)
-        entries = out.view(state.dtype)
+        entries = out.view(rho.dtype)
         flat_r.take(up, out=entries)
         entries += np.conjugate(flat_r.take(lo, out=packed), out=packed)
         entries *= iw
@@ -656,17 +653,16 @@ def _krylov(
         calls += 1
         pack(out)
 
+    state = rho[0].copy()
     best, solved, calls = math.inf, False, entry.applications
     for restart in itertools.count(1):
-        rho[0] = state
-        _generator(b, rho, r, x, jumps)
-        calls += 1
         residual = float(np.max(np.abs(r)))
         populations = state.diagonal().real
         w = np.sqrt(np.maximum(populations, _population_floor(populations, pairs)))
         np.take(np.outer(w, w).reshape(-1), up, out=ww)
         np.divide(0.5, ww, out=iw)
         pack(vectors[0])
+        calls += 1
         step = math.sqrt(vectors[0] @ vectors[0])
         solve = SolveRecord(calls, entry.generator_calls + restart, entry.applications, entry.retried)
         if not math.isfinite(step):
@@ -681,6 +677,8 @@ def _krylov(
         unpack(np.matmul(y, vectors[: len(y)], out=t))
         state += rho[0]
         state *= 1.0 / state.trace().real
+        rho[0] = state
+        _generator(b, rho, r, x, jumps)
 
 
 def _unfinished(step: float, solve: SolveRecord, residual: float = math.nan) -> SteadyStateError:

@@ -48,9 +48,11 @@ def _real(value: complex, what: str) -> float:
 
 
 def _occupation(value: float) -> float:
-    """A mean occupation, 0.0 where roundoff in populations far below the
-    solver's population floor leaves it negative (n_b = -2.8e-51 at the
-    exceptional point, F = 2e-13, cutoffs (10, 5))."""
+    """A mean occupation or pair moment, 0.0 where roundoff in populations
+    far below the solver's population floor leaves it negative (n_b =
+    -2.8e-51 at the exceptional point, F = 2e-13, cutoffs (10, 5); a pair
+    moment of -1.3e-194 at g = 1e100, delta = 1, which read as
+    g2_aa = -3.2e-189)."""
     return 0.0 if value < 0 else value
 
 
@@ -61,7 +63,7 @@ def population_statistics(rho: DensityMatrix) -> PhotonStatistics:
     exactly on the box, with n from FockBasis.occ_a / occ_b, so no
     operator product is formed.  The sums run over the complex diagonal,
     and each takes the same imaginary-residue check and vacuum guard as
-    in the oracle's, and a negative occupation reads 0.0.
+    in the oracle's, and a negative occupation or pair moment reads 0.0.
     """
     diag = rho.matrix.diagonal()
     moments = []
@@ -69,7 +71,7 @@ def population_statistics(rho: DensityMatrix) -> PhotonStatistics:
         occupation = _occupation(_real(diag @ occ, f"<{label}^dag {label}>"))
         g2 = None
         if occupation > VACUUM_OCCUPATION_EPS:
-            pair = _real(diag @ (occ * (occ - 1)), f"<{label}^dag^2 {label}^2>")
+            pair = _occupation(_real(diag @ (occ * (occ - 1)), f"<{label}^dag^2 {label}^2>"))
             g2 = pair / occupation**2
         moments.append((g2, occupation))
     (g2_a, n_a), (g2_b, n_b) = moments

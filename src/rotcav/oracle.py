@@ -302,7 +302,7 @@ def _g2(rho: DensityMatrix, op: ModeOperator, label: str) -> float:
         raise VacuumModeError(
             f"mode {label} occupation {occupation:.3e} below guard; g2 undefined"
         )
-    pair = _real(np.trace(cd @ cd @ c @ c @ rho.matrix), f"<{label}^dag^2 {label}^2>")
+    pair = _occupation(_real(np.trace(cd @ cd @ c @ c @ rho.matrix), f"<{label}^dag^2 {label}^2>"))
     return pair / occupation**2
 
 

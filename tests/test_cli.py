@@ -348,6 +348,17 @@ def test_point_at_tiny_drive_off_the_mirror_line_solves(flags, tmp_path):
     assert payload["outputs"]["n_a"] == pytest.approx(n_a, rel=1e-12, abs=0.0)
 
 
+def test_sweep_at_huge_g_prints_no_negative_g2(tmp_path):
+    # The two-photon populations at g = 1e100 are roundoff of either sign;
+    # g2_aa read -3.2e-189 there.
+    out = tmp_path / "huge_g.csv"
+    assert main(["sweep", "--axis1", "g:1e100:1e200:3", "--delta", "1", "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    columns = [header.index("g2_aa"), header.index("g2_bb")]
+    values = [float(row[i]) for row in rows for i in columns if row[i]]
+    assert len(rows) == 3 and values and min(values) >= 0.0
+
+
 @pytest.mark.parametrize(
     "argv",
     [

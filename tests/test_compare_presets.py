@@ -97,3 +97,26 @@ def test_json_metadata_change_still_compares_cells(tmp_path, capsys):
     assert captured.err == (
         'MISMATCH fig5_convergence.json: metadata spec.fixed.direction "left" -> absent\n'
     )
+
+
+def _write_err(directory: Path, lines, name="extreme_g.err") -> Path:
+    directory.mkdir(exist_ok=True)
+    (directory / name).write_text("".join(line + "\n" for line in lines))
+    return directory
+
+
+def test_stderr_files_compare_line_by_line(tmp_path, capsys):
+    lines = ["solver failure: steady-state residual 1.050e-06 exceeds 1e-10 [at g=1e+199]", "done"]
+    moved = [lines[0].replace("1.050e-06", "1.051e-06"), lines[1]]
+    old, same = _write_err(tmp_path / "old", lines), _write_err(tmp_path / "same", lines)
+    assert compare_presets.main([str(old), str(same)]) == 0
+    assert capsys.readouterr().out == "extreme_g.err: 2 lines, 0 differ\n"
+    # A differing line is printed with its partner but does not fail the run.
+    assert compare_presets.main([str(old), str(_write_err(tmp_path / "moved", moved))]) == 0
+    assert capsys.readouterr().out == (
+        f"extreme_g.err: 2 lines, 1 differ\n  line 1 OLD: {lines[0]}\n  line 1 NEW: {moved[0]}\n"
+    )
+    # A different number of lines does, and so does a missing stderr file.
+    assert compare_presets.main([str(old), str(_write_err(tmp_path / "short", lines[:1]))]) == 1
+    assert "MISMATCH extreme_g.err: 2 lines in OLD, 1 in NEW" in capsys.readouterr().err
+    assert compare_presets.main([str(old), str(_write(tmp_path / "csv_only", ROWS))]) == 1

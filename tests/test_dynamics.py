@@ -961,6 +961,16 @@ def test_solver_streams_its_input_one_chunk_at_a_time(monkeypatch):
     _assert_same_solves(states, [_solve_alone_point(h, basis, 1.0, 1.0) for h in h_effs])
 
 
+def _assert_fails_as_alone(failed: SteadyStateError, i: int) -> None:
+    """failed, chunk point i's error, has the record and the message of that
+    point solved as a chunk of one."""
+    points, basis = _chunk_inputs()
+    (alone,) = jump_map_steady_states([points[i]], basis)
+    assert isinstance(alone, SteadyStateError)
+    assert failed.solve == alone.solve
+    assert str(failed) == str(alone)
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_update_fails_only_its_point(monkeypatch):
     _wrap_eigenbasis_inverse(monkeypatch, lambda inverse: _poisoned_at_call(inverse, np.nan, point=1))
@@ -968,6 +978,9 @@ def test_non_finite_update_fails_only_its_point(monkeypatch):
     assert _failed(states) == [False, True, False, False, False]
     assert str(states[1]) == "jump-map iteration produced non-finite entries at iteration 3"
     _assert_same_solves(states[::2], _solve_alone()[::2])
+    monkeypatch.undo()
+    _wrap_eigenbasis_inverse(monkeypatch, lambda inverse: _poisoned_at_call(inverse, np.nan, point=0))
+    _assert_fails_as_alone(states[1], 1)
 
 
 def test_budget_exhaustion_fails_only_its_point(monkeypatch):
@@ -978,6 +991,7 @@ def test_budget_exhaustion_fails_only_its_point(monkeypatch):
     assert _failed(states) == [False, False, False, True, False]
     assert str(states[3]).startswith("jump-map iteration did not converge in 60 iterations")
     assert states[3].solve.applications <= dynamics_mod.JUMP_MAP_MAX_ITERATIONS
+    _assert_fails_as_alone(states[3], 3)
 
 
 def test_certificate_failure_fails_only_its_point(monkeypatch):

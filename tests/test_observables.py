@@ -204,3 +204,17 @@ def test_roundoff_negative_occupation_reads_zero(n_a, n_b):
     for stats in (population_statistics(state), photon_statistics(state, a, b)):
         assert (stats.n_a, stats.n_b) == (0.0, 0.0)
         assert stats.g2_aa is None and stats.g2_bb is None
+
+
+def test_roundoff_negative_pair_moment_reads_zero():
+    # A certified state whose two-photon population is -1e-51, roundoff far
+    # below the solver's population floor: g2 is 0, not a negative number.
+    basis, a, b = make_ops(4, 2)
+    rho = _fock_projector(basis, 0, 0).matrix * 0.99
+    rho[basis.index(1, 0), basis.index(1, 0)] = 0.01
+    rho[basis.index(2, 0), basis.index(2, 0)] = -1e-51
+    state = DensityMatrix(rho, basis)
+    state.validate()
+    assert g2_aa(state, a) == 0.0
+    for stats in (population_statistics(state), photon_statistics(state, a, b)):
+        assert stats.g2_aa == 0.0
