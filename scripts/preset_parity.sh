@@ -10,9 +10,11 @@
 # contract so slowly that the solver finishes them in its Krylov phase
 # (delta = -4, F = 2 and delta = -5, F = 3 ran out of the fixed-point loop's
 # budget before it); delta in {-6, -5, -4} x F in {0.5, 1} at g = 0.3 and
-# cutoffs (8,4) as stalled_strong_drive.csv, whose scaled updates stop
-# shrinking above the roundoff plateau, so that the solver finishes them in
-# its Krylov phase too; fig5 at 21 points with
+# cutoffs (8,4) as stalled_strong_drive.csv, which the solver finishes in
+# its Krylov phase too: F = 0.5 at delta = -6 and -5 enters it once its
+# scaled updates stop shrinking above the roundoff plateau, the other four
+# points at iteration 8, their updates still above the step bound; fig5 at
+# 21 points with
 # --convergence-check (doubled cutoffs) as fig5_convergence.json; a drive
 # sweep from F = 0, whose first point is undriven (the vacuum is returned
 # without iterating), as undriven.csv; and two points at F ~ 1e-13 on the

@@ -25,6 +25,7 @@ from .hamiltonian import (
     SystemParams,
     build_h_lab,
     eigenlevels,
+    finite_float,
     fizeau_shift,
     optimal_g,
 )
@@ -249,9 +250,12 @@ def _cmd_fizeau(args) -> int:
     fp = FizeauParams(**{field: getattr(args, field) for _, field, _ in _FIZEAU_FLAGS})
     direction = DriveDirection(args.direction) if args.direction else DriveDirection.LEFT
     shift = fizeau_shift(fp, direction)
-    print(f"fizeau_shift_rad_s = {shift:.12g}")
+    lines = [f"fizeau_shift_rad_s = {shift:.12g}"]
     if kappa1_si is not None:
-        print(f"fizeau_shift_kappa1 = {shift / kappa1_si:.12g}")
+        named = f"fizeau_shift_kappa1 at {shift} rad/s, --kappa1-si {kappa1_si}"
+        in_kappa1 = finite_float(shift / kappa1_si, named)
+        lines.append(f"fizeau_shift_kappa1 = {in_kappa1:.12g}")
+    print("\n".join(lines))  # nothing is printed before every line is checked
     return 0
 
 

@@ -97,9 +97,10 @@ so S is singular; the vacuum is then stationary and is returned directly.
 
 Near the small Liouvillian gap of the driven chi(2) cavity (Minganti et
 al., Phys. Rev. A 98, 042118 (2018)) the iteration contracts at ratios up
-to 0.997, and a point whose ratio stays slow, or whose updates stop
-shrinking above that plateau, leaves the stacked loop for a Krylov phase:
-restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
+to 0.997.  A point whose scaled update is still above JUMP_MAP_SLOW_STEP
+at iteration JUMP_MAP_KRYLOV_ITERATIONS, or whose updates stop shrinking
+above that plateau from then on, leaves the stacked loop for a Krylov
+phase: restarted GMRES (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 856
 (1986)) on the root of delta -> S^-1(L(delta)), in the point's own slices
 of the loop's stacks, so that its bits do not depend on its chunk.  At
 g = 2, delta = -4, F = 2, cutoffs (10,5) the loop alone needs 1096
@@ -174,10 +175,10 @@ JUMP_MAP_TAIL_TOL = 1e-13
 # JUMP_MAP_PLATEAU_TOL stops on a roundoff plateau, as at 10 of the 441
 # fig4b cells at 21 x 21, where n_b is just above the 1e-12 vacuum guard.
 # One above it, held there by roundoff in nearly empty states at strong
-# drive or by a stalled contraction, enters the Krylov phase (below), as 24
+# drive or by a stalled contraction, enters the Krylov phase (below), as 4
 # of the 195 points of delta in [-6, 6] x F in {0.05, 0.5, 1, 2, 3} x
-# g in {0.3, 0.867, 2} at (8,4) do, in 16 to 50 applications of S^-1 in
-# all.
+# g in {0.3, 0.867, 2} at (8,4) do, in 19 to 27 applications of S^-1 in
+# all; 148 more enter at iteration 8, their steps above JUMP_MAP_SLOW_STEP.
 JUMP_MAP_PLATEAU_TOL = 1e-10
 JUMP_MAP_PLATEAU_ITERATIONS = 3
 JUMP_MAP_SLOW_STEP = 1e-6
@@ -203,21 +204,20 @@ JUMP_MAP_MAX_EIGENBASIS_CONDITION = 1.0 / math.sqrt(np.finfo(float).eps)
 # 3 to 13 generator evaluations.  Only S^-1 changes, so the fixed point and
 # the certificate do not.
 JUMP_MAP_RETRY_DECAY_SCALE = 1.0 + math.sqrt(np.finfo(float).eps)
-# A driven point whose contraction stays slow leaves the fixed-point loop
-# for the Krylov phase (:func:`_krylov`): from iteration
-# JUMP_MAP_KRYLOV_ITERATIONS on, once each of its last three scaled steps
-# was at least JUMP_MAP_KRYLOV_RATIO times the one before while the step is
-# still above JUMP_MAP_SLOW_STEP, or once it is flat above
-# JUMP_MAP_PLATEAU_TOL.  By slow contraction 4 of the 8 points of the drive
-# sweep F = 0.5..2 at g* and cutoffs (8,4) enter, at steps of 0.035 to
-# 0.25; by either rule, no point of any figure preset at 41 x 41 nor of
-# fig4a at 101 x 101.  With a step bound of 1e-9, 4 fig4a cells at 101 x 101
-# entered, and so did the fig7a nonreciprocity pair at cutoffs (10,5),
-# whose step rests near 1e-8 for three or four iterations at weak drive
-# before it falls on, with more S^-1 applications than in the loop; with a
-# ratio of 0.5 as well, 6 cells each of fig4a and fig4b at 21 x 21.
+# A driven point that has not stopped leaves the fixed-point loop for the
+# Krylov phase (:func:`_krylov`) at iteration JUMP_MAP_KRYLOV_ITERATIONS if
+# its scaled step is still above JUMP_MAP_SLOW_STEP, the bound below which
+# the stop reads the tail, and from then on once it is flat above
+# JUMP_MAP_PLATEAU_TOL.  All 8 points of the drive sweep F = 0.5..2 at g*
+# and cutoffs (8,4) enter at iteration 8, and no point of fig4a or fig6 at
+# 101 x 101, nor of fig5, fig7a, fig7b, fig8a or fig8b.  A further test of
+# slow contraction (each of the last three steps at least 0.7 times the one
+# before) kept no preset point out and cost that sweep 328 applications of
+# S^-1 against 273.  A step bound of 1e-9 let in fig4a cells at 101 x 101
+# and the fig7a nonreciprocity pair at cutoffs (10,5), whose step rests
+# near 1e-8 for a few iterations at weak drive, at more S^-1 applications
+# than the loop needs.
 JUMP_MAP_KRYLOV_ITERATIONS = 8
-JUMP_MAP_KRYLOV_RATIO = 0.7
 # The phase runs GMRES(JUMP_MAP_KRYLOV_RESTART) and stops at a restart once
 # the 2-norm of the Hermitian, population-scaled update is at most
 # JUMP_MAP_KRYLOV_TOL.  At the five points checked (cutoffs (6,3) to
@@ -485,10 +485,11 @@ def _iterate(
     L(rho), the scratch x, the scaled update and the jump weights built from
     the rates (:func:`_jump_views`) are allocated here once.  Each iteration
     forms the L(rho) of its update once and decides every exit from it: a
-    non-finite step fails the point, a stop certifies it, a slow or flat
-    contraction (:meth:`_Track.enters`) hands its slices to :func:`_krylov`,
-    and the budget's last iteration fails it; the budget counts S^-1
-    applications in the loop and the phase alike.  :func:`_keep` then moves
+    non-finite step fails the point, a stop certifies it, a step still above
+    JUMP_MAP_SLOW_STEP at iteration JUMP_MAP_KRYLOV_ITERATIONS or a flat
+    contraction from then on (:meth:`_Track.enters`) hands its slices to
+    :func:`_krylov`, and the budget's last iteration fails it; the budget
+    counts S^-1 applications in the loop and the phase alike.  :func:`_keep` then moves
     the points that stay to the front in place, and every stack is sliced to
     them.  retried marks the points whose factors come from the decay-scaled B.
     """
@@ -564,14 +565,15 @@ class _Track:
     best: float = math.inf
     best_at: int = 0
     step: float = math.inf
-    slow: int = 0  # successive steps of at least JUMP_MAP_KRYLOV_RATIO times the one before
     flat: bool = False  # no new minimum for JUMP_MAP_PLATEAU_ITERATIONS iterations
 
     def enters(self, iteration: int) -> bool:
         """Whether a point that does not stop enters the Krylov phase with budget
-        left for a restart: flat, or above JUMP_MAP_SLOW_STEP and contracting slowly."""
-        slow = self.step > JUMP_MAP_SLOW_STEP and self.slow >= 3
-        return JUMP_MAP_KRYLOV_ITERATIONS <= iteration < JUMP_MAP_MAX_ITERATIONS and (self.flat or slow)
+        left for a restart: from iteration JUMP_MAP_KRYLOV_ITERATIONS on, flat,
+        or with its step still above JUMP_MAP_SLOW_STEP."""
+        return JUMP_MAP_KRYLOV_ITERATIONS <= iteration < JUMP_MAP_MAX_ITERATIONS and (
+            self.flat or self.step > JUMP_MAP_SLOW_STEP
+        )
 
     def stops(self, step: float, iteration: int) -> bool:
         """Record this iteration's scaled update; whether the iteration stops."""
@@ -582,7 +584,6 @@ class _Track:
         tail = step * step <= JUMP_MAP_TAIL_TOL * (previous - step)
         converged = iteration > 1 and step <= JUMP_MAP_SLOW_STEP and step < previous and tail
         self.flat = iteration - self.best_at >= JUMP_MAP_PLATEAU_ITERATIONS
-        self.slow = self.slow + 1 if step >= JUMP_MAP_KRYLOV_RATIO * previous else 0
         return converged or (self.flat and step <= JUMP_MAP_PLATEAU_TOL)
 
 

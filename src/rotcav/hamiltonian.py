@@ -130,10 +130,12 @@ def fizeau_shift(fp: FizeauParams, direction: DriveDirection) -> float:
 
     shift = +/- (n r Omega omega1 / c) (1 - 1/n^2 - (lambda/n) dn/dlambda),
     positive when driving from the left (pump counter-propagating with
-    the rotation), negative from the right.
+    the rotation), negative from the right.  A shift that overflows the
+    float range is a ValueError that names the geometry.
     """
     drag = 1.0 - 1.0 / fp.n**2 - (fp.wavelength / fp.n) * fp.dn_dlambda
     magnitude = fp.n * fp.r * fp.omega_rot * fp.omega1 / SPEED_OF_LIGHT * drag
+    magnitude = finite_float(magnitude, f"the Fizeau shift of {fp}")
     return magnitude if direction is DriveDirection.LEFT else -magnitude
 
 
@@ -216,11 +218,15 @@ def optimal_g(kappa1: float, kappa2: float, f: float) -> float:
     g = sqrt(4 f^2 + (2 kappa1 + kappa2)(kappa1 + kappa2)) / (2 sqrt(2)),
     the c02 = 0 condition of the nine-state weak-drive amplitude model
     with its subleading drive couplings dropped: the tests' reference
-    model, in tests/amplitudes.py.
+    model, in tests/amplitudes.py.  A g that overflows the float range is
+    a ValueError that names the inputs.
     """
     kappa1, kappa2, f = map(finite_float, (kappa1, kappa2, f), ("kappa1", "kappa2", "f"))
     if kappa1 <= 0 or kappa2 <= 0:
         raise ValueError("loss rates must be positive")
-    return math.sqrt(4.0 * f**2 + (2.0 * kappa1 + kappa2) * (kappa1 + kappa2)) / (
-        2.0 * math.sqrt(2.0)
-    )
+    try:
+        f_squared = f**2
+    except OverflowError:  # a float power raises where a product gives inf
+        f_squared = math.inf
+    g = math.sqrt(4.0 * f_squared + (2.0 * kappa1 + kappa2) * (kappa1 + kappa2)) / (2.0 * math.sqrt(2.0))
+    return finite_float(g, f"optimal g at kappa1 {kappa1}, kappa2 {kappa2}, f {f}")

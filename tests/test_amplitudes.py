@@ -161,6 +161,7 @@ def test_singular_system_rejected(monkeypatch):
         (1.0, 1.0, 0.05, 0.866_746_791_167_985_8),
         (1.0, 1.0, 0.0, 0.866_025_403_784_438_6),  # sqrt(3)/2 in the F->0 limit
         (1.0, 2.0, 0.05, 1.225_255_075_484_284_6),
+        (1.0, 1.0, 1e153, 1e153 / math.sqrt(2.0)),  # 4 f^2 just inside the float range
     ],
 )
 def test_optimal_g_values(kappa1, kappa2, f, expected):

@@ -769,3 +769,34 @@ def test_fizeau_rejects_bad_numbers(argv, message, capsys):
     captured = capsys.readouterr()
     assert message in captured.err
     assert captured.out == ""
+
+
+# Closed forms whose finite inputs overflow: one error line, exit 1, no
+# traceback and nothing on stdout.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["optimal-g", "--kappa2", "1e200"], "error: optimal g at kappa1 1.0, kappa2 1e+200, f 0.05 must be finite"),
+        (["optimal-g", "--drive-strength", "1e155"], "error: optimal g at kappa1 1.0, kappa2 1.0, f 1e+155"),
+        (["fizeau", "--omega1", "1e308", "--radius", "1e10"], "error: the Fizeau shift of FizeauParams("),
+        (["fizeau", "--omega1", "1e300", "--kappa1-si", "1e-300"], "error: fizeau_shift_kappa1 at 1.04"),
+    ],
+    ids=["optimal-g-kappa2", "optimal-g-drive", "fizeau-rad-s", "fizeau-kappa1"],
+)
+def test_closed_form_that_overflows_is_error(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert captured.err.count("\n") == 1 and "must be finite, got inf" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_sweep_optimal_g_column_that_overflows_is_error(tmp_path, capsys):
+    config = {"axis1": {"name": "kappa2", "start": 1e200, "stop": 2e200, "count": 2},
+              "cutoffs": [2, 1], "include_optimal_g": True}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: optimal g at kappa1 1.0, kappa2 1e+200, f 0.05 must be finite, got inf\n"
+    assert captured.out == ""

@@ -731,29 +731,34 @@ def test_residual_above_tolerance_raises_from_both_solvers(monkeypatch):
 
 # ------------------------------------------------------------- chunked solves
 
-# Drive strengths at g = 0.867, cutoffs (4, 2), that each leave the
-# fixed-point loop at their own iteration alone: 7, 38, 15, 70 and 20 on the
-# mirror line (delta = 0, solved in real arithmetic), 6, 57, 11, 77 and 31
-# at delta = OFF_LINE_DELTA (solved in complex arithmetic); on both paths the
-# third and the fifth leave for the Krylov phase.  The chunk tests whose
-# faults reach the factorization run on both paths.
+# Drive strengths at g = 0.867, cutoffs (4, 2): alone, the first stops at
+# iteration 7 on the mirror line (delta = 0, solved in real arithmetic) and
+# at 6 at delta = OFF_LINE_DELTA (solved in complex arithmetic); on both
+# paths the other four are still above JUMP_MAP_SLOW_STEP at iteration 8 and
+# leave there for the Krylov phase.  The chunk tests whose faults reach the
+# factorization run on both paths.
 CHUNK_DRIVES = (0.05, 0.7875, 1.525, 2.2625, 3.0)
-CHUNK_ITERATIONS = {0.0: (7, 38, 15, 70, 20), OFF_LINE_DELTA: (6, 57, 11, 77, 31)}
-KRYLOV_POINTS = {0.0: (2, 4), OFF_LINE_DELTA: (2, 4)}
+CHUNK_ITERATIONS = {0.0: (7, 8, 8, 8, 8), OFF_LINE_DELTA: (6, 8, 8, 8, 8)}
+KRYLOV_POINTS = {0.0: (1, 2, 3, 4), OFF_LINE_DELTA: (1, 2, 3, 4)}
+# Drive strengths that each leave the loop at their own iteration alone: 7,
+# 12, 5, 8 and 10 on the mirror line, 6, 13, 5, 8 and 11 off it; on both
+# paths the fourth leaves for the Krylov phase and the others stop.
+EXIT_DRIVES = (0.05, 0.2, 0.02, 1.0, 0.15)
+EXIT_ITERATIONS = {0.0: (7, 12, 5, 8, 10), OFF_LINE_DELTA: (6, 13, 5, 8, 11)}
 
 
-def _chunk_inputs(delta=0.0):
+def _chunk_inputs(delta=0.0, drives=CHUNK_DRIVES):
     basis = build_basis(4, 2)
     points = [
         (build_h_eff(SystemParams(delta=delta, g=0.867, drive_strength=f), basis), 1.0, 1.0)
-        for f in CHUNK_DRIVES
+        for f in drives
     ]
     return points, basis
 
 
-def _solve_chunk(delta=0.0):
+def _solve_chunk(delta=0.0, drives=CHUNK_DRIVES):
     # One chunk: the budget holds 27 points at D = 15.
-    return list(jump_map_steady_states(*_chunk_inputs(delta)))
+    return list(jump_map_steady_states(*_chunk_inputs(delta, drives)))
 
 
 def _solve_alone(delta=0.0):
@@ -793,9 +798,9 @@ def test_chunk_states_are_bitwise_the_single_point_states():
     _assert_same_solves(_solve_chunk(), _solve_alone())
 
 
-# Loss rates (kappa1, kappa2) of the CHUNK_DRIVES points, one pair each; alone
-# the points then leave the fixed-point loop after 7, 36, 14, 66 and 21
-# iterations, the third and the fifth for the Krylov phase.
+# Loss rates (kappa1, kappa2) of the EXIT_DRIVES points, one pair each; alone
+# the points then leave the fixed-point loop after 7, 11, 6, 8 and 10
+# iterations, the fourth for the Krylov phase.
 CHUNK_RATES = ((1.0, 0.5), (0.7, 1.3), (1.5, 0.2), (0.4, 2.0), (1.2, 0.9))
 
 
@@ -805,7 +810,7 @@ def test_chunk_with_distinct_loss_rates_is_bitwise_its_chunks_of_one():
     basis = build_basis(4, 2)
     points = [
         (build_h_eff(SystemParams(g=0.867, kappa1=k1, kappa2=k2, drive_strength=f), basis), k1, k2)
-        for f, (k1, k2) in zip(CHUNK_DRIVES, CHUNK_RATES)
+        for f, (k1, k2) in zip(EXIT_DRIVES, CHUNK_RATES)
     ]
     alone = [_solve_alone_point(h, basis, kappa1, kappa2) for h, kappa1, kappa2 in points]
     assert len({state.solve.krylov_from or state.solve.applications for state in alone}) == len(points)
@@ -823,18 +828,18 @@ def test_converged_points_leave_the_active_set(monkeypatch):
         return floor(populations, pairs)
 
     monkeypatch.setattr(dynamics_mod, "_population_floor", recorded)
-    for delta in CHUNK_ITERATIONS:
+    for delta, iterations in EXIT_ITERATIONS.items():
         sizes.clear()
-        states = _solve_chunk(delta)
+        states = _solve_chunk(delta, EXIT_DRIVES)
         assert not any(_failed(states))
         # The stack shrinks as points finish or enter the Krylov phase: each
         # point is iterated exactly as often as alone, and the last point alone
         # runs to its own count.
         assert sizes == sorted(sizes, reverse=True)
-        assert sizes[0] == len(CHUNK_DRIVES) and sizes[-1] == 1
-        assert len(sizes) == max(CHUNK_ITERATIONS[delta])
-        assert sum(sizes) == sum(CHUNK_ITERATIONS[delta])
-        assert _krylov_entries(states) == sorted(CHUNK_ITERATIONS[delta][i] for i in KRYLOV_POINTS[delta])
+        assert sizes[0] == len(EXIT_DRIVES) and sizes[-1] == 1
+        assert len(sizes) == max(iterations)
+        assert sum(sizes) == sum(iterations)
+        assert _krylov_entries(states) == [iterations[3]]
 
 
 def test_schur_fallback_point_in_a_chunk_matches_its_chunk_of_one(monkeypatch):
@@ -961,10 +966,10 @@ def test_solver_streams_its_input_one_chunk_at_a_time(monkeypatch):
     _assert_same_solves(states, [_solve_alone_point(h, basis, 1.0, 1.0) for h in h_effs])
 
 
-def _assert_fails_as_alone(failed: SteadyStateError, i: int) -> None:
+def _assert_fails_as_alone(failed: SteadyStateError, i: int, drives=CHUNK_DRIVES) -> None:
     """failed, chunk point i's error, has the record and the message of that
     point solved as a chunk of one."""
-    points, basis = _chunk_inputs()
+    points, basis = _chunk_inputs(drives=drives)
     (alone,) = jump_map_steady_states([points[i]], basis)
     assert isinstance(alone, SteadyStateError)
     assert failed.solve == alone.solve
@@ -984,14 +989,14 @@ def test_non_finite_update_fails_only_its_point(monkeypatch):
 
 
 def test_budget_exhaustion_fails_only_its_point(monkeypatch):
-    # The budget counts S^-1 applications: alone the points take 7, 38, 31, 70
-    # and 36, the third and the fifth with the Krylov phase.
-    monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", 60)
-    states = _solve_chunk()
+    # The budget counts S^-1 applications: alone the points take 7, 12, 5, 24
+    # and 10, the fourth with the Krylov phase.
+    monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", 20)
+    states = _solve_chunk(drives=EXIT_DRIVES)
     assert _failed(states) == [False, False, False, True, False]
-    assert str(states[3]).startswith("jump-map iteration did not converge in 60 iterations")
+    assert str(states[3]).startswith("jump-map iteration did not converge in 20 iterations")
     assert states[3].solve.applications <= dynamics_mod.JUMP_MAP_MAX_ITERATIONS
-    _assert_fails_as_alone(states[3], 3)
+    _assert_fails_as_alone(states[3], 3, EXIT_DRIVES)
 
 
 def test_certificate_failure_fails_only_its_point(monkeypatch):
@@ -1347,12 +1352,13 @@ def test_slow_point_at_small_kappa2_matches_dense_oracle(cutoffs, delta):
 
 
 # One chunk at delta = -5, g = 0.3, cutoffs (8, 4) (the budget holds three
-# points at D = 45): F = 2 enters the Krylov phase contracting slowly at
-# iteration 8; F = 0.5 and F = 1 enter it flat, at iterations 20 and 21,
-# their scaled updates no longer shrinking above JUMP_MAP_PLATEAU_TOL.
-# Roundoff decides the iteration at which a flat point enters.
+# points at D = 45): F = 1 and F = 2 enter the Krylov phase at iteration 8,
+# their steps still above JUMP_MAP_SLOW_STEP; F = 0.5 enters it flat, at
+# iteration 20, its scaled update no longer shrinking above
+# JUMP_MAP_PLATEAU_TOL.  Roundoff decides the iteration at which a flat
+# point enters.
 FLAT_CHUNK_DRIVES = (0.5, 1.0, 2.0)
-FLAT_CHUNK_ENTRIES = [8, 20, 21]
+FLAT_CHUNK_ENTRIES = [8, 8, 20]
 
 
 def test_krylov_point_has_its_bits_alone_and_in_a_chunk():
@@ -1434,21 +1440,21 @@ def test_every_generator_call_is_in_the_record(monkeypatch):
 
 
 def test_budget_exhaustion_in_the_krylov_phase_raises(monkeypatch):
-    # The third chunk point enters the phase at iteration 15 and needs 31
+    # The third chunk point enters the phase at iteration 8 and needs 29
     # applications of S^-1 in all.
     monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", 25)
     points, basis = _chunk_inputs()
     h, kappa1, kappa2 = points[2]
     with pytest.raises(SteadyStateError, match=r"did not converge in 25 iterations.*residual") as info:
         _solve_alone_point(h, basis, kappa1, kappa2)
-    assert info.value.solve.krylov_from == 15
+    assert info.value.solve.krylov_from == 8
     assert info.value.solve.applications <= dynamics_mod.JUMP_MAP_MAX_ITERATIONS
 
 
-@pytest.mark.parametrize("budget", [15, 16])
+@pytest.mark.parametrize("budget", [8, 9])
 def test_krylov_phase_spends_no_application_past_the_budget(budget, monkeypatch):
-    # The point would enter the phase at iteration 15.  With a budget of 15
-    # no restart fits, so it stays in the loop; with 16 its first restart
+    # The point would enter the phase at iteration 8.  With a budget of 8
+    # no restart fits, so it stays in the loop; with 9 its first restart
     # takes the last application and no cycle runs.
     monkeypatch.setattr(dynamics_mod, "JUMP_MAP_MAX_ITERATIONS", budget)
     points, basis = _chunk_inputs()
@@ -1456,18 +1462,18 @@ def test_krylov_phase_spends_no_application_past_the_budget(budget, monkeypatch)
     with pytest.raises(SteadyStateError, match=rf"did not converge in {budget} iterations") as info:
         _solve_alone_point(h, basis, kappa1, kappa2)
     assert info.value.solve.applications == budget
-    assert info.value.solve.krylov_from == (0 if budget == 15 else 15)
+    assert info.value.solve.krylov_from == (0 if budget == 8 else 8)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_non_finite_update_in_the_krylov_phase_raises(monkeypatch):
-    # The 20th S^-1 is the phase's fifth: the point enters it at iteration 15.
-    _wrap_eigenbasis_inverse(monkeypatch, lambda inverse: _poisoned_at_call(inverse, np.nan, call=20))
+    # The 13th S^-1 is the phase's fifth: the point enters it at iteration 8.
+    _wrap_eigenbasis_inverse(monkeypatch, lambda inverse: _poisoned_at_call(inverse, np.nan, call=13))
     points, basis = _chunk_inputs()
     h, kappa1, kappa2 = points[2]
     with pytest.raises(SteadyStateError, match=r"non-finite entries at iteration \d+$") as info:
         _solve_alone_point(h, basis, kappa1, kappa2)
-    assert info.value.solve.krylov_from == 15
+    assert info.value.solve.krylov_from == 8
 
 
 # ---------------------------------------------------------------- evolution

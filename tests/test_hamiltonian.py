@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from rotcav import (
     resonance_angular_condition,
 )
 from rotcav.fock import annihilator_a, annihilator_b
-from rotcav.hamiltonian import SPEED_OF_LIGHT, h_eff_builder
+from rotcav.hamiltonian import SPEED_OF_LIGHT, h_eff_builder, optimal_g
 
 # Hand-evaluated oracle values (30-digit arithmetic on the defining
 # formulas), frozen here.
@@ -362,3 +363,34 @@ def test_fizeau_params_store_python_floats():
     assert fp.omega1 == 2 * math.pi * SPEED_OF_LIGHT / fp.wavelength
 
 
+# Finite inputs whose closed form overflows: an error that names them, not
+# an inf that a caller prints, nor an OverflowError from f**2.
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        ((1.0, 1e200, 0.05), "kappa2 1e+200"),
+        ((1e200, 1.0, 0.05), "kappa1 1e+200"),
+        ((1.0, 1.0, 1e155), "f 1e+155"),  # f**2 itself overflows
+        ((1.0, 1.0, 1e154), "f 1e+154"),  # 4 f^2 overflows
+    ],
+    ids=["kappa2", "kappa1", "f-squared", "four-f-squared"],
+)
+def test_optimal_g_that_overflows_is_an_input_error(args, named):
+    with pytest.raises(ValueError, match=f"optimal g at .*{re.escape(named)}.* must be finite, got inf"):
+        optimal_g(*args)
+
+
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        dict(omega1=1e308, r=1e10),
+        dict(omega_rot=1e300, r=1e10),
+        dict(dn_dlambda=-1e308, wavelength=1e10),  # the drag factor itself overflows
+    ],
+    ids=["omega1-r", "omega_rot-r", "drag"],
+)
+@pytest.mark.parametrize("direction", list(DriveDirection))
+def test_fizeau_shift_that_overflows_is_an_input_error(geometry, direction):
+    fp = FizeauParams(**geometry)
+    with pytest.raises(ValueError, match=r"Fizeau shift of FizeauParams\(.* must be finite"):
+        fizeau_shift(fp, direction)

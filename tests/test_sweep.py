@@ -410,6 +410,33 @@ def test_strong_drive_grid_solves_every_point(g):
     assert STATUS_FAILURE not in statuses
 
 
+@pytest.mark.parametrize("name", ["fig5", "fig7a", "fig7b"])
+def test_weak_drive_presets_never_enter_the_krylov_phase(name):
+    # The paper's blockade lives at weak drive: at default resolution every
+    # row of these presets stops in the fixed-point loop.
+    rows = run_sweep(figure_preset(name)).rows
+    assert [row.axis_values for row in rows if row.solve.krylov_from] == []
+
+
+def test_strong_drive_points_stop_early_or_enter_the_krylov_phase_at_8():
+    # The drive sweep F = 0.5..2 at g* and cutoffs (8, 4): a point either
+    # stops within JUMP_MAP_KRYLOV_ITERATIONS applications of S^-1 or, its
+    # step still above JUMP_MAP_SLOW_STEP, enters the Krylov phase there.
+    spec = SweepSpec(
+        axis1=SweepAxis("drive_strength", 0.5, 2.0, 8),
+        fixed=SystemParams(g=optimal_g(1.0, 1.0, 0.05)),
+        cutoffs=(8, 4),
+    )
+    rows = run_sweep(spec).rows
+    assert STATUS_FAILURE not in {row.status for row in rows}
+    entry = dynamics_mod.JUMP_MAP_KRYLOV_ITERATIONS
+    for row in rows:
+        solve = row.solve
+        assert solve.krylov_from == entry or (not solve.krylov_from and solve.applications <= entry), (
+            row.axis_values, solve,
+        )
+
+
 def test_preset_count_override():
     spec = figure_preset("fig5", count1=11)
     assert spec.axis1.count == 11
