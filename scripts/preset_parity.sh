@@ -1,51 +1,33 @@
 #!/bin/sh
-# Write the CSV of every figure preset, as computed by this checkout, into
-# OUTDIR, with ten more outputs: fig7a at 41 points and cutoffs (10,5)
-# (D = 66) as fig7a_10_5.csv, the weak-drive nonreciprocity sweep above
-# cutoffs (6,3), where the population floor follows each point's pair
-# moments; the drive sweep F = 0.5..2 at g = 0.867 and
-# cutoffs (8,4) (D = 45) as strong_drive.csv, and the same sweep at
-# delta = 1 as strong_drive_detuned.csv; delta in {-5, -4} x F in {2, 3} at
-# g = 2 and cutoffs (12,6) (D = 91) as hard_strong_drive.csv, whose points
-# contract so slowly that the solver finishes them in its Krylov phase
-# (delta = -4, F = 2 and delta = -5, F = 3 ran out of the fixed-point loop's
-# budget before it); delta in {-6, -5, -4} x F in {0.5, 1} at g = 0.3 and
-# cutoffs (8,4) as stalled_strong_drive.csv, which the solver finishes in
-# its Krylov phase too: F = 0.5 at delta = -6 and -5 enters it once its
-# scaled updates stop shrinking above the roundoff plateau, the other four
-# points at iteration 8, their updates still above the step bound; fig5 at
-# 21 points with
-# --convergence-check (doubled cutoffs) as fig5_convergence.json; a drive
-# sweep from F = 0, whose first point is undriven (the vacuum is returned
-# without iterating), as undriven.csv; and two points at F ~ 1e-13 on the
-# exceptional point g = 1/(4 sqrt 2) at cutoffs (10,5), where the
-# eigenvectors of H' are too close to dependent and the solver factors S^-1
-# from H' with its loss rates scaled by 1 + sqrt(eps), as ill_conditioned.csv;
-# a drive sweep from F = 1e-17 to 1e-15 at delta = 1, g = 0.867, off the
-# mirror line, where eig returns the near-kernel eigenvalue of B with a real
-# part of 0 or of the wrong sign and the middle step of S^-1 holds the pair
-# sum on the decaying side, as weak_off_line.csv; and g in {1e199, 1e200}
-# at F = 0.05, whose residuals fail the certificate, as extreme_g.csv, two
-# solver-failure rows whose stderr names the solver's exit (so the script
-# exits 2).  No preset
-# reaches any of the last four paths.  fig5, fig6, strong_drive and
-# ill_conditioned lie on the mirror line delta + delta_f = 0, which the
-# solver factors in real arithmetic; strong_drive_detuned is the strong-drive check of the complex
-# path, and weak_off_line its weak-drive check.  Run it on two checkouts and
-# compare them:
+# Write every figure preset and ten more outputs, as computed by this
+# checkout's src/, into OUTDIR: one NAME.csv (or .json) each, with its
+# stderr as NAME.err, so the solver's exit messages are compared too.
+# Compare two checkouts with:
 #
 #   /path/to/old/scripts/preset_parity.sh /tmp/old
 #   /path/to/new/scripts/preset_parity.sh /tmp/new
 #   python3 /path/to/new/scripts/compare_presets.py /tmp/old /tmp/new
 #
-# The JSON's created_utc differs between runs by design; every other byte
-# should match.  fig4a, fig4b and fig6 run at 21 x 21, the other presets at
-# their default resolution.  Every BLAS runs on one thread, so the bits do not depend on
-# the thread count.  Each run's stderr is kept beside its output as
-# NAME.err (fig5.err for fig5.csv), so the solver's exit messages are
-# compared too.  A preset that exits non-zero (2: a solver failure,
-# whose rows are still written) does not stop the rest; the script then
-# exits with the last non-zero status.
+# Every byte should match except the JSON's created_utc.  Every BLAS runs on
+# one thread, so the bits do not depend on the thread count.  A run that
+# exits non-zero (2: a solver failure, whose rows are still written) does
+# not stop the rest, and the script exits with the last non-zero status;
+# extreme_g exits 2 by design.
+#
+# fig4a, fig4b and fig6 run at 21 x 21, the other presets at their default
+# resolution.  The other outputs, and the solver path each covers:
+#   fig7a_10_5            fig7a at 41 points, (10,5): the per-point population floor
+#   strong_drive          F = 0.5..2 at g = 0.867, (8,4), on the mirror line: real path
+#   strong_drive_detuned  the same at delta = 1: complex path
+#   hard_strong_drive     delta {-5,-4} x F {2,3} at g = 2, (12,6): Krylov phase
+#   stalled_strong_drive  delta {-6,-5,-4} x F {0.5,1} at g = 0.3, (8,4): Krylov phase,
+#                         entered flat (F = 0.5 at delta -6, -5) or at iteration 8
+#   fig5_convergence      fig5 at 21 points with --convergence-check (doubled cutoffs)
+#   undriven              F = 0..0.1: the undriven vacuum, returned without iterating
+#   ill_conditioned       F ~ 1e-13 at g = 1/(4 sqrt 2), (10,5): the decay-scaled retry
+#   weak_off_line         F = 1e-17..1e-15 at delta = 1: the middle step's floor
+#   extreme_g             g in {1e199, 1e200}: two certificate failures
+# No preset reaches the last four paths.
 set -u
 if [ $# -ne 1 ]; then
     echo "usage: $0 OUTDIR" >&2

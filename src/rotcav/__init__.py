@@ -16,7 +16,6 @@ __version__ = "0.1.0"
 
 from .fock import FockBasis, ModeOperator, annihilator_a, annihilator_b, build_basis
 from .hamiltonian import (
-    DriveDirection,
     EigenLevels,
     FizeauParams,
     SystemParams,
@@ -47,7 +46,6 @@ __all__ = [
     "annihilator_a",
     "annihilator_b",
     "build_basis",
-    "DriveDirection",
     "EigenLevels",
     "FizeauParams",
     "SystemParams",

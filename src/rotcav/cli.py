@@ -20,7 +20,6 @@ import math
 import sys
 
 from .hamiltonian import (
-    DriveDirection,
     FizeauParams,
     SystemParams,
     build_h_lab,
@@ -248,8 +247,7 @@ def _cmd_fizeau(args) -> int:
     if kappa1_si is not None and not (math.isfinite(kappa1_si) and kappa1_si > 0):
         raise ValueError(f"--kappa1-si must be finite and positive, got {kappa1_si}")
     fp = FizeauParams(**{field: getattr(args, field) for _, field, _ in _FIZEAU_FLAGS})
-    direction = DriveDirection(args.direction) if args.direction else DriveDirection.LEFT
-    shift = fizeau_shift(fp, direction)
+    shift = fizeau_shift(fp) if args.direction == "left" else -fizeau_shift(fp)
     lines = [f"fizeau_shift_rad_s = {shift:.12g}"]
     if kappa1_si is not None:
         named = f"fizeau_shift_kappa1 at {shift} rad/s, --kappa1-si {kappa1_si}"
@@ -305,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, field, text in _FIZEAU_FLAGS:
         default = getattr(FizeauParams, field)
         p_fiz.add_argument(flag, dest=field, type=float, default=default, help=text)
-    p_fiz.add_argument("--direction", choices=["left", "right"], default=None)
+    p_fiz.add_argument("--direction", choices=["left", "right"], default="left")
     p_fiz.add_argument(
         "--kappa1-si", type=float, default=None, help="kappa1 in rad/s, to express the shift in kappa1 units"
     )

@@ -18,7 +18,6 @@ an explicit kappa1-in-rad/s.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -29,13 +28,6 @@ from .dynamics import HERMITICITY_TOL
 from .fock import FockBasis, annihilator_a, annihilator_b
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-
-class DriveDirection(enum.Enum):
-    """Which port the pump enters; fixes the sign of the Fizeau shift."""
-
-    LEFT = "left"
-    RIGHT = "right"
 
 
 def finite_float(value, name: str) -> float:
@@ -125,18 +117,28 @@ class EigenLevels:
         self.states.setflags(write=False)
 
 
-def fizeau_shift(fp: FizeauParams, direction: DriveDirection) -> float:
-    """Rotation-induced shift of the fundamental mode, in rad/s.
-
-    shift = +/- (n r Omega omega1 / c) (1 - 1/n^2 - (lambda/n) dn/dlambda),
-    positive when driving from the left (pump counter-propagating with
-    the rotation), negative from the right.  A shift that overflows the
-    float range is a ValueError that names the geometry.
+def fizeau_shift(fp: FizeauParams) -> float:
+    """Rotation-induced shift of the fundamental mode driven from the left
+    port (pump counter-propagating with the rotation), in rad/s:
+    (n r Omega omega1 / c) (1 - 1/n^2 - (lambda/n) dn/dlambda); the right
+    port's is its negative.  r, Omega and omega1 enter as mantissas, their
+    exponents added at the end (:func:`_ldexp`), so only a shift beyond the
+    float range overflows: a ValueError that names the geometry.
     """
     drag = 1.0 - 1.0 / fp.n**2 - (fp.wavelength / fp.n) * fp.dn_dlambda
-    magnitude = fp.n * fp.r * fp.omega_rot * fp.omega1 / SPEED_OF_LIGHT * drag
-    magnitude = finite_float(magnitude, f"the Fizeau shift of {fp}")
-    return magnitude if direction is DriveDirection.LEFT else -magnitude
+    (r, er), (omega, eo), (omega1, e1) = map(math.frexp, (fp.r, fp.omega_rot, fp.omega1))
+    magnitude = _ldexp(fp.n * r * omega * omega1 / SPEED_OF_LIGHT * drag, er + eo + e1)
+    return finite_float(magnitude, f"the Fizeau shift of {fp}")
+
+
+def _ldexp(x: float, e: int) -> float:
+    """x 2^e, or an infinity of x's sign where that overflows.  A power of two
+    commutes with rounding, so a closed form evaluated on inputs scaled by
+    powers of two and scaled back keeps its bits where it stays normal."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
 
 
 def _hamiltonian(basis: FockBasis) -> Callable[[float, float, float], np.ndarray]:
@@ -218,15 +220,14 @@ def optimal_g(kappa1: float, kappa2: float, f: float) -> float:
     g = sqrt(4 f^2 + (2 kappa1 + kappa2)(kappa1 + kappa2)) / (2 sqrt(2)),
     the c02 = 0 condition of the nine-state weak-drive amplitude model
     with its subleading drive couplings dropped: the tests' reference
-    model, in tests/amplitudes.py.  A g that overflows the float range is
-    a ValueError that names the inputs.
+    model, in tests/amplitudes.py.  It is evaluated on the inputs scaled by
+    2^-e, 2^e the scale of the largest, and scaled back (:func:`_ldexp`), so
+    only a g beyond the float range overflows: a ValueError naming the inputs.
     """
     kappa1, kappa2, f = map(finite_float, (kappa1, kappa2, f), ("kappa1", "kappa2", "f"))
     if kappa1 <= 0 or kappa2 <= 0:
         raise ValueError("loss rates must be positive")
-    try:
-        f_squared = f**2
-    except OverflowError:  # a float power raises where a product gives inf
-        f_squared = math.inf
-    g = math.sqrt(4.0 * f_squared + (2.0 * kappa1 + kappa2) * (kappa1 + kappa2)) / (2.0 * math.sqrt(2.0))
+    e = math.frexp(max(kappa1, kappa2, abs(f)))[1]
+    k1, k2, a = (math.ldexp(value, -e) for value in (kappa1, kappa2, f))
+    g = _ldexp(math.sqrt(4.0 * a**2 + (2.0 * k1 + k2) * (k1 + k2)) / (2.0 * math.sqrt(2.0)), e)
     return finite_float(g, f"optimal g at kappa1 {kappa1}, kappa2 {kappa2}, f {f}")

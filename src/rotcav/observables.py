@@ -49,10 +49,8 @@ def _real(value: complex, what: str) -> float:
 
 def _occupation(value: float) -> float:
     """A mean occupation or pair moment, 0.0 where roundoff in populations
-    far below the solver's population floor leaves it negative (n_b =
-    -2.8e-51 at the exceptional point, F = 2e-13, cutoffs (10, 5); a pair
-    moment of -1.3e-194 at g = 1e100, delta = 1, which read as
-    g2_aa = -3.2e-189)."""
+    far below the solver's population floor leaves it negative (n_b -2.8e-51
+    at F = 2e-13, PR 17; g2_aa -3.2e-189 at g = 1e100, PR 34)."""
     return 0.0 if value < 0 else value
 
 

@@ -12,7 +12,6 @@ import pytest
 import rotcav.dynamics as dynamics_mod
 from conftest import fail_at_points
 from rotcav import (
-    DriveDirection,
     FizeauParams,
     SweepAxis,
     SweepSpec,
@@ -163,14 +162,14 @@ def test_fizeau_output(capsys):
 
 
 def test_fizeau_cli_matches_library_at_another_wavelength(capsys):
-    shift = fizeau_shift(FizeauParams(wavelength=1064e-9), DriveDirection.LEFT)
+    shift = fizeau_shift(FizeauParams(wavelength=1064e-9))
     assert shift == pytest.approx(1.847e8, rel=1e-3)
     assert main(["fizeau", "--wavelength", "1064e-9"]) == 0
     assert capsys.readouterr().out == f"fizeau_shift_rad_s = {shift:.12g}\n"
 
 
 def test_fizeau_omega1_passes_through(capsys):
-    shift = fizeau_shift(FizeauParams(omega1=1e15), DriveDirection.LEFT)
+    shift = fizeau_shift(FizeauParams(omega1=1e15))
     assert main(["fizeau", "--omega1", "1e15", "--wavelength", "1064e-9"]) == 0
     assert capsys.readouterr().out == f"fizeau_shift_rad_s = {shift:.12g}\n"
 
@@ -776,12 +775,18 @@ def test_fizeau_rejects_bad_numbers(argv, message, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["optimal-g", "--kappa2", "1e200"], "error: optimal g at kappa1 1.0, kappa2 1e+200, f 0.05 must be finite"),
-        (["optimal-g", "--drive-strength", "1e155"], "error: optimal g at kappa1 1.0, kappa2 1.0, f 1e+155"),
         (["fizeau", "--omega1", "1e308", "--radius", "1e10"], "error: the Fizeau shift of FizeauParams("),
         (["fizeau", "--omega1", "1e300", "--kappa1-si", "1e-300"], "error: fizeau_shift_kappa1 at 1.04"),
+        (
+            ["fizeau", "--direction", "right", "--omega1", "1e308", "--radius", "1e10"],
+            "error: the Fizeau shift of FizeauParams(",
+        ),
+        (
+            ["fizeau", "--direction", "right", "--dn-dlambda=-1e308", "--wavelength", "1e10"],
+            "error: the Fizeau shift of FizeauParams(",
+        ),
     ],
-    ids=["optimal-g-kappa2", "optimal-g-drive", "fizeau-rad-s", "fizeau-kappa1"],
+    ids=["fizeau-rad-s", "fizeau-kappa1", "fizeau-right-rad-s", "fizeau-right-drag"],
 )
 def test_closed_form_that_overflows_is_error(argv, message, capsys):
     assert main(argv) == 1
@@ -791,12 +796,30 @@ def test_closed_form_that_overflows_is_error(argv, message, capsys):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-def test_sweep_optimal_g_column_that_overflows_is_error(tmp_path, capsys):
+# Closed forms whose intermediate product overflows but whose result does
+# not: the result, exit 0.
+@pytest.mark.parametrize(
+    "argv, out",
+    [
+        (["optimal-g", "--kappa2", "1e200"], "3.53553390593e+199\n"),
+        (["optimal-g", "--drive-strength", "1e160"], "7.07106781187e+159\n"),
+        (["fizeau", "--omega1", "1e308"], "fizeau_shift_rad_s = 1.04337153321e+301\n"),
+    ],
+    ids=["optimal-g-kappa2", "optimal-g-drive", "fizeau-rad-s"],
+)
+def test_closed_form_near_the_float_limit(argv, out, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr() == (out, "")
+
+
+def test_sweep_optimal_g_column_near_the_float_limit(tmp_path, capsys):
     config = {"axis1": {"name": "kappa2", "start": 1e200, "stop": 2e200, "count": 2},
               "cutoffs": [2, 1], "include_optimal_g": True}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert main(["sweep", "--config", str(cfg)]) == 1
+    assert main(["sweep", "--config", str(cfg)]) == 0
     captured = capsys.readouterr()
-    assert captured.err == "error: optimal g at kappa1 1.0, kappa2 1e+200, f 0.05 must be finite, got inf\n"
-    assert captured.out == ""
+    header, *rows = captured.out.splitlines()
+    column = header.split(",").index("optimal_g")
+    assert [row.split(",")[column] for row in rows] == ["3.53553390593e+199", "7.07106781187e+199"]
+    assert captured.err == ""

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from rotcav import (
-    DriveDirection,
     FizeauParams,
     SystemParams,
     build_basis,
@@ -16,6 +15,7 @@ from rotcav import (
     fizeau_shift,
     resonance_angular_condition,
 )
+from rotcav.cli import main
 from rotcav.fock import annihilator_a, annihilator_b
 from rotcav.hamiltonian import SPEED_OF_LIGHT, h_eff_builder, optimal_g
 
@@ -38,19 +38,21 @@ NOT_FINITE = [
 
 def test_fizeau_zero_rotation():
     fp = FizeauParams(omega_rot=0.0)
-    assert fizeau_shift(fp, DriveDirection.LEFT) == 0.0
+    assert fizeau_shift(fp) == 0.0
 
 
-def test_fizeau_sign_symmetry():
-    fp = FizeauParams()
-    assert fizeau_shift(fp, DriveDirection.LEFT) == -fizeau_shift(
-        fp, DriveDirection.RIGHT
-    )
+def test_fizeau_sign_symmetry(capsys):
+    # The port is the sign: the right port's shift is the left port's negative.
+    shifts = []
+    for direction in ("left", "right"):
+        assert main(["fizeau", "--direction", direction]) == 0
+        shifts.append(float(capsys.readouterr().out.split(" = ")[1]))
+    assert shifts[0] == -shifts[1] == float(f"{fizeau_shift(FizeauParams()):.12g}")
 
 
 def test_fizeau_reference_value():
     fp = FizeauParams()  # n=1.4, r=1.1 mm, Omega=2pi*6.6 kHz, 1550 nm, no dispersion
-    shift = fizeau_shift(fp, DriveDirection.LEFT)
+    shift = fizeau_shift(fp)
     assert shift == pytest.approx(FIZEAU_REFERENCE, rel=1e-12)
     assert shift == pytest.approx(1.27e8, rel=0.01)
 
@@ -61,9 +63,7 @@ def test_fizeau_dispersion_term():
     disp = FizeauParams(dn_dlambda=1e4)
     drag_base = 1 - 1 / base.n**2
     drag_disp = drag_base - base.wavelength / base.n * 1e4
-    ratio = fizeau_shift(disp, DriveDirection.LEFT) / fizeau_shift(
-        base, DriveDirection.LEFT
-    )
+    ratio = fizeau_shift(disp) / fizeau_shift(base)
     assert ratio == pytest.approx(drag_disp / drag_base, rel=1e-12)
 
 
@@ -363,21 +363,35 @@ def test_fizeau_params_store_python_floats():
     assert fp.omega1 == 2 * math.pi * SPEED_OF_LIGHT / fp.wavelength
 
 
-# Finite inputs whose closed form overflows: an error that names them, not
-# an inf that a caller prints, nor an OverflowError from f**2.
+# Finite inputs whose closed form overflows in an intermediate product but
+# not in its result: the closed form's value, not an error.
 @pytest.mark.parametrize(
-    "args, named",
+    "args, expected",
     [
-        ((1.0, 1e200, 0.05), "kappa2 1e+200"),
-        ((1e200, 1.0, 0.05), "kappa1 1e+200"),
-        ((1.0, 1.0, 1e155), "f 1e+155"),  # f**2 itself overflows
-        ((1.0, 1.0, 1e154), "f 1e+154"),  # 4 f^2 overflows
+        ((1.0, 1e200, 0.05), 3.535533905932737e199),
+        ((1e200, 1.0, 0.05), 5e199),
+        ((1.0, 1.0, 1e155), 7.071067811865475e154),  # f**2 itself overflows
+        ((1.0, 1.0, 1e154), 7.0710678118654755e153),  # 4 f^2 overflows
     ],
     ids=["kappa2", "kappa1", "f-squared", "four-f-squared"],
 )
-def test_optimal_g_that_overflows_is_an_input_error(args, named):
-    with pytest.raises(ValueError, match=f"optimal g at .*{re.escape(named)}.* must be finite, got inf"):
-        optimal_g(*args)
+def test_optimal_g_near_the_float_limit(args, expected):
+    assert optimal_g(*args) == pytest.approx(expected, rel=1e-15)
+
+
+def test_optimal_g_that_overflows_is_an_input_error():
+    # A g beyond the float range: an error that names the inputs, not an inf.
+    named = "kappa1 1.7e+308, kappa2 1.7e+308, f 1.7e+308"
+    with pytest.raises(ValueError, match=f"optimal g at {re.escape(named)} must be finite, got inf"):
+        optimal_g(1.7e308, 1.7e308, 1.7e308)
+
+
+def test_fizeau_shift_whose_product_overflows():
+    # n r Omega omega1 overflows before the division by c; the shift does not.
+    fp = FizeauParams(omega1=1e308)
+    drag = 1.0 - 1.0 / fp.n**2
+    assert fizeau_shift(fp) == pytest.approx(fp.n * fp.r * fp.omega_rot / SPEED_OF_LIGHT * drag * 1e308, rel=1e-15)
+    assert fizeau_shift(fp) == pytest.approx(1.04337153321e301, rel=1e-11)
 
 
 @pytest.mark.parametrize(
@@ -389,8 +403,7 @@ def test_optimal_g_that_overflows_is_an_input_error(args, named):
     ],
     ids=["omega1-r", "omega_rot-r", "drag"],
 )
-@pytest.mark.parametrize("direction", list(DriveDirection))
-def test_fizeau_shift_that_overflows_is_an_input_error(geometry, direction):
+def test_fizeau_shift_that_overflows_is_an_input_error(geometry):
     fp = FizeauParams(**geometry)
     with pytest.raises(ValueError, match=r"Fizeau shift of FizeauParams\(.* must be finite"):
-        fizeau_shift(fp, direction)
+        fizeau_shift(fp)
