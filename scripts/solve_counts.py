@@ -20,17 +20,17 @@ The sets: fig5; fig4a at 21 x 21 and cutoffs (6,3) and (12,6); fig6 at
 F {0.5, 1, 2, 3} x kappa2 {1, 0.3} x delta_f {0, 0.7} x g {0.3, 0.867, 2}
 x delta {-3, 0, 3} at (8,4); unfiltered draws of the parameter box of the
 solver's survey tests (seed 1, 600 at (6,3); seed 2, 120 at (8,4)); and
-the benchmark's strong-drive sweep (F = 0.5..2 in 8 points at
-g = optimal_g(1, 1, 0.05), (8,4)) and large-cutoff pair (the fig7a
-nonreciprocity pair at g = 5, (10,5)).  The presets run at default
-resolution unless a size is named, and at their own cutoffs unless
-others are.
+the points and cutoffs of the benchmark's strong_drive and large_cutoff
+workloads at their default seed, taken from perfbench/workloads.py.  The
+presets run at default resolution unless a size is named, and at their
+own cutoffs unless others are.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import itertools
 import math
 import os
@@ -45,8 +45,14 @@ if __name__ == "__main__":  # before numpy loads; an importer keeps its own sett
 
 import numpy as np  # noqa: E402
 
-from rotcav.hamiltonian import SystemParams, optimal_g, resonance_angular_condition  # noqa: E402
+from rotcav.hamiltonian import SystemParams  # noqa: E402
 from rotcav.sweep import SweepSpec, figure_preset, solve_points  # noqa: E402
+
+_spec = importlib.util.spec_from_file_location(
+    "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+)
+workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 COLUMNS = ("points", "failures", "S^-1 total", "median", "max", "generator calls", "Krylov points")
 
@@ -94,17 +100,10 @@ def _box(seed: int, count: int, cutoffs: tuple[int, int]):
     return points, cutoffs
 
 
-def _strong_drive():
-    g = optimal_g(1.0, 1.0, 0.05)
-    return [SystemParams(g=g, drive_strength=float(f)) for f in np.linspace(0.5, 2.0, 8)], (8, 4)
-
-
-def _large_cutoff():
-    g = 5.0
-    shift = resonance_angular_condition(g)
-    return [
-        SystemParams(delta=-shift, g=g, drive_strength=0.05, delta_f=delta_f) for delta_f in (shift, -shift)
-    ], (10, 5)
+def _workload(name: str):
+    """The points and cutoffs of a benchmark workload at its default seed."""
+    workload = workloads.build(name, workloads.DEFAULT_SEED)
+    return workload.points, workload.cutoffs
 
 
 SETS = {
@@ -117,8 +116,8 @@ SETS = {
     "strong_grid": _strong_grid,
     "box_6_3": lambda: _box(1, 600, (6, 3)),
     "box_8_4": lambda: _box(2, 120, (8, 4)),
-    "strong_drive": _strong_drive,
-    "large_cutoff": _large_cutoff,
+    "strong_drive": lambda: _workload("strong_drive"),
+    "large_cutoff": lambda: _workload("large_cutoff"),
 }
 
 

@@ -6,13 +6,14 @@ The Hilbert space is spanned by number states |n_a, n_b> with
 
     index(n_a, n_b) = n_a * (nb_cut + 1) + n_b,
 
-so the vacuum |0,0> sits at index 0.  Every superoperator built on top
-of this module inherits that ordering, so it must not change.
+so the vacuum |0,0> sits at index 0.  The layout is derived once, into
+the read-only occupation arrays ``FockBasis.occ_a`` and ``occ_b``.
+Every operator and superoperator built on this module inherits that
+ordering, so it must not change.
 
-Operators are stored as dense complex matrices; at the dimensions used
-here (D <= ~100) dense algebra is exact and fast.  All arrays are
-frozen after construction so bases and operators can be shared freely
-across concurrent workers.
+Operators are stored as dense complex matrices, frozen after
+construction; at the dimensions used here (D <= ~100) dense algebra is
+exact and fast.
 """
 
 from __future__ import annotations
@@ -57,22 +58,6 @@ class FockBasis:
         if not (0 <= n_a <= self.na_cut and 0 <= n_b <= self.nb_cut):
             raise ValueError(f"occupation ({n_a}, {n_b}) outside basis")
         return n_a * (self.nb_cut + 1) + n_b
-
-    def occupation(self, index: int) -> tuple[int, int]:
-        """Inverse of :meth:`index`."""
-        if not 0 <= index < self.dim:
-            raise ValueError(f"index {index} outside basis of dim {self.dim}")
-        return int(self.occ_a[index]), int(self.occ_b[index])
-
-    def occupations(self) -> list[tuple[int, int]]:
-        """All (n_a, n_b) pairs in flat-index order."""
-        return list(zip(self.occ_a.tolist(), self.occ_b.tolist()))
-
-    def state_vector(self, n_a: int, n_b: int) -> np.ndarray:
-        """Unit vector for the number state |n_a, n_b>."""
-        vec = np.zeros(self.dim, dtype=complex)
-        vec[self.index(n_a, n_b)] = 1.0
-        return vec
 
 
 @dataclass(frozen=True)
