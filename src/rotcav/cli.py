@@ -48,6 +48,7 @@ from .sweep import (
     run_point,
     run_sweep,
     spec_from_dict,
+    write_output,
 )
 
 
@@ -168,9 +169,7 @@ def _cmd_point(args) -> int:
             "outputs": outputs,
             "status": status,
         }
-        with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-            handle.write("\n")
+        write_output(json.dumps(payload, indent=2) + "\n", args.out, "point")
     if args.convergence_check:
         fine = run_point(params, (2 * cutoffs[0], 2 * cutoffs[1]))
         for name in OUTPUT_NAMES:
@@ -316,7 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, MemoryError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SteadyStateError as exc:

@@ -188,8 +188,9 @@ def decay_hamiltonian(
 
 # A chunk holds CHUNK_ENTRIES // D**2 points, at least one: 8 at D = 28, 3 at
 # D = 45, 1 from D = 66.  Memory bounds it, not speed (PR 13): a point holds
-# 152 D**2 bytes off the mirror line, 168 at the peak, and 112 on it (PR 29),
-# plus, in the Krylov phase, JUMP_MAP_KRYLOV_RESTART + 1 packed vectors.
+# 195 D**2 bytes off the mirror line and 127 on it at (6,3), and 220 to 231
+# off it and 144 on it from (10,5) to (16,8), at the tracemalloc peak of its
+# chunk, plus, in the Krylov phase, JUMP_MAP_KRYLOV_RESTART + 1 packed vectors.
 CHUNK_ENTRIES = 8 * 28**2
 
 
@@ -304,16 +305,16 @@ def _iterate(
     """The jump-map iteration of a stack of driven points, one result per point.
 
     b and factors are the stacks of B and of the factors of S^-1, one slice
-    per point, and set the dtype; the state rho, L(rho), the scratch x, the
-    scaled update and the jump weights are allocated here once.  Each
-    iteration forms the L(rho) of its update once and decides every exit from
-    it; :func:`_keep` then moves the points that stay to the front of every
-    stack.  retried marks the points whose factors are decay-scaled.
+    per point, and set the dtype; the state rho, L(rho), the scratch x of
+    S^-1, the scaled update and the jump weights are allocated here once.
+    Each iteration forms the L(rho) of its update once and decides every exit
+    from it; :func:`_keep` then moves the points that stay to the front of
+    every stack.  retried marks the points whose factors are decay-scaled.
     """
     n, d = len(b), basis.dim
     rho, r, x = np.empty((3, n, d, d), dtype=b.dtype)
     scaled = np.empty((n, d, d))
-    jumps = _jump_views(basis, rates, rho, r, x)
+    jumps = _jump_views(basis, rates, rho, r)
     weights = [jump[-1] for jump in jumps]
     pairs = _pair_weights(basis)
     retried = retried.tolist()
@@ -322,7 +323,7 @@ def _iterate(
     rho[...] = 0.0
     one = basis.index(1, 0)
     rho[:, one, one] = 1.0
-    _generator(b, rho, r, x, jumps)
+    _generator(b, rho, r, jumps)
     tracks = [_Track(i) for i in range(n)]
     results: list = [None] * n
     for iteration in itertools.count(1):
@@ -330,8 +331,7 @@ def _iterate(
         rho -= update
         # Hermitize without the factor 1/2, which the normalization absorbs
         # exactly: scaling by 2 commutes with rounding.
-        np.conjugate(rho, out=x)
-        rho += x.transpose(0, 2, 1)
+        rho += rho.conj().transpose(0, 2, 1)
         rho *= (1.0 / rho.trace(axis1=1, axis2=2).real)[:, None, None]
         populations = rho.diagonal(axis1=1, axis2=2).real
         floor = _population_floor(populations, pairs)
@@ -344,7 +344,7 @@ def _iterate(
         if failed:
             rho[failed] = 0.0  # stationary, so L(rho) stays finite
         if len(failed) < len(steps):
-            _generator(b, rho, r, x, jumps)
+            _generator(b, rho, r, jumps)
         keep = [False] * len(tracks)
         for j, (track, step) in enumerate(zip(tracks, steps)):
             i, point = track.index, slice(j, j + 1)
@@ -425,7 +425,7 @@ def _krylov(
     anti-Hermitian part M + M^dag is not L, and GMRES stalled (PR 22).
     """
     d = basis.dim
-    jumps = _jump_views(basis, rates, rho, r, x)
+    jumps = _jump_views(basis, rates, rho, r)
     i, j = np.triu_indices(d)
     up, lo = i * d + j, j * d + i  # each entry of Y's upper triangle and its mirror
     packed = np.empty(len(up), dtype=rho.dtype)
@@ -485,7 +485,7 @@ def _krylov(
         state += rho[0]
         state *= 1.0 / state.trace().real
         rho[0] = state
-        _generator(b, rho, r, x, jumps)
+        _generator(b, rho, r, jumps)
 
 
 def _unfinished(step: float, solve: SolveRecord, residual: float = math.nan) -> SteadyStateError:
@@ -584,43 +584,34 @@ def _keep(keep: np.ndarray, *stacks: np.ndarray) -> list[np.ndarray]:
 
 
 def _jump_views(
-    basis: FockBasis, rates: np.ndarray, rho: np.ndarray, out: np.ndarray, scratch: np.ndarray
+    basis: FockBasis, rates: np.ndarray, rho: np.ndarray, out: np.ndarray
 ) -> list[tuple[np.ndarray, ...]]:
-    """Per jump term kappa_c c rho c^dag of :func:`_generator`, float views of
-    the full stacks: rho's block rho[:, step:, step:], out's block
-    out[:, :-step, :-step] and a contiguous block of scratch for the term,
-    with the real weights kappa_c sqrt(n_i) sqrt(n_j) (fock.ladder), one
-    stack per point allocated here, each repeated for the real and imaginary
-    part of a complex entry.  The active points are always the first of each
-    stack (:func:`_keep`), so view[:n] holds the first n of them."""
-    n, d = rho.shape[:2]
-    parts = rho.itemsize // 8  # floats per entry
-    rho, out, scratch = rho.view(float), out.view(float), scratch.reshape(-1).view(float)
+    """Per jump term kappa_c c rho c^dag of :func:`_generator`, views of the
+    full stacks, rho's block rho[:, step:, step:] and out's block
+    out[:, :-step, :-step], with the weights kappa_c sqrt(n_i) sqrt(n_j)
+    (fock.ladder), one stack per point allocated here.  The weights are real
+    but held in rho's dtype: a product of like dtypes needs no cast, and a
+    long-double stack forms its jumps in long double.  The active points are
+    always the first of each stack (:func:`_keep`), so view[:n] holds the
+    first n of them."""
     views = []
     for mode, kappa in zip("ab", rates.T):
         step, sqrt_n = ladder(basis, mode)
-        m = d - step
-        weight = np.repeat(kappa[:, None, None] * np.outer(sqrt_n, sqrt_n), parts, axis=2)
-        # c rho c^dag is formed in a contiguous block: that halves the cost of the products.
-        term = scratch[: n * m * parts * m].reshape(n, m, parts * m)
-        views.append((rho[:, step:, parts * step :], out[:, :-step, : -parts * step], term, weight))
+        sqrt_n = sqrt_n.astype(rho.dtype)
+        weight = kappa[:, None, None] * np.outer(sqrt_n, sqrt_n)
+        views.append((rho[:, step:, step:], out[:, :-step, :-step], weight))
     return views
 
 
 def _generator(
-    b: np.ndarray,
-    rho: np.ndarray,
-    out: np.ndarray,
-    scratch: np.ndarray,
-    jumps: Sequence[tuple[np.ndarray, ...]],
+    b: np.ndarray, rho: np.ndarray, out: np.ndarray, jumps: Sequence[tuple[np.ndarray, ...]]
 ) -> np.ndarray:
     """L(rho) into out for a stack of Hermitian rho in the rotated frame, given
     the stack of B: S(rho) = M + M^dag with M = B rho, and each jump term is
-    one product of rho's block with its weights; rho, out and scratch are the
-    first len(rho) points of the stacks whose :func:`_jump_views` are in jumps."""
+    one product of rho's block with its weights; rho and out are the first
+    len(rho) points of the stacks whose :func:`_jump_views` are in jumps."""
     np.matmul(b, rho, out=out)
-    np.conjugate(out, out=scratch)
-    out += scratch.transpose(0, 2, 1)
+    out += out.conj().transpose(0, 2, 1)
     _add_jumps(len(rho), jumps)
     return out
 
@@ -628,8 +619,8 @@ def _generator(
 def _add_jumps(n: int, jumps: Sequence[tuple[np.ndarray, ...]]) -> None:
     """Add the jump terms J(rho) of the first n points of the stacks in jumps
     (:func:`_jump_views`) to their out."""
-    for rho_block, out_block, term, weight in jumps:
-        out_block[:n] += np.multiply(rho_block[:n], weight[:n], out=term[:n])
+    for rho_block, out_block, weight in jumps:
+        out_block[:n] += rho_block[:n] * weight[:n]
 
 
 def _eigenbasis_factors(matrices: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -676,17 +667,10 @@ def _block_form(lam: np.ndarray, v: np.ndarray, p: np.ndarray) -> np.ndarray:
     Im lam_i at (i, D - 1 - i): beta in p's row, -beta in q's.
     """
     d = lam.shape[1]
-    first, second = lam.imag > 0, lam.imag < 0
-    real = ~(first | second)
-
-    def rank(mask):
-        return np.cumsum(mask, axis=1) - 1
-
-    # Each eigenvalue's column without a sort, whose code adds ~0.3 MB of peak RSS.
-    n_first = first.sum(axis=1, keepdims=True)
-    column = np.select([first, second], [rank(first), d - 1 - rank(second)], n_first + rank(real))
-    order = np.empty_like(column)
-    np.put_along_axis(order, column, np.arange(d)[None, :], axis=1)
+    index = np.arange(d)
+    second = lam.imag < 0
+    key = np.where(lam.imag > 0, index, np.where(second, 3 * d - index, d + index))
+    order = np.argsort(key, axis=1, kind="stable")
     p[...] = np.take_along_axis(np.where(second[:, None, :], -v.imag, v.real), order[:, None, :], axis=2)
     return np.take_along_axis(lam, order, axis=1)
 

@@ -441,10 +441,14 @@ def render(result: SweepResult, format: str) -> str:
 
 def emit(result: SweepResult, format: str, path) -> str:
     """Write the result as 'csv' or 'json'; returns the path written."""
-    text = render(result, format)
+    write_output(render(result, format), path, "sweep")
+    return str(path)
+
+
+def write_output(text: str, path, what: str) -> None:
+    """Write text to path; an OSError names what output failed and where."""
     try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        raise OSError(f"cannot write sweep output to {path}: {exc}") from exc
-    return str(path)
+        raise OSError(f"cannot write {what} output to {path}: {exc}") from exc

@@ -301,6 +301,42 @@ def test_sweep_duplicate_output_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 2**59 entries (4 EiB) exceed any 64-bit address space, so the
+        # allocation is refused before any memory is touched.
+        ["point", "--na-cut", "1073741823", "--nb-cut", "536870911"],
+        ["sweep", "--axis1", "g:0:1:576460752303423488"],
+    ],
+    ids=["point", "sweep"],
+)
+def test_request_too_large_to_allocate_exits_1(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: Unable to allocate")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        (["point", "--g", "1.0", "--na-cut", "2", "--nb-cut", "1"], "x.json"),
+        (["sweep", "--axis1", "g:0.1:1:2"], "x.csv"),
+    ],
+    ids=["point", "sweep"],
+)
+def test_failed_write_names_its_output(tmp_path, capsys, command, name):
+    # point and sweep report an unwritable --out alike, after their results.
+    out = tmp_path / "missing" / name
+    assert main([*command, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {command[0]} output to {out}: [Errno 2]")
+    assert len(captured.err.splitlines()) == 1
+    if command[0] == "point":
+        assert captured.out.endswith("status = ok\n")
+
+
 def test_point_solver_failure_exit_2(monkeypatch, capsys):
     fail_at_points(monkeypatch, 1)
     code = main(["point", "--g", "1.0", "--na-cut", "2", "--nb-cut", "1"])

@@ -27,6 +27,7 @@ from rotcav.oracle import (
     Liouvillian,
     NonUniqueSteadyStateError,
     TraceDriftError,
+    _extended_residual,
     build_liouvillian,
     evolve,
     photon_statistics,
@@ -140,8 +141,9 @@ def test_decay_hamiltonian_is_the_dense_form(cutoffs):
         assert np.array_equal(decay_hamiltonian(h, basis, p.kappa1, p.kappa2), dense)
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.clongdouble])
 @pytest.mark.parametrize("cutoffs", [(1, 1), (4, 2), (6, 3), (10, 5)])
-def test_stacked_generator_is_the_dense_liouvillian(cutoffs):
+def test_stacked_generator_is_the_dense_liouvillian(cutoffs, dtype):
     # Random Hermitian states and Hamiltonians with per-point loss rates:
     # the stacked generator with its jump weights against lio.matrix.
     basis, a, b = make_ops(*cutoffs)
@@ -154,15 +156,21 @@ def test_stacked_generator_is_the_dense_liouvillian(cutoffs):
     minus_i_h = np.array(
         [-1j * decay_hamiltonian(h[j], basis, *rates[j]) for j in range(k)]
     )
-    out, scratch = np.empty((2, k, d, d), dtype=complex)
-    jumps = dynamics_mod._jump_views(basis, rates, rho, out, scratch)
-    stacked = dynamics_mod._generator(minus_i_h, rho, out, scratch, jumps).copy()
+    minus_i_h, rho = minus_i_h.astype(dtype), rho.astype(dtype)
+    out = np.empty((k, d, d), dtype=dtype)
+    jumps = dynamics_mod._jump_views(basis, rates, rho, out)
+    stacked = dynamics_mod._generator(minus_i_h, rho, out, jumps).copy()
+    assert stacked.dtype == dtype
     for j in range(k):
         dense = unvectorize(build_liouvillian(h[j], a, b, *rates[j]).matrix @ vectorize(rho[j]), d)
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(stacked[j] - dense)) <= 1e-13 * scale
+        # Against the oracle's long-double L(rho), to the roundoff of dtype.
+        extended = _extended_residual(build_liouvillian(h[j], a, b, *rates[j]))(rho[j])
+        bound = 16 * np.finfo(dtype).eps * np.max(np.abs(extended))
+        assert np.max(np.abs(stacked[j] - extended)) <= bound
     # The first points of the stacks alone give the same bits.
-    first = dynamics_mod._generator(minus_i_h[:2], rho[:2], out[:2], scratch[:2], jumps)
+    first = dynamics_mod._generator(minus_i_h[:2], rho[:2], out[:2], jumps)
     np.testing.assert_array_equal(first, stacked[:2])
 
 
