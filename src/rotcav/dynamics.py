@@ -126,7 +126,7 @@ class SteadyStateError(RuntimeError):
 @dataclass(frozen=True)
 class DensityMatrix:
     """D x D state with its basis: complex, or, inside the solver, in its
-    rotated frame (:func:`_solve_points`); solve is the jump map's record."""
+    rotated frame (:func:`_iterate`); solve is the jump map's record."""
 
     matrix: np.ndarray
     basis: FockBasis
@@ -166,11 +166,14 @@ class DensityMatrix:
 
 
 def _check_input(h_eff: np.ndarray, basis: FockBasis, kappa1: float, kappa2: float) -> None:
-    """Reject negative loss rates and an H that does not fit the basis."""
-    if kappa1 < 0 or kappa2 < 0:
-        raise ValueError("loss rates must be non-negative")
+    """Reject loss rates that are negative or not finite and an H that does
+    not fit the basis or has a non-finite entry, which no eig accepts."""
+    if not (0 <= kappa1 < math.inf and 0 <= kappa2 < math.inf):
+        raise ValueError("loss rates must be finite and non-negative")
     if h_eff.shape != (basis.dim, basis.dim):
         raise ValueError("Hamiltonian dimensions do not match the basis")
+    if not np.isfinite(h_eff).all():
+        raise ValueError("Hamiltonian has non-finite entries")
 
 
 def decay_hamiltonian(
@@ -188,8 +191,8 @@ def decay_hamiltonian(
 
 # A chunk holds CHUNK_ENTRIES // D**2 points, at least one: 8 at D = 28, 3 at
 # D = 45, 1 from D = 66.  Memory bounds it, not speed (PR 13): a point holds
-# 195 D**2 bytes off the mirror line and 127 on it at (6,3), and 220 to 231
-# off it and 144 on it from (10,5) to (16,8), at the tracemalloc peak of its
+# 193 D**2 bytes off the mirror line and 126 on it at (6,3), and 204 to 215
+# off it and 128 on it from (10,5) to (16,8), at the tracemalloc peak of its
 # chunk, plus, in the Krylov phase, JUMP_MAP_KRYLOV_RESTART + 1 packed vectors.
 CHUNK_ENTRIES = 8 * 28**2
 
@@ -219,7 +222,8 @@ def _solve_chunk(
     B is formed once for the chunk.  Undriven points get the vacuum; driven
     points on the mirror line, whose B is exactly real, are solved first, in
     real arithmetic, and the others after them, each group by
-    :func:`_solve_points`, in O(K D^3) time and O(K D^2) memory per iteration.
+    :func:`_iterate`, in O(K D^3) time and O(K D^2) memory per iteration.
+    Their states are rotated back once both groups have returned.
     """
     k, d = len(chunk), basis.dim
     h_prime = np.empty((k, d, d), dtype=complex)
@@ -240,9 +244,14 @@ def _solve_chunk(
     line = driven & ~b.imag.any(axis=(1, 2))
     off_line = driven & ~line
     line_b, b = b.real[line], b[off_line]  # and the full stack is freed
-    _solve_points(line_b, rates[line], np.flatnonzero(line), basis, results)
+    states = _iterate(line_b, rates[line], basis)
     del line_b
-    _solve_points(b, rates[off_line], np.flatnonzero(off_line), basis, results)
+    states += _iterate(b, rates[off_line], basis)
+    back = np.conjugate(1j * _mirror_phases(basis))
+    for i, state in zip(np.flatnonzero(line).tolist() + np.flatnonzero(off_line).tolist(), states):
+        if isinstance(state, DensityMatrix):
+            state = DensityMatrix(back * state.matrix, basis, state.solve)
+        results[i] = state
     return results
 
 
@@ -253,35 +262,6 @@ def _mirror_phases(basis: FockBasis) -> np.ndarray:
     Each entry is 1, -1, 1j or -1j, so both products are exact."""
     p = basis.occ_a + basis.occ_b
     return np.array([-1j, 1.0, 1j, -1.0])[(p[:, None] - p[None, :]) % 4]
-
-
-def _solve_points(
-    b: np.ndarray, rates: np.ndarray, points: np.ndarray, basis: FockBasis, results: list
-) -> None:
-    """Write the results of the driven points of a chunk, at positions points
-    in it, into results, given the stacks of their B (real on the mirror line,
-    complex off it) and rates.  Each state is certified in the rotated frame
-    and rotated back.  This function owns the stacks of B, the rates and the
-    factors of S^-1, one slice per point; :func:`_keep` drops the points
-    without a usable eigenbasis from them."""
-    if not len(points):
-        return
-    factors = np.empty((3 if b.dtype == complex else 6, *b.shape), dtype=b.dtype)
-    usable = _eigenbasis_factors(b, factors)
-    retried = ~usable
-    for j in np.flatnonzero(retried):  # factored alone, so its bits are its chunk of one's
-        usable[j] = _eigenbasis_factors(_decay_scaled(b[j : j + 1]), factors[:, j : j + 1])[0]
-        if not usable[j]:
-            results[points[j]] = SteadyStateError(
-                "no usable eigenbasis of H', nor of H' with its loss rates scaled by 1 + sqrt(eps)",
-                SolveRecord(retried=True),
-            )
-    b, rates, points, *factors = _keep(usable, b, rates, points, *factors)
-    back = np.conjugate(1j * _mirror_phases(basis))
-    for i, state in zip(points.tolist(), _iterate(b, rates, basis, factors, retried[usable])):
-        if isinstance(state, DensityMatrix):
-            state = DensityMatrix(back * state.matrix, basis, state.solve)
-        results[i] = state
 
 
 def _decay_scaled(b: np.ndarray) -> np.ndarray:
@@ -295,38 +275,50 @@ def _decay_scaled(b: np.ndarray) -> np.ndarray:
     return scaled
 
 
-def _iterate(
-    b: np.ndarray,
-    rates: np.ndarray,
-    basis: FockBasis,
-    factors: list[np.ndarray],
-    retried: np.ndarray,
-) -> list[DensityMatrix | SteadyStateError]:
-    """The jump-map iteration of a stack of driven points, one result per point.
+def _iterate(b: np.ndarray, rates: np.ndarray, basis: FockBasis) -> list[DensityMatrix | SteadyStateError]:
+    """The jump-map iteration of one group of a chunk's driven points, one
+    result per point in their order, each certified in the rotated frame.
 
-    b and factors are the stacks of B and of the factors of S^-1, one slice
-    per point, and set the dtype; the state rho, L(rho), the scratch x of
-    S^-1, the scaled update and the jump weights are allocated here once.
-    Each iteration forms the L(rho) of its update once and decides every exit
-    from it; :func:`_keep` then moves the points that stay to the front of
-    every stack.  retried marks the points whose factors are decay-scaled.
+    b and rates are the group's stacks of B (real on the mirror line, complex
+    off it) and of the loss rates, one slice per point; b sets the dtype.
+    This function owns them and the factors of S^-1; a point whose eigenbasis
+    is unusable is factored again alone from its decay-scaled B, and fails if
+    that is unusable too.  The state rho, L(rho), the scratch x of S^-1, the
+    scaled update and the jump weights are allocated once, for the points
+    that iterate.  Each iteration forms the L(rho) of its update once and
+    decides every exit from it; :func:`_keep` then moves the points that stay
+    to the front of every stack.
     """
     n, d = len(b), basis.dim
-    rho, r, x = np.empty((3, n, d, d), dtype=b.dtype)
-    scaled = np.empty((n, d, d))
+    if not n:
+        return []
+    factors = np.empty((3 if b.dtype == complex else 6, *b.shape), dtype=b.dtype)
+    usable = _eigenbasis_factors(b, factors)
+    results: list = [None] * n
+    tracks = []
+    for i, retried in enumerate((~usable).tolist()):
+        if retried:  # factored alone, so its bits are its chunk of one's
+            usable[i] = _eigenbasis_factors(_decay_scaled(b[i : i + 1]), factors[:, i : i + 1])[0]
+        if usable[i]:
+            tracks.append(_Track(i, retried))
+        else:
+            message = "no usable eigenbasis of H', nor of H' with its loss rates scaled by 1 + sqrt(eps)"
+            results[i] = SteadyStateError(message, SolveRecord(retried=True))
+    b, rates, *factors = _keep(usable, b, rates, *factors)
+    rho, r, x = np.empty((3, len(tracks), d, d), dtype=b.dtype)
+    scaled = np.empty((len(tracks), d, d))
     jumps = _jump_views(basis, rates, rho, r)
     weights = [jump[-1] for jump in jumps]
     pairs = _pair_weights(basis)
-    retried = retried.tolist()
     # One renewal from the vacuum: J(|1,0><1,0|) = kappa1 |0,0><0,0|, so the
     # first update is the normalized -kappa1 S^-1(|0,0><0,0|).
     rho[...] = 0.0
     one = basis.index(1, 0)
     rho[:, one, one] = 1.0
     _generator(b, rho, r, jumps)
-    tracks = [_Track(i) for i in range(n)]
-    results: list = [None] * n
-    for iteration in itertools.count(1):
+    iteration = 0
+    while tracks:
+        iteration += 1
         update = _eigenbasis_inverse(factors, r, x)
         rho -= update
         # Hermitize without the factor 1/2, which the normalization absorbs
@@ -349,28 +341,26 @@ def _iterate(
         for j, (track, step) in enumerate(zip(tracks, steps)):
             i, point = track.index, slice(j, j + 1)
             if not math.isfinite(step):
-                results[i] = _unfinished(step, SolveRecord(iteration, iteration, 0, retried[i]))
+                results[i] = _unfinished(step, SolveRecord(iteration, iteration, 0, track.retried))
             elif track.stops(step, iteration):
-                solve = SolveRecord(iteration, iteration + 1, 0, retried[i])
+                solve = SolveRecord(iteration, iteration + 1, 0, track.retried)
                 results[i] = _outcome(DensityMatrix(rho[j].copy(), basis, solve), float(np.max(np.abs(r[j]))))
             elif track.enters(iteration):
-                entry = SolveRecord(iteration, iteration, 0, retried[i])
+                entry = SolveRecord(iteration, iteration, 0, track.retried)
                 point_factors = [factor[point] for factor in factors]
-                results[i] = _krylov(
-                    b[point], point_factors, rates[i : i + 1], basis, rho[point], r[point], x[point], entry
-                )
+                point_jumps = [tuple(view[point] for view in jump) for jump in jumps]
+                results[i] = _krylov(b[point], point_factors, point_jumps, basis, rho[point], r[point], x[point], entry)
             elif iteration == JUMP_MAP_MAX_ITERATIONS:
-                solve = SolveRecord(iteration, iteration + 1, 0, retried[i])
+                solve = SolveRecord(iteration, iteration + 1, 0, track.retried)
                 results[i] = _unfinished(step, solve, float(np.max(np.abs(r[j]))))
             else:
                 keep[j] = True
-        if not all(keep):
-            if not any(keep):
-                return results
-            tracks = [track for track, kept in zip(tracks, keep) if kept]
+        if any(keep) and not all(keep):
             b, rho, r, *stacks = _keep(np.array(keep), b, rho, r, *weights, *factors)
             weights, factors = stacks[: len(weights)], stacks[len(weights) :]
-            x, scaled = x[: len(tracks)], scaled[: len(tracks)]
+            x, scaled = x[: len(rho)], scaled[: len(rho)]
+        tracks = [track for track, kept in zip(tracks, keep) if kept]
+    return results
 
 
 @dataclass
@@ -378,6 +368,7 @@ class _Track:
     """Stop-rule state of one point of a stacked jump-map iteration."""
 
     index: int  # position in the stacks given to _iterate
+    retried: bool = False  # S^-1 factored from the decay-scaled B
     best: float = math.inf
     best_at: int = 0
     step: float = math.inf
@@ -406,7 +397,7 @@ class _Track:
 def _krylov(
     b: np.ndarray,
     factors: list[np.ndarray],
-    rates: np.ndarray,
+    jumps: Sequence[tuple[np.ndarray, ...]],
     basis: FockBasis,
     rho: np.ndarray,
     r: np.ndarray,
@@ -416,16 +407,16 @@ def _krylov(
     """Finish one point of :func:`_iterate` by restarted GMRES on the root of
     delta -> S^-1(L(delta)); its certified state or its error.
 
-    b, factors, rates, rho, r and x are the point's slices of the loop's
-    stacks: rho its iterate, r that iterate's L(rho) and x scratch.  entry is
-    its loop record, whose budget the phase keeps counting.  The unknowns are
-    delta = W^1/2 Y W^1/2, W the floored populations, with Y packed as its
-    upper triangle in the state's dtype.  Each application unpacks an exactly
-    Hermitian delta and packs the Hermitian part of its image: on an
-    anti-Hermitian part M + M^dag is not L, and GMRES stalled (PR 22).
+    b, factors, jumps, rho, r and x are the point's slices of the loop's
+    stacks and jump views: rho its iterate, r that iterate's L(rho) and x
+    scratch.  entry is its loop record, whose budget the phase keeps
+    counting.  The unknowns are delta = W^1/2 Y W^1/2, W the floored
+    populations, with Y packed as its upper triangle in the state's dtype.
+    Each application unpacks an exactly Hermitian delta and packs the
+    Hermitian part of its image: on an anti-Hermitian part M + M^dag is not
+    L, and GMRES stalled (PR 22).
     """
     d = basis.dim
-    jumps = _jump_views(basis, rates, rho, r)
     i, j = np.triu_indices(d)
     up, lo = i * d + j, j * d + i  # each entry of Y's upper triangle and its mirror
     packed = np.empty(len(up), dtype=rho.dtype)

@@ -41,6 +41,8 @@ class FockBasis:
                 raise ValueError(
                     f"cutoffs must be integers, got ({self.na_cut!r}, {self.nb_cut!r})"
                 )
+        for key in ("na_cut", "nb_cut"):  # Python ints, so that dim cannot wrap
+            object.__setattr__(self, key, int(getattr(self, key)))
         if self.na_cut < 1 or self.nb_cut < 1:
             raise ValueError(
                 f"cutoffs must be >= 1, got ({self.na_cut}, {self.nb_cut})"

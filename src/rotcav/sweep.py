@@ -146,7 +146,7 @@ class SweepSpec:
         if len(self.cutoffs) != 2:
             raise ValueError(f"malformed sweep config: cutoffs {self.cutoffs!r} are not a pair")
         basis = FockBasis(*self.cutoffs)  # its checks: integers, each >= 1
-        object.__setattr__(self, "cutoffs", (int(basis.na_cut), int(basis.nb_cut)))
+        object.__setattr__(self, "cutoffs", (basis.na_cut, basis.nb_cut))
         for key in ("convergence_check", "include_optimal_g"):
             if not isinstance(getattr(self, key), (bool, np.bool_)):
                 raise ValueError(f"{key} must be a bool, got {getattr(self, key)!r}")

@@ -68,6 +68,34 @@ def fail_at_points(monkeypatch, *numbers: int) -> None:
     monkeypatch.setattr(sweep_mod, "jump_map_steady_states", flaky)
 
 
+def guard_empty_loop(monkeypatch) -> None:
+    """Make the jump map's S^-1 raise AssertionError from its sixth
+    application, so that a loop left running without points fails the test
+    at once instead of spinning."""
+    import rotcav.dynamics as dynamics_mod
+
+    inverse, calls = dynamics_mod._eigenbasis_inverse, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        assert calls[0] <= 5, "S^-1 applied with no point left to iterate"
+        return inverse(*args)
+
+    monkeypatch.setattr(dynamics_mod, "_eigenbasis_inverse", counted)
+
+
+def no_usable_eigenbasis(monkeypatch) -> None:
+    """Make every eig raise LinAlgError, as a non-converging LAPACK call does,
+    so that no driven point has a usable eigenbasis, not even decay-scaled;
+    guarded by :func:`guard_empty_loop`."""
+
+    def raising(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", raising)
+    guard_empty_loop(monkeypatch)
+
+
 def refine_extremum(
     xs: np.ndarray, ys: np.ndarray, kind: str = "min"
 ) -> tuple[float, float]:

@@ -11,6 +11,7 @@ import pytest
 
 import rotcav.dynamics as dynamics_mod
 from conftest import fail_at_points
+from conftest import no_usable_eigenbasis
 from rotcav import (
     FizeauParams,
     SweepAxis,
@@ -285,6 +286,15 @@ def test_certificate_failure_exit_2_with_partial_output(monkeypatch, tmp_path, c
     lines = out.read_text().splitlines()
     assert lines[0] == "g,n_a,status"
     assert [line.split(",")[-1] for line in lines[1:]] == ["solver-failure"] * 3
+
+
+def test_point_without_a_usable_eigenbasis_exits_2(monkeypatch, capsys):
+    no_usable_eigenbasis(monkeypatch)
+    assert main(["point", "--g", "1", "--drive-strength", "0.1", "--na-cut", "2", "--nb-cut", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("solver failure: no usable eigenbasis of H', nor of H' with its loss rates")
 
 
 def test_point_certificate_failure_exit_2(monkeypatch, capsys):

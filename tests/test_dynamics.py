@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import rotcav.dynamics as dynamics_mod
 from rotcav.dynamics import decay_hamiltonian, jump_map_steady_states
 from conftest import kron_liouvillian, liouvillian as _liouvillian, make_ops, solve_point, vacuum as _vacuum
+from conftest import guard_empty_loop, no_usable_eigenbasis
 from rotcav import (
     DensityMatrix,
     ModeOperator,
@@ -105,6 +106,24 @@ def test_negative_rates_rejected():
         build_liouvillian(h, a, b, -1.0, 1.0)
     with pytest.raises(ValueError):
         _solve_alone_point(h, basis, -1.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "kappa1, kappa2, h_entry",
+    [(1.0, math.nan, 0.0), (math.inf, 1.0, 0.0), (1.0, 1.0, math.nan)],
+    ids=["kappa2-nan", "kappa1-inf", "h-nan"],
+)
+def test_non_finite_input_rejected(kappa1, kappa2, h_entry, monkeypatch):
+    # eig refuses non-finite input, so the jump map would find no usable
+    # eigenbasis for such a point; both solvers reject it up front.
+    guard_empty_loop(monkeypatch)
+    basis, a, b = make_ops(2, 1)
+    h = build_h_eff(SystemParams(g=0.867, drive_strength=0.05), basis)
+    h[1, 2] += h_entry
+    with pytest.raises(ValueError, match="non-finite|finite and non-negative"):
+        build_liouvillian(h, a, b, kappa1, kappa2)
+    with pytest.raises(ValueError, match="non-finite|finite and non-negative"):
+        _solve_alone_point(h, basis, kappa1, kappa2)
 
 
 def test_operators_other_than_the_annihilators_rejected():
@@ -927,6 +946,30 @@ def test_failed_eigendecomposition_fails_only_its_point(retry_fails, monkeypatch
         _assert_same_solves(states, expected)
 
 
+def test_group_without_a_usable_eigenbasis_fails_each_point_at_once(monkeypatch):
+    # Every eig raises, alone and decay-scaled: each driven point fails with
+    # no S^-1 applied, on the mirror line and off it, alone and in a chunk,
+    # and an undriven chunk-mate keeps the vacuum.
+    basis = build_basis(4, 2)
+    line = [build_h_eff(SystemParams(g=0.867, drive_strength=f), basis) for f in (0.05, 0.7875)]
+    off_line = build_h_eff(SystemParams(delta=OFF_LINE_DELTA, g=0.867, drive_strength=0.05), basis)
+    undriven = build_h_eff(SystemParams(g=0.867), basis)
+    assert [_eig_input(decay_hamiltonian(h, basis, 1.0, 1.0), basis).dtype for h in (*line, off_line)] == [
+        np.float64, np.float64, np.complex128
+    ]
+    no_usable_eigenbasis(monkeypatch)
+    for h_effs in ([line[0]], [line[0], undriven, off_line, line[1]]):
+        states = list(jump_map_steady_states([(h, 1.0, 1.0) for h in h_effs], basis))
+        for h, state in zip(h_effs, states, strict=True):
+            if h is undriven:
+                np.testing.assert_array_equal(state.matrix, _vacuum(basis).matrix)
+                assert state.solve == dynamics_mod.SolveRecord()
+            else:
+                assert isinstance(state, SteadyStateError)
+                assert str(state).startswith("no usable eigenbasis of H', nor of H' with its loss rates")
+                assert state.solve == dynamics_mod.SolveRecord(retried=True)
+
+
 def test_chunk_partition_gives_each_point_its_chunk_of_one_state(monkeypatch):
     # Undriven points (F = 0, and F = 0 with a real energy offset, whose
     # H'[0, 0] is not 0) leave the chunk with the vacuum; a driven point
@@ -1447,6 +1490,25 @@ def test_every_generator_call_is_in_the_record(monkeypatch):
     assert calls[0] == failed.solve.generator_calls == 3
 
 
+@pytest.mark.parametrize("scale", [-1.0, 0.0], ids=["singular", "identity"])
+def test_gmres_cycle_on_a_one_dimensional_krylov_space(scale):
+    # With N v = -v, A = 1 + N is singular on the start vector: the cycle
+    # stops with no column and no coefficient.  With N = 0 one column solves
+    # it exactly.
+    beta, vectors = 0.25, np.zeros((dynamics_mod.JUMP_MAP_KRYLOV_RESTART + 1, 4))
+    vectors[0, 1] = 1.0
+
+    def apply(v, out):
+        np.multiply(v, scale, out=out)
+
+    y, solved = dynamics_mod._gmres_cycle(apply, vectors, beta, np.empty(4), 10)
+    if scale:
+        assert y.shape == (0,) and not solved
+    else:
+        np.testing.assert_array_equal(y, [beta])
+        assert solved
+
+
 def test_budget_exhaustion_in_the_krylov_phase_raises(monkeypatch):
     # The third chunk point enters the phase at iteration 8 and needs 29
     # applications of S^-1 in all.
@@ -1606,6 +1668,11 @@ def test_the_record_stays_out_of_equality_and_repr():
     assert state == vacuum and "solve" not in repr(state)
     stats = run_point(SystemParams(g=0.867, drive_strength=0.05), (4, 2))
     assert stats.solve.applications > 0 and stats == type(stats)(stats.g2_aa, stats.g2_bb, stats.n_a, stats.n_b)
+
+
+def test_state_of_another_dimension_rejected():
+    with pytest.raises(ValueError, match=r"^state shape \(3, 3\) does not match basis dim 4$"):
+        DensityMatrix(np.eye(3, dtype=complex), build_basis(1, 1))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rotcav import ModeOperator, annihilator_a, annihilator_b, build_basis
+from rotcav import SystemParams, run_point
 
 
 @pytest.mark.parametrize("na,nb,dim", [(4, 2, 15), (1, 1, 4), (6, 3, 28)])
@@ -23,6 +24,11 @@ def test_non_integer_cutoffs_rejected(na, nb):
 
 def test_numpy_integer_cutoffs_accepted():
     assert build_basis(np.int64(4), np.int32(2)) == build_basis(4, 2)
+    # Stored as Python ints, so that dim does not wrap in the cutoffs' dtype.
+    basis = build_basis(np.uint8(200), np.uint8(2))
+    assert basis.dim == 603 and type(basis.na_cut) is int
+    p = SystemParams(g=0.867, drive_strength=0.05)
+    assert run_point(p, (np.uint8(8), np.uint8(4))) == run_point(p, (8, 4))
 
 
 def test_index_is_a_bijection():
